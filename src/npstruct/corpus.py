@@ -15,7 +15,9 @@ from __future__ import annotations
 import hashlib
 import pickle
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
@@ -134,30 +136,57 @@ class CorpusIndex:
         return [i + g for g in range(lo, hi + 1)]
 
     def _candidates(self, query: CountQuery) -> list[tuple[int, int]]:
-        """Sentence/offset start candidates from the rarest query position."""
-        best: list[tuple[int, int]] | None = None
-        best_index = 0
+        """Sentence/offset start candidates from the rarest query position.
+
+        Posting sizes are summed first, so only the rarest position's
+        list is ever built.
+        """
+        best_index, best_size = 0, None
         for i, alts in enumerate(query.phrase):
-            posting = []
-            for alt in alts:
-                posting.extend(self._postings.get(alt, ()))
-            if best is None or len(posting) < len(best):
-                best, best_index = posting, i
-            if not posting:
+            size = sum(len(self._postings.get(alt, ())) for alt in alts)
+            if not size:
                 return []
-        assert best is not None
+            if best_size is None or size < best_size:
+                best_index, best_size = i, size
         starts = {
             (sid, pos - shift)
-            for sid, pos in best
+            for alt in query.phrase[best_index]
+            for sid, pos in self._postings.get(alt, ())
             for shift in self._shifts(query, best_index)
         }
         return sorted(starts)
 
     def count(self, query: CountQuery) -> int:
         """Number of occurrences; overlapping matches all count."""
+        if query.gap is None and len(query.phrase) == 1:
+            return sum(len(self._postings.get(alt, ())) for alt in query.phrase[0])
         total = 0
         for sid, start in self._candidates(query):
             total += self._matches_at(sid, start, query)
+        return total
+
+    def count_sum(self, phrases: Iterable[tuple[str, ...]]) -> int:
+        """Summed occurrence count of gapless exact phrases.
+
+        Equals ``sum(self.count(CountQuery.of(*p)) for p in phrases)``,
+        a phrase given twice counting twice, but walks the postings of
+        each distinct first token once and looks every slice up in a
+        Counter of the phrases.  Tokens are compared as given, so they
+        must already be normalized (lowercase, as the index holds them).
+        """
+        wanted = Counter(phrases)
+        if () in wanted:
+            raise CorpusError("phrase must be nonempty")
+        lengths = sorted(set(map(len, wanted)))
+        total = 0
+        for first in set(map(itemgetter(0), wanted)):
+            for sid, pos in self._postings.get(first, ()):
+                tokens = self._sentences[sid].tokens
+                room = len(tokens) - pos
+                for n in lengths:
+                    if n > room:  # a slice past the sentence end comes back shorter
+                        break
+                    total += wanted.get(tokens[pos : pos + n], 0)
         return total
 
     def _matches_at(self, sid: int, start: int, query: CountQuery) -> int:
@@ -323,13 +352,31 @@ def total_ngrams(index: CorpusIndex) -> int:
 
 
 class CountProvider(Protocol):
-    """Anything that can answer counts for the decision models."""
+    """Anything that can answer counts for the decision models.
+
+    A provider may also offer ``count_sum(phrases)``, a one-pass sum
+    over many exact phrases; ``count_sum`` below falls back to single
+    counts for providers without it.
+    """
 
     def count(self, query: CountQuery) -> int: ...
 
     def total(self) -> int: ...
 
     def snippets(self, query: CountQuery, limit: int) -> list[str]: ...
+
+
+def count_sum(provider: CountProvider, phrases: Iterable[tuple[str, ...]]) -> int:
+    """Summed count of exact phrases given as normalized token tuples.
+
+    Uses the provider's own one-pass ``count_sum`` when it has one;
+    otherwise sums one ``count`` per phrase.  An empty phrase raises
+    ``CorpusError`` either way.
+    """
+    batch = getattr(provider, "count_sum", None)
+    if batch is not None:
+        return batch(phrases)
+    return sum(provider.count(CountQuery.of(*p)) for p in phrases)
 
 
 @dataclass
@@ -340,6 +387,9 @@ class IndexProvider:
 
     def count(self, query: CountQuery) -> int:
         return self.index.count(query)
+
+    def count_sum(self, phrases: Iterable[tuple[str, ...]]) -> int:
+        return self.index.count_sum(phrases)
 
     def total(self) -> int:
         return self.index.total_tokens()

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .assoc import NounTriple
-from .corpus import CountProvider, CountQuery
+from .corpus import CountProvider, count_sum
 from .decisions import LEFT, RIGHT, Decision, compare
 from .morphology import MorphLexicon, inflections, is_plural
 
@@ -63,6 +64,12 @@ class ParaphraseInventory:
     complementizers: tuple[str, ...] = COMPLEMENTIZERS
     copulas: tuple[str, ...] = COPULAS
 
+    def __post_init__(self) -> None:
+        # Lowercased here, as NounTriple lowercases its words, so every
+        # generated phrase is already normalized for the index.
+        for name in ("prepositions", "determiners", "complementizers", "copulas"):
+            object.__setattr__(self, name, tuple(w.lower() for w in getattr(self, name)))
+
     @classmethod
     def load(cls, path: str | Path) -> "ParaphraseInventory":
         """Read a sectioned inventory file.
@@ -79,7 +86,7 @@ class ParaphraseInventory:
             if line.startswith("[") and line.endswith("]"):
                 current = sections.setdefault(line[1:-1], [])
             elif current is not None:
-                current.append(line.lower())
+                current.append(line)
             else:
                 raise ValueError(f"inventory item {line!r} outside any section")
         preps = tuple(sections.get("prep", ())) + tuple(sections.get("verbal-prep", ()))
@@ -99,6 +106,51 @@ def _copula_agrees(copula: str, head: str, lex: MorphLexicon) -> bool:
     return True
 
 
+def _paraphrase_chunks(
+    triple: NounTriple,
+    inv: ParaphraseInventory,
+    lex: MorphLexicon,
+) -> Iterator[tuple[str, list[tuple[str, ...]]]]:
+    """Yield ``(side, phrases)``, one chunk per side and inflection of ``w3``.
+
+    Left chunks come first, then right chunks, each inflection in sorted
+    order.  Chunks never share a phrase, because the inflected head
+    differs, and no chunk repeats one, so neither does a family.
+    Yielding chunk by chunk keeps only one chunk in memory at a time.
+    """
+    w1, w2, _w3 = triple.words()
+    i1 = sorted(inflections(lex, triple.w1))
+    i2 = sorted(inflections(lex, triple.w2))
+    i3 = sorted(inflections(lex, triple.w3))
+    dets: list[tuple[str, ...]] = [()] + [tuple(d.split()) for d in inv.determiners]
+    preps = [tuple(p.split()) for p in inv.prepositions]
+    prep_dets = [prep + det for prep in preps for det in dets]
+
+    def middles(t3: str) -> list[tuple[str, ...]]:
+        """Distinct token runs between the head and the tail, in pattern order."""
+        out = list(prep_dets)
+        for compl in inv.complementizers:
+            for cop in inv.copulas:
+                if _copula_agrees(cop, t3, lex):
+                    clause = (compl, cop)
+                    out += [clause + det for det in dets]
+                    out += [clause + pd for pd in prep_dets]
+        return list(dict.fromkeys(out))
+
+    between = {t3: middles(t3) for t3 in i3}
+
+    def chunk(head: tuple[str, ...], t3: str, tails: list[tuple[str, ...]]) -> list[tuple[str, ...]]:
+        # The tails are distinct and of one length, so distinct middles
+        # already give distinct phrases.
+        starts = [head + middle for middle in between[t3]]
+        return [start + tail for tail in tails for start in starts]
+
+    for t3 in i3:
+        yield "left", chunk((t3,), t3, [(w1, t2) for t2 in i2])
+    for t3 in i3:
+        yield "right", chunk((w2, t3), t3, [(t1,) for t1 in i1])
+
+
 def generate_bracketing_queries(
     triple: NounTriple,
     inv: ParaphraseInventory,
@@ -112,45 +164,10 @@ def generate_bracketing_queries(
     determiner realizes the optional slot; the copula must agree in
     number with the clause head (the inflected ``w3``).
     """
-    w1, w2, _w3 = triple.words()
-    i1 = sorted(inflections(lex, triple.w1))
-    i2 = sorted(inflections(lex, triple.w2))
-    i3 = sorted(inflections(lex, triple.w3))
-    dets: list[tuple[str, ...]] = [()] + [tuple(d.split()) for d in inv.determiners]
-    preps = [tuple(p.split()) for p in inv.prepositions]
-
-    def build(side: str) -> list[tuple[str, ...]]:
-        queries: list[tuple[str, ...]] = []
-        seen: set[tuple[str, ...]] = set()
-
-        def emit(tokens: tuple[str, ...]) -> None:
-            if tokens not in seen:
-                seen.add(tokens)
-                queries.append(tokens)
-
-        for t3 in i3:
-            if side == "left":
-                head = (t3,)
-                tails = [(w1, t2) for t2 in i2]
-            else:
-                head = (w2, t3)
-                tails = [(t1,) for t1 in i1]
-            for tail in tails:
-                for prep in preps:
-                    for det in dets:
-                        emit(head + prep + det + tail)
-                for compl in inv.complementizers:
-                    for cop in inv.copulas:
-                        if not _copula_agrees(cop, t3, lex):
-                            continue
-                        for det in dets:
-                            emit(head + (compl, cop) + det + tail)
-                        for prep in preps:
-                            for det in dets:
-                                emit(head + (compl, cop) + prep + det + tail)
-        return queries
-
-    return build("left"), build("right")
+    families: dict[str, list[tuple[str, ...]]] = {"left": [], "right": []}
+    for side, phrases in _paraphrase_chunks(triple, inv, lex):
+        families[side].extend(phrases)
+    return families["left"], families["right"]
 
 
 @dataclass
@@ -169,10 +186,7 @@ def paraphrase_decision(
     lex: MorphLexicon,
 ) -> Decision:
     """Compare total corpus hits of left- vs right-predicting paraphrases."""
-    left_queries, right_queries = generate_bracketing_queries(triple, inv, lex)
-    left = right = 0
-    for q in left_queries:
-        left += provider.count(CountQuery.of(*q))
-    for q in right_queries:
-        right += provider.count(CountQuery.of(*q))
-    return compare(left, right, LEFT, RIGHT, "paraphrases")
+    hits = {"left": 0, "right": 0}
+    for side, phrases in _paraphrase_chunks(triple, inv, lex):
+        hits[side] += count_sum(provider, phrases)
+    return compare(hits["left"], hits["right"], LEFT, RIGHT, "paraphrases")

@@ -17,11 +17,12 @@ from npstruct.corpus import (
     MappingProvider,
     build_index,
     count_gap,
+    count_sum,
     count_phrase,
     fetch_snippets,
     total_ngrams,
 )
-from tests.conftest import make_index, naive_count, normalize_line
+from tests.conftest import CountOnlyProvider, make_index, naive_count, normalize_line
 
 
 class TestCountQuery:
@@ -281,3 +282,40 @@ def test_alternatives_superset_monotone(tmp_path_factory, sentences):
     tmp = tmp_path_factory.mktemp("alts")
     index = make_index(tmp, [" ".join(s) for s in sentences])
     assert index.count(CountQuery.of({"a", "b"})) >= index.count(CountQuery.of("a"))
+
+
+PHRASE_TOKENS = st.sampled_from(["a", "b", "c", "d", "e", "z"])  # "z" is never indexed
+PHRASES = st.lists(st.lists(PHRASE_TOKENS, min_size=1, max_size=12).map(tuple), max_size=15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SENTENCES, PHRASES, st.integers(0, 3))
+def test_count_sum_matches_naive_scanner(tmp_path_factory, sentences, phrases, repeats):
+    tmp = tmp_path_factory.mktemp("sum")
+    index = make_index(tmp, [" ".join(s) for s in sentences])
+    phrases = phrases + phrases[:repeats]  # duplicates count once per occurrence
+    expected = sum(naive_count(sentences, CountQuery.of(*p)) for p in phrases)
+    assert IndexProvider(index).count_sum(phrases) == expected
+    assert count_sum(CountOnlyProvider(IndexProvider(index)), phrases) == expected
+
+
+class TestCountSum:
+    def test_phrases_never_run_past_the_sentence_end(self, tmp_path):
+        index = make_index(tmp_path, ["x a b", "a b c"])
+        assert index.count_sum([("a", "b", "c"), ("a", "b")]) == 3
+
+    def test_empty_list_counts_zero(self, tmp_path):
+        provider = IndexProvider(make_index(tmp_path, ["a b"]))
+        assert count_sum(provider, []) == 0
+        assert count_sum(CountOnlyProvider(provider), []) == 0
+
+    def test_empty_phrase_rejected_on_both_paths(self, tmp_path):
+        provider = IndexProvider(make_index(tmp_path, ["a b"]))
+        with pytest.raises(CorpusError):
+            count_sum(provider, [("a",), ()])
+        with pytest.raises(CorpusError):
+            count_sum(CountOnlyProvider(provider), [("a",), ()])
+
+    def test_fallback_serves_providers_without_count_sum(self):
+        provider = MappingProvider({"a b": 7, "c": 2})
+        assert count_sum(provider, [("a", "b"), ("c",), ("a", "b"), ("d",)]) == 16

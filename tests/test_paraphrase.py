@@ -1,9 +1,11 @@
 """Paraphrase generation and the paraphrase-count bracketing voter."""
 
+import random
+
 import pytest
 
 from npstruct.assoc import NounTriple
-from npstruct.datasets import data_path
+from npstruct.datasets import biomedical_bracketing, data_path, default_inventory, default_lexicon
 from npstruct.decisions import ABSTAIN, LEFT, RIGHT
 from npstruct.paraphrase import (
     COPULAS,
@@ -14,7 +16,7 @@ from npstruct.paraphrase import (
     generate_bracketing_queries,
     paraphrase_decision,
 )
-from tests.conftest import make_provider
+from tests.conftest import CountOnlyProvider, make_provider
 
 TRIPLE = NounTriple("bone", "marrow", "cells")
 
@@ -97,3 +99,69 @@ def test_decision_abstains_without_evidence(tmp_path, small_lex):
     provider = make_provider(tmp_path, ["completely unrelated text"])
     d = paraphrase_decision(provider, TRIPLE, ParaphraseInventory(), small_lex)
     assert d.label == ABSTAIN
+
+
+def _both_paths(provider, triple, inv, lex):
+    """The decision through the one-pass ``count_sum`` and through single counts."""
+    batch = paraphrase_decision(provider, triple, inv, lex)
+    fallback = paraphrase_decision(CountOnlyProvider(provider), triple, inv, lex)
+    return batch, fallback
+
+
+def _same_decision(a, b):
+    assert (a.label, a.left_score, a.right_score) == (b.label, b.left_score, b.right_score)
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["cells from the bone marrow"] * 3 + ["marrow cells of the bone"],
+        ["marrow cells of the bone"] * 2 + ["filler words"],
+        ["completely unrelated text"],
+        # Family prefixes cut off by the sentence end, beside one whole phrase.
+        ["the cells from the bone", "marrow cells of", "cells that are from the bone marrow"],
+    ],
+)
+def test_batch_and_fallback_agree_on_rigged_corpora(tmp_path, small_lex, lines):
+    batch, fallback = _both_paths(make_provider(tmp_path, lines), TRIPLE, ParaphraseInventory(), small_lex)
+    _same_decision(batch, fallback)
+
+
+def test_batch_and_fallback_agree_on_bundled_triples(tmp_path):
+    lex, inv = default_lexicon(), default_inventory()
+    rng = random.Random(7)
+    triples = [t for t, _ in rng.sample(biomedical_bracketing(), 3)]
+    lines = []
+    for triple in triples:
+        left, right = generate_bracketing_queries(triple, inv, lex)
+        for phrase in rng.sample(left, 3) + rng.sample(right, 2):
+            lines.append("we saw " + " ".join(phrase) + " here")
+            lines.append(" ".join(phrase[:-1]))  # cut off by the sentence end
+    provider = make_provider(tmp_path, lines)
+    decisions = [_both_paths(provider, t, inv, lex) for t in triples]
+    for batch, fallback in decisions:
+        _same_decision(batch, fallback)
+    assert all(b.left_score >= 3 and b.right_score >= 2 for b, _ in decisions)
+
+
+def test_inventory_words_are_lowercased(tmp_path, small_lex):
+    lines = ["cells from the bone marrow"] * 3 + ["marrow cells from the bone"]
+    provider = make_provider(tmp_path, lines)
+    shouting = ParaphraseInventory(prepositions=("From", "OF"), determiners=("THE",))
+    quiet = ParaphraseInventory(prepositions=("from", "of"), determiners=("the",))
+    assert shouting == quiet
+    expected, _ = _both_paths(provider, TRIPLE, quiet, small_lex)
+    assert (expected.left_score, expected.right_score) == (3, 1)
+    for got in _both_paths(provider, TRIPLE, shouting, small_lex):
+        _same_decision(got, expected)
+
+
+def test_repeated_inventory_words_give_each_paraphrase_once(tmp_path, small_lex):
+    repeated = ParaphraseInventory(prepositions=("of", "from", "of"), determiners=("the", "the"))
+    plain = ParaphraseInventory(prepositions=("of", "from"), determiners=("the",))
+    assert generate_bracketing_queries(TRIPLE, repeated, small_lex) == generate_bracketing_queries(
+        TRIPLE, plain, small_lex
+    )
+    provider = make_provider(tmp_path, ["cells from the bone marrow", "marrow cells of the bone"])
+    for got in _both_paths(provider, TRIPLE, repeated, small_lex):
+        assert (got.left_score, got.right_score) == (1, 1)
