@@ -128,6 +128,23 @@ class CorpusIndex:
     def total_tokens(self) -> int:
         return self._total
 
+    def sentence_ids(self, *positions: Iterable[str]) -> list[int]:
+        """Ascending ids of the sentences holding a token of every alternative set.
+
+        Each position is a set of normalized tokens; a sentence qualifies
+        when each set meets its tokens, whatever their order, so two sets
+        may be met by the same token.
+        """
+        if not positions:
+            raise CorpusError("need at least one position")
+        common: set[int] | None = None
+        for alts in positions:
+            sids = {sid for alt in alts for sid, _pos in self._postings.get(alt, ())}
+            common = sids if common is None else common & sids
+            if not common:
+                return []
+        return sorted(common)
+
     def _shifts(self, query: CountQuery, i: int) -> list[int]:
         """Possible offsets of position ``i`` from the match start."""
         if query.gap is None or i < query.split:

@@ -10,7 +10,7 @@ families in the corpus, and votes for the larger sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -168,15 +168,6 @@ def generate_bracketing_queries(
     for side, phrases in _paraphrase_chunks(triple, inv, lex):
         families[side].extend(phrases)
     return families["left"], families["right"]
-
-
-@dataclass
-class ParaphraseTally:
-    """Summed corpus hits of the two paraphrase families."""
-
-    left_hits: int = 0
-    right_hits: int = 0
-    matched: dict[str, int] = field(default_factory=dict)
 
 
 def paraphrase_decision(

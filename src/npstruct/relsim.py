@@ -15,9 +15,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from . import porter
-from .corpus import CorpusIndex
+from .corpus import CorpusIndex, _Sentence
 from .morphology import MorphLexicon, inflections, lemma
 
 DIR_12 = "1->2"
@@ -141,43 +142,51 @@ def extract_pair_features(
         raise ValueError("tags required")
     i1 = inflections(lex, noun1)
     i2 = inflections(lex, noun2)
+    sentences = index.sentences()
     features: Counter[PairFeature] = Counter()
-    for sent in index.sentences():
-        tags = sent.tags
-        assert tags is not None
-        runs = _noun_runs(tags)
-        heads = [sent.tokens[end] for _start, end in runs]
-        for (run_a, head_a), (run_b, head_b) in zip(
-            zip(runs, heads), zip(runs[1:], heads[1:])
-        ):
-            if head_a in i1 and head_b in i2:
-                direction = DIR_12
-            elif head_a in i2 and head_b in i1:
-                direction = DIR_21
-            else:
-                continue
-            between = [
-                (sent.tokens[i], tags[i])
-                for i in range(run_a[1] + 1, run_b[0])
-            ]
-            if not between or len(between) > 8:
-                continue
-            if any(tag == "S" for _w, tag in between):
-                continue
-            feat = _classify_connector(between, lex)
-            if feat is not None:
-                lexeme, kind = feat
-                features[PairFeature(lexeme, kind, direction)] += 1
+    for sid in index.sentence_ids(i1, i2):
+        features.update(_sentence_pair_features(sentences[sid], i1, i2, lex))
     return features
+
+
+def _sentence_pair_features(
+    sent: _Sentence, i1: frozenset[str], i2: frozenset[str], lex: MorphLexicon
+) -> Iterator[PairFeature]:
+    """The joining features of one tagged sentence, in sentence order."""
+    tags = sent.tags
+    assert tags is not None
+    runs = _noun_runs(tags)
+    heads = [sent.tokens[end] for _start, end in runs]
+    for (run_a, head_a), (run_b, head_b) in zip(
+        zip(runs, heads), zip(runs[1:], heads[1:])
+    ):
+        if head_a in i1 and head_b in i2:
+            direction = DIR_12
+        elif head_a in i2 and head_b in i1:
+            direction = DIR_21
+        else:
+            continue
+        between = [
+            (sent.tokens[i], tags[i])
+            for i in range(run_a[1] + 1, run_b[0])
+        ]
+        if not between or len(between) > 8:
+            continue
+        if any(tag == "S" for _w, tag in between):
+            continue
+        feat = _classify_connector(between, lex)
+        if feat is not None:
+            lexeme, kind = feat
+            yield PairFeature(lexeme, kind, direction)
 
 
 def _classify_connector(
     between: list[tuple[str, str]], lex: MorphLexicon
 ) -> tuple[str, str] | None:
-    trailing = list(between)
-    core = list(trailing)
-    while core and core[-1][1] in ("D", "J", "R"):
-        core.pop()
+    end = len(between)
+    while end and between[end - 1][1] in ("D", "J", "R"):
+        end -= 1
+    core = between[:end]
     if len(core) == 1 and core[0][1] == "P":
         return (core[0][0], "P")
     if len(core) == 1 and core[0][1] == "C":
@@ -189,6 +198,9 @@ def _classify_connector(
             lexeme = f"{verb} {prep}" if prep else verb
             return (lexeme, "V")
     return None
+
+
+RELATIVIZERS = frozenset({"that", "which", "who"})
 
 
 def extract_paraphrase_verbs(
@@ -204,39 +216,48 @@ def extract_paraphrase_verbs(
     intervening nouns, drops modals and auxiliaries but retains the
     passive ``be``, attaches a following preposition, and lemmatizes
     the main verb.  The modifier must not end its noun phrase early:
-    something non-nominal has to follow it.
+    something non-nominal has to follow it.  Only sentences holding
+    the head, a complementizer and the modifier are scanned.
     """
     if not index.tagged:
         raise ValueError("tags required")
     ih = inflections(lex, head)
     im = inflections(lex, modifier)
+    sentences = index.sentences()
     verbs: Counter[str] = Counter()
-    for sent in index.sentences():
-        tags = sent.tags
-        assert tags is not None
-        toks = sent.tokens
-        for i, tok in enumerate(toks[:-2]):
-            if tok not in ih or toks[i + 1] not in ("that", "which", "who"):
-                continue
-            for j in range(i + 2, min(i + 2 + 9, len(toks))):
-                if toks[j] not in im:
-                    continue
-                clause = [(toks[k], tags[k]) for k in range(i + 2, j)]
-                tail_tags = tags[j + 1 :]
-                if not tail_tags or all(t == "N" for t in tail_tags):
-                    continue
-                if any(tag == "N" for _w, tag in clause):
-                    continue
-                groups = _vp_count(clause)
-                if groups != 1:
-                    continue
-                group = _verb_group(clause, lex)
-                if group is None:
-                    continue
-                verb, prep = group
-                verbs[f"{verb} {prep}" if prep else verb] += 1
-                break
+    for sid in index.sentence_ids(ih, RELATIVIZERS, im):
+        verbs.update(_sentence_paraphrase_verbs(sentences[sid], ih, im, lex))
     return verbs
+
+
+def _sentence_paraphrase_verbs(
+    sent: _Sentence, ih: frozenset[str], im: frozenset[str], lex: MorphLexicon
+) -> Iterator[str]:
+    """The relative-clause paraphrase verbs of one tagged sentence, in order."""
+    tags = sent.tags
+    assert tags is not None
+    toks = sent.tokens
+    for i, tok in enumerate(toks[:-2]):
+        if tok not in ih or toks[i + 1] not in RELATIVIZERS:
+            continue
+        for j in range(i + 2, min(i + 2 + 9, len(toks))):
+            if toks[j] not in im:
+                continue
+            clause = [(toks[k], tags[k]) for k in range(i + 2, j)]
+            tail_tags = tags[j + 1 :]
+            if not tail_tags or all(t == "N" for t in tail_tags):
+                continue
+            if any(tag == "N" for _w, tag in clause):
+                continue
+            groups = _vp_count(clause)
+            if groups != 1:
+                continue
+            group = _verb_group(clause, lex)
+            if group is None:
+                continue
+            verb, prep = group
+            yield f"{verb} {prep}" if prep else verb
+            break
 
 
 def _vp_count(clause: list[tuple[str, str]]) -> int:
@@ -279,12 +300,6 @@ class TfidfWeights:
         return out
 
 
-def tfidf_weight(vectors: list[dict]) -> list[dict]:
-    """Weight a training collection against itself."""
-    weights = TfidfWeights.fit(vectors)
-    return [weights.weight(v) for v in vectors]
-
-
 def dice(a: dict, b: dict) -> float:
     """Generalized Dice: 2 Σ min(a_i, b_i) / (Σ a_i + Σ b_i)."""
     total = sum(a.values()) + sum(b.values())
@@ -292,16 +307,6 @@ def dice(a: dict, b: dict) -> float:
         raise ValueError("undefined similarity")
     shared = sum(min(a[k], b[k]) for k in a.keys() & b.keys())
     return 2 * shared / total
-
-
-def cosine(a: dict, b: dict) -> float:
-    """Cosine of two frequency vectors; zero vectors are orthogonal to all."""
-    na = math.sqrt(sum(v * v for v in a.values()))
-    nb = math.sqrt(sum(v * v for v in b.values()))
-    if na == 0 or nb == 0:
-        return 0.0
-    dot = sum(a[k] * b[k] for k in a.keys() & b.keys())
-    return dot / (na * nb)
 
 
 def _safe_dice(a: dict, b: dict) -> float:

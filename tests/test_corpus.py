@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from npstruct.corpus import (
@@ -297,6 +297,35 @@ def test_count_sum_matches_naive_scanner(tmp_path_factory, sentences, phrases, r
     expected = sum(naive_count(sentences, CountQuery.of(*p)) for p in phrases)
     assert IndexProvider(index).count_sum(phrases) == expected
     assert count_sum(CountOnlyProvider(IndexProvider(index)), phrases) == expected
+
+
+ALT_SETS = st.frozensets(PHRASE_TOKENS, min_size=1, max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(SENTENCES, st.lists(ALT_SETS, min_size=1, max_size=4), st.booleans())
+@example([["a", "b"], ["b", "c"]], [frozenset({"a"}), frozenset({"z"})], False)  # absent
+@example([["a", "b"], ["c"]], [frozenset({"a", "c"})], True)  # same set twice
+@example([["a", "b", "a"], ["b"]], [frozenset({"a"}), frozenset({"b"})], False)  # repeat
+@example([["c", "a"], ["b"], ["a"]], [frozenset({"a"})], False)  # single position
+def test_sentence_ids_match_naive_scan(tmp_path_factory, sentences, positions, twice):
+    tmp = tmp_path_factory.mktemp("sids")
+    index = make_index(tmp, [" ".join(s) for s in sentences])
+    if twice:
+        positions = positions + positions[:1]
+    expected = [
+        sid
+        for sid, sent in enumerate(index.sentences())
+        if all(alts & set(sent.tokens) for alts in positions)
+    ]
+    got = index.sentence_ids(*positions)
+    assert got == expected
+    assert all(a < b for a, b in zip(got, got[1:]))
+
+
+def test_sentence_ids_need_a_position(tmp_path):
+    with pytest.raises(CorpusError):
+        make_index(tmp_path, ["a b"]).sentence_ids()
 
 
 class TestCountSum:

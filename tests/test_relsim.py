@@ -1,12 +1,14 @@
 """Joining-feature extraction, similarity, and the three classifiers."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npstruct import porter
+from npstruct.morphology import inflections
 from npstruct.relsim import (
     DIR_12,
     DIR_21,
@@ -14,7 +16,8 @@ from npstruct.relsim import (
     PairFeature,
     SemevalExample,
     TfidfWeights,
-    cosine,
+    _sentence_pair_features,
+    _sentence_paraphrase_verbs,
     dice,
     dump_pair_features,
     extract_pair_features,
@@ -26,7 +29,6 @@ from npstruct.relsim import (
     semeval_classify,
     semeval_vector,
     solve_sat,
-    tfidf_weight,
 )
 from npstruct.tagging import TinyTagger, write_tagged_corpus
 from tests.conftest import make_index
@@ -136,6 +138,61 @@ class TestParaphraseVerbs:
             extract_paraphrase_verbs(index, "brain", "cell", small_lex)
 
 
+class TestUntagged:
+    def test_tags_required_even_for_absent_nouns(self, tmp_path, small_lex):
+        index = make_index(tmp_path, ["alpha beta gamma"])
+        with pytest.raises(ValueError, match="tags required"):
+            extract_pair_features(index, "committee", "member", small_lex)
+        with pytest.raises(ValueError, match="tags required"):
+            extract_paraphrase_verbs(index, "brain", "cell", small_lex)
+
+
+NOUNS = "committee member team player cell brain analysis".split()
+WORD_POOL = (
+    "committee committees member members team teams player players cells brain "
+    "brains cells members includes included consists holds held comes came "
+    "chaired of from by with the the all that which who and or should is was "
+    "has rare large usually because"
+).split()
+
+
+def _random_sentences(rng, n):
+    """Random word runs, a third of them opened by a relative clause."""
+    out = []
+    for _ in range(n):
+        words = [rng.choice(WORD_POOL) for _ in range(rng.randint(2, 14))]
+        if rng.random() < 0.3:
+            clause = [rng.choice(WORD_POOL) for _ in range(rng.randint(1, 3))]
+            words = [rng.choice(NOUNS), rng.choice(["that", "which", "who"])] + clause + words
+        out.append(" ".join(words))
+    return out
+
+
+def test_extractors_match_a_scan_of_every_sentence(tmp_path, small_lex):
+    """Scanning only co-occurrence sentences loses nothing and keeps order."""
+    found_features = found_verbs = 0
+    for seed in range(6):
+        rng = random.Random(seed)
+        index = tagged_index(
+            tmp_path, _random_sentences(rng, 80), small_lex, name=f"rand{seed}.txt"
+        )
+        for _ in range(8):
+            a, b = rng.choice(NOUNS), rng.choice(NOUNS)
+            for x, y in ((a, b), (b, a)):
+                ix, iy = inflections(small_lex, x), inflections(small_lex, y)
+                features, verbs = Counter(), Counter()
+                for sent in index.sentences():
+                    features.update(_sentence_pair_features(sent, ix, iy, small_lex))
+                    verbs.update(_sentence_paraphrase_verbs(sent, iy, ix, small_lex))
+                got = extract_pair_features(index, x, y, small_lex)
+                assert list(got.items()) == list(features.items())
+                got_verbs = extract_paraphrase_verbs(index, x, y, small_lex)
+                assert list(got_verbs.items()) == list(verbs.items())
+                found_features += len(features)
+                found_verbs += len(verbs)
+    assert found_features and found_verbs  # the corpora exercise both extractors
+
+
 class TestSimilarity:
     def test_dice_golden(self):
         assert dice({"x": 2, "y": 1}, {"x": 1, "z": 3}) == pytest.approx(2 * 1 / 7)
@@ -148,16 +205,12 @@ class TestSimilarity:
         with pytest.raises(ValueError, match="undefined similarity"):
             dice({}, {})
 
-    def test_cosine(self):
-        assert cosine({"a": 1.0}, {"a": 1.0}) == pytest.approx(1.0)
-        assert cosine({"a": 1.0}, {"b": 1.0}) == 0.0
-        assert cosine({}, {"a": 1.0}) == 0.0
-
     def test_tfidf_shared_feature_weighs_nothing(self):
         vectors = [{"shared": 4, "rare": 1}, {"shared": 2}]
-        weighted = tfidf_weight(vectors)
-        assert weighted[0]["shared"] == pytest.approx(0.0)
-        assert weighted[0]["rare"] > 0
+        weights = TfidfWeights.fit(vectors)
+        weighted = weights.weight(vectors[0])
+        assert weighted["shared"] == pytest.approx(0.0)
+        assert weighted["rare"] > 0
 
     def test_tfidf_unseen_feature_df_one(self):
         import math
