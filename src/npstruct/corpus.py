@@ -102,6 +102,28 @@ class _Sentence:
     tags: tuple[str, ...] | None = None
 
 
+class MiddleTrie:
+    """Token trie over distinct middles, iterated in first-given order.
+
+    Each node maps a token to its child; a node where a middle ends
+    also holds the key ``END``.  The empty middle marks the root.
+    """
+
+    END = None
+
+    def __init__(self, middles: Iterable[tuple[str, ...]]):
+        self._middles = tuple(dict.fromkeys(middles))
+        self.root: dict = {}
+        for middle in self._middles:
+            node = self.root
+            for tok in middle:
+                node = node.setdefault(tok, {})
+            node[self.END] = True
+
+    def __iter__(self):
+        return iter(self._middles)
+
+
 class CorpusIndex:
     """Immutable token index over a one-sentence-per-line corpus."""
 
@@ -206,6 +228,45 @@ class CorpusIndex:
                     total += wanted.get(tokens[pos : pos + n], 0)
         return total
 
+    def count_between(
+        self,
+        head: tuple[str, ...],
+        middles: MiddleTrie,
+        tails: Iterable[tuple[str, ...]],
+    ) -> int:
+        """Summed count of ``head + m + t`` over the middles ``m`` and tails ``t``.
+
+        Equals ``count_sum`` of those phrases, a tail given twice
+        counting twice, but builds none of them: from each posting of
+        ``head[0]`` it checks the rest of the head, walks the middle trie
+        along the sentence and looks the tails up at every middle's end.
+        Tokens must already be normalized, as for ``count_sum``.
+        """
+        head = tuple(head)
+        if not head:
+            raise CorpusError("head must be nonempty")
+        by_length: dict[int, Counter[tuple[str, ...]]] = {}
+        for tail in tails:
+            by_length.setdefault(len(tail), Counter())[tail] += 1
+        lengths = sorted(by_length.items())
+        rest = head[1:]
+        total = 0
+        for sid, pos in self._postings.get(head[0], ()):
+            tokens = self._sentences[sid].tokens
+            i = pos + len(head)
+            if tokens[pos + 1 : i] != rest:  # a short slice at the sentence end fails too
+                continue
+            node = middles.root
+            while node is not None:
+                if MiddleTrie.END in node:
+                    for n, wanted in lengths:
+                        if i + n > len(tokens):
+                            break
+                        total += wanted.get(tokens[i : i + n], 0)
+                node = node.get(tokens[i]) if i < len(tokens) else None
+                i += 1
+        return total
+
     def _matches_at(self, sid: int, start: int, query: CountQuery) -> int:
         """Count matches of ``query`` beginning at token ``start``."""
         tokens = self._sentences[sid].tokens
@@ -293,6 +354,8 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
 
     With ``config.tagged`` each whitespace token must look like
     ``word_TAG``; normalized sub-tokens inherit the raw token's tag.
+    The provenance is a digest of the content and the config alone, so
+    the same corpus gives the same index wherever its file lies.
     """
     path = Path(corpus_file)
     text = path.read_text(encoding="utf-8")
@@ -329,51 +392,20 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
             toks2, spans2 = _normalize_raw(line)
             if toks2:
                 sentences.append(_Sentence(line, toks2, spans2, None))
-    index = CorpusIndex(sentences, provenance=f"{path}:{digest}")
+    index = CorpusIndex(sentences, provenance=f"sha256:{digest}")
     if index.total_tokens() == 0:
         raise CorpusError("empty corpus")
     return index
-
-
-def count_phrase(index: CorpusIndex, query: CountQuery) -> int:
-    """Exact-phrase occurrence count on the normalized layer."""
-    return index.count(query)
-
-
-def count_gap(
-    index: CorpusIndex,
-    left: CountQuery,
-    right: CountQuery,
-    min_gap: int,
-    max_gap: int,
-) -> int:
-    """Occurrences of ``left``, a gap of min..max tokens, then ``right``."""
-    if not (1 <= min_gap <= max_gap <= MAX_GAP):
-        raise CorpusError(f"gap range must satisfy 1 <= min <= max <= {MAX_GAP}")
-    query = CountQuery(
-        phrase=left.phrase + right.phrase,
-        gap=(min_gap, max_gap),
-        split=len(left.phrase),
-    )
-    return index.count(query)
-
-
-def fetch_snippets(index: CorpusIndex, query: CountQuery, limit: int) -> list[str]:
-    """Raw sentences containing a match, truncated to ``limit``."""
-    return index.snippets(query, limit)
-
-
-def total_ngrams(index: CorpusIndex) -> int:
-    """Total normalized-token count of the corpus (the N of the scores)."""
-    return index.total_tokens()
 
 
 class CountProvider(Protocol):
     """Anything that can answer counts for the decision models.
 
     A provider may also offer ``count_sum(phrases)``, a one-pass sum
-    over many exact phrases; ``count_sum`` below falls back to single
-    counts for providers without it.
+    over many exact phrases, and ``count_between(head, middles, tails)``,
+    a trie walk over a family of them; ``count_sum`` and
+    ``count_between`` below fall back to single counts for providers
+    without them.
     """
 
     def count(self, query: CountQuery) -> int: ...
@@ -396,6 +428,27 @@ def count_sum(provider: CountProvider, phrases: Iterable[tuple[str, ...]]) -> in
     return sum(provider.count(CountQuery.of(*p)) for p in phrases)
 
 
+def count_between(
+    provider: CountProvider,
+    head: tuple[str, ...],
+    middles: MiddleTrie,
+    tails: Iterable[tuple[str, ...]],
+) -> int:
+    """Summed count of ``head + m + t`` over the trie's middles and the tails.
+
+    Uses the provider's own ``count_between`` when it has one;
+    otherwise expands the phrases, tail by tail, into ``count_sum``.
+    An empty head raises ``CorpusError`` either way.
+    """
+    walk = getattr(provider, "count_between", None)
+    if walk is not None:
+        return walk(head, middles, tails)
+    head = tuple(head)
+    if not head:
+        raise CorpusError("head must be nonempty")
+    return count_sum(provider, [head + m + t for t in tails for m in middles])
+
+
 @dataclass
 class IndexProvider:
     """CountProvider view over a CorpusIndex."""
@@ -407,6 +460,11 @@ class IndexProvider:
 
     def count_sum(self, phrases: Iterable[tuple[str, ...]]) -> int:
         return self.index.count_sum(phrases)
+
+    def count_between(
+        self, head: tuple[str, ...], middles: MiddleTrie, tails: Iterable[tuple[str, ...]]
+    ) -> int:
+        return self.index.count_between(head, middles, tails)
 
     def total(self) -> int:
         return self.index.total_tokens()

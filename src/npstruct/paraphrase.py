@@ -10,12 +10,13 @@ families in the corpus, and votes for the larger sum.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 from .assoc import NounTriple
-from .corpus import CountProvider, count_sum
+from .corpus import CountProvider, MiddleTrie, count_between
 from .decisions import LEFT, RIGHT, Decision, compare
 from .morphology import MorphLexicon, inflections, is_plural
 
@@ -106,49 +107,53 @@ def _copula_agrees(copula: str, head: str, lex: MorphLexicon) -> bool:
     return True
 
 
-def _paraphrase_chunks(
+@functools.lru_cache(maxsize=64)
+def _middles(inv: ParaphraseInventory, copulas: tuple[str, ...]) -> MiddleTrie:
+    """Every token run between a paraphrase's head and its tail.
+
+    A preposition with an optional determiner, or a complementizer and
+    one of the ``copulas`` (those agreeing with the clause head)
+    followed by an optional determiner or by such a prepositional run.
+    Multiword prepositions are split into tokens; the empty determiner
+    realizes the optional slot.
+    """
+    dets: list[tuple[str, ...]] = [()] + [tuple(d.split()) for d in inv.determiners]
+    preps = [tuple(p.split()) for p in inv.prepositions]
+    prep_dets = [prep + det for prep in preps for det in dets]
+    out = list(prep_dets)
+    for compl in inv.complementizers:
+        for cop in copulas:
+            clause = (compl, cop)
+            out += [clause + det for det in dets]
+            out += [clause + pd for pd in prep_dets]
+    return MiddleTrie(out)
+
+
+def _families(
     triple: NounTriple,
     inv: ParaphraseInventory,
     lex: MorphLexicon,
-) -> Iterator[tuple[str, list[tuple[str, ...]]]]:
-    """Yield ``(side, phrases)``, one chunk per side and inflection of ``w3``.
+) -> Iterator[tuple[str, tuple[str, ...], MiddleTrie, list[tuple[str, ...]]]]:
+    """Yield ``(side, head, middles, tails)``, one per side and inflection of ``w3``.
 
-    Left chunks come first, then right chunks, each inflection in sorted
-    order.  Chunks never share a phrase, because the inflected head
-    differs, and no chunk repeats one, so neither does a family.
-    Yielding chunk by chunk keeps only one chunk in memory at a time.
+    Left comes first, then right, each inflection in sorted order.  Left
+    phrases are ``t3 + middle + (w1, t2)``, right ones ``(w2, t3) +
+    middle + (t1,)``.  No two yields share a phrase, because the
+    inflected head differs, and the tails are distinct and of one
+    length, so distinct middles give distinct phrases.
     """
     w1, w2, _w3 = triple.words()
     i1 = sorted(inflections(lex, triple.w1))
     i2 = sorted(inflections(lex, triple.w2))
     i3 = sorted(inflections(lex, triple.w3))
-    dets: list[tuple[str, ...]] = [()] + [tuple(d.split()) for d in inv.determiners]
-    preps = [tuple(p.split()) for p in inv.prepositions]
-    prep_dets = [prep + det for prep in preps for det in dets]
-
-    def middles(t3: str) -> list[tuple[str, ...]]:
-        """Distinct token runs between the head and the tail, in pattern order."""
-        out = list(prep_dets)
-        for compl in inv.complementizers:
-            for cop in inv.copulas:
-                if _copula_agrees(cop, t3, lex):
-                    clause = (compl, cop)
-                    out += [clause + det for det in dets]
-                    out += [clause + pd for pd in prep_dets]
-        return list(dict.fromkeys(out))
-
-    between = {t3: middles(t3) for t3 in i3}
-
-    def chunk(head: tuple[str, ...], t3: str, tails: list[tuple[str, ...]]) -> list[tuple[str, ...]]:
-        # The tails are distinct and of one length, so distinct middles
-        # already give distinct phrases.
-        starts = [head + middle for middle in between[t3]]
-        return [start + tail for tail in tails for start in starts]
-
+    middles = {
+        t3: _middles(inv, tuple(c for c in inv.copulas if _copula_agrees(c, t3, lex)))
+        for t3 in i3
+    }
     for t3 in i3:
-        yield "left", chunk((t3,), t3, [(w1, t2) for t2 in i2])
+        yield "left", (t3,), middles[t3], [(w1, t2) for t2 in i2]
     for t3 in i3:
-        yield "right", chunk((w2, t3), t3, [(t1,) for t1 in i1])
+        yield "right", (w2, t3), middles[t3], [(t1,) for t1 in i1]
 
 
 def generate_bracketing_queries(
@@ -162,11 +167,12 @@ def generate_bracketing_queries(
     marrow``); right patterns keep ``w2 w3`` (``marrow cells of the
     bone``).  Multiword prepositions are split into tokens; the empty
     determiner realizes the optional slot; the copula must agree in
-    number with the clause head (the inflected ``w3``).
+    number with the clause head (the inflected ``w3``).  This spells
+    out, phrase by phrase, what ``paraphrase_decision`` counts.
     """
     families: dict[str, list[tuple[str, ...]]] = {"left": [], "right": []}
-    for side, phrases in _paraphrase_chunks(triple, inv, lex):
-        families[side].extend(phrases)
+    for side, head, middles, tails in _families(triple, inv, lex):
+        families[side] += [head + middle + tail for tail in tails for middle in middles]
     return families["left"], families["right"]
 
 
@@ -178,6 +184,6 @@ def paraphrase_decision(
 ) -> Decision:
     """Compare total corpus hits of left- vs right-predicting paraphrases."""
     hits = {"left": 0, "right": 0}
-    for side, phrases in _paraphrase_chunks(triple, inv, lex):
-        hits[side] += count_sum(provider, phrases)
+    for side, head, middles, tails in _families(triple, inv, lex):
+        hits[side] += count_between(provider, head, middles, tails)
     return compare(hits["left"], hits["right"], LEFT, RIGHT, "paraphrases")

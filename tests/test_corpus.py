@@ -15,12 +15,10 @@ from npstruct.corpus import (
     IndexProvider,
     IngestConfig,
     MappingProvider,
+    MiddleTrie,
     build_index,
-    count_gap,
+    count_between,
     count_sum,
-    count_phrase,
-    fetch_snippets,
-    total_ngrams,
 )
 from tests.conftest import CountOnlyProvider, make_index, naive_count, normalize_line
 
@@ -90,6 +88,19 @@ class TestIngestion:
         b = make_index(tmp_path, ["x y z"], name="a.txt")
         assert a.provenance == b.provenance
 
+    def test_provenance_ignores_the_corpus_path(self, tmp_path):
+        (tmp_path / "one").mkdir()
+        (tmp_path / "a much longer directory name").mkdir()
+        a = make_index(tmp_path / "one", ["x y z", "w"], name="a.txt")
+        b = make_index(tmp_path / "a much longer directory name", ["x y z", "w"], name="b.txt")
+        assert a.provenance == b.provenance
+        assert a.provenance.startswith("sha256:") and "a.txt" not in a.provenance
+        a.save(tmp_path / "a.idx")
+        b.save(tmp_path / "b.idx")
+        assert (tmp_path / "a.idx").read_bytes() == (tmp_path / "b.idx").read_bytes()
+        c = make_index(tmp_path, ["x y z", "v"], name="a.txt")
+        assert c.provenance != a.provenance
+
 
 class TestCounting:
     def test_overlapping_matches_counted(self, tmp_path):
@@ -117,13 +128,12 @@ class TestCounting:
         index = make_index(tmp_path, ["a x b b"])
         assert index.count(CountQuery.gapped(["a"], ["b"], 1, 2)) == 2
 
-    def test_wrapper_functions(self, tmp_path):
+    def test_phrase_gap_and_total_counts(self, tmp_path):
         index = make_index(tmp_path, ["a x b", "a b"])
-        assert count_phrase(index, CountQuery.of("a", "b")) == 1
-        assert count_gap(index, CountQuery.of("a"), CountQuery.of("b"), 1, 2) == 1
-        with pytest.raises(CorpusError):
-            count_gap(index, CountQuery.of("a"), CountQuery.of("b"), 0, 2)
-        assert total_ngrams(index) == 5
+        assert index.count(CountQuery.of("a", "b")) == 1
+        assert index.count(CountQuery.gapped(["a"], ["b"], 1, 2)) == 1
+        assert index.count(CountQuery.gapped(["a"], ["b"], 0, 2)) == 2
+        assert index.total_tokens() == 5
 
     def test_matches_naive_scanner_on_fixed_corpus(self, tmp_path):
         lines = ["the cat sat on the mat", "the cat and the dog sat", "cat cat cat"]
@@ -157,9 +167,9 @@ class TestSnippets:
         with pytest.raises(CorpusError):
             index.snippets(CountQuery.of("a"), 0)
 
-    def test_fetch_snippets_wrapper(self, tmp_path):
+    def test_single_token_snippets(self, tmp_path):
         index = make_index(tmp_path, ["only line here"])
-        assert fetch_snippets(index, CountQuery.of("line"), 5) == ["only line here"]
+        assert index.snippets(CountQuery.of("line"), 5) == ["only line here"]
 
 
 class TestSerialization:
@@ -348,3 +358,70 @@ class TestCountSum:
     def test_fallback_serves_providers_without_count_sum(self):
         provider = MappingProvider({"a b": 7, "c": 2})
         assert count_sum(provider, [("a", "b"), ("c",), ("a", "b"), ("d",)]) == 16
+
+
+SHORT_RUNS = st.lists(PHRASE_TOKENS, max_size=3).map(tuple)
+
+
+def _expected_between(sentences, head, middles, tails):
+    phrases = [head + m + t for t in tails for m in dict.fromkeys(middles)]
+    return sum(naive_count(sentences, CountQuery.of(*p)) for p in phrases), phrases
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    SENTENCES,
+    st.lists(PHRASE_TOKENS, min_size=1, max_size=3).map(tuple),
+    st.lists(SHORT_RUNS, max_size=6),
+    st.lists(SHORT_RUNS, max_size=5),
+)
+# Multiword middles sharing a first token, and the empty middle (no determiner).
+@example([["a", "b", "c", "d"], ["a", "d"]], ("a",), [("b",), ("b", "c"), ()], [("d",)])
+@example([["a", "b", "c"], ["x", "a", "b"]], ("a",), [("b",)], [("c",)])  # cut at the end
+@example([["a", "b", "b", "c"]], ("a",), [("b",), ("b", "b")], [("b",), ("c",)])  # tail starts a middle
+@example([["a", "b", "c", "d"]], ("a",), [("b",)], [("c",), ("c", "d"), (), ("c",)])  # mixed lengths
+@example([["a", "b"]], ("z",), [("b",)], [()])  # absent head
+def test_count_between_matches_naive_scanner(tmp_path_factory, sentences, head, middles, tails):
+    tmp = tmp_path_factory.mktemp("between")
+    provider = IndexProvider(make_index(tmp, [" ".join(s) for s in sentences]))
+    expected, phrases = _expected_between(sentences, head, middles, tails)
+    trie = MiddleTrie(middles)
+    assert provider.count_between(head, trie, tails) == expected
+    assert count_between(provider, head, trie, tails) == expected
+    assert count_between(CountOnlyProvider(provider), head, trie, tails) == expected
+    assert count_sum(provider, phrases) == expected
+
+
+class TestCountBetween:
+    def test_middle_trie_keeps_distinct_middles_in_order(self):
+        trie = MiddleTrie([("in", "the"), ("in",), ("in", "the"), (), ("of",)])
+        assert list(trie) == [("in", "the"), ("in",), (), ("of",)]
+
+    def test_examples(self, tmp_path):
+        lines = [
+            "cells out of the bone marrow",
+            "cells out of bone marrow",
+            "cells of the bone",  # cut off before the tail's second word
+            "cells of bone marrow of bone marrow",
+            "marrow cells of bone",
+        ]
+        index = make_index(tmp_path, lines)
+        middles = MiddleTrie([("out", "of"), ("out", "of", "the"), ("of",), ("of", "the")])
+        tails = [("bone", "marrow")]
+        assert index.count_between(("cells",), middles, tails) == 3
+        assert index.count_between(("cells",), middles, [("bone",), ("bone", "marrow")]) == 8
+        assert index.count_between(("marrow", "cells"), middles, [("bone",)]) == 1
+        assert index.count_between(("stem",), middles, tails) == 0
+        assert index.count_between(("cells",), MiddleTrie([]), tails) == 0
+        assert index.count_between(("cells",), middles, []) == 0
+
+    def test_empty_head_rejected_on_both_paths(self, tmp_path):
+        provider = IndexProvider(make_index(tmp_path, ["a b"]))
+        for p in (provider, CountOnlyProvider(provider)):
+            with pytest.raises(CorpusError):
+                count_between(p, (), MiddleTrie([("a",)]), [("b",)])
+
+    def test_fallback_serves_providers_without_count_between(self):
+        provider = MappingProvider({"a x b": 3, "a y b": 2, "a x c": 5})
+        middles = MiddleTrie([("x",), ("y",), ("x",)])
+        assert count_between(provider, ("a",), middles, [("b",), ("c",)]) == 10

@@ -102,7 +102,7 @@ def test_decision_abstains_without_evidence(tmp_path, small_lex):
 
 
 def _both_paths(provider, triple, inv, lex):
-    """The decision through the one-pass ``count_sum`` and through single counts."""
+    """The decision through the index's trie walk and through single counts."""
     batch = paraphrase_decision(provider, triple, inv, lex)
     fallback = paraphrase_decision(CountOnlyProvider(provider), triple, inv, lex)
     return batch, fallback
@@ -165,3 +165,26 @@ def test_repeated_inventory_words_give_each_paraphrase_once(tmp_path, small_lex)
     provider = make_provider(tmp_path, ["cells from the bone marrow", "marrow cells of the bone"])
     for got in _both_paths(provider, TRIPLE, repeated, small_lex):
         assert (got.left_score, got.right_score) == (1, 1)
+
+
+def test_cached_middles_follow_inventory_and_copula_agreement(tmp_path, small_lex):
+    provider = make_provider(
+        tmp_path,
+        [
+            "cells that are from the bone marrow",
+            "cell that is from the bone marrow",
+            "cells that is from the bone marrow",  # disagreeing copulas never count
+            "cell that were from the bone marrow",
+            "cells of the bone marrow",
+            "cells of the bone marrow",
+            "marrow cells from the bone",
+        ],
+    )
+    from_inv = ParaphraseInventory(prepositions=("from",))
+    of_inv = ParaphraseInventory(prepositions=("of",))
+    # One process, alternating inventories, each decision over both
+    # numbers of w3: a cache keyed too coarsely would serve stale middles.
+    for inv, scores in [(from_inv, (2, 1)), (of_inv, (2, 0)), (from_inv, (2, 1))]:
+        for triple in (TRIPLE, NounTriple("bone", "marrow", "cell")):
+            for got in _both_paths(provider, triple, inv, small_lex):
+                assert (got.left_score, got.right_score) == scores
