@@ -12,7 +12,6 @@ from .coordination import CoordQuad, coord_pipeline
 from .corpus import (
     CorpusIndex,
     CountQuery,
-    CountsCache,
     IndexProvider,
     MappingProvider,
     build_index,
@@ -33,7 +32,6 @@ __all__ = [
     "coord_pipeline",
     "CorpusIndex",
     "CountQuery",
-    "CountsCache",
     "IndexProvider",
     "MappingProvider",
     "build_index",

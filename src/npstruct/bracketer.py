@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from . import assoc, paraphrase, surface
 from .assoc import NounTriple
 from .corpus import CountProvider, CountQuery
-from .decisions import ABSTAIN, LEFT, Decision, abstain, majority_vote
+from .decisions import LEFT, Decision, VoteResult, abstain, check_voters, vote
 from .morphology import MorphLexicon, inflections
 
 # Voters combined by default: the strongest individual models.
@@ -22,18 +24,6 @@ DEFAULT_VOTERS = (
     "surface",
 )
 
-ALL_VOTERS = (
-    "freq-adjacency", "freq-dependency",
-    "prob-adjacency", "prob-dependency",
-    "pmi-adjacency", "pmi-dependency",
-    "chi2-adjacency", "chi2-dependency",
-    "concat-adjacency", "concat-dependency", "concat-triple",
-    "wildcard-adjacency", "wildcard-dependency",
-    "wildcard-adjacency-reversed", "wildcard-dependency-reversed",
-    "genitive", "abbreviation", "reorder", "inflection-variability", "swap",
-    "paraphrases", "surface",
-)
-
 
 @dataclass(frozen=True)
 class VoteConfig:
@@ -42,22 +32,10 @@ class VoteConfig:
     voters: tuple[str, ...] = DEFAULT_VOTERS
     default: str | None = LEFT
     margin: float = 0.0
-    stars: int = 1
     snippet_limit: int = 1000
 
     def __post_init__(self) -> None:
-        unknown = set(self.voters) - set(ALL_VOTERS)
-        if unknown:
-            raise ValueError(f"unknown voters: {sorted(unknown)}")
-
-
-@dataclass
-class BracketResult:
-    """Per-voter decisions plus the combined outcome for one triple."""
-
-    triple: NounTriple
-    votes: dict[str, Decision] = field(default_factory=dict)
-    final: Decision = field(default_factory=lambda: Decision(ABSTAIN))
+        check_voters(self.voters, VOTERS)
 
 
 def triple_snippets(
@@ -66,21 +44,61 @@ def triple_snippets(
     triple: NounTriple,
     limit: int,
 ) -> list[str]:
-    """Raw sentences containing the compound, genitive variants included."""
+    """Distinct raw sentences containing the compound, genitive variants included."""
     i1, i2, i3 = (inflections(lex, w) for w in triple.words())
     queries = [
         CountQuery.of(i1, i2, i3),
         CountQuery.of(i1, "s", i2, i3),
         CountQuery.of(i1, i2, "s", i3),
     ]
-    out: list[str] = []
-    seen: set[str] = set()
-    for q in queries:
-        for snippet in provider.snippets(q, limit):
-            if snippet not in seen:
-                seen.add(snippet)
-                out.append(snippet)
-    return out[:limit]
+    snippets = (s for q in queries for s in provider.snippets(q, limit))
+    return list(dict.fromkeys(snippets))[:limit]
+
+
+# Each voter takes its variant arguments, if any, then
+# (triple, provider, lexicon, config, inventory).
+
+
+def _assoc(kind, model, triple, provider, lex, config, inventory) -> Decision:
+    return assoc.assoc_bracketing(kind, model, provider, lex, triple, config.margin)
+
+
+def _concat(variant, triple, provider, lex, config, inventory) -> Decision:
+    return surface.concatenation_decision(provider, lex, triple, variant)
+
+
+def _wildcard(variant, triple, provider, lex, config, inventory) -> Decision:
+    return surface.wildcard_decision(provider, lex, triple, variant)
+
+
+def _misc(kind, triple, provider, lex, config, inventory) -> Decision:
+    return surface.misc_decision(kind, provider, lex, triple)
+
+
+def _paraphrases(triple, provider, lex, config, inventory) -> Decision:
+    inv = inventory or paraphrase.ParaphraseInventory()
+    return paraphrase.paraphrase_decision(provider, triple, inv, lex)
+
+
+def _surface(triple, provider, lex, config, inventory) -> Decision:
+    snippets = triple_snippets(provider, lex, triple, config.snippet_limit)
+    decision, _tally = surface.surface_vote(snippets, triple, lex)
+    return decision
+
+
+# Voter name -> voter: the one list of names a config accepts.
+VOTERS: dict[str, Callable[..., Decision]] = {
+    **{
+        f"{kind}-{model}": partial(_assoc, kind, model)
+        for kind in assoc.ASSOC_KINDS
+        for model in ("adjacency", "dependency")
+    },
+    **{f"concat-{v}": partial(_concat, v) for v in surface.CONCAT_VARIANTS},
+    **{f"wildcard-{v}": partial(_wildcard, v) for v in surface.WILDCARD_VARIANTS},
+    **{kind: partial(_misc, kind) for kind in surface.MISC_KINDS},
+    "paraphrases": _paraphrases,
+    "surface": _surface,
+}
 
 
 def run_voter(
@@ -91,29 +109,10 @@ def run_voter(
     config: VoteConfig,
     inventory: paraphrase.ParaphraseInventory | None = None,
 ) -> Decision:
-    """Run one named voter, turning provider errors into abstentions."""
-    inv = inventory or paraphrase.ParaphraseInventory()
+    """Run one named voter, turning degenerate association counts into abstentions."""
+    check_voters((name,), VOTERS)
     try:
-        kind, _, model = name.partition("-")
-        if kind in assoc.ASSOC_KINDS:
-            return assoc.assoc_bracketing(
-                kind, model, provider, lex, triple, config.margin
-            )
-        if kind == "concat":
-            return surface.concatenation_decision(provider, lex, triple, model)
-        if kind == "wildcard":
-            return surface.wildcard_decision(
-                provider, lex, triple, model, config.stars
-            )
-        if name in surface.MISC_KINDS:
-            return surface.misc_decision(name, provider, lex, triple)
-        if name == "paraphrases":
-            return paraphrase.paraphrase_decision(provider, triple, inv, lex)
-        if name == "surface":
-            snippets = triple_snippets(provider, lex, triple, config.snippet_limit)
-            decision, _tally = surface.surface_vote(snippets, triple, lex)
-            return decision
-        raise ValueError(f"unknown voter {name!r}")
+        return VOTERS[name](triple, provider, lex, config, inventory)
     except (assoc.ZeroMarginalError, assoc.DegenerateTableError) as exc:
         return abstain(name, note=str(exc))
 
@@ -124,10 +123,11 @@ def bracket(
     lex: MorphLexicon,
     config: VoteConfig = VoteConfig(),
     inventory: paraphrase.ParaphraseInventory | None = None,
-) -> BracketResult:
+) -> VoteResult:
     """Run every enabled voter on a triple and combine by majority vote."""
-    result = BracketResult(triple)
-    for name in config.voters:
-        result.votes[name] = run_voter(name, triple, provider, lex, config, inventory)
-    result.final = majority_vote(list(result.votes.values()), config.default)
-    return result
+    return vote(
+        triple,
+        config.voters,
+        lambda name: run_voter(name, triple, provider, lex, config, inventory),
+        config.default,
+    )

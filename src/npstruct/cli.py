@@ -4,21 +4,113 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple, dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import bracketer, coordination, datasets, ppattach, relsim, stats
 from .corpus import CorpusError, CorpusIndex, IndexProvider, IngestConfig, build_index
-from .decisions import LEFT, NP_COORD, RIGHT, VERB
+from .decisions import LEFT, RIGHT
 from .morphology import MorphLexicon
 from .paraphrase import ParaphraseInventory
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
 
-# Named presets: voter set and default label for the two dataset styles.
-PRESETS = {
-    "encyclopedia": {"default": LEFT},
-    "biomedical": {"default": RIGHT},
+# Named presets for bracketing: the default label for each dataset style.
+PRESETS = {"encyclopedia": LEFT, "biomedical": RIGHT}
+
+
+def _bracketer(args, voters: tuple[str, ...], default: str | None):
+    inv = (
+        ParaphraseInventory.load(args.inventory)
+        if args.inventory
+        else datasets.default_inventory()
+    )
+    config = bracketer.VoteConfig(
+        voters=voters,
+        default=default,
+        margin=args.margin,
+        snippet_limit=args.snippet_limit,
+    )
+    return lambda items, provider, lex: [
+        bracketer.bracket(t, provider, lex, config, inv) for t in items
+    ]
+
+
+def _pp_attacher(args, voters: tuple[str, ...], default: str | None):
+    config = ppattach.PPVoteConfig(
+        voters=voters, default=default, snippet_limit=args.snippet_limit
+    )
+    if args.bootstrap:
+        return lambda items, provider, lex: ppattach.pp_bootstrap(
+            items, provider, lex, config
+        )[0]
+    return lambda items, provider, lex: [
+        ppattach.pp_pipeline(q, provider, lex, config) for q in items
+    ]
+
+
+def _coordinator(args, voters: tuple[str, ...], default: str | None):
+    config = coordination.CoordVoteConfig(
+        voters=voters,
+        default=default,
+        threshold=args.threshold,
+        snippet_limit=args.snippet_limit,
+    )
+    return lambda items, provider, lex: [
+        coordination.coord_pipeline(q, provider, lex, config) for q in items
+    ]
+
+
+@dataclass(frozen=True)
+class Task:
+    """A voting subcommand: its dataset rows, config, flags and report.
+
+    The config class's defaults are the defaults of ``--voters``,
+    ``--default`` and ``--snippet-limit``, and the row format's labels
+    are the choices of ``--default``.  ``decider(args, voters, default)``
+    builds the config, which rejects unknown voters, and returns a
+    function deciding a list of items against a provider and a lexicon.
+    A report line holds the item's dataset columns, the per-voter labels
+    when ``show_votes`` is set, and the final label.
+    """
+
+    help: str
+    rows: datasets.RowFormat
+    config: type
+    flags: tuple[tuple[str, dict], ...]
+    decider: Callable
+    show_votes: bool = False
+
+
+TASKS = {
+    "bracket": Task(
+        "bracket three-word compounds",
+        datasets.BRACKETING,
+        bracketer.VoteConfig,
+        (
+            ("--margin", {"type": float, "default": 0.0}),
+            ("--inventory", {"default": None}),
+            ("--preset", {"choices": sorted(PRESETS), "default": None}),
+        ),
+        _bracketer,
+        show_votes=True,
+    ),
+    "ppattach": Task(
+        "resolve PP attachment",
+        datasets.PP_ATTACHMENT,
+        ppattach.PPVoteConfig,
+        (("--bootstrap", {"action": "store_true"}),),
+        _pp_attacher,
+    ),
+    "coord": Task(
+        "resolve coordination scope",
+        datasets.COORDINATION,
+        coordination.CoordVoteConfig,
+        (("--threshold", {"type": int, "default": 1}),),
+        _coordinator,
+    ),
 }
 
 
@@ -34,7 +126,7 @@ class SystemExit_(Exception):
         self.message = message
 
 
-def _build_parser() -> _Parser:
+def build_parser() -> _Parser:
     parser = _Parser(prog="npstruct", description=__doc__)
     parser.add_argument("--seed", type=int, default=None,
                         help="reserved; no randomized components exist")
@@ -45,30 +137,23 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--tagged", action="store_true")
 
-    def common(p: argparse.ArgumentParser, default_label: str) -> None:
+    for command, task in TASKS.items():
+        defaults = task.config()
+        p = sub.add_parser(command, help=task.help)
         p.add_argument("--index", required=True)
         p.add_argument("--dataset", required=True)
         p.add_argument("--report", default=None)
         p.add_argument("--lexicon", default=None)
-        p.add_argument("--default", default=default_label)
-        p.add_argument("--preset", choices=sorted(PRESETS), default=None)
-        p.add_argument("--snippet-limit", type=int, default=1000)
-
-    p = sub.add_parser("bracket", help="bracket three-word compounds")
-    common(p, LEFT)
-    p.add_argument("--voters", default=",".join(bracketer.DEFAULT_VOTERS))
-    p.add_argument("--margin", type=float, default=0.0)
-    p.add_argument("--inventory", default=None)
-
-    p = sub.add_parser("ppattach", help="resolve PP attachment")
-    common(p, VERB)
-    p.add_argument("--voters", default=",".join(ppattach.DEFAULT_PP_VOTERS))
-    p.add_argument("--bootstrap", action="store_true")
-
-    p = sub.add_parser("coord", help="resolve coordination scope")
-    common(p, NP_COORD)
-    p.add_argument("--voters", default=",".join(coordination.DEFAULT_COORD_VOTERS))
-    p.add_argument("--threshold", type=int, default=1)
+        p.add_argument(
+            "--default",
+            choices=(*task.rows.labels.values(), "none"),
+            default=defaults.default,
+        )
+        p.add_argument("--snippet-limit", type=int, default=defaults.snippet_limit)
+        p.add_argument("--voters", default=",".join(defaults.voters))
+        p.set_defaults(preset=None)  # only bracketing has a --preset flag
+        for flag, options in task.flags:
+            p.add_argument(flag, **options)
 
     p = sub.add_parser("relsim", help="dump joining features for noun pairs")
     p.add_argument("--index", required=True)
@@ -103,7 +188,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_lexicon(path: str | None) -> MorphLexicon:
+def load_lexicon(path: str | None) -> MorphLexicon:
     if path is None:
         return datasets.default_lexicon()
     return MorphLexicon.load(path)
@@ -143,82 +228,31 @@ def _cmd_index(args) -> int:
     return 0
 
 
-def _cmd_bracket(args) -> int:
+def voter_names(args) -> tuple[str, ...]:
+    """The ``--voters`` list of a voting subcommand."""
+    return tuple(args.voters.split(","))
+
+
+def default_label(args) -> str | None:
+    """The label ties fall to: the preset's, else ``--default``; ``none`` is None."""
+    label = PRESETS[args.preset] if args.preset else args.default
+    return None if label == "none" else label
+
+
+def _cmd_vote(args) -> int:
+    task = TASKS[args.command]
     for path in (args.index, args.dataset):
         _require(path)
-    lex = _load_lexicon(args.lexicon)
-    inv = (
-        ParaphraseInventory.load(args.inventory)
-        if args.inventory
-        else datasets.default_inventory()
-    )
-    default = PRESETS[args.preset]["default"] if args.preset else args.default
-    config = bracketer.VoteConfig(
-        voters=tuple(args.voters.split(",")),
-        default=None if default == "none" else default,
-        margin=args.margin,
-        snippet_limit=args.snippet_limit,
-    )
+    lex = load_lexicon(args.lexicon)
+    decide = task.decider(args, voter_names(args), default_label(args))
     provider = IndexProvider(CorpusIndex.load(args.index))
-    rows = datasets.load_bracketing_dataset(args.dataset)
-    lines, predictions, gold = [], [], []
-    for triple, label in rows:
-        result = bracketer.bracket(triple, provider, lex, config, inv)
-        votes = "\t".join(d.label for d in result.votes.values())
-        lines.append(
-            f"{triple.w1}\t{triple.w2}\t{triple.w3}\t{votes}\t{result.final.label}"
-        )
-        predictions.append(result.final.label)
-        gold.append(label)
-    _write_report(args.report, lines)
-    print(_summarize(predictions, gold, 0.95))
-    return 0
-
-
-def _cmd_ppattach(args) -> int:
-    for path in (args.index, args.dataset):
-        _require(path)
-    lex = _load_lexicon(args.lexicon)
-    config = ppattach.PPVoteConfig(
-        voters=tuple(args.voters.split(",")),
-        default=None if args.default == "none" else args.default,
-        snippet_limit=args.snippet_limit,
-    )
-    provider = IndexProvider(CorpusIndex.load(args.index))
-    rows = ppattach.load_pp_dataset(args.dataset)
-    quads = [q for q, _ in rows]
-    if args.bootstrap:
-        results, _model = ppattach.pp_bootstrap(quads, provider, lex, config)
-    else:
-        results = [ppattach.pp_pipeline(q, provider, lex, config) for q in quads]
-    lines = [
-        f"{r.quad.v}\t{r.quad.n1}\t{r.quad.p}\t{r.quad.n2}\t{r.final.label}"
-        for r in results
-    ]
-    _write_report(args.report, lines)
-    print(_summarize([r.final.label for r in results], [g for _, g in rows], 0.95))
-    return 0
-
-
-def _cmd_coord(args) -> int:
-    for path in (args.index, args.dataset):
-        _require(path)
-    lex = _load_lexicon(args.lexicon)
-    config = coordination.CoordVoteConfig(
-        voters=tuple(args.voters.split(",")),
-        default=None if args.default == "none" else args.default,
-        threshold=args.threshold,
-        snippet_limit=args.snippet_limit,
-    )
-    provider = IndexProvider(CorpusIndex.load(args.index))
-    rows = coordination.load_coord_dataset(args.dataset)
-    results = [
-        coordination.coord_pipeline(q, provider, lex, config) for q, _ in rows
-    ]
-    lines = [
-        f"{r.quad.n1}\t{r.quad.c}\t{r.quad.n2}\t{r.quad.h}\t{r.final.label}"
-        for r in results
-    ]
+    rows = task.rows.load(args.dataset)
+    results = decide([item for item, _ in rows], provider, lex)
+    lines = []
+    for r in results:
+        columns = astuple(r.item)[: task.rows.width]
+        votes = [d.label for d in r.votes.values()] if task.show_votes else []
+        lines.append("\t".join([*columns, *votes, r.final.label]))
     _write_report(args.report, lines)
     print(_summarize([r.final.label for r in results], [g for _, g in rows], 0.95))
     return 0
@@ -227,7 +261,7 @@ def _cmd_coord(args) -> int:
 def _cmd_relsim(args) -> int:
     for path in (args.index, args.pairs):
         _require(path)
-    lex = _load_lexicon(args.lexicon)
+    lex = load_lexicon(args.lexicon)
     index = CorpusIndex.load(args.index)
     rows = []
     for line in Path(args.pairs).read_text(encoding="utf-8").splitlines():
@@ -242,7 +276,7 @@ def _cmd_relsim(args) -> int:
 def _cmd_sat(args) -> int:
     for path in (args.index, args.dataset):
         _require(path)
-    lex = _load_lexicon(args.lexicon)
+    lex = load_lexicon(args.lexicon)
     index = CorpusIndex.load(args.index)
     lines, correct, answered = [], 0, 0
     for lineno, line in enumerate(
@@ -296,7 +330,7 @@ def _cmd_semeval(args) -> int:
     for path in (args.train, args.test):
         _require(path)
     _require(args.index)
-    lex = _load_lexicon(args.lexicon)
+    lex = load_lexicon(args.lexicon)
     index = CorpusIndex.load(args.index) if args.index else None
     train = _parse_semeval(args.train)
     test = _parse_semeval(args.test)
@@ -348,9 +382,7 @@ def _cmd_compare(args) -> int:
 
 _COMMANDS = {
     "index": _cmd_index,
-    "bracket": _cmd_bracket,
-    "ppattach": _cmd_ppattach,
-    "coord": _cmd_coord,
+    **{command: _cmd_vote for command in TASKS},
     "relsim": _cmd_relsim,
     "sat": _cmd_sat,
     "semeval": _cmd_semeval,
@@ -361,7 +393,7 @@ _COMMANDS = {
 
 def run(argv: list[str]) -> int:
     """Entry point returning a process exit code."""
-    parser = _build_parser()
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)

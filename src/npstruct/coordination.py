@@ -11,20 +11,22 @@ and scan raw snippets for separating punctuation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .corpus import CountProvider, CountQuery
 from .decisions import (
-    ABSTAIN,
     NOUN_COORD,
     NP_COORD,
     Decision,
+    VoteResult,
     abstain,
+    check_voters,
     compare,
-    majority_vote,
+    vote,
 )
-from .morphology import MorphLexicon, inflections, is_plural
+from .morphology import MorphLexicon, inflection_pattern, inflections, is_plural
 
 CONJUNCTIONS = ("and", "or")
 
@@ -57,28 +59,16 @@ def _opposite(label: str) -> str:
     return NP_COORD if label == NOUN_COORD else NOUN_COORD
 
 
-@dataclass(frozen=True)
-class CoordMappings:
-    """Label assignment for the two n-gram comparisons.
-
-    The comparisons are fixed; which side indicates which reading is a
-    modeling choice, so both mappings are configurable.
-    """
-
-    model_i_n1h_label: str = NOUN_COORD
-    model_ii_trigram_label: str = NOUN_COORD
-
-
 def coord_ngram_decision(
     provider: CountProvider,
     lex: MorphLexicon,
     quad: CoordQuad,
     model: str,
-    mappings: CoordMappings = CoordMappings(),
 ) -> Decision:
-    """Collocation models (i) #(n1,h) vs #(n2,h) and (ii) #(n1,h) vs #(n1,c,n2).
+    """Collocation models (i) #(n1,h) vs #(n2,h) and (ii) #(n1,c,n2) vs #(n1,h).
 
-    Conjunction counts pool both ``and`` and ``or``.
+    The first count winning predicts noun coordination.  Conjunction
+    counts pool both ``and`` and ``or``.
     """
     if model not in ("i", "ii"):
         raise ValueError("model must be 'i' or 'ii'")
@@ -87,12 +77,10 @@ def coord_ngram_decision(
     name = f"ngram-{model}"
     if model == "i":
         n2h = provider.count(CountQuery.of(quad.n2, ih))
-        label = mappings.model_i_n1h_label
-        return compare(n1h, n2h, label, _opposite(label), name)
+        return compare(n1h, n2h, NOUN_COORD, NP_COORD, name)
     i2 = inflections(lex, quad.n2)
     trigram = provider.count(CountQuery.of(quad.n1, CONJUNCTIONS, i2))
-    label = mappings.model_ii_trigram_label
-    return compare(trigram, n1h, label, _opposite(label), name)
+    return compare(trigram, n1h, NOUN_COORD, NP_COORD, name)
 
 
 def coord_paraphrase_decision(
@@ -180,11 +168,7 @@ def coord_surface_vote(
     coordination.
     """
 
-    def alt(word: str) -> str:
-        forms = sorted(inflections(lex, word), key=len, reverse=True)
-        return "(?:" + "|".join(re.escape(f) for f in forms) + ")"
-
-    n1, n2, h = alt(quad.n1), alt(quad.n2), alt(quad.h)
+    n1, n2, h = (inflection_pattern(lex, w) for w in (quad.n1, quad.n2, quad.h))
     c = re.escape(quad.c)
     flags = re.IGNORECASE
     sep = r"[,:;.!?/\\\]\[{}\"']"
@@ -219,17 +203,44 @@ class CoordVoteConfig:
     default: str | None = NP_COORD
     threshold: int = 1
     snippet_limit: int = 1000
-    mappings: CoordMappings = CoordMappings()
+
+    def __post_init__(self) -> None:
+        check_voters(self.voters, VOTERS)
 
 
-def quad_snippets(
-    provider: CountProvider, lex: MorphLexicon, quad: CoordQuad, limit: int
-) -> list[str]:
-    """Raw sentences containing ``n1 c n2 h``."""
-    query = CountQuery.of(
-        quad.n1, quad.c, quad.n2, inflections(lex, quad.h)
-    )
-    return provider.snippets(query, limit)
+# Each voter takes its variant argument, if any, then
+# (quad, provider, lexicon, config).
+
+
+def _ngram(model, quad, provider, lex, config) -> Decision:
+    return coord_ngram_decision(provider, lex, quad, model)
+
+
+def _paraphrase(pattern, quad, provider, lex, config) -> Decision:
+    return coord_paraphrase_decision(provider, lex, quad, pattern, config.threshold)
+
+
+def _heuristic(kind, quad, provider, lex, config) -> Decision:
+    return coord_heuristic(quad, kind)
+
+
+def _number_agreement(quad, provider, lex, config) -> Decision:
+    return number_agreement_decision(quad, lex)
+
+
+def _surface(quad, provider, lex, config) -> Decision:
+    query = CountQuery.of(quad.n1, quad.c, quad.n2, inflections(lex, quad.h))
+    return coord_surface_vote(provider.snippets(query, config.snippet_limit), quad, lex)
+
+
+# Voter name -> voter: the one list of names a config accepts.
+VOTERS: dict[str, Callable[..., Decision]] = {
+    **{f"ngram-{m}": partial(_ngram, m) for m in ("i", "ii")},
+    **{f"coord-paraphrase-{n}": partial(_paraphrase, n) for n in (1, 2, 3, 4)},
+    **{kind: partial(_heuristic, kind) for kind in ("h1", "h4", "h5", "h6")},
+    "number-agreement": _number_agreement,
+    "surface": _surface,
+}
 
 
 def run_coord_voter(
@@ -239,29 +250,9 @@ def run_coord_voter(
     lex: MorphLexicon,
     config: CoordVoteConfig,
 ) -> Decision:
-    if name.startswith("ngram-"):
-        return coord_ngram_decision(
-            provider, lex, quad, name.split("-")[1], config.mappings
-        )
-    if name.startswith("coord-paraphrase-"):
-        return coord_paraphrase_decision(
-            provider, lex, quad, int(name.rsplit("-", 1)[1]), config.threshold
-        )
-    if name in ("h1", "h4", "h5", "h6"):
-        return coord_heuristic(quad, name)
-    if name == "number-agreement":
-        return number_agreement_decision(quad, lex)
-    if name == "surface":
-        snippets = quad_snippets(provider, lex, quad, config.snippet_limit)
-        return coord_surface_vote(snippets, quad, lex)
-    raise ValueError(f"unknown voter {name!r}")
-
-
-@dataclass
-class CoordResult:
-    quad: CoordQuad
-    votes: dict[str, Decision] = field(default_factory=dict)
-    final: Decision = field(default_factory=lambda: Decision(ABSTAIN))
+    """Run one named voter."""
+    check_voters((name,), VOTERS)
+    return VOTERS[name](quad, provider, lex, config)
 
 
 def coord_pipeline(
@@ -269,30 +260,11 @@ def coord_pipeline(
     provider: CountProvider,
     lex: MorphLexicon,
     config: CoordVoteConfig = CoordVoteConfig(),
-) -> CoordResult:
+) -> VoteResult:
     """Vote the enabled voters and combine by majority."""
-    result = CoordResult(quad)
-    for name in config.voters:
-        result.votes[name] = run_coord_voter(name, quad, provider, lex, config)
-    result.final = majority_vote(list(result.votes.values()), config.default)
-    return result
-
-
-LABEL_BY_TAG = {"noun": NOUN_COORD, "NP": NP_COORD}
-TAG_BY_LABEL = {v: k for k, v in LABEL_BY_TAG.items()}
-
-
-def load_coord_dataset(path: str | Path) -> list[tuple[CoordQuad, str]]:
-    """Read a TSV of ``n1 c n2 h label`` rows with label noun or NP."""
-    rows = []
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 5 or parts[4] not in LABEL_BY_TAG:
-            raise ValueError(f"bad dataset row on line {lineno}")
-        n1, c, n2, h, label = parts
-        rows.append((CoordQuad(n1, c, n2, h), LABEL_BY_TAG[label]))
-    return rows
+    return vote(
+        quad,
+        config.voters,
+        lambda name: run_coord_voter(name, quad, provider, lex, config),
+        config.default,
+    )

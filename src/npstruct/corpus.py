@@ -17,7 +17,6 @@ import pickle
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
@@ -204,30 +203,6 @@ class CorpusIndex:
             total += self._matches_at(sid, start, query)
         return total
 
-    def count_sum(self, phrases: Iterable[tuple[str, ...]]) -> int:
-        """Summed occurrence count of gapless exact phrases.
-
-        Equals ``sum(self.count(CountQuery.of(*p)) for p in phrases)``,
-        a phrase given twice counting twice, but walks the postings of
-        each distinct first token once and looks every slice up in a
-        Counter of the phrases.  Tokens are compared as given, so they
-        must already be normalized (lowercase, as the index holds them).
-        """
-        wanted = Counter(phrases)
-        if () in wanted:
-            raise CorpusError("phrase must be nonempty")
-        lengths = sorted(set(map(len, wanted)))
-        total = 0
-        for first in set(map(itemgetter(0), wanted)):
-            for sid, pos in self._postings.get(first, ()):
-                tokens = self._sentences[sid].tokens
-                room = len(tokens) - pos
-                for n in lengths:
-                    if n > room:  # a slice past the sentence end comes back shorter
-                        break
-                    total += wanted.get(tokens[pos : pos + n], 0)
-        return total
-
     def count_between(
         self,
         head: tuple[str, ...],
@@ -240,7 +215,8 @@ class CorpusIndex:
         counting twice, but builds none of them: from each posting of
         ``head[0]`` it checks the rest of the head, walks the middle trie
         along the sentence and looks the tails up at every middle's end.
-        Tokens must already be normalized, as for ``count_sum``.
+        Tokens are compared as given, so they must already be normalized
+        (lowercase, as the index holds them).
         """
         head = tuple(head)
         if not head:
@@ -401,11 +377,9 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
 class CountProvider(Protocol):
     """Anything that can answer counts for the decision models.
 
-    A provider may also offer ``count_sum(phrases)``, a one-pass sum
-    over many exact phrases, and ``count_between(head, middles, tails)``,
-    a trie walk over a family of them; ``count_sum`` and
-    ``count_between`` below fall back to single counts for providers
-    without them.
+    A provider may also offer ``count_between(head, middles, tails)``,
+    a trie walk over a family of exact phrases; ``count_between`` below
+    falls back to single counts for providers without it.
     """
 
     def count(self, query: CountQuery) -> int: ...
@@ -418,13 +392,9 @@ class CountProvider(Protocol):
 def count_sum(provider: CountProvider, phrases: Iterable[tuple[str, ...]]) -> int:
     """Summed count of exact phrases given as normalized token tuples.
 
-    Uses the provider's own one-pass ``count_sum`` when it has one;
-    otherwise sums one ``count`` per phrase.  An empty phrase raises
-    ``CorpusError`` either way.
+    One ``count`` per phrase, a phrase given twice counting twice; an
+    empty phrase raises ``CorpusError``.
     """
-    batch = getattr(provider, "count_sum", None)
-    if batch is not None:
-        return batch(phrases)
     return sum(provider.count(CountQuery.of(*p)) for p in phrases)
 
 
@@ -458,9 +428,6 @@ class IndexProvider:
     def count(self, query: CountQuery) -> int:
         return self.index.count(query)
 
-    def count_sum(self, phrases: Iterable[tuple[str, ...]]) -> int:
-        return self.index.count_sum(phrases)
-
     def count_between(
         self, head: tuple[str, ...], middles: MiddleTrie, tails: Iterable[tuple[str, ...]]
     ) -> int:
@@ -475,13 +442,15 @@ class IndexProvider:
 
 @dataclass
 class MappingProvider:
-    """CountProvider backed by a fixed canonical-key -> count table.
+    """CountProvider backed by a canonical-key -> count table.
 
-    Useful for feeding decision models externally reported counts.
-    Unknown queries count 0; snippet lookups return a fixed list.
+    Feeds decision models externally reported counts, and holds the
+    counts a ``CachedProvider`` memoizes.  Unknown queries count 0;
+    snippet lookups return a fixed list.  ``save`` and ``load`` keep
+    the counts as ``key<TAB>count`` lines sorted by key.
     """
 
-    counts: dict[str, int]
+    counts: dict[str, int] = field(default_factory=dict)
     total_tokens: int = 1
     snippet_table: dict[str, list[str]] = field(default_factory=dict)
 
@@ -494,57 +463,38 @@ class MappingProvider:
     def snippets(self, query: CountQuery, limit: int) -> list[str]:
         return self.snippet_table.get(query.canonical(), [])[:limit]
 
-
-class CountsCache:
-    """Persistent canonical-query -> count table.
-
-    Replaying a cache against the index that produced it returns
-    identical counts; lookups are transparent.
-    """
-
-    def __init__(self, entries: dict[str, int] | None = None):
-        self.entries: dict[str, int] = dict(entries or {})
-        self.dirty = False
-
     @classmethod
-    def load(cls, path: str | Path) -> "CountsCache":
-        entries: dict[str, int] = {}
+    def load(cls, path: str | Path) -> "MappingProvider":
+        """Read a saved count table; a missing file is an empty table."""
+        counts: dict[str, int] = {}
         p = Path(path)
         if p.exists():
             for line in p.read_text(encoding="utf-8").splitlines():
                 if not line:
                     continue
                 key, _, val = line.rpartition("\t")
-                entries[key] = int(val)
-        return cls(entries)
+                counts[key] = int(val)
+        return cls(counts)
 
     def save(self, path: str | Path) -> None:
-        lines = [f"{key}\t{count}" for key, count in sorted(self.entries.items())]
+        lines = [f"{key}\t{count}" for key, count in sorted(self.counts.items())]
         Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-        self.dirty = False
-
-    def get(self, key: str) -> int | None:
-        return self.entries.get(key)
-
-    def put(self, key: str, count: int) -> None:
-        self.entries[key] = count
-        self.dirty = True
 
 
 @dataclass
 class CachedProvider:
-    """Memoizes counts from an inner provider in a CountsCache."""
+    """Memoizes counts from an inner provider in a MappingProvider's table."""
 
     inner: CountProvider
-    cache: CountsCache
+    cache: MappingProvider
 
     def count(self, query: CountQuery) -> int:
         key = query.canonical()
-        hit = self.cache.get(key)
+        hit = self.cache.counts.get(key)
         if hit is not None:
             return hit
         value = self.inner.count(query)
-        self.cache.put(key, value)
+        self.cache.counts[key] = value
         return value
 
     def total(self) -> int:

@@ -1,17 +1,59 @@
-"""Bundled datasets and default resources."""
+"""Dataset row formats, bundled datasets and default resources."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 from .assoc import NounTriple
-from .coordination import CoordQuad, load_coord_dataset
-from .decisions import LEFT, RIGHT
+from .coordination import CoordQuad
+from .decisions import LEFT, NOUN, NOUN_COORD, NP_COORD, RIGHT, VERB
 from .morphology import MorphLexicon
 from .paraphrase import ParaphraseInventory
+from .ppattach import PPQuad
 
-LABEL_BY_TAG = {"left": LEFT, "right": RIGHT}
+
+@dataclass(frozen=True)
+class RowFormat:
+    """A TSV dataset layout: ``width`` item columns, then a label tag.
+
+    ``make`` builds the item from its columns, ``labels`` maps each tag
+    to its task label, and up to ``optional`` trailing columns are
+    ignored.
+    """
+
+    make: Callable[..., object]
+    width: int
+    labels: dict[str, str]
+    optional: int = 0
+
+    def load(self, path: str | Path) -> list[tuple[object, str]]:
+        """Read ``(item, label)`` rows, skipping blank lines."""
+        rows = []
+        for lineno, line in enumerate(
+            Path(path).read_text(encoding="utf-8").splitlines(), start=1
+        ):
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            width = self.width
+            if (
+                not width < len(parts) <= width + 1 + self.optional
+                or parts[width] not in self.labels
+            ):
+                raise ValueError(f"bad dataset row on line {lineno}")
+            rows.append((self.make(*parts[:width]), self.labels[parts[width]]))
+        return rows
+
+
+# ``w1 w2 w3 left|right``, optionally followed by the compound's frequency.
+BRACKETING = RowFormat(NounTriple, 3, {"left": LEFT, "right": RIGHT}, optional=1)
+# ``v n1 p n2 N|V``.
+PP_ATTACHMENT = RowFormat(PPQuad, 4, {"N": NOUN, "V": VERB})
+# ``n1 c n2 h noun|NP``.
+COORDINATION = RowFormat(CoordQuad, 4, {"noun": NOUN_COORD, "NP": NP_COORD})
 
 
 def data_path(name: str) -> Path:
@@ -19,33 +61,14 @@ def data_path(name: str) -> Path:
     return Path(resources.files("npstruct.data") / name)
 
 
-def load_bracketing_dataset(path: str | Path) -> list[tuple[NounTriple, str]]:
-    """Read a TSV of ``w1 w2 w3 label`` rows (label left/right).
-
-    A trailing frequency column, if present, is ignored.
-    """
-    rows = []
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) not in (4, 5) or parts[3] not in LABEL_BY_TAG:
-            raise ValueError(f"bad dataset row on line {lineno}")
-        w1, w2, w3, label = parts[:4]
-        rows.append((NounTriple(w1, w2, w3), LABEL_BY_TAG[label]))
-    return rows
-
-
 def biomedical_bracketing() -> list[tuple[NounTriple, str]]:
     """The bundled biomedical three-word compound dataset."""
-    return load_bracketing_dataset(data_path("bracketing_biomedical.tsv"))
+    return BRACKETING.load(data_path("bracketing_biomedical.tsv"))
 
 
 def treebank_coordination() -> list[tuple[CoordQuad, str]]:
     """The bundled coordination dataset."""
-    return load_coord_dataset(data_path("coordination_treebank.tsv"))
+    return COORDINATION.load(data_path("coordination_treebank.tsv"))
 
 
 def default_lexicon() -> MorphLexicon:

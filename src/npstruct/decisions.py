@@ -1,13 +1,15 @@
-"""Tri-valued decisions shared by all disambiguation tasks.
+"""Tri-valued decisions and the majority vote shared by all tasks.
 
-Each task compares a left-hand and a right-hand evidence score; the
+Each voter compares a left-hand and a right-hand evidence score; the
 winning side's task label is emitted, and ties (within an optional
-margin) abstain.
+margin) abstain.  ``vote`` runs a task's voters on one item and
+combines their decisions by majority.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Collection, Iterable
 
 ABSTAIN = "abstain"
 
@@ -80,3 +82,30 @@ def majority_vote(decisions: list[Decision], default: str | None = None) -> Deci
     if default is not None:
         return Decision(default, model="majority-vote", note="default")
     return Decision(ABSTAIN, model="majority-vote", note="tie")
+
+
+@dataclass
+class VoteResult:
+    """Per-voter decisions, in voter order, plus the combined outcome for one item."""
+
+    item: object
+    votes: dict[str, Decision]
+    final: Decision
+
+
+def check_voters(voters: Iterable[str], known: Collection[str]) -> None:
+    """Reject voter names that are not in a task's registry."""
+    unknown = sorted({name for name in voters if name not in known})
+    if unknown:
+        raise ValueError(f"unknown voters: {unknown}")
+
+
+def vote(
+    item: object,
+    voters: Iterable[str],
+    run: Callable[[str], Decision],
+    default: str | None,
+) -> VoteResult:
+    """Collect ``run(name)`` for each voter in order and take the majority."""
+    votes = {name: run(name) for name in voters}
+    return VoteResult(item, votes, majority_vote(list(votes.values()), default))

@@ -7,6 +7,7 @@ a word into the set of forms it should be summed over.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -116,11 +117,7 @@ def is_plural(lex: MorphLexicon, word: str) -> bool:
     return w.endswith("s") and not w.endswith("ss")
 
 
-def singular_forms(lex: MorphLexicon, word: str) -> frozenset[str]:
-    """The non-plural inflections of ``word``."""
-    return frozenset(f for f in inflections(lex, word) if not is_plural(lex, f))
-
-
-def plural_forms(lex: MorphLexicon, word: str) -> frozenset[str]:
-    """The plural inflections of ``word``."""
-    return frozenset(f for f in inflections(lex, word) if is_plural(lex, f))
+def inflection_pattern(lex: MorphLexicon, word: str) -> str:
+    """A regex group matching any inflection of ``word``, longest forms first."""
+    forms = sorted(inflections(lex, word), key=len, reverse=True)
+    return "(?:" + "|".join(re.escape(f) for f in forms) + ")"

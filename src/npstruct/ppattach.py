@@ -12,12 +12,22 @@ vote's own output.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 from .corpus import CountProvider, CountQuery
-from .decisions import ABSTAIN, NOUN, VERB, Decision, abstain, compare, majority_vote
-from .morphology import MorphLexicon, inflections, lemma
+from .decisions import (
+    NOUN,
+    VERB,
+    Decision,
+    VoteResult,
+    abstain,
+    check_voters,
+    compare,
+    vote,
+)
+from .morphology import MorphLexicon, inflection_pattern, inflections, lemma
 
 PRONOUNS = frozenset(
     """i you he she it we they me him her us them
@@ -277,11 +287,8 @@ def pp_surface_vote(
     the preposition groups the verb with n1 (verb attachment).
     """
 
-    def alt(word: str) -> str:
-        forms = sorted(inflections(lex, word), key=len, reverse=True)
-        return "(?:" + "|".join(re.escape(f) for f in forms) + ")"
-
-    v, n1, p, n2 = alt(quad.v), alt(quad.n1), re.escape(quad.p), alt(quad.n2)
+    v, n1, n2 = (inflection_pattern(lex, w) for w in (quad.v, quad.n1, quad.n2))
+    p = re.escape(quad.p)
     punct = r"[-,/;:.?!]"
     flags = re.IGNORECASE
     noun_votes = verb_votes = 0
@@ -320,16 +327,46 @@ class PPVoteConfig:
     default: str | None = VERB
     snippet_limit: int = 1000
 
+    def __post_init__(self) -> None:
+        check_voters(self.voters, VOTERS)
 
-def quad_snippets(
-    provider: CountProvider, lex: MorphLexicon, quad: PPQuad, limit: int
-) -> list[str]:
-    """Raw sentences containing ``v n1 p n2``, nearby variants included."""
-    iv = inflections(lex, quad.v)
-    i1 = inflections(lex, quad.n1)
-    i2 = inflections(lex, quad.n2)
+
+# Each voter takes its variant argument, if any, then
+# (quad, provider, lexicon, config, backoff model).
+
+
+def _ngram(model, quad, provider, lex, config, backoff) -> Decision:
+    return pp_ngram_decision(provider, lex, quad, model)
+
+
+def _paraphrase(pattern, quad, provider, lex, config, backoff) -> Decision:
+    return pp_paraphrase_decision(provider, lex, quad, pattern)
+
+
+def _heuristic(kind, quad, provider, lex, config, backoff) -> Decision:
+    return pp_heuristic(quad, kind)
+
+
+def _surface(quad, provider, lex, config, backoff) -> Decision:
+    iv, i1, i2 = (inflections(lex, w) for w in (quad.v, quad.n1, quad.n2))
     query = CountQuery.of(iv, i1, quad.p, i2)
-    return provider.snippets(query, limit)
+    return pp_surface_vote(provider.snippets(query, config.snippet_limit), quad, lex)
+
+
+def _backoff(quad, provider, lex, config, backoff) -> Decision:
+    if backoff is None:
+        return abstain("backoff", "no trained model")
+    return backoff_predict(backoff, quad, lex)
+
+
+# Voter name -> voter: the one list of names a config accepts.
+VOTERS: dict[str, Callable[..., Decision]] = {
+    **{f"ngram-{m}": partial(_ngram, m) for m in (1, 2, 3, 4)},
+    **{f"paraphrase-{n}": partial(_paraphrase, n) for n in range(1, 7)},
+    **{kind: partial(_heuristic, kind) for kind in ("pronoun-n1", "verb-be", "of-rule")},
+    "surface": _surface,
+    "backoff": _backoff,
+}
 
 
 def run_pp_voter(
@@ -340,27 +377,9 @@ def run_pp_voter(
     config: PPVoteConfig,
     backoff: BackoffModel | None = None,
 ) -> Decision:
-    if name.startswith("ngram-"):
-        return pp_ngram_decision(provider, lex, quad, int(name.split("-")[1]))
-    if name.startswith("paraphrase-"):
-        return pp_paraphrase_decision(provider, lex, quad, int(name.split("-")[1]))
-    if name in ("pronoun-n1", "verb-be", "of-rule"):
-        return pp_heuristic(quad, name)
-    if name == "surface":
-        snippets = quad_snippets(provider, lex, quad, config.snippet_limit)
-        return pp_surface_vote(snippets, quad, lex)
-    if name == "backoff":
-        if backoff is None:
-            return abstain(name, "no trained model")
-        return backoff_predict(backoff, quad, lex)
-    raise ValueError(f"unknown voter {name!r}")
-
-
-@dataclass
-class PPResult:
-    quad: PPQuad
-    votes: dict[str, Decision] = field(default_factory=dict)
-    final: Decision = field(default_factory=lambda: Decision(ABSTAIN))
+    """Run one named voter; ``backoff`` abstains without a trained model."""
+    check_voters((name,), VOTERS)
+    return VOTERS[name](quad, provider, lex, config, backoff)
 
 
 def pp_pipeline(
@@ -369,18 +388,17 @@ def pp_pipeline(
     lex: MorphLexicon,
     config: PPVoteConfig = PPVoteConfig(),
     backoff: BackoffModel | None = None,
-) -> PPResult:
+) -> VoteResult:
     """Vote the enabled voters; the of-rule fires first and short-circuits."""
-    result = PPResult(quad)
     of_rule = pp_heuristic(quad, "of-rule")
     if not of_rule.abstained:
-        result.votes["of-rule"] = of_rule
-        result.final = of_rule
-        return result
-    for name in config.voters:
-        result.votes[name] = run_pp_voter(name, quad, provider, lex, config, backoff)
-    result.final = majority_vote(list(result.votes.values()), config.default)
-    return result
+        return VoteResult(quad, {"of-rule": of_rule}, of_rule)
+    return vote(
+        quad,
+        config.voters,
+        lambda name: run_pp_voter(name, quad, provider, lex, config, backoff),
+        config.default,
+    )
 
 
 def pp_bootstrap(
@@ -388,35 +406,15 @@ def pp_bootstrap(
     provider: CountProvider,
     lex: MorphLexicon,
     config: PPVoteConfig = PPVoteConfig(),
-) -> tuple[list[PPResult], BackoffModel]:
+) -> tuple[list[VoteResult], BackoffModel]:
     """Two-stage run: vote, train the backoff on the vote's own labels, revote."""
     first = [pp_pipeline(q, provider, lex, config) for q in quads]
     training = [
-        (r.quad, r.final.label) for r in first if r.final.label in (NOUN, VERB)
+        (r.item, r.final.label) for r in first if r.final.label in (NOUN, VERB)
     ]
     if not training:
         return first, BackoffModel()
     model = backoff_train(training, lex)
-    second_config = PPVoteConfig(
-        voters=config.voters + ("backoff",),
-        default=config.default,
-        snippet_limit=config.snippet_limit,
-    )
+    second_config = replace(config, voters=config.voters + ("backoff",))
     second = [pp_pipeline(q, provider, lex, second_config, model) for q in quads]
     return second, model
-
-
-def load_pp_dataset(path: str | Path) -> list[tuple[PPQuad, str]]:
-    """Read a TSV of ``v n1 p n2 label`` rows with label N or V."""
-    rows = []
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 5 or parts[4] not in ("N", "V"):
-            raise ValueError(f"bad dataset row on line {lineno}")
-        v, n1, p, n2, label = parts
-        rows.append((PPQuad(v, n1, p, n2), NOUN if label == "N" else VERB))
-    return rows

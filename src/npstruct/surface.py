@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .assoc import NounTriple
 from .corpus import CountProvider, CountQuery
 from .decisions import ABSTAIN, LEFT, RIGHT, Decision, compare
-from .morphology import MorphLexicon, inflections
+from .morphology import MorphLexicon, inflection_pattern, inflections
 
 _ROMAN_RE = re.compile(r"^[ivxlcdm]+$", re.IGNORECASE)
 
@@ -52,11 +52,6 @@ class SurfaceFeatureTally:
         return sum(r for _, r in self.features.values())
 
 
-def _alt(lex: MorphLexicon, word: str) -> str:
-    forms = sorted(inflections(lex, word), key=len, reverse=True)
-    return "(?:" + "|".join(re.escape(f) for f in forms) + ")"
-
-
 def capitalization_excluded(word: str) -> bool:
     """Capitalization is uninformative for single letters and Roman digits."""
     return len(word) == 1 or bool(_ROMAN_RE.match(word))
@@ -65,7 +60,7 @@ def capitalization_excluded(word: str) -> bool:
 def _scan_features(
     text: str, triple: NounTriple, lex: MorphLexicon, tally: SurfaceFeatureTally
 ) -> None:
-    w1, w2, w3 = (_alt(lex, w) for w in triple.words())
+    w1, w2, w3 = (inflection_pattern(lex, w) for w in triple.words())
     flags = re.IGNORECASE
 
     def hits(pattern: str, use_flags: int = flags) -> int:

@@ -60,17 +60,14 @@ class TinyTagger:
     adverbs: frozenset[str] = frozenset()
     lex: MorphLexicon = field(default_factory=MorphLexicon)
 
-    def tag_word(self, word: str, prev: str | None = None) -> str:
+    def tag_word(self, word: str) -> str:
         w = word.lower()
         if w in MODALS:
             return "M"
         if w in AUXILIARIES:
             return "A"
-        # "that" is a complementizer when clause-initial after a noun;
-        # treat it as W except when used as a determiner before a noun.
-        if w in COMPLEMENTIZERS and w not in ("that",):
-            return "W"
-        if w == "that":
+        # "that" is also a determiner; the tagger always reads it as W.
+        if w in COMPLEMENTIZERS:
             return "W"
         if w in COORDINATORS:
             return "C"
@@ -92,13 +89,7 @@ class TinyTagger:
         return "N"
 
     def tag_sentence(self, sentence: str) -> list[tuple[str, str]]:
-        out = []
-        prev: str | None = None
-        for word in sentence.split():
-            tag = self.tag_word(word, prev)
-            out.append((word, tag))
-            prev = tag
-        return out
+        return [(word, self.tag_word(word)) for word in sentence.split()]
 
     def tag_line(self, sentence: str) -> str:
         """Render one sentence in the corpus ``word_TAG`` format."""

@@ -61,8 +61,8 @@ def make_provider(tmp_path: Path, lines: list[str], tagged: bool = False):
 class CountOnlyProvider:
     """Exposes only ``count``/``total``/``snippets`` of an inner provider.
 
-    Like an outside wrapper, it has no ``count_sum``, so it takes the
-    single-count fallback of ``npstruct.corpus.count_sum``.
+    Like an outside wrapper, it has no ``count_between``, so it takes
+    the phrase-expanding fallback of ``npstruct.corpus.count_between``.
     """
 
     def __init__(self, inner):

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from npstruct.assoc import NounTriple
 from npstruct.bracketer import (
-    ALL_VOTERS,
     DEFAULT_VOTERS,
+    VOTERS,
     VoteConfig,
     bracket,
     run_voter,
@@ -21,7 +21,7 @@ TRIPLE = NounTriple("brain", "stem", "cells")
 
 
 def test_default_voters_are_known():
-    assert set(DEFAULT_VOTERS) <= set(ALL_VOTERS)
+    assert set(DEFAULT_VOTERS) <= set(VOTERS)
     assert len(DEFAULT_VOTERS) == 8
 
 

@@ -121,6 +121,26 @@ class TestBracket:
         assert report.read_text().strip().endswith("\tright")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bracket", "--default", "banana"],
+        ["coord", "--default", "banana"],
+        ["coord", "--preset", "biomedical"],
+        ["ppattach", "--preset", "encyclopedia"],
+    ],
+    ids=["bracket-default", "coord-default", "coord-preset", "ppattach-preset"],
+)
+def test_default_and_preset_outside_the_task_are_usage_errors(argv, index_file, tmp_path, capsys):
+    dataset = tmp_path / "data.tsv"
+    dataset.write_text("", encoding="utf-8")
+    report = tmp_path / "out.tsv"
+    code = run(argv + ["--index", str(index_file), "--dataset", str(dataset), "--report", str(report)])
+    assert code == 1
+    assert not report.exists()
+    capsys.readouterr()
+
+
 class TestPPAttach:
     def test_happy_path(self, tmp_path, capsys):
         corpus = tmp_path / "pp.txt"

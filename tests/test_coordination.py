@@ -5,7 +5,6 @@ import pytest
 from npstruct.coordination import (
     NO,
     YES,
-    CoordMappings,
     CoordQuad,
     CoordVoteConfig,
     coord_heuristic,
@@ -13,10 +12,10 @@ from npstruct.coordination import (
     coord_paraphrase_decision,
     coord_pipeline,
     coord_surface_vote,
-    load_coord_dataset,
     number_agreement_decision,
 )
 from npstruct.corpus import CountQuery, MappingProvider
+from npstruct.datasets import COORDINATION
 from npstruct.decisions import ABSTAIN, NOUN_COORD, NP_COORD
 from npstruct.morphology import inflections
 from tests.conftest import make_provider
@@ -52,13 +51,6 @@ class TestNgramModels:
         )
         d = coord_ngram_decision(provider, small_lex, QUAD, "ii")
         assert d.label == NOUN_COORD
-
-    def test_mappings_flip_labels(self, small_lex):
-        ih = inflections(small_lex, "graph")
-        provider = MappingProvider({_key("bar", ih): 9, _key("pie", ih): 2})
-        flipped = CoordMappings(model_i_n1h_label=NP_COORD)
-        d = coord_ngram_decision(provider, small_lex, QUAD, "i", flipped)
-        assert d.label == NP_COORD
 
     def test_bad_model(self, small_lex):
         with pytest.raises(ValueError):
@@ -191,22 +183,20 @@ class TestPipeline:
         assert result.votes["surface"].label == NOUN_COORD
         assert result.final.label == NOUN_COORD
 
-    def test_unknown_voter(self, small_lex):
-        with pytest.raises(ValueError):
-            coord_pipeline(
-                QUAD,
-                MappingProvider({}),
-                small_lex,
-                CoordVoteConfig(voters=("astrology",)),
-            )
+    def test_unknown_voter(self):
+        with pytest.raises(ValueError, match="unknown voters"):
+            CoordVoteConfig(voters=("ngram-i", "astrology"))
 
 
 def test_load_coord_dataset(tmp_path):
     path = tmp_path / "coord.tsv"
     path.write_text("bar\tand\tpie\tgraph\tnoun\npresident\tor\tceo\tpay\tNP\n")
-    rows = load_coord_dataset(path)
+    rows = COORDINATION.load(path)
     assert rows[0][1] == NOUN_COORD and rows[1][1] == NP_COORD
     bad = tmp_path / "bad.tsv"
     bad.write_text("a\tand\tb\tc\tmaybe\n")
     with pytest.raises(ValueError, match="line 1"):
-        load_coord_dataset(bad)
+        COORDINATION.load(bad)
+    bad.write_text("bar\tand\tpie\tgraph\tnoun\t12\n")  # only bracketing has a frequency
+    with pytest.raises(ValueError, match="line 1"):
+        COORDINATION.load(bad)

@@ -11,7 +11,6 @@ from npstruct.corpus import (
     CorpusError,
     CorpusIndex,
     CountQuery,
-    CountsCache,
     IndexProvider,
     IngestConfig,
     MappingProvider,
@@ -218,30 +217,29 @@ class TestProvidersAndCache:
         assert provider.snippets(CountQuery.of("a", "b"), 5) == ["A b."]
 
     def test_cache_roundtrip(self, tmp_path):
-        cache = CountsCache()
-        cache.put("a b", 3)
-        cache.put("z *{1,2} q", 1)
-        assert cache.dirty
+        cache = MappingProvider({"a b": 3, "z *{1,2} q": 1})
         path = tmp_path / "cache.tsv"
         cache.save(path)
-        assert not cache.dirty
-        again = CountsCache.load(path)
-        assert again.entries == cache.entries
+        again = MappingProvider.load(path)
+        assert again.counts == cache.counts
+        assert again.count(CountQuery.of("a", "b")) == 3
+        assert MappingProvider.load(tmp_path / "missing.tsv").counts == {}
 
     def test_cached_provider_is_transparent(self, tmp_path):
         index = make_index(tmp_path, ["a b c", "a b"])
         inner = IndexProvider(index)
-        cached = CachedProvider(inner, CountsCache())
+        cached = CachedProvider(inner, MappingProvider())
         q = CountQuery.of("a", "b")
         assert cached.count(q) == inner.count(q)
 
     def test_cached_provider_serves_from_cache(self, tmp_path):
         index = make_index(tmp_path, ["a b"])
-        cache = CountsCache()
+        cache = MappingProvider()
         cached = CachedProvider(IndexProvider(index), cache)
         q = CountQuery.of("a", "b")
         first = cached.count(q)
-        cache.entries[q.canonical()] = 42  # simulate a preloaded cache
+        assert cache.count(q) == 1  # memoized into the count table
+        cache.counts[q.canonical()] = 42  # simulate a preloaded cache
         assert first == 1
         assert cached.count(q) == 42
 
@@ -305,7 +303,7 @@ def test_count_sum_matches_naive_scanner(tmp_path_factory, sentences, phrases, r
     index = make_index(tmp, [" ".join(s) for s in sentences])
     phrases = phrases + phrases[:repeats]  # duplicates count once per occurrence
     expected = sum(naive_count(sentences, CountQuery.of(*p)) for p in phrases)
-    assert IndexProvider(index).count_sum(phrases) == expected
+    assert count_sum(IndexProvider(index), phrases) == expected
     assert count_sum(CountOnlyProvider(IndexProvider(index)), phrases) == expected
 
 
@@ -341,7 +339,7 @@ def test_sentence_ids_need_a_position(tmp_path):
 class TestCountSum:
     def test_phrases_never_run_past_the_sentence_end(self, tmp_path):
         index = make_index(tmp_path, ["x a b", "a b c"])
-        assert index.count_sum([("a", "b", "c"), ("a", "b")]) == 3
+        assert count_sum(IndexProvider(index), [("a", "b", "c"), ("a", "b")]) == 3
 
     def test_empty_list_counts_zero(self, tmp_path):
         provider = IndexProvider(make_index(tmp_path, ["a b"]))

@@ -3,10 +3,10 @@
 import pytest
 
 from npstruct.datasets import (
+    BRACKETING,
     biomedical_bracketing,
     default_inventory,
     default_lexicon,
-    load_bracketing_dataset,
     treebank_coordination,
 )
 from npstruct.decisions import LEFT, NOUN_COORD, RIGHT
@@ -50,9 +50,12 @@ def test_default_inventory_loads():
 def test_bracketing_loader_accepts_optional_frequency(tmp_path):
     path = tmp_path / "b.tsv"
     path.write_text("a\tb\tc\tleft\na\tb\tc\tright\t12\n")
-    rows = load_bracketing_dataset(path)
+    rows = BRACKETING.load(path)
     assert [label for _, label in rows] == [LEFT, RIGHT]
     bad = tmp_path / "bad.tsv"
     bad.write_text("a\tb\tc\tsideways\n")
     with pytest.raises(ValueError, match="line 1"):
-        load_bracketing_dataset(bad)
+        BRACKETING.load(bad)
+    bad.write_text("a\tb\tc\tleft\t12\t3\n")
+    with pytest.raises(ValueError, match="line 1"):
+        BRACKETING.load(bad)

@@ -8,8 +8,6 @@ from npstruct.morphology import (
     inflections,
     is_plural,
     lemma,
-    plural_forms,
-    singular_forms,
 )
 
 WORDS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=12)
@@ -63,12 +61,6 @@ def test_is_plural(small_lex):
     lex = MorphLexicon()
     assert is_plural(lex, "dogs")
     assert not is_plural(lex, "glass")
-
-
-def test_singular_plural_partition(small_lex):
-    forms = inflections(small_lex, "cell")
-    assert singular_forms(small_lex, "cell") | plural_forms(small_lex, "cell") == forms
-    assert singular_forms(small_lex, "cell") & plural_forms(small_lex, "cell") == frozenset()
 
 
 @given(WORDS)

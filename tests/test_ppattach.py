@@ -3,6 +3,7 @@
 import pytest
 
 from npstruct.corpus import CountQuery, MappingProvider
+from npstruct.datasets import PP_ATTACHMENT
 from npstruct.decisions import ABSTAIN, NOUN, VERB
 from npstruct.morphology import inflections
 from npstruct.ppattach import (
@@ -11,7 +12,6 @@ from npstruct.ppattach import (
     PPVoteConfig,
     backoff_predict,
     backoff_train,
-    load_pp_dataset,
     normalize_quad,
     pp_bootstrap,
     pp_heuristic,
@@ -274,13 +274,17 @@ class TestPipeline:
         assert all("backoff" in r.votes for r in results)
         assert len(results) == len(quads)
 
+    def test_unknown_voter(self):
+        with pytest.raises(ValueError, match="unknown voters"):
+            PPVoteConfig(voters=("ngram-2", "astrology"))
+
 
 def test_load_pp_dataset(tmp_path):
     path = tmp_path / "pp.tsv"
     path.write_text("meet\tdemands\tfrom\tcustomers\tN\nsaw\tman\twith\tscope\tV\n")
-    rows = load_pp_dataset(path)
+    rows = PP_ATTACHMENT.load(path)
     assert rows[0][1] == NOUN and rows[1][1] == VERB
     bad = tmp_path / "bad.tsv"
     bad.write_text("only\tthree\tcols\n")
     with pytest.raises(ValueError, match="line 1"):
-        load_pp_dataset(bad)
+        PP_ATTACHMENT.load(bad)
