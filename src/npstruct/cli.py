@@ -215,11 +215,6 @@ def _write_report(path: str | None, lines: list[str]) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _summarize(predictions: list[str], gold: list[str], level: float) -> str:
-    report = stats.evaluate(predictions, gold, level)
-    return report.summary()
-
-
 def _cmd_index(args) -> int:
     _require(args.corpus)
     index = build_index(args.corpus, IngestConfig(tagged=args.tagged))
@@ -254,7 +249,7 @@ def _cmd_vote(args) -> int:
         votes = [d.label for d in r.votes.values()] if task.show_votes else []
         lines.append("\t".join([*columns, *votes, r.final.label]))
     _write_report(args.report, lines)
-    print(_summarize([r.final.label for r in results], [g for _, g in rows], 0.95))
+    print(stats.evaluate([r.final.label for r in results], [g for _, g in rows]).summary())
     return 0
 
 

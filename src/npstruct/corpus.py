@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
 _MAGIC = b"NPSX"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
 
 MAX_GAP = 8
@@ -97,7 +97,6 @@ def _normalize_positions(
 class _Sentence:
     raw: str
     tokens: tuple[str, ...]
-    spans: tuple[tuple[int, int], ...]
     tags: tuple[str, ...] | None = None
 
 
@@ -291,9 +290,7 @@ class CorpusIndex:
 
     def save(self, path: str | Path) -> None:
         """Persist to a single binary file with a leading format-version byte."""
-        payload = [
-            (s.raw, s.tokens, s.spans, s.tags) for s in self._sentences
-        ]
+        payload = [(s.raw, s.tokens, s.tags) for s in self._sentences]
         blob = pickle.dumps((payload, self._provenance), protocol=4)
         Path(path).write_bytes(_MAGIC + bytes([_FORMAT_VERSION]) + blob)
 
@@ -306,7 +303,7 @@ class CorpusIndex:
         if version != _FORMAT_VERSION:
             raise CorpusError(f"unsupported index format version {version}")
         payload, provenance = pickle.loads(data[len(_MAGIC) + 1 :])
-        sentences = [_Sentence(raw, tokens, spans, tags) for raw, tokens, spans, tags in payload]
+        sentences = [_Sentence(raw, tokens, tags) for raw, tokens, tags in payload]
         return cls(sentences, provenance)
 
 
@@ -317,12 +314,9 @@ class IngestConfig:
     tagged: bool = False
 
 
-def _normalize_raw(raw: str) -> tuple[tuple[str, ...], tuple[tuple[int, int], ...]]:
-    toks, spans = [], []
-    for m in _WORD_RE.finditer(raw):
-        toks.append(m.group().lower())
-        spans.append(m.span())
-    return tuple(toks), tuple(spans)
+def _tokens(text: str) -> list[str]:
+    """Normalized tokens of ``text``: its alphanumeric runs, lowercased."""
+    return [t.lower() for t in _WORD_RE.findall(text)]
 
 
 def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) -> CorpusIndex:
@@ -344,30 +338,23 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
         if not line:
             continue
         if config.tagged:
-            words, tags = [], []
+            words: list[str] = []
+            toks: list[str] = []
+            tok_tags: list[str] = []
             for raw_tok in line.split():
                 word, sep, tag = raw_tok.rpartition("_")
                 if not sep or not word or not tag:
                     raise CorpusError(f"malformed tagged token {raw_tok!r} on line {lineno}")
                 words.append(word)
-                tags.append(tag)
-            raw = " ".join(words)
-            toks: list[str] = []
-            spans: list[tuple[int, int]] = []
-            tok_tags: list[str] = []
-            offset = 0
-            for word, tag in zip(words, tags):
-                for m in _WORD_RE.finditer(word):
-                    toks.append(m.group().lower())
-                    spans.append((offset + m.start(), offset + m.end()))
-                    tok_tags.append(tag)
-                offset += len(word) + 1
+                sub = _tokens(word)
+                toks += sub
+                tok_tags += [tag] * len(sub)
             if toks:
-                sentences.append(_Sentence(raw, tuple(toks), tuple(spans), tuple(tok_tags)))
+                sentences.append(_Sentence(" ".join(words), tuple(toks), tuple(tok_tags)))
         else:
-            toks2, spans2 = _normalize_raw(line)
-            if toks2:
-                sentences.append(_Sentence(line, toks2, spans2, None))
+            toks = _tokens(line)
+            if toks:
+                sentences.append(_Sentence(line, tuple(toks)))
     index = CorpusIndex(sentences, provenance=f"sha256:{digest}")
     if index.total_tokens() == 0:
         raise CorpusError("empty corpus")
@@ -444,10 +431,9 @@ class IndexProvider:
 class MappingProvider:
     """CountProvider backed by a canonical-key -> count table.
 
-    Feeds decision models externally reported counts, and holds the
-    counts a ``CachedProvider`` memoizes.  Unknown queries count 0;
-    snippet lookups return a fixed list.  ``save`` and ``load`` keep
-    the counts as ``key<TAB>count`` lines sorted by key.
+    Feeds decision models externally reported counts.  Unknown queries
+    count 0; snippet lookups return a fixed list.  ``save`` and ``load``
+    keep the counts as ``key<TAB>count`` lines sorted by key.
     """
 
     counts: dict[str, int] = field(default_factory=dict)
@@ -480,25 +466,3 @@ class MappingProvider:
         lines = [f"{key}\t{count}" for key, count in sorted(self.counts.items())]
         Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
-
-@dataclass
-class CachedProvider:
-    """Memoizes counts from an inner provider in a MappingProvider's table."""
-
-    inner: CountProvider
-    cache: MappingProvider
-
-    def count(self, query: CountQuery) -> int:
-        key = query.canonical()
-        hit = self.cache.counts.get(key)
-        if hit is not None:
-            return hit
-        value = self.inner.count(query)
-        self.cache.counts[key] = value
-        return value
-
-    def total(self) -> int:
-        return self.inner.total()
-
-    def snippets(self, query: CountQuery, limit: int) -> list[str]:
-        return self.inner.snippets(query, limit)

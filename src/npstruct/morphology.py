@@ -2,7 +2,8 @@
 
 A small lexicon file supplies known paradigms; a deterministic rule
 fallback covers everything else so that counting code can always expand
-a word into the set of forms it should be summed over.
+a word into the set of forms it should be summed over.  The closed-class
+word lists that the tagger and the voters share live here too.
 """
 
 from __future__ import annotations
@@ -10,6 +11,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+
+ARTICLES = frozenset({"a", "an", "the"})
+OTHER_DETERMINERS = frozenset(
+    """this that these those all each every some any no
+    his her its my your our their""".split()
+)
+DETERMINERS = ARTICLES | OTHER_DETERMINERS
+
+BE_FORMS = frozenset("be is are was were am been being".split())
+HAVE_FORMS = frozenset("have has had having".split())
+DO_FORMS = frozenset("do does did".split())
+AUXILIARIES = BE_FORMS | HAVE_FORMS | DO_FORMS
+MODALS = frozenset("can could may might must shall should will would".split())
 
 _SIBILANT_ENDINGS = ("s", "x", "z", "ch", "sh")
 _VOWELS = set("aeiou")

@@ -27,24 +27,20 @@ from .decisions import (
     compare,
     vote,
 )
-from .morphology import MorphLexicon, inflection_pattern, inflections, lemma
+from .morphology import (
+    ARTICLES,
+    BE_FORMS,
+    DETERMINERS,
+    OTHER_DETERMINERS,
+    MorphLexicon,
+    inflection_pattern,
+    inflections,
+    lemma,
+)
 
 PRONOUNS = frozenset(
     """i you he she it we they me him her us them
     myself yourself himself herself itself ourselves yourselves themselves""".split()
-)
-
-ARTICLES = frozenset({"a", "an", "the"})
-
-OTHER_DETERMINERS = frozenset(
-    """this that these those all each every some any no
-    his her its my your our their""".split()
-)
-
-DETERMINERS = ARTICLES | OTHER_DETERMINERS
-
-BE_FORMS = frozenset(
-    "be is are was were am been being".split()
 )
 
 _YEAR_RE = re.compile(r"^\d{4}s?$")

@@ -19,15 +19,10 @@ from typing import Iterator
 
 from . import porter
 from .corpus import CorpusIndex, _Sentence
-from .morphology import MorphLexicon, inflections, lemma
+from .morphology import BE_FORMS, DO_FORMS, HAVE_FORMS, MODALS, MorphLexicon, inflections, lemma
 
 DIR_12 = "1->2"
 DIR_21 = "2->1"
-
-BE_FORMS = frozenset("be is are was were am been being".split())
-HAVE_FORMS = frozenset("have has had having".split())
-DO_FORMS = frozenset("do does did".split())
-MODALS = frozenset("can could may might must shall should will would".split())
 
 RAISING_VERBS = frozenset("seem appear happen tend turn prove".split())
 
@@ -523,7 +518,7 @@ def normalize_human_verb(
             tokens = rest
         else:
             tokens = ["be"] + rest
-    elif not perfect and _is_participle(tokens[0], lex):
+    elif not perfect and _is_participle(tokens[0]):
         tokens = ["be"] + tokens
 
     passive = tokens[0] == "be"
@@ -542,7 +537,7 @@ def normalize_human_verb(
     return " ".join(tokens)
 
 
-def _is_participle(word: str, lex: MorphLexicon) -> bool:
+def _is_participle(word: str) -> bool:
     if word in IRREGULAR_PARTICIPLES:
         return True
     return word.endswith("ed") and len(word) > 3

@@ -15,17 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .morphology import MorphLexicon, lemma
+from .morphology import AUXILIARIES, DETERMINERS, MODALS, MorphLexicon, lemma
 
 PREPOSITIONS = frozenset(
     """of in on at by for with from to into onto about over under between
     among through during against across behind beyond near toward towards
     without within along around off up down out upon per via""".split()
-)
-
-DETERMINERS = frozenset(
-    """a an the this that these those all each every some any no his her
-    its my your our their""".split()
 )
 
 COORDINATORS = frozenset({"and", "or", "but", "nor"})
@@ -35,14 +30,6 @@ COMPLEMENTIZERS = frozenset({"that", "which", "who", "whom", "whose"})
 SUBORDINATORS = frozenset(
     """because although though while when whenever if unless since until
     after before whereas""".split()
-)
-
-MODALS = frozenset(
-    "can could may might must shall should will would".split()
-)
-
-AUXILIARIES = frozenset(
-    """be is are was were am been being have has had having do does did""".split()
 )
 
 PRONOUNS = frozenset(

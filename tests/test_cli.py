@@ -66,6 +66,14 @@ class TestExitCodes:
         assert code == 2
         capsys.readouterr()
 
+    def test_version_1_index_is_data_error(self, index_file, bracketing_dataset, capsys):
+        data = bytearray(index_file.read_bytes())
+        data[4] = 1
+        index_file.write_bytes(bytes(data))
+        code = run(["bracket", "--index", str(index_file), "--dataset", str(bracketing_dataset)])
+        assert code == 2
+        assert "unsupported index format version 1" in capsys.readouterr().err
+
     def test_seed_flag_is_accepted(self, capsys):
         assert run(["--seed", "7"]) == 1  # still needs a subcommand
         capsys.readouterr()

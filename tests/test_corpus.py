@@ -1,4 +1,4 @@
-"""Index building, counting, snippets, caching, and serialization."""
+"""Index building, counting, snippets, providers, and serialization."""
 
 import random
 
@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from npstruct.corpus import (
-    CachedProvider,
     CorpusError,
     CorpusIndex,
     CountQuery,
@@ -70,11 +69,12 @@ class TestIngestion:
             build_index(path)
 
     def test_tagged_corpus(self, tmp_path):
-        index = make_index(tmp_path, ["The_D committee_N met_V ._O"], tagged=True)
+        index = make_index(tmp_path, ["The_D U.S._N stem-cell_N committee_N met_V ._O"], tagged=True)
         assert index.tagged
         (sent,) = index.sentences()
-        assert sent.tokens == ("the", "committee", "met")
-        assert sent.tags == ("D", "N", "V")
+        assert sent.raw == "The U.S. stem-cell committee met ."
+        assert sent.tokens == ("the", "u", "s", "stem", "cell", "committee", "met")
+        assert sent.tags == ("D", "N", "N", "N", "N", "N", "V")
 
     def test_malformed_tagged_token_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -195,14 +195,15 @@ class TestSerialization:
         with pytest.raises(CorpusError, match="not an index file"):
             CorpusIndex.load(path)
 
-    def test_bad_version_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_bad_version_rejected(self, tmp_path, version):
         index = make_index(tmp_path, ["a"])
         path = tmp_path / "x.idx"
         index.save(path)
         data = bytearray(path.read_bytes())
-        data[4] = 99
+        data[4] = version
         path.write_bytes(bytes(data))
-        with pytest.raises(CorpusError, match="version"):
+        with pytest.raises(CorpusError, match=f"unsupported index format version {version}$"):
             CorpusIndex.load(path)
 
 
@@ -225,24 +226,6 @@ class TestProvidersAndCache:
         assert again.count(CountQuery.of("a", "b")) == 3
         assert MappingProvider.load(tmp_path / "missing.tsv").counts == {}
 
-    def test_cached_provider_is_transparent(self, tmp_path):
-        index = make_index(tmp_path, ["a b c", "a b"])
-        inner = IndexProvider(index)
-        cached = CachedProvider(inner, MappingProvider())
-        q = CountQuery.of("a", "b")
-        assert cached.count(q) == inner.count(q)
-
-    def test_cached_provider_serves_from_cache(self, tmp_path):
-        index = make_index(tmp_path, ["a b"])
-        cache = MappingProvider()
-        cached = CachedProvider(IndexProvider(index), cache)
-        q = CountQuery.of("a", "b")
-        first = cached.count(q)
-        assert cache.count(q) == 1  # memoized into the count table
-        cache.counts[q.canonical()] = 42  # simulate a preloaded cache
-        assert first == 1
-        assert cached.count(q) == 42
-
 
 TOKENS = st.sampled_from(["a", "b", "c", "d", "e"])
 SENTENCES = st.lists(st.lists(TOKENS, min_size=1, max_size=10), min_size=1, max_size=12)
@@ -260,6 +243,29 @@ def _random_query(rng: random.Random) -> CountQuery:
         split = rng.randint(1, n - 1)
         return CountQuery(phrase=tuple(positions), gap=(lo, hi), split=split)
     return CountQuery(phrase=tuple(positions))
+
+
+TAGGED_WORDS = st.lists(
+    st.tuples(st.text("aZ3.'-_", min_size=1, max_size=6), st.sampled_from(["N", "V", "O"])),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(TAGGED_WORDS)
+@example([("U.S.", "N"), ("stem-cell", "N"), ("brain's", "N"), (".", "O")])
+def test_tagged_index_tokens_match_plain_index(tmp_path_factory, tagged_words):
+    tmp = tmp_path_factory.mktemp("tagged")
+    words = [w for w, _ in tagged_words]
+    # The "x" line keeps the corpus nonempty when no word has a token.
+    tagged = make_index(tmp, [" ".join(f"{w}_{t}" for w, t in tagged_words), "x_N"], tagged=True)
+    plain = make_index(tmp, [" ".join(words), "x"], name="plain.txt")
+    assert [(s.raw, s.tokens) for s in tagged.sentences()] == [
+        (s.raw, s.tokens) for s in plain.sentences()
+    ]
+    tags = [t for s in tagged.sentences() for t in s.tags]
+    assert tags == [t for w, t in tagged_words for _ in normalize_line(w)] + ["N"]
 
 
 @settings(max_examples=60, deadline=None)

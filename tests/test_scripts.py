@@ -1,0 +1,47 @@
+"""The scripts in ``scripts/`` run end to end against a saved index."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from tests.conftest import make_index
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def index_file(tmp_path):
+    index = make_index(
+        tmp_path,
+        ["brain stem cells grew", "the brain stem", "brain and stem cells", "stem brain"],
+    )
+    path = tmp_path / "corpus.idx"
+    index.save(path)
+    return path
+
+
+def _script(name: str, *args: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, cwd=ROOT, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_concordance_prints_count_then_sentences(index_file):
+    out = _script("concordance.py", "--index", str(index_file), "brain", "stem")
+    assert out.splitlines() == ["brain stem\t2", "  brain stem cells grew", "  the brain stem"]
+
+
+def test_ablation_coord_has_an_ensemble_row(index_file):
+    out = _script("ablation.py", "coord", "--index", str(index_file))
+    rows = [line.split("\t") for line in out.split("\n\n")[0].splitlines()]
+    assert rows[0][:2] == ["name", "correct"]
+    assert rows[-1][0] == "ensemble"
+    assert len(rows[-1]) == len(rows[0])
