@@ -20,16 +20,13 @@ from dataclasses import dataclass
 from .corpus import CountProvider, CountQuery
 from .decisions import LEFT, RIGHT, Decision, compare
 from .morphology import MorphLexicon, inflections
+from .stats import DegenerateTableError, pearson_chi2  # noqa: F401 (re-exported)
 
 ASSOC_KINDS = ("freq", "prob", "pmi", "chi2")
 
 
 class ZeroMarginalError(ValueError):
     """A probability or PMI denominator count is zero."""
-
-
-class DegenerateTableError(ValueError):
-    """A chi-squared contingency table has a zero marginal."""
 
 
 @dataclass(frozen=True)
@@ -89,12 +86,7 @@ def contingency(
 
 def chi2_from_cells(cells: ContingencyCounts) -> float:
     """Chi-squared score of a two-by-two table by the shortcut formula."""
-    a, b, c, d = cells.a, cells.b, cells.c, cells.d
-    n = a + b + c + d
-    denom = (a + c) * (b + d) * (a + b) * (c + d)
-    if denom == 0:
-        raise DegenerateTableError("degenerate table")
-    return n * (a * d - b * c) ** 2 / denom
+    return pearson_chi2(cells.a, cells.b, cells.c, cells.d)[0]
 
 
 def assoc_score(

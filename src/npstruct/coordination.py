@@ -27,6 +27,7 @@ from .decisions import (
     vote,
 )
 from .morphology import MorphLexicon, inflection_pattern, inflections, is_plural
+from .surface import cue_tally
 
 CONJUNCTIONS = ("and", "or")
 
@@ -158,6 +159,21 @@ def number_agreement_decision(quad: CoordQuad, lex: MorphLexicon) -> Decision:
     return abstain("number-agreement")
 
 
+# Feature -> (noun-coordination, NP-coordination) templates over n1 c n2 h.
+# ``{{}}`` in the separator class is a literal ``{}`` once formatted.
+COORD_CUES = {
+    "dash": ((r"\b{n1}-\s+{c}\s+{n2}\s+{h}\b",), ()),
+    "brackets": (
+        (r"\(\s*{n1}\s+{c}\s+{n2}\s*\)\s+{h}\b", r"\b{n1}\s+{c}\s+{n2}\s+\(\s*{h}\s*\)"),
+        (r"\(\s*{n1}\s*\)\s+{c}\s+{n2}\s+{h}\b", r"\b{n1}\s+\(\s*{c}\s+{n2}\s+{h}\s*\)"),
+    ),
+    "separator": (
+        (r"\b{n1}\s+{c}\s+{n2}\s*[,:;.!?/\\\]\[{{}}\"']\s*{h}\b",),
+        (r"\b{n1}\s*[,:;.!?/\\\]\[{{}}\"']\s*{c}\s+{n2}\s+{h}\b",),
+    ),
+}
+
+
 def coord_surface_vote(
     snippets: list[str], quad: CoordQuad, lex: MorphLexicon
 ) -> Decision:
@@ -167,20 +183,9 @@ def coord_surface_vote(
     indicate noun coordination; separators isolating n1 indicate NP
     coordination.
     """
-
     n1, n2, h = (inflection_pattern(lex, w) for w in (quad.n1, quad.n2, quad.h))
-    c = re.escape(quad.c)
-    flags = re.IGNORECASE
-    sep = r"[,:;.!?/\\\]\[{}\"']"
-    noun_votes = np_votes = 0
-    for text in snippets:
-        noun_votes += len(re.findall(rf"\b{n1}-\s+{c}\s+{n2}\s+{h}\b", text, flags))
-        noun_votes += len(re.findall(rf"\(\s*{n1}\s+{c}\s+{n2}\s*\)\s+{h}\b", text, flags))
-        noun_votes += len(re.findall(rf"\b{n1}\s+{c}\s+{n2}\s+\(\s*{h}\s*\)", text, flags))
-        noun_votes += len(re.findall(rf"\b{n1}\s+{c}\s+{n2}\s*{sep}\s*{h}\b", text, flags))
-        np_votes += len(re.findall(rf"\(\s*{n1}\s*\)\s+{c}\s+{n2}\s+{h}\b", text, flags))
-        np_votes += len(re.findall(rf"\b{n1}\s+\(\s*{c}\s+{n2}\s+{h}\s*\)", text, flags))
-        np_votes += len(re.findall(rf"\b{n1}\s*{sep}\s*{c}\s+{n2}\s+{h}\b", text, flags))
+    slots = {"n1": n1, "c": re.escape(quad.c), "n2": n2, "h": h}
+    noun_votes, np_votes = map(sum, zip(*cue_tally(snippets, slots, COORD_CUES).values()))
     return compare(noun_votes, np_votes, NOUN_COORD, NP_COORD, "surface")
 
 

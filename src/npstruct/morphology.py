@@ -18,6 +18,10 @@ OTHER_DETERMINERS = frozenset(
     his her its my your our their""".split()
 )
 DETERMINERS = ARTICLES | OTHER_DETERMINERS
+PRONOUNS = frozenset(
+    """i you he she it we they me him her us them
+    myself yourself himself herself itself ourselves yourselves themselves""".split()
+)
 
 BE_FORMS = frozenset("be is are was were am been being".split())
 HAVE_FORMS = frozenset("have has had having".split())

@@ -32,16 +32,13 @@ from .morphology import (
     BE_FORMS,
     DETERMINERS,
     OTHER_DETERMINERS,
+    PRONOUNS,
     MorphLexicon,
     inflection_pattern,
     inflections,
     lemma,
 )
-
-PRONOUNS = frozenset(
-    """i you he she it we they me him her us them
-    myself yourself himself herself itself ourselves yourselves themselves""".split()
-)
+from .surface import capital_tally, cue_tally
 
 _YEAR_RE = re.compile(r"^\d{4}s?$")
 _NUM_RE = re.compile(r"^[\d.,]*\d[\d.,]*%?$|^%$")
@@ -273,6 +270,21 @@ def backoff_predict(model: BackoffModel, quad: PPQuad, lex: MorphLexicon) -> Dec
     return Decision(label, r2, 1 - r2, "backoff")
 
 
+# Feature -> (noun-attachment, verb-attachment) templates over v n1 p n2.
+PP_CUES = {
+    "parentheses": (
+        (r"\(\s*{v}\s*\)\s+{n1}\s+{p}\s+{n2}", r"\b{v}\s+\(\s*{n1}\s+{p}\s+{n2}\s*\)"),
+        (r"\(\s*{v}\s+{n1}\s*\)\s+{p}\s+{n2}\b", r"\b{v}\s+{n1}\s+\(\s*{p}\s+{n2}\s*\)"),
+    ),
+    "punctuation": (
+        (r"\b{v}[-,/;:.?!]\s+{n1}\s+{p}\s+{n2}\b",),
+        (r"\b{v}\s+{n1}[-,/;:.?!]\s+{p}\s+{n2}\b",),
+    ),
+}
+# A capitalized n1 predicts noun attachment, else a capitalized p verb.
+PP_CAPITALS = r"\b({v})\s+({n1})\s+({p})\s+({n2})\b"
+
+
 def pp_surface_vote(
     snippets: list[str], quad: PPQuad, lex: MorphLexicon
 ) -> Decision:
@@ -282,25 +294,11 @@ def pp_surface_vote(
     ``n1 p n2`` together (noun attachment); separation between n1 and
     the preposition groups the verb with n1 (verb attachment).
     """
-
     v, n1, n2 = (inflection_pattern(lex, w) for w in (quad.v, quad.n1, quad.n2))
-    p = re.escape(quad.p)
-    punct = r"[-,/;:.?!]"
-    flags = re.IGNORECASE
-    noun_votes = verb_votes = 0
-    for text in snippets:
-        noun_votes += len(re.findall(rf"\(\s*{v}\s*\)\s+{n1}\s+{p}\s+{n2}", text, flags))
-        noun_votes += len(re.findall(rf"\b{v}\s+\(\s*{n1}\s+{p}\s+{n2}\s*\)", text, flags))
-        noun_votes += len(re.findall(rf"\b{v}{punct}\s+{n1}\s+{p}\s+{n2}\b", text, flags))
-        verb_votes += len(re.findall(rf"\(\s*{v}\s+{n1}\s*\)\s+{p}\s+{n2}\b", text, flags))
-        verb_votes += len(re.findall(rf"\b{v}\s+{n1}\s+\(\s*{p}\s+{n2}\s*\)", text, flags))
-        verb_votes += len(re.findall(rf"\b{v}\s+{n1}{punct}\s+{p}\s+{n2}\b", text, flags))
-        for m in re.finditer(rf"\b({v})\s+({n1})\s+({p})\s+({n2})\b", text, flags):
-            t1, tp = m.group(2), m.group(3)
-            if t1[0].isupper():
-                noun_votes += 1
-            elif tp[0].isupper():
-                verb_votes += 1
+    slots = {"v": v, "n1": n1, "p": re.escape(quad.p), "n2": n2}
+    tally = cue_tally(snippets, slots, PP_CUES)
+    tally["capitalization"] = capital_tally(snippets, PP_CAPITALS, slots)
+    noun_votes, verb_votes = map(sum, zip(*tally.values()))
     return compare(noun_votes, verb_votes, NOUN, VERB, "surface")
 
 

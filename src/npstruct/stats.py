@@ -52,6 +52,10 @@ def chi2_sf1(x: float) -> float:
     return math.erfc(math.sqrt(x / 2))
 
 
+class DegenerateTableError(ValueError):
+    """A chi-squared contingency table has a zero marginal."""
+
+
 def pearson_chi2(a: int, b: int, c: int, d: int) -> tuple[float, float]:
     """Chi-squared test of a 2x2 table by the shortcut formula, with p-value.
 
@@ -62,7 +66,7 @@ def pearson_chi2(a: int, b: int, c: int, d: int) -> tuple[float, float]:
     n = a + b + c + d
     denom = (a + c) * (b + d) * (a + b) * (c + d)
     if denom == 0:
-        raise ValueError("degenerate table")
+        raise DegenerateTableError("degenerate table")
     chi2 = n * (a * d - b * c) ** 2 / denom
     return chi2, chi2_sf1(chi2)
 

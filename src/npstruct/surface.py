@@ -2,15 +2,17 @@
 
 Authors often reveal the grouping of a three-word compound through
 punctuation (``cell-cycle analysis``), genitives (``brain's stem
-cells``), capitalization, concatenated spellings, or word order.  The
-scanners here tally such cues in raw snippets, and the direct-count
-models compare corpus frequencies of rewritten variants of the triple.
+cells``), capitalization, concatenated spellings, or word order.  One
+matcher, ``cue_tally``, counts such cues in raw snippets for all three
+tasks, each of which declares its cues as a table of regex templates;
+the direct-count models compare corpus frequencies of rewritten
+variants of the triple.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import Callable
 
 from .assoc import NounTriple
 from .corpus import CountProvider, CountQuery
@@ -33,94 +35,88 @@ STATE_CODES = frozenset(
 )
 
 
-@dataclass
-class SurfaceFeatureTally:
-    """Per-feature left/right vote counts from snippet scanning."""
-
-    features: dict[str, tuple[int, int]] = field(default_factory=dict)
-
-    def add(self, feature: str, left: int, right: int) -> None:
-        l0, r0 = self.features.get(feature, (0, 0))
-        self.features[feature] = (l0 + left, r0 + right)
-
-    @property
-    def left_total(self) -> int:
-        return sum(l for l, _ in self.features.values())
-
-    @property
-    def right_total(self) -> int:
-        return sum(r for _, r in self.features.values())
-
-
 def capitalization_excluded(word: str) -> bool:
     """Capitalization is uninformative for single letters and Roman digits."""
     return len(word) == 1 or bool(_ROMAN_RE.match(word))
 
 
-def _scan_features(
-    text: str, triple: NounTriple, lex: MorphLexicon, tally: SurfaceFeatureTally
-) -> None:
-    w1, w2, w3 = (inflection_pattern(lex, w) for w in triple.words())
-    flags = re.IGNORECASE
+def cue_tally(
+    snippets: list[str],
+    slots: dict[str, str],
+    cues: dict[str, tuple[tuple[str, ...], tuple[str, ...]]],
+) -> dict[str, tuple[int, int]]:
+    """Count each cue's matches on either side over raw snippets.
 
-    def hits(pattern: str, use_flags: int = flags) -> int:
-        return len(re.findall(pattern, text, use_flags))
+    ``cues`` maps a feature to one tuple of regex templates per side;
+    ``slots`` fills the templates' ``{name}`` fields with the item's
+    word patterns.  Each template is formatted and compiled once, and a
+    side's count is its templates' non-overlapping case-insensitive
+    matches summed over the snippets.
+    """
+    if not snippets:
+        return dict.fromkeys(cues, (0, 0))
 
-    gen = "(?:'s|’s)"
-    punct = "[,.:]"
+    def hits(templates: tuple[str, ...]) -> int:
+        patterns = [re.compile(t.format(**slots), re.IGNORECASE) for t in templates]
+        return sum(len(p.findall(text)) for p in patterns for text in snippets)
 
-    tally.add(
-        "dash",
-        hits(rf"\b{w1}-{w2}\s+{w3}\b"),
-        hits(rf"\b{w1}\s+{w2}-{w3}\b"),
-    )
-    tally.add(
-        "genitive",
-        hits(rf"\b{w1}\s+{w2}{gen}\s+{w3}\b"),
-        hits(rf"\b{w1}{gen}\s+{w2}\s+{w3}\b"),
-    )
-    tally.add(
-        "slash",
-        hits(rf"\b{w1}\s+{w2}/{w3}\b"),
-        hits(rf"\b{w1}/{w2}\s+{w3}\b"),
-    )
-    tally.add(
-        "parentheses",
-        hits(rf"\(\s*{w1}\s+{w2}\s*\)\s+{w3}\b") + hits(rf"\b{w1}\s+{w2}\s+\(\s*{w3}\s*\)"),
-        hits(rf"\(\s*{w1}\s*\)\s+{w2}\s+{w3}\b") + hits(rf"\b{w1}\s+\(\s*{w2}\s+{w3}\s*\)"),
-    )
-    tally.add(
-        "external-dash",
-        hits(rf"\b{w1}\s+{w2}\s+{w3}-[A-Za-z0-9]"),
-        hits(rf"[A-Za-z0-9]-{w1}\s+{w2}\s+{w3}\b"),
-    )
-    tally.add(
-        "punctuation",
-        hits(rf"\b{w1}\s+{w2}{punct}\s+{w3}\b"),
-        hits(rf"\b{w1}{punct}\s+{w2}\s+{w3}\b"),
-    )
+    return {feature: (hits(first), hits(second)) for feature, (first, second) in cues.items()}
 
-    cap_left = cap_right = 0
-    for m in re.finditer(rf"\b({w1})\s+({w2})\s+({w3})\b", text, flags):
-        t2, t3 = m.group(2), m.group(3)
-        if t2[0].isupper() and not capitalization_excluded(t2):
-            cap_right += 1
-        elif t3[0].isupper() and not capitalization_excluded(t3):
-            cap_left += 1
-    tally.add("capitalization", cap_left, cap_right)
+
+def capital_tally(
+    snippets: list[str],
+    template: str,
+    slots: dict[str, str],
+    excluded: Callable[[str], bool] = lambda word: False,
+) -> tuple[int, int]:
+    """Matches of ``template`` whose second captured word is capitalized,
+    then those whose third is instead; ``excluded`` words never count."""
+    if not snippets:
+        return 0, 0
+    second = third = 0
+    pattern = re.compile(template.format(**slots), re.IGNORECASE)
+    for text in snippets:
+        for m in pattern.finditer(text):
+            t2, t3 = m.group(2), m.group(3)
+            if t2[0].isupper() and not excluded(t2):
+                second += 1
+            elif t3[0].isupper() and not excluded(t3):
+                third += 1
+    return second, third
+
+
+# Feature -> (left-predicting, right-predicting) templates over w1 w2 w3.
+BRACKET_CUES = {
+    "dash": ((r"\b{w1}-{w2}\s+{w3}\b",), (r"\b{w1}\s+{w2}-{w3}\b",)),
+    "genitive": ((r"\b{w1}\s+{w2}(?:'s|’s)\s+{w3}\b",), (r"\b{w1}(?:'s|’s)\s+{w2}\s+{w3}\b",)),
+    "slash": ((r"\b{w1}\s+{w2}/{w3}\b",), (r"\b{w1}/{w2}\s+{w3}\b",)),
+    "parentheses": (
+        (r"\(\s*{w1}\s+{w2}\s*\)\s+{w3}\b", r"\b{w1}\s+{w2}\s+\(\s*{w3}\s*\)"),
+        (r"\(\s*{w1}\s*\)\s+{w2}\s+{w3}\b", r"\b{w1}\s+\(\s*{w2}\s+{w3}\s*\)"),
+    ),
+    "external-dash": (
+        (r"\b{w1}\s+{w2}\s+{w3}-[A-Za-z0-9]",), (r"[A-Za-z0-9]-{w1}\s+{w2}\s+{w3}\b",)
+    ),
+    "punctuation": ((r"\b{w1}\s+{w2}[,.:]\s+{w3}\b",), (r"\b{w1}[,.:]\s+{w2}\s+{w3}\b",)),
+}
+# A capitalized w2 predicts right bracketing, else a capitalized w3 left.
+BRACKET_CAPITALS = r"\b({w1})\s+({w2})\s+({w3})\b"
 
 
 def surface_vote(
     snippets: list[str], triple: NounTriple, lex: MorphLexicon
-) -> tuple[Decision, SurfaceFeatureTally]:
-    """Sum unweighted surface-feature votes over raw snippets."""
-    tally = SurfaceFeatureTally()
-    for snippet in snippets:
-        _scan_features(snippet, triple, lex, tally)
-    decision = compare(
-        tally.left_total, tally.right_total, LEFT, RIGHT, "surface-features"
-    )
-    return decision, tally
+) -> tuple[Decision, dict[str, tuple[int, int]]]:
+    """Sum unweighted surface-feature votes over raw snippets.
+
+    The tally maps each feature to its ``(left, right)`` votes.
+    """
+    w1, w2, w3 = (inflection_pattern(lex, w) for w in triple.words())
+    slots = {"w1": w1, "w2": w2, "w3": w3}
+    tally = cue_tally(snippets, slots, BRACKET_CUES)
+    right, left = capital_tally(snippets, BRACKET_CAPITALS, slots, capitalization_excluded)
+    tally["capitalization"] = (left, right)
+    left_total, right_total = map(sum, zip(*tally.values()))
+    return compare(left_total, right_total, LEFT, RIGHT, "surface-features"), tally
 
 
 CONCAT_VARIANTS = ("adjacency", "dependency", "triple")

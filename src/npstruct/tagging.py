@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .morphology import AUXILIARIES, DETERMINERS, MODALS, MorphLexicon, lemma
+from .morphology import AUXILIARIES, DETERMINERS, MODALS, PRONOUNS, MorphLexicon, lemma
 
 PREPOSITIONS = frozenset(
     """of in on at by for with from to into onto about over under between
@@ -30,11 +30,6 @@ COMPLEMENTIZERS = frozenset({"that", "which", "who", "whom", "whose"})
 SUBORDINATORS = frozenset(
     """because although though while when whenever if unless since until
     after before whereas""".split()
-)
-
-PRONOUNS = frozenset(
-    """i you he she it we they me him her us them himself herself itself
-    themselves myself ourselves yourself""".split()
 )
 
 

@@ -142,6 +142,8 @@ class TestSurface:
     def test_brackets_around_pair(self, small_lex):
         d = coord_surface_vote(["(bar and pie) graph"], QUAD, small_lex)
         assert d.label == NOUN_COORD
+        d = coord_surface_vote(["bar and pie (graph)"], QUAD, small_lex)
+        assert d.label == NOUN_COORD
 
     def test_separator_isolating_first(self, small_lex):
         d = coord_surface_vote(["bar, and pie graph"], QUAD, small_lex)

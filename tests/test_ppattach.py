@@ -223,11 +223,17 @@ class TestSurface:
         assert noun.label == NOUN
         verb = pp_surface_vote(["(meet demands) from customers"], QUAD, small_lex)
         assert verb.label == VERB
+        noun = pp_surface_vote(["(meet) demands from customers"], QUAD, small_lex)
+        assert noun.label == NOUN
+        verb = pp_surface_vote(["meet demands (from customers)"], QUAD, small_lex)
+        assert verb.label == VERB
 
     def test_capitalization_votes(self, small_lex):
         quad = PPQuad("meet", "board", "with", "members")
         noun = pp_surface_vote(["meet Board with members"], quad, small_lex)
         assert noun.label == NOUN
+        verb = pp_surface_vote(["meet demands From customers"], QUAD, small_lex)
+        assert verb.label == VERB
 
     def test_no_cues_abstain(self, small_lex):
         d = pp_surface_vote(["meet demands from customers"], QUAD, small_lex)

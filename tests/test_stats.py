@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npstruct.stats import (
+    DegenerateTableError,
     EvalReport,
     chi2_sf1,
     compare_reports,
@@ -86,6 +87,8 @@ class TestChi2:
 
     def test_degenerate_table(self):
         with pytest.raises(ValueError, match="degenerate table"):
+            pearson_chi2(0, 0, 5, 5)
+        with pytest.raises(DegenerateTableError, match="degenerate table"):
             pearson_chi2(0, 0, 5, 5)
         with pytest.raises(ValueError):
             pearson_chi2(-1, 2, 3, 4)

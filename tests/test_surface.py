@@ -24,7 +24,7 @@ def lex(small_lex):
 
 def _features(snippets, lex, triple=TRIPLE):
     decision, tally = surface_vote(snippets, triple, lex)
-    return decision, tally.features
+    return decision, tally
 
 
 class TestSnippetFeatures:

@@ -1,6 +1,7 @@
 """The tiny deterministic tagger used to build tagged test corpora."""
 
 from npstruct.corpus import IngestConfig, build_index
+from npstruct.morphology import PRONOUNS
 from npstruct.tagging import TinyTagger, write_tagged_corpus
 
 
@@ -22,6 +23,8 @@ def test_closed_classes(small_lex):
     assert tagger.tag_word("should") == "M"
     assert tagger.tag_word("was") == "A"
     assert tagger.tag_word("they") == "PRO"
+    assert tagger.tag_word("yourselves") == "PRO"
+    assert all(tagger.tag_word(w) == "PRO" for w in PRONOUNS)
 
 
 def test_open_classes(small_lex):
