@@ -8,21 +8,45 @@ the raw sentences containing a match for surface-feature scanning.
 Counting runs on a normalized layer (lowercase, punctuation stripped,
 hyphenated words split); snippets come from the untouched raw layer.
 Queries never cross sentence boundaries.
+
+An index file (format 3) is a header (``_HEADER``) followed by the
+sections in ``_SECTIONS`` order; ``CorpusIndex`` says what each holds.
+Integer columns are unsigned, little-endian, and as narrow as their
+largest value allows.  Text sections are UTF-8, and word lists are
+newline-separated.  Nothing is pickled, so loading runs no code from
+the file.
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
 import re
+import sys
+import zlib
+from array import array
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, islice, pairwise
+from operator import add, le, lt, sub
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from struct import Struct
+from typing import Iterable, NamedTuple, Protocol
 
 _MAGIC = b"NPSX"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
+# File order of the sections; each is a CorpusIndex constructor argument.
+_SECTIONS = (
+    "provenance", "vocab", "tag_vocab", "text",
+    "text_starts", "stream", "starts", "tags", "post_starts", "post_sids", "post_offsets",
+)
+_TEXTS = frozenset({"provenance", "vocab", "tag_vocab", "text"})
+# Magic, version, CRC-32 of the rest of the file, then (type code, byte length) per section.
+_HEADER = Struct("<4sBI" + "cQ" * len(_SECTIONS))
+_CHECKED_FROM = Struct("<4sBI").size
+_CODES = "BHIQ"  # unsigned, narrowest first
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 MAX_GAP = 8
 
@@ -93,8 +117,7 @@ def _normalize_positions(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class _Sentence:
+class _Sentence(NamedTuple):
     raw: str
     tokens: tuple[str, ...]
     tags: tuple[str, ...] | None = None
@@ -122,31 +145,123 @@ class MiddleTrie:
         return iter(self._middles)
 
 
-class CorpusIndex:
-    """Immutable token index over a one-sentence-per-line corpus."""
+class _Sentences(Sequence):
+    """Read-only view of an index's sentences, each built when indexed."""
 
-    def __init__(self, sentences: list[_Sentence], provenance: str):
-        self._sentences = sentences
-        self._total = sum(len(s.tokens) for s in sentences)
+    def __init__(self, index: "CorpusIndex"):
+        self._index = index
+        self._ids = range(len(index._starts) - 1)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, i: int) -> _Sentence:
+        index = self._index
+        sid = self._ids[i]  # IndexError past either end ends iteration
+        toks, tags = index.sentence_codes(sid)
+        return _Sentence(
+            index._raw(sid),
+            tuple(map(index.vocab.__getitem__, toks)),
+            tuple(map(index.tag_vocab.__getitem__, tags)) if index.tagged else None,
+        )
+
+
+class CorpusIndex:
+    """Immutable token index over a one-sentence-per-line corpus, held as columns.
+
+    ``stream`` holds every sentence's token ids back to back; ids index
+    the sorted ``vocab``, and sentence ``s`` spans positions
+    ``starts[s]:starts[s + 1]``.  The occurrences of id ``i`` are entries
+    ``post_starts[i]:post_starts[i + 1]`` of ``post_sids`` (the sentence)
+    and ``post_offsets`` (the position in it), in corpus order.  Sentence
+    ``s``'s raw text is ``text[text_starts[s]:text_starts[s + 1]]`` in
+    UTF-8.  A tagged index also holds one id into the sorted ``tag_vocab``
+    per position in ``tags``; an untagged one has both empty.
+    """
+
+    def __init__(
+        self,
+        *,
+        provenance: str,
+        vocab: Sequence[str],
+        tag_vocab: Sequence[str],
+        text: bytes,
+        text_starts: array,
+        stream: array,
+        starts: array,
+        tags: array,
+        post_starts: array,
+        post_sids: array,
+        post_offsets: array,
+    ):
         self._provenance = provenance
-        self._postings: dict[str, list[tuple[int, int]]] = {}
-        for sid, sent in enumerate(sentences):
-            for pos, tok in enumerate(sent.tokens):
-                self._postings.setdefault(tok, []).append((sid, pos))
+        self._vocab = tuple(vocab)
+        self._ids = {tok: i for i, tok in enumerate(vocab)}
+        self._tag_vocab = tuple(tag_vocab)
+        self._text = text
+        self._text_starts = text_starts
+        self._stream = stream
+        self._starts = starts
+        self._tags = tags
+        self._post_starts = post_starts
+        self._post_sids = post_sids
+        self._post_offsets = post_offsets
 
     @property
     def tagged(self) -> bool:
-        return bool(self._sentences) and self._sentences[0].tags is not None
+        return bool(self._tag_vocab)
 
     @property
     def provenance(self) -> str:
         return self._provenance
 
-    def sentences(self) -> list[_Sentence]:
-        return self._sentences
+    @property
+    def vocab(self) -> tuple[str, ...]:
+        """The distinct normalized tokens, sorted; a token's id is its place here."""
+        return self._vocab
+
+    @property
+    def tag_vocab(self) -> tuple[str, ...]:
+        """The distinct tags, sorted; empty for an untagged index."""
+        return self._tag_vocab
+
+    def encode(self, words: Iterable[str]) -> frozenset[int]:
+        """Ids of those ``words`` the index holds; a word it lacks never matches."""
+        ids = self._ids
+        return frozenset(ids[word] for word in words if word in ids)
+
+    def sentences(self) -> Sequence[_Sentence]:
+        return _Sentences(self)
+
+    def sentence_codes(self, sid: int) -> tuple[array, array]:
+        """Token ids and tag ids of sentence ``sid``; the tag ids are empty untagged."""
+        a, b = self._starts[sid], self._starts[sid + 1]
+        return self._stream[a:b], self._tags[a:b]
 
     def total_tokens(self) -> int:
-        return self._total
+        return len(self._stream)
+
+    def _raw(self, sid: int) -> str:
+        raw = self._text[self._text_starts[sid] : self._text_starts[sid + 1]]
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"index file is corrupt: sentence {sid} is not UTF-8") from exc
+
+    def _occurrences(self, i: int) -> Iterable[tuple[int, int]]:
+        """(sentence id, position in the stream) of each occurrence of id ``i``."""
+        a, b = self._post_starts[i], self._post_starts[i + 1]
+        sids = self._post_sids[a:b]
+        return zip(sids, map(add, map(self._starts.__getitem__, sids), self._post_offsets[a:b]))
+
+    def _size(self, ids: Iterable[int]) -> int:
+        ps = self._post_starts
+        return sum(ps[i + 1] - ps[i] for i in ids)
+
+    def _id_sets(self, positions: Iterable[Iterable[str]]) -> list[frozenset[int]] | None:
+        """The token ids of each position, or None when some position has none."""
+        sets = [self.encode(alts) for alts in positions]
+        return sets if all(sets) else None
 
     def sentence_ids(self, *positions: Iterable[str]) -> list[int]:
         """Ascending ids of the sentences holding a token of every alternative set.
@@ -157,9 +272,13 @@ class CorpusIndex:
         """
         if not positions:
             raise CorpusError("need at least one position")
+        sets = self._id_sets(positions)
+        if sets is None:
+            return []
+        ps, post_sids = self._post_starts, self._post_sids
         common: set[int] | None = None
-        for alts in positions:
-            sids = {sid for alt in alts for sid, _pos in self._postings.get(alt, ())}
+        for ids in sorted(sets, key=self._size):
+            sids = set().union(*(post_sids[ps[i] : ps[i + 1]] for i in ids))
             common = sids if common is None else common & sids
             if not common:
                 return []
@@ -172,35 +291,31 @@ class CorpusIndex:
         lo, hi = query.gap
         return [i + g for g in range(lo, hi + 1)]
 
-    def _candidates(self, query: CountQuery) -> list[tuple[int, int]]:
-        """Sentence/offset start candidates from the rarest query position.
-
-        Posting sizes are summed first, so only the rarest position's
-        list is ever built.
-        """
-        best_index, best_size = 0, None
-        for i, alts in enumerate(query.phrase):
-            size = sum(len(self._postings.get(alt, ())) for alt in alts)
-            if not size:
-                return []
-            if best_size is None or size < best_size:
-                best_index, best_size = i, size
-        starts = {
+    def _candidates(
+        self, query: CountQuery, sets: list[frozenset[int]]
+    ) -> Iterable[tuple[int, int]]:
+        """Distinct (sentence id, match start) pairs from the rarest query position."""
+        best = min(range(len(sets)), key=lambda i: self._size(sets[i]))
+        shifts = self._shifts(query, best)
+        if len(shifts) == 1:  # each position holds one id, so no start repeats
+            shift = shifts[0]
+            return [(sid, pos - shift) for i in sets[best] for sid, pos in self._occurrences(i)]
+        return {
             (sid, pos - shift)
-            for alt in query.phrase[best_index]
-            for sid, pos in self._postings.get(alt, ())
-            for shift in self._shifts(query, best_index)
+            for i in sets[best]
+            for sid, pos in self._occurrences(i)
+            for shift in shifts
         }
-        return sorted(starts)
 
     def count(self, query: CountQuery) -> int:
         """Number of occurrences; overlapping matches all count."""
-        if query.gap is None and len(query.phrase) == 1:
-            return sum(len(self._postings.get(alt, ())) for alt in query.phrase[0])
-        total = 0
-        for sid, start in self._candidates(query):
-            total += self._matches_at(sid, start, query)
-        return total
+        sets = self._id_sets(query.phrase)
+        if sets is None:
+            return 0
+        if query.gap is None and len(sets) == 1:
+            return self._size(sets[0])
+        candidates = self._candidates(query, sets)
+        return sum(self._matches_at(sid, start, query, sets) for sid, start in candidates)
 
     def count_between(
         self,
@@ -220,91 +335,139 @@ class CorpusIndex:
         head = tuple(head)
         if not head:
             raise CorpusError("head must be nonempty")
+        ids = self._ids
+        if not all(tok in ids for tok in head):
+            return 0
         by_length: dict[int, Counter[tuple[str, ...]]] = {}
         for tail in tails:
             by_length.setdefault(len(tail), Counter())[tail] += 1
         lengths = sorted(by_length.items())
-        rest = head[1:]
+        starts, stream, word = self._starts, self._stream, self._vocab.__getitem__
+        rest = array(stream.typecode, [ids[tok] for tok in head[1:]])
         total = 0
-        for sid, pos in self._postings.get(head[0], ()):
-            tokens = self._sentences[sid].tokens
+        for sid, pos in self._occurrences(ids[head[0]]):
+            end = starts[sid + 1]
             i = pos + len(head)
-            if tokens[pos + 1 : i] != rest:  # a short slice at the sentence end fails too
+            if i > end or stream[pos + 1 : i] != rest:
                 continue
             node = middles.root
             while node is not None:
                 if MiddleTrie.END in node:
                     for n, wanted in lengths:
-                        if i + n > len(tokens):
+                        if i + n > end:
                             break
-                        total += wanted.get(tokens[i : i + n], 0)
-                node = node.get(tokens[i]) if i < len(tokens) else None
+                        total += wanted.get(tuple(map(word, stream[i : i + n])), 0)
+                node = node.get(word(stream[i])) if i < end else None
                 i += 1
         return total
 
-    def _matches_at(self, sid: int, start: int, query: CountQuery) -> int:
-        """Count matches of ``query`` beginning at token ``start``."""
-        tokens = self._sentences[sid].tokens
-        if start < 0:
+    def _matches_at(
+        self, sid: int, start: int, query: CountQuery, sets: list[frozenset[int]]
+    ) -> int:
+        """Count matches of ``query`` from stream position ``start`` of sentence ``sid``."""
+        if start < self._starts[sid]:
             return 0
+        end = self._starts[sid + 1]
+        stream = self._stream
         if query.gap is None:
-            end = start + len(query.phrase)
-            if end > len(tokens):
-                return 0
-            for alts, tok in zip(query.phrase, tokens[start:end]):
-                if tok not in alts:
-                    return 0
-            return 1
-        left = query.phrase[: query.split]
-        right = query.phrase[query.split :]
-        if start + len(left) > len(tokens):
+            stop = start + len(sets)
+            return int(stop <= end and all(map(frozenset.__contains__, sets, stream[start:stop])))
+        left, right = sets[: query.split], sets[query.split :]
+        rstart = start + len(left)
+        if rstart > end or not all(map(frozenset.__contains__, left, stream[start:rstart])):
             return 0
-        for alts, tok in zip(left, tokens[start : start + len(left)]):
-            if tok not in alts:
-                return 0
         hits = 0
         lo, hi = query.gap
-        for g in range(lo, hi + 1):
-            rstart = start + len(left) + g
+        for rstart in range(rstart + lo, rstart + hi + 1):
             rend = rstart + len(right)
-            if rend > len(tokens):
+            if rend > end:
                 break
-            if all(t in alts for alts, t in zip(right, tokens[rstart:rend])):
-                hits += 1
+            hits += all(map(frozenset.__contains__, right, stream[rstart:rend]))
         return hits
 
     def snippets(self, query: CountQuery, limit: int) -> list[str]:
         """Raw text of up to ``limit`` matching sentences, in corpus order."""
         if limit < 1:
             raise CorpusError("limit must be >= 1")
-        out = []
-        seen: set[int] = set()
-        for sid, start in self._candidates(query):
-            if sid in seen:
-                continue
-            if self._matches_at(sid, start, query):
-                seen.add(sid)
-                out.append((sid, self._sentences[sid].raw))
-        out.sort()
-        return [raw for _, raw in out[:limit]]
+        sets = self._id_sets(query.phrase)
+        if sets is None:
+            return []
+        found: set[int] = set()
+        for sid, start in self._candidates(query, sets):
+            if sid not in found and self._matches_at(sid, start, query, sets):
+                found.add(sid)
+        return [self._raw(sid) for sid in sorted(found)[:limit]]
 
     def save(self, path: str | Path) -> None:
-        """Persist to a single binary file with a leading format-version byte."""
-        payload = [(s.raw, s.tokens, s.tags) for s in self._sentences]
-        blob = pickle.dumps((payload, self._provenance), protocol=4)
-        Path(path).write_bytes(_MAGIC + bytes([_FORMAT_VERSION]) + blob)
+        """Write the columns as one format-3 file (layout in the module docstring)."""
+        sections = [_encoded(getattr(self, f"_{name}")) for name in _SECTIONS]
+        table = [f for code, blob in sections for f in (code.encode("ascii"), len(blob))]
+        rest = _HEADER.pack(_MAGIC, _FORMAT_VERSION, 0, *table)[_CHECKED_FROM:]
+        body = b"".join(blob for _code, blob in sections)
+        crc = zlib.crc32(body, zlib.crc32(rest))
+        Path(path).write_bytes(_HEADER.pack(_MAGIC, _FORMAT_VERSION, crc, *table) + body)
 
     @classmethod
     def load(cls, path: str | Path) -> "CorpusIndex":
+        """Read a format-3 file whole, and check it before anything is used.
+
+        A file that is not a complete, intact format-3 index raises
+        ``CorpusError``.  Nothing in the file is ever run.
+        """
         data = Path(path).read_bytes()
         if data[: len(_MAGIC)] != _MAGIC:
             raise CorpusError("not an index file")
+        if len(data) == len(_MAGIC):
+            raise CorpusError("truncated index file")
         version = data[len(_MAGIC)]
         if version != _FORMAT_VERSION:
-            raise CorpusError(f"unsupported index format version {version}")
-        payload, provenance = pickle.loads(data[len(_MAGIC) + 1 :])
-        sentences = [_Sentence(raw, tokens, tags) for raw, tokens, tags in payload]
-        return cls(sentences, provenance)
+            raise CorpusError(
+                "index must be rebuilt with `npstruct index`: "
+                f"unsupported index format version {version}"
+            )
+        if len(data) < _HEADER.size:
+            raise CorpusError("truncated index file")
+        _magic, _version, crc, *table = _HEADER.unpack_from(data)
+        sizes = table[1::2]
+        if _HEADER.size + sum(sizes) > len(data):
+            raise CorpusError("truncated index file")
+        if _HEADER.size + sum(sizes) < len(data):
+            raise CorpusError("index file is corrupt: trailing bytes")
+        view = memoryview(data)
+        if zlib.crc32(view[_CHECKED_FROM:]) != crc:
+            raise CorpusError("index file is corrupt: checksum mismatch")
+        sections = {}
+        at = _HEADER.size
+        for name, code, size in zip(_SECTIONS, table[0::2], sizes):
+            chunk, at = view[at : at + size], at + size
+            code = code.decode("latin-1")
+            if code not in _CODES or size % array(code).itemsize or name in _TEXTS and code != "B":
+                raise CorpusError(
+                    f"index file is corrupt: section {name} has type {code!r}, {size} bytes"
+                )
+            if name in _TEXTS:
+                sections[name] = bytes(chunk)
+                continue
+            column = array(code)
+            column.frombytes(chunk)
+            if not _LITTLE_ENDIAN:
+                column.byteswap()
+            sections[name] = column
+        return cls(**_checked(sections))
+
+
+def _encoded(value: array | tuple[str, ...] | str | bytes) -> tuple[str, bytes]:
+    """A section's type code and bytes: arrays little-endian, texts UTF-8."""
+    if isinstance(value, array):
+        if not _LITTLE_ENDIAN:
+            value = array(value.typecode, value)
+            value.byteswap()
+        return value.typecode, value.tobytes()
+    if isinstance(value, tuple):  # a word list
+        value = "\n".join(value)
+    if isinstance(value, str):
+        value = value.encode("utf-8")
+    return "B", value
 
 
 @dataclass(frozen=True)
@@ -317,6 +480,79 @@ class IngestConfig:
 def _tokens(text: str) -> list[str]:
     """Normalized tokens of ``text``: its alphanumeric runs, lowercased."""
     return [t.lower() for t in _WORD_RE.findall(text)]
+
+
+def _column(values: Iterable[int], largest: int) -> array:
+    """The values as an array of the narrowest unsigned type holding ``largest``."""
+    code = next(c for c in _CODES if largest < 1 << 8 * array(c).itemsize)
+    return array(code, values)
+
+
+def _ascending(values: Sequence, strict: bool = False) -> bool:
+    return all(map(lt if strict else le, values, islice(values, 1, None)))
+
+
+def _offsets_ok(offsets: array, end: int) -> bool:
+    """Whether ``offsets`` runs from 0 to ``end`` and never decreases."""
+    return len(offsets) > 0 and offsets[0] == 0 and offsets[-1] == end and _ascending(offsets)
+
+
+def _word_list(blob: bytes) -> list[str]:
+    return blob.decode("utf-8").split("\n") if blob else []
+
+
+def _checked(sections: dict) -> dict:
+    """Constructor arguments from a file's sections, each checked against the others.
+
+    Posting offsets are not checked one by one: a wrong offset can only
+    miscount, since every match is bounded by its sentence's end.
+    """
+    try:
+        args = dict(
+            sections,
+            provenance=sections["provenance"].decode("utf-8"),
+            vocab=_word_list(sections["vocab"]),
+            tag_vocab=_word_list(sections["tag_vocab"]),
+        )
+    except UnicodeDecodeError as exc:
+        raise CorpusError("index file is corrupt: a word list is not UTF-8") from exc
+    vocab, tag_vocab, stream, tags, starts, post_sids = (
+        args[k] for k in ("vocab", "tag_vocab", "stream", "tags", "starts", "post_sids")
+    )
+    n = len(stream)
+    for what, ok in (
+        ("vocabulary", _ascending(vocab, strict=True)),
+        ("tag vocabulary", _ascending(tag_vocab, strict=True)),
+        ("sentence starts", _offsets_ok(starts, n)),
+        ("text starts", len(args["text_starts"]) == len(starts)
+         and _offsets_ok(args["text_starts"], len(args["text"]))),
+        ("posting starts", len(args["post_starts"]) == len(vocab) + 1
+         and _offsets_ok(args["post_starts"], n)),
+        ("postings", len(post_sids) == len(args["post_offsets"]) == n
+         and max(post_sids, default=-1) < len(starts) - 1),
+        ("token ids", max(stream, default=-1) < len(vocab)),
+        ("tags", len(tags) == (n if tag_vocab else 0) and max(tags, default=-1) < len(tag_vocab)),
+    ):
+        if not ok:
+            raise CorpusError(f"index file is corrupt: bad {what}")
+    return args
+
+
+class _Ids(dict):
+    """Word -> id, each new word taking the next id."""
+
+    def __missing__(self, word: str) -> int:
+        self[word] = n = len(self)
+        return n
+
+
+def _renumbered(ids: _Ids, column: array) -> tuple[list[str], array]:
+    """The sorted words of ``ids``, and ``column`` with ids renumbered in that order."""
+    words = sorted(ids)
+    rank = [0] * len(words)
+    for i, word in enumerate(words):
+        rank[ids[word]] = i
+    return words, _column(map(rank.__getitem__, column), len(words) - 1)
 
 
 def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) -> CorpusIndex:
@@ -332,33 +568,57 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
     digest = hashlib.sha256(
         text.encode("utf-8") + repr(config).encode("utf-8")
     ).hexdigest()[:16]
-    sentences: list[_Sentence] = []
+    token_ids, tag_ids = _Ids(), _Ids()
+    stream, tags = array("I"), array("I")  # ids in order of first appearance
+    raws: list[bytes] = []
+    starts = [0]
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         if config.tagged:
             words: list[str] = []
-            toks: list[str] = []
-            tok_tags: list[str] = []
             for raw_tok in line.split():
                 word, sep, tag = raw_tok.rpartition("_")
                 if not sep or not word or not tag:
                     raise CorpusError(f"malformed tagged token {raw_tok!r} on line {lineno}")
                 words.append(word)
-                sub = _tokens(word)
-                toks += sub
-                tok_tags += [tag] * len(sub)
-            if toks:
-                sentences.append(_Sentence(" ".join(words), tuple(toks), tuple(tok_tags)))
+                toks = _tokens(word)
+                stream.extend(map(token_ids.__getitem__, toks))
+                tags.extend([tag_ids[tag]] * len(toks))
+            line = " ".join(words)
         else:
-            toks = _tokens(line)
-            if toks:
-                sentences.append(_Sentence(line, tuple(toks)))
-    index = CorpusIndex(sentences, provenance=f"sha256:{digest}")
-    if index.total_tokens() == 0:
+            stream.extend(map(token_ids.__getitem__, _tokens(line)))
+        if len(stream) > starts[-1]:
+            raws.append(line.encode("utf-8"))
+            starts.append(len(stream))
+    n = len(stream)
+    if not n:
         raise CorpusError("empty corpus")
-    return index
+    vocab, stream = _renumbered(token_ids, stream)
+    tag_vocab, tags = _renumbered(tag_ids, tags)
+    sids_of: list[list[int]] = [[] for _ in vocab]
+    offsets_of: list[list[int]] = [[] for _ in vocab]
+    for sid, (a, b) in enumerate(pairwise(starts)):
+        for offset, i in enumerate(stream[a:b]):
+            sids_of[i].append(sid)
+            offsets_of[i].append(offset)
+    raw_text = b"".join(raws)
+    return CorpusIndex(
+        provenance=f"sha256:{digest}",
+        vocab=vocab,
+        tag_vocab=tag_vocab,
+        text=raw_text,
+        text_starts=_column(accumulate(map(len, raws), initial=0), len(raw_text)),
+        stream=stream,
+        starts=_column(starts, n),
+        tags=tags,
+        post_starts=_column(accumulate(map(len, sids_of), initial=0), n),
+        post_sids=_column(chain.from_iterable(sids_of), len(raws) - 1),
+        post_offsets=_column(
+            chain.from_iterable(offsets_of), max(map(sub, starts[1:], starts)) - 1
+        ),
+    )
 
 
 class CountProvider(Protocol):

@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import porter
-from .corpus import CorpusIndex, _Sentence
+from .corpus import CorpusIndex
 from .morphology import BE_FORMS, DO_FORMS, HAVE_FORMS, MODALS, MorphLexicon, inflections, lemma
 
 DIR_12 = "1->2"
@@ -60,12 +61,12 @@ class PairFeature:
             raise ValueError("bad direction")
 
 
-def _noun_runs(tags: tuple[str, ...]) -> list[tuple[int, int]]:
-    """Maximal [start, end] spans of noun-tagged tokens."""
+def _noun_runs(tags: Sequence, noun) -> list[tuple[int, int]]:
+    """Maximal [start, end] spans of tokens tagged ``noun``."""
     runs = []
     start = None
     for i, tag in enumerate(tags):
-        if tag == "N":
+        if tag == noun:
             if start is None:
                 start = i
         elif start is not None:
@@ -74,6 +75,27 @@ def _noun_runs(tags: tuple[str, ...]) -> list[tuple[int, int]]:
     if start is not None:
         runs.append((start, len(tags) - 1))
     return runs
+
+
+class _Reader:
+    """Reads a tagged index's sentences as token and tag ids.
+
+    The scans compare ids; only the words between matched nouns are
+    read back as (word, tag) strings.
+    """
+
+    def __init__(self, index: CorpusIndex):
+        if not index.tagged:
+            raise ValueError("tags required")
+        self.index = index
+        self.noun = index.tag_vocab.index("N") if "N" in index.tag_vocab else None
+        self.relativizers = index.encode(RELATIVIZERS)
+
+    def segment(
+        self, toks: Sequence[int], tags: Sequence[int], start: int, stop: int
+    ) -> list[tuple[str, str]]:
+        words, tag_names = self.index.vocab, self.index.tag_vocab
+        return [(words[toks[i]], tag_names[tags[i]]) for i in range(start, stop)]
 
 
 def _verb_group(
@@ -133,25 +155,25 @@ def extract_pair_features(
     between them is classified as a verb (with optional preposition),
     a bare preposition, or a coordinating conjunction.
     """
-    if not index.tagged:
-        raise ValueError("tags required")
+    reader = _Reader(index)
     i1 = inflections(lex, noun1)
     i2 = inflections(lex, noun2)
-    sentences = index.sentences()
-    features: Counter[PairFeature] = Counter()
-    for sid in index.sentence_ids(i1, i2):
-        features.update(_sentence_pair_features(sentences[sid], i1, i2, lex))
-    return features
+    ids1, ids2 = index.encode(i1), index.encode(i2)
+    return Counter(chain.from_iterable(
+        _sentence_pair_features(reader, sid, ids1, ids2, lex) for sid in index.sentence_ids(i1, i2)
+    ))
 
 
 def _sentence_pair_features(
-    sent: _Sentence, i1: frozenset[str], i2: frozenset[str], lex: MorphLexicon
+    reader: _Reader, sid: int, i1: frozenset[int], i2: frozenset[int], lex: MorphLexicon
 ) -> Iterator[PairFeature]:
-    """The joining features of one tagged sentence, in sentence order."""
-    tags = sent.tags
-    assert tags is not None
-    runs = _noun_runs(tags)
-    heads = [sent.tokens[end] for _start, end in runs]
+    """The joining features of one tagged sentence, in sentence order.
+
+    ``i1`` and ``i2`` are the token ids of the two nouns' inflections.
+    """
+    toks, tags = reader.index.sentence_codes(sid)
+    runs = _noun_runs(tags, reader.noun)
+    heads = [toks[end] for _start, end in runs]
     for (run_a, head_a), (run_b, head_b) in zip(
         zip(runs, heads), zip(runs[1:], heads[1:])
     ):
@@ -161,12 +183,9 @@ def _sentence_pair_features(
             direction = DIR_21
         else:
             continue
-        between = [
-            (sent.tokens[i], tags[i])
-            for i in range(run_a[1] + 1, run_b[0])
-        ]
-        if not between or len(between) > 8:
+        if not 0 < run_b[0] - run_a[1] - 1 <= 8:
             continue
+        between = reader.segment(toks, tags, run_a[1] + 1, run_b[0])
         if any(tag == "S" for _w, tag in between):
             continue
         feat = _classify_connector(between, lex)
@@ -214,36 +233,37 @@ def extract_paraphrase_verbs(
     something non-nominal has to follow it.  Only sentences holding
     the head, a complementizer and the modifier are scanned.
     """
-    if not index.tagged:
-        raise ValueError("tags required")
+    reader = _Reader(index)
     ih = inflections(lex, head)
     im = inflections(lex, modifier)
-    sentences = index.sentences()
-    verbs: Counter[str] = Counter()
-    for sid in index.sentence_ids(ih, RELATIVIZERS, im):
-        verbs.update(_sentence_paraphrase_verbs(sentences[sid], ih, im, lex))
-    return verbs
+    ids_h, ids_m = index.encode(ih), index.encode(im)
+    return Counter(chain.from_iterable(
+        _sentence_paraphrase_verbs(reader, sid, ids_h, ids_m, lex)
+        for sid in index.sentence_ids(ih, RELATIVIZERS, im)
+    ))
 
 
 def _sentence_paraphrase_verbs(
-    sent: _Sentence, ih: frozenset[str], im: frozenset[str], lex: MorphLexicon
+    reader: _Reader, sid: int, ih: frozenset[int], im: frozenset[int], lex: MorphLexicon
 ) -> Iterator[str]:
-    """The relative-clause paraphrase verbs of one tagged sentence, in order."""
-    tags = sent.tags
-    assert tags is not None
-    toks = sent.tokens
+    """The relative-clause paraphrase verbs of one tagged sentence, in order.
+
+    ``ih`` and ``im`` are the token ids of the head's and the modifier's inflections.
+    """
+    toks, tags = reader.index.sentence_codes(sid)
+    noun = reader.noun
     for i, tok in enumerate(toks[:-2]):
-        if tok not in ih or toks[i + 1] not in RELATIVIZERS:
+        if tok not in ih or toks[i + 1] not in reader.relativizers:
             continue
         for j in range(i + 2, min(i + 2 + 9, len(toks))):
             if toks[j] not in im:
                 continue
-            clause = [(toks[k], tags[k]) for k in range(i + 2, j)]
             tail_tags = tags[j + 1 :]
-            if not tail_tags or all(t == "N" for t in tail_tags):
+            if not tail_tags or all(t == noun for t in tail_tags):
                 continue
-            if any(tag == "N" for _w, tag in clause):
+            if noun in tags[i + 2 : j]:
                 continue
+            clause = reader.segment(toks, tags, i + 2, j)
             groups = _vp_count(clause)
             if groups != 1:
                 continue

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from npstruct.corpus import CountQuery, IndexProvider, IngestConfig, build_index
+from npstruct.corpus import CorpusIndex, CountQuery, IndexProvider, IngestConfig, build_index
 from npstruct.morphology import MorphLexicon
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
@@ -47,11 +47,21 @@ def naive_count(sentences: list[list[str]], query: CountQuery) -> int:
     return total
 
 
-def make_index(tmp_path: Path, lines: list[str], tagged: bool = False, name: str = "corpus.txt"):
-    """Write a corpus file and build its index."""
+def make_index(
+    tmp_path: Path,
+    lines: list[str],
+    tagged: bool = False,
+    name: str = "corpus.txt",
+    reload: bool = False,
+):
+    """Write a corpus file and build its index; with ``reload``, save it and load it back."""
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return build_index(path, IngestConfig(tagged=tagged))
+    index = build_index(path, IngestConfig(tagged=tagged))
+    if reload:
+        index.save(path.with_suffix(".idx"))
+        index = CorpusIndex.load(path.with_suffix(".idx"))
+    return index
 
 
 def make_provider(tmp_path: Path, lines: list[str], tagged: bool = False):

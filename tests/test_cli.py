@@ -74,6 +74,12 @@ class TestExitCodes:
         assert code == 2
         assert "unsupported index format version 1" in capsys.readouterr().err
 
+    def test_truncated_index_is_data_error(self, index_file, bracketing_dataset, capsys):
+        index_file.write_bytes(index_file.read_bytes()[:40])
+        code = run(["bracket", "--index", str(index_file), "--dataset", str(bracketing_dataset)])
+        assert code == 2
+        assert "truncated index file" in capsys.readouterr().err
+
     def test_seed_flag_is_accepted(self, capsys):
         assert run(["--seed", "7"]) == 1  # still needs a subcommand
         capsys.readouterr()

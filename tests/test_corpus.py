@@ -1,11 +1,15 @@
 """Index building, counting, snippets, providers, and serialization."""
 
+import pickle
 import random
+from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from npstruct import corpus
 from npstruct.corpus import (
     CorpusError,
     CorpusIndex,
@@ -207,6 +211,138 @@ class TestSerialization:
             CorpusIndex.load(path)
 
 
+TINY_TAGGED = ["The_D brain_N grows_V", "cells_N grow_V", "the_D end_N"]
+
+
+def _section_spans(data: bytes) -> dict[str, tuple[int, int]]:
+    """Byte span of each section of a format-3 file, read from its table."""
+    sizes = corpus._HEADER.unpack_from(data)[4::2]
+    at = corpus._HEADER.size
+    spans = {}
+    for name, size in zip(corpus._SECTIONS, sizes):
+        spans[name] = (at, at + size)
+        at += size
+    return spans
+
+
+def _columns(index: CorpusIndex) -> dict:
+    return {name: getattr(index, f"_{name}") for name in corpus._SECTIONS}
+
+
+def _swapped(column: array, i: int) -> array:
+    out = array(column.typecode, column)
+    out[i], out[i + 1] = out[i + 1], out[i]
+    return out
+
+
+def _last_set(column: array, value: int) -> array:
+    out = array("Q", column)
+    out[-1] = value
+    return out
+
+
+class _TouchOnUnpickle:
+    """Unpickling this creates ``marker``: it stands for any code a pickle can run."""
+
+    def __init__(self, marker: Path):
+        self.marker = marker
+
+    def __reduce__(self):
+        return (Path.touch, (self.marker,))
+
+
+# Each corruption keeps the checksum valid, so only the structural checks catch it.
+CORRUPTIONS = {
+    "unsorted vocabulary": lambda c: dict(vocab=c["vocab"][::-1]),
+    "unsorted tag vocabulary": lambda c: dict(tag_vocab=c["tag_vocab"][::-1]),
+    "sentence starts decrease": lambda c: dict(starts=_swapped(c["starts"], 1)),
+    "text starts decrease": lambda c: dict(text_starts=_swapped(c["text_starts"], 1)),
+    "posting starts decrease": lambda c: dict(post_starts=_swapped(c["post_starts"], 1)),
+    "text shorter than its starts": lambda c: dict(text=c["text"][:-1]),
+    "token id out of range": lambda c: dict(stream=_last_set(c["stream"], len(c["vocab"]))),
+    "posting sentence out of range": lambda c: dict(
+        post_sids=_last_set(c["post_sids"], len(c["starts"]) - 1)
+    ),
+    "posting columns differ in length": lambda c: dict(post_offsets=c["post_offsets"][:-1]),
+    "tag id out of range": lambda c: dict(tags=_last_set(c["tags"], len(c["tag_vocab"]))),
+    "tag column too short": lambda c: dict(tags=c["tags"][:-1]),
+    "a sentence too many": lambda c: dict(starts=array("Q", [*c["starts"], len(c["stream"])])),
+}
+
+
+class TestMalformedFiles:
+    @pytest.fixture
+    def tiny(self, tmp_path):
+        index = make_index(tmp_path, TINY_TAGGED, tagged=True)
+        index.save(tmp_path / "tiny.idx")
+        return index, (tmp_path / "tiny.idx").read_bytes()
+
+    def test_tiny_index_has_every_section(self, tiny):
+        _index, data = tiny
+        assert all(end > start for start, end in _section_spans(data).values())
+
+    def test_columns_are_narrow_and_little_endian(self, tiny):
+        _index, data = tiny
+        spans = _section_spans(data)
+        start, end = spans["starts"]
+        assert data[start:end] == bytes([0, 3, 5, 7])  # one byte per entry
+        start, end = spans["vocab"]
+        assert data[start:end] == b"brain\ncells\nend\ngrow\ngrows\nthe"
+
+    def test_every_prefix_is_a_data_error(self, tiny, tmp_path):
+        _index, data = tiny
+        path = tmp_path / "cut.idx"
+        for n in range(len(data)):
+            path.write_bytes(data[:n])
+            with pytest.raises(CorpusError):
+                CorpusIndex.load(path)
+
+    @pytest.mark.parametrize("part", ["magic", "version", "checksum", "table", *corpus._SECTIONS])
+    def test_a_flipped_byte_is_a_data_error(self, tiny, tmp_path, part):
+        _index, data = tiny
+        at = {"magic": 0, "version": 4, "checksum": 5, "table": 9}.get(part)
+        if at is None:
+            at = _section_spans(data)[part][0]
+        data = bytearray(data)
+        data[at] ^= 0x01
+        path = tmp_path / "flipped.idx"
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorpusError):
+            CorpusIndex.load(path)
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_inconsistent_columns_are_a_data_error(self, tiny, tmp_path, corruption):
+        index, _data = tiny
+        columns = _columns(index)
+        bad = CorpusIndex(**dict(columns, **CORRUPTIONS[corruption](columns)))
+        bad.save(tmp_path / "bad.idx")
+        with pytest.raises(CorpusError, match="index file is corrupt"):
+            CorpusIndex.load(tmp_path / "bad.idx")
+
+    def test_trailing_bytes_are_a_data_error(self, tiny, tmp_path):
+        _index, data = tiny
+        (tmp_path / "long.idx").write_bytes(data + b"\0")
+        with pytest.raises(CorpusError, match="trailing bytes"):
+            CorpusIndex.load(tmp_path / "long.idx")
+
+    def test_loaded_columns_equal_the_built_ones(self, tiny, tmp_path):
+        index, _data = tiny
+        loaded = CorpusIndex.load(tmp_path / "tiny.idx")
+        assert _columns(loaded) == _columns(index)
+        assert list(loaded.sentences()) == list(index.sentences())
+
+    def test_a_format_2_pickle_is_refused_unread(self, tmp_path):
+        proof, marker = tmp_path / "proof", tmp_path / "marker"
+        pickle.loads(pickle.dumps(_TouchOnUnpickle(proof), protocol=4))
+        assert proof.exists()  # the payload does run code when unpickled
+        path = tmp_path / "old.idx"
+        path.write_bytes(b"NPSX" + bytes([2]) + pickle.dumps(_TouchOnUnpickle(marker), protocol=4))
+        with pytest.raises(CorpusError, match="unsupported index format version 2") as err:
+            CorpusIndex.load(path)
+        assert "npstruct index" in str(err.value)
+        assert not marker.exists()
+
+
 class TestProvidersAndCache:
     def test_mapping_provider(self):
         provider = MappingProvider(
@@ -253,14 +389,16 @@ TAGGED_WORDS = st.lists(
 
 
 @settings(max_examples=60, deadline=None)
-@given(TAGGED_WORDS)
-@example([("U.S.", "N"), ("stem-cell", "N"), ("brain's", "N"), (".", "O")])
-def test_tagged_index_tokens_match_plain_index(tmp_path_factory, tagged_words):
+@given(TAGGED_WORDS, st.booleans())
+@example([("U.S.", "N"), ("stem-cell", "N"), ("brain's", "N"), (".", "O")], False)
+@example([("U.S.", "N"), ("stem-cell", "N"), ("brain's", "N"), (".", "O")], True)
+def test_tagged_index_tokens_match_plain_index(tmp_path_factory, tagged_words, reload):
     tmp = tmp_path_factory.mktemp("tagged")
     words = [w for w, _ in tagged_words]
     # The "x" line keeps the corpus nonempty when no word has a token.
-    tagged = make_index(tmp, [" ".join(f"{w}_{t}" for w, t in tagged_words), "x_N"], tagged=True)
-    plain = make_index(tmp, [" ".join(words), "x"], name="plain.txt")
+    lines = [" ".join(f"{w}_{t}" for w, t in tagged_words), "x_N"]
+    tagged = make_index(tmp, lines, tagged=True, reload=reload)
+    plain = make_index(tmp, [" ".join(words), "x"], name="plain.txt", reload=reload)
     assert [(s.raw, s.tokens) for s in tagged.sentences()] == [
         (s.raw, s.tokens) for s in plain.sentences()
     ]
@@ -269,11 +407,12 @@ def test_tagged_index_tokens_match_plain_index(tmp_path_factory, tagged_words):
 
 
 @settings(max_examples=60, deadline=None)
-@given(SENTENCES, st.integers(0, 10_000))
-def test_index_matches_naive_scanner(tmp_path_factory, sentences, seed):
+@given(SENTENCES, st.integers(0, 10_000), st.booleans())
+@example([["a", "b", "a"], ["b", "a"]], 0, True)
+def test_index_matches_naive_scanner(tmp_path_factory, sentences, seed, reload):
     tmp = tmp_path_factory.mktemp("hyp")
     lines = [" ".join(s) for s in sentences]
-    index = make_index(tmp, lines)
+    index = make_index(tmp, lines, reload=reload)
     rng = random.Random(seed)
     for _ in range(5):
         q = _random_query(rng)
@@ -317,14 +456,14 @@ ALT_SETS = st.frozensets(PHRASE_TOKENS, min_size=1, max_size=3)
 
 
 @settings(max_examples=80, deadline=None)
-@given(SENTENCES, st.lists(ALT_SETS, min_size=1, max_size=4), st.booleans())
-@example([["a", "b"], ["b", "c"]], [frozenset({"a"}), frozenset({"z"})], False)  # absent
-@example([["a", "b"], ["c"]], [frozenset({"a", "c"})], True)  # same set twice
-@example([["a", "b", "a"], ["b"]], [frozenset({"a"}), frozenset({"b"})], False)  # repeat
-@example([["c", "a"], ["b"], ["a"]], [frozenset({"a"})], False)  # single position
-def test_sentence_ids_match_naive_scan(tmp_path_factory, sentences, positions, twice):
+@given(SENTENCES, st.lists(ALT_SETS, min_size=1, max_size=4), st.booleans(), st.booleans())
+@example([["a", "b"], ["b", "c"]], [frozenset({"a"}), frozenset({"z"})], False, False)  # absent
+@example([["a", "b"], ["c"]], [frozenset({"a", "c"})], True, True)  # same set twice
+@example([["a", "b", "a"], ["b"]], [frozenset({"a"}), frozenset({"b"})], False, True)  # repeat
+@example([["c", "a"], ["b"], ["a"]], [frozenset({"a"})], False, False)  # single position
+def test_sentence_ids_match_naive_scan(tmp_path_factory, sentences, positions, twice, reload):
     tmp = tmp_path_factory.mktemp("sids")
-    index = make_index(tmp, [" ".join(s) for s in sentences])
+    index = make_index(tmp, [" ".join(s) for s in sentences], reload=reload)
     if twice:
         positions = positions + positions[:1]
     expected = [
@@ -378,16 +517,17 @@ def _expected_between(sentences, head, middles, tails):
     st.lists(PHRASE_TOKENS, min_size=1, max_size=3).map(tuple),
     st.lists(SHORT_RUNS, max_size=6),
     st.lists(SHORT_RUNS, max_size=5),
+    st.booleans(),
 )
 # Multiword middles sharing a first token, and the empty middle (no determiner).
-@example([["a", "b", "c", "d"], ["a", "d"]], ("a",), [("b",), ("b", "c"), ()], [("d",)])
-@example([["a", "b", "c"], ["x", "a", "b"]], ("a",), [("b",)], [("c",)])  # cut at the end
-@example([["a", "b", "b", "c"]], ("a",), [("b",), ("b", "b")], [("b",), ("c",)])  # tail starts a middle
-@example([["a", "b", "c", "d"]], ("a",), [("b",)], [("c",), ("c", "d"), (), ("c",)])  # mixed lengths
-@example([["a", "b"]], ("z",), [("b",)], [()])  # absent head
-def test_count_between_matches_naive_scanner(tmp_path_factory, sentences, head, middles, tails):
+@example([["a", "b", "c", "d"], ["a", "d"]], ("a",), [("b",), ("b", "c"), ()], [("d",)], False)
+@example([["a", "b", "c"], ["x", "a", "b"]], ("a",), [("b",)], [("c",)], True)  # cut at the end
+@example([["a", "b", "b", "c"]], ("a",), [("b",), ("b", "b")], [("b",), ("c",)], False)  # tail starts a middle
+@example([["a", "b", "c", "d"]], ("a",), [("b",)], [("c",), ("c", "d"), (), ("c",)], True)  # mixed lengths
+@example([["a", "b"]], ("z",), [("b",)], [()], False)  # absent head
+def test_count_between_matches_naive_scanner(tmp_path_factory, sentences, head, middles, tails, reload):
     tmp = tmp_path_factory.mktemp("between")
-    provider = IndexProvider(make_index(tmp, [" ".join(s) for s in sentences]))
+    provider = IndexProvider(make_index(tmp, [" ".join(s) for s in sentences], reload=reload))
     expected, phrases = _expected_between(sentences, head, middles, tails)
     trie = MiddleTrie(middles)
     assert provider.count_between(head, trie, tails) == expected

@@ -16,6 +16,7 @@ from npstruct.relsim import (
     PairFeature,
     SemevalExample,
     TfidfWeights,
+    _Reader,
     _sentence_pair_features,
     _sentence_paraphrase_verbs,
     dice,
@@ -179,11 +180,12 @@ def test_extractors_match_a_scan_of_every_sentence(tmp_path, small_lex):
         for _ in range(8):
             a, b = rng.choice(NOUNS), rng.choice(NOUNS)
             for x, y in ((a, b), (b, a)):
-                ix, iy = inflections(small_lex, x), inflections(small_lex, y)
+                ix, iy = (index.encode(inflections(small_lex, w)) for w in (x, y))
+                reader = _Reader(index)
                 features, verbs = Counter(), Counter()
-                for sent in index.sentences():
-                    features.update(_sentence_pair_features(sent, ix, iy, small_lex))
-                    verbs.update(_sentence_paraphrase_verbs(sent, iy, ix, small_lex))
+                for sid in range(len(index.sentences())):
+                    features.update(_sentence_pair_features(reader, sid, ix, iy, small_lex))
+                    verbs.update(_sentence_paraphrase_verbs(reader, sid, iy, ix, small_lex))
                 got = extract_pair_features(index, x, y, small_lex)
                 assert list(got.items()) == list(features.items())
                 got_verbs = extract_paraphrase_verbs(index, x, y, small_lex)
