@@ -2,7 +2,8 @@
 """Phrase counts and example sentences from a saved corpus index.
 
 Counts an exact phrase (optionally with a wildcard gap) and prints the
-sentences it occurs in.
+sentences it occurs in.  A missing or malformed index, or a bad query,
+prints ``error: ...`` to stderr and exits 2.
 
 Examples:
     python3 scripts/concordance.py --index corpus.idx brain stem cells
@@ -15,7 +16,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from npstruct.corpus import CorpusIndex, CountQuery
+from npstruct.cli import DATA_ERROR
+from npstruct.corpus import CorpusError, CorpusIndex, CountQuery
 
 
 def main() -> int:
@@ -30,16 +32,21 @@ def main() -> int:
     parser.add_argument("words", nargs="+", help="phrase words; use a|b for alternatives")
     args = parser.parse_args()
 
-    index = CorpusIndex.load(args.index)
-    positions = [frozenset(w.split("|")) for w in args.words]
-    if args.gap is None:
-        query = CountQuery.of(*positions)
-    else:
-        query = CountQuery.gapped(
-            positions[: args.split], positions[args.split :], *args.gap
-        )
-    print(f"{query.canonical()}\t{index.count(query)}")
-    for sentence in index.snippets(query, args.limit):
+    try:
+        index = CorpusIndex.load(args.index)
+        positions = [frozenset(w.split("|")) for w in args.words]
+        if args.gap is None:
+            query = CountQuery.of(*positions)
+        else:
+            query = CountQuery.gapped(
+                positions[: args.split], positions[args.split :], *args.gap
+            )
+        count, sentences = index.count(query), index.snippets(query, args.limit)
+    except (CorpusError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return DATA_ERROR
+    print(f"{query.canonical()}\t{count}")
+    for sentence in sentences:
         print(f"  {sentence}")
     return 0
 

@@ -24,10 +24,11 @@ import re
 import sys
 import zlib
 from array import array
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, islice, pairwise
+from itertools import accumulate, chain, compress, islice, pairwise, repeat
 from operator import add, le, lt, sub
 from pathlib import Path
 from struct import Struct
@@ -284,28 +285,47 @@ class CorpusIndex:
                 return []
         return sorted(common)
 
-    def _shifts(self, query: CountQuery, i: int) -> list[int]:
-        """Possible offsets of position ``i`` from the match start."""
-        if query.gap is None or i < query.split:
-            return [i]
-        lo, hi = query.gap
-        return [i + g for g in range(lo, hi + 1)]
+    def _matched_sentences(self, query: CountQuery, sets: list[frozenset[int]]) -> list[int]:
+        """The sentence id of each match of ``query``, one entry per match.
 
-    def _candidates(
-        self, query: CountQuery, sets: list[frozenset[int]]
-    ) -> Iterable[tuple[int, int]]:
-        """Distinct (sentence id, match start) pairs from the rarest query position."""
-        best = min(range(len(sets)), key=lambda i: self._size(sets[i]))
-        shifts = self._shifts(query, best)
-        if len(shifts) == 1:  # each position holds one id, so no start repeats
-            shift = shifts[0]
-            return [(sid, pos - shift) for i in sets[best] for sid, pos in self._occurrences(i)]
-        return {
-            (sid, pos - shift)
-            for i in sets[best]
-            for sid, pos in self._occurrences(i)
-            for shift in shifts
-        }
+        The query is checked as fixed layouts, one per gap width (a
+        gapless query has one), each an offset per position and a span;
+        its matches are those of all its layouts.  The candidates are the
+        stream positions of the rarest position's occurrences, which
+        every layout filters as a whole, one position at a time, rarest
+        first.  Only the survivors' sentence bounds are checked.
+        """
+        n = len(sets)
+        if query.gap is None:
+            split, widths = n, range(1)
+        else:
+            split, widths = query.split, range(query.gap[0], query.gap[1] + 1)
+        rare, *rest = sorted(range(n), key=lambda i: self._size(sets[i]))
+        ps, starts, stream = self._post_starts, self._starts, self._stream
+        anchors: list[int] = []
+        for i in sets[rare]:
+            a, b = ps[i], ps[i + 1]
+            sentence_starts = map(starts.__getitem__, self._post_sids[a:b])
+            anchors += map(add, sentence_starts, self._post_offsets[a:b])
+        first, last = min(anchors, default=0), max(anchors, default=0)
+        sids = []
+        for width in widths:
+            offsets = [j if j < split else j + width for j in range(n)]
+            lead, span = offsets[rare], offsets[-1] + 1
+            stop = len(stream) - (span - 1 - lead)
+            found = anchors
+            if first < lead or last >= stop:  # a layout running off the stream cannot match
+                found = [g for g in found if lead <= g < stop]
+            for j in rest:
+                if not found:
+                    break
+                tokens = map(stream.__getitem__, map(add, found, repeat(offsets[j] - lead)))
+                found = list(compress(found, map(sets[j].__contains__, tokens)))
+            for g in found:
+                k = bisect_right(starts, g)
+                if starts[k - 1] <= g - lead and g - lead + span <= starts[k]:
+                    sids.append(k - 1)
+        return sids
 
     def count(self, query: CountQuery) -> int:
         """Number of occurrences; overlapping matches all count."""
@@ -314,8 +334,7 @@ class CorpusIndex:
             return 0
         if query.gap is None and len(sets) == 1:
             return self._size(sets[0])
-        candidates = self._candidates(query, sets)
-        return sum(self._matches_at(sid, start, query, sets) for sid, start in candidates)
+        return len(self._matched_sentences(query, sets))
 
     def count_between(
         self,
@@ -361,30 +380,6 @@ class CorpusIndex:
                 i += 1
         return total
 
-    def _matches_at(
-        self, sid: int, start: int, query: CountQuery, sets: list[frozenset[int]]
-    ) -> int:
-        """Count matches of ``query`` from stream position ``start`` of sentence ``sid``."""
-        if start < self._starts[sid]:
-            return 0
-        end = self._starts[sid + 1]
-        stream = self._stream
-        if query.gap is None:
-            stop = start + len(sets)
-            return int(stop <= end and all(map(frozenset.__contains__, sets, stream[start:stop])))
-        left, right = sets[: query.split], sets[query.split :]
-        rstart = start + len(left)
-        if rstart > end or not all(map(frozenset.__contains__, left, stream[start:rstart])):
-            return 0
-        hits = 0
-        lo, hi = query.gap
-        for rstart in range(rstart + lo, rstart + hi + 1):
-            rend = rstart + len(right)
-            if rend > end:
-                break
-            hits += all(map(frozenset.__contains__, right, stream[rstart:rend]))
-        return hits
-
     def snippets(self, query: CountQuery, limit: int) -> list[str]:
         """Raw text of up to ``limit`` matching sentences, in corpus order."""
         if limit < 1:
@@ -392,11 +387,8 @@ class CorpusIndex:
         sets = self._id_sets(query.phrase)
         if sets is None:
             return []
-        found: set[int] = set()
-        for sid, start in self._candidates(query, sets):
-            if sid not in found and self._matches_at(sid, start, query, sets):
-                found.add(sid)
-        return [self._raw(sid) for sid in sorted(found)[:limit]]
+        sids = sorted(set(self._matched_sentences(query, sets)))
+        return [self._raw(sid) for sid in sids[:limit]]
 
     def save(self, path: str | Path) -> None:
         """Write the columns as one format-3 file (layout in the module docstring)."""

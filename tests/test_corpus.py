@@ -368,8 +368,9 @@ SENTENCES = st.lists(st.lists(TOKENS, min_size=1, max_size=10), min_size=1, max_
 
 
 def _random_query(rng: random.Random) -> CountQuery:
+    """A query of 1-5 positions; a gapped one may hold several on each side of its gap."""
     vocab = ["a", "b", "c", "d", "e"]
-    n = rng.randint(1, 3)
+    n = rng.randint(1, 5)
     positions = [
         frozenset(rng.sample(vocab, rng.randint(1, 2))) for _ in range(n)
     ]
@@ -406,17 +407,62 @@ def test_tagged_index_tokens_match_plain_index(tmp_path_factory, tagged_words, r
     assert tags == [t for w, t in tagged_words for _ in normalize_line(w)] + ["N"]
 
 
-@settings(max_examples=60, deadline=None)
-@given(SENTENCES, st.integers(0, 10_000), st.booleans())
-@example([["a", "b", "a"], ["b", "a"]], 0, True)
-def test_index_matches_naive_scanner(tmp_path_factory, sentences, seed, reload):
+def _random_queries(seed: int) -> list[CountQuery]:
+    rng = random.Random(seed)
+    return [_random_query(rng) for _ in range(5)]
+
+
+QUERIES = st.integers(0, 10_000).map(_random_queries)
+AB = frozenset({"a", "b"})
+
+
+def _built_and_reloaded(tmp_path_factory, sentences: list[list[str]]) -> list[CorpusIndex]:
     tmp = tmp_path_factory.mktemp("hyp")
     lines = [" ".join(s) for s in sentences]
-    index = make_index(tmp, lines, reload=reload)
-    rng = random.Random(seed)
-    for _ in range(5):
-        q = _random_query(rng)
-        assert index.count(q) == naive_count(sentences, q), q.canonical()
+    return [make_index(tmp, lines), make_index(tmp, lines, name="reloaded.txt", reload=True)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(SENTENCES, QUERIES)
+@example([["a", "b", "a"], ["b", "a"]], _random_queries(0))
+# A match ending on the stream's last token; the rarest position's layout runs past it.
+@example(
+    [["a", "b"], ["b", "c", "d"]],
+    [CountQuery.of("c", "d"), CountQuery.of("c", "d", "a"), CountQuery.gapped(["c"], ["d"], 0, 3)],
+)
+# The rarest token opens sentence 0, and the query has positions before it.
+@example(
+    [["e", "a", "b"], ["a", "b", "a"]],
+    [
+        CountQuery.of(AB, "e"),
+        CountQuery.of(AB, AB, AB, AB, "e"),
+        CountQuery.gapped([AB], ["e", AB], 0, 3),
+    ],
+)
+# Gaps of 0, with the rarest position on either side.
+@example(
+    [["a", "b", "c", "a"], ["c", "a", "b"]],
+    [
+        CountQuery.gapped(["a"], ["b"], 0, 0),
+        CountQuery.gapped(["c", "a"], [AB], 0, 2),
+        CountQuery.gapped([AB], ["c", "a"], 0, 1),
+    ],
+)
+def test_index_matches_naive_scanner(tmp_path_factory, sentences, queries):
+    for index in _built_and_reloaded(tmp_path_factory, sentences):
+        for q in queries:
+            assert index.count(q) == naive_count(sentences, q), q.canonical()
+
+
+@settings(max_examples=60, deadline=None)
+@given(SENTENCES, QUERIES, st.integers(1, 4))
+@example([["a", "b"], ["b", "a", "b"], ["a", "b"]], [CountQuery.gapped(["a"], ["b"], 0, 1)], 2)
+def test_snippets_match_naive_scanner(tmp_path_factory, sentences, queries, limit):
+    lines = [" ".join(s) for s in sentences]
+    for index in _built_and_reloaded(tmp_path_factory, sentences):
+        for q in queries:
+            expected = [line for line, s in zip(lines, sentences) if naive_count([s], q)]
+            assert index.snippets(q, limit) == expected[:limit], q.canonical()
 
 
 @settings(max_examples=40, deadline=None)

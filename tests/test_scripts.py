@@ -23,13 +23,17 @@ def index_file(tmp_path):
     return path
 
 
-def _script(name: str, *args: str) -> str:
+def _run(name: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, cwd=ROOT, check=False,
     )
+
+
+def _script(name: str, *args: str) -> str:
+    done = _run(name, *args)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -37,6 +41,24 @@ def _script(name: str, *args: str) -> str:
 def test_concordance_prints_count_then_sentences(index_file):
     out = _script("concordance.py", "--index", str(index_file), "brain", "stem")
     assert out.splitlines() == ["brain stem\t2", "  brain stem cells grew", "  the brain stem"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--index", "missing.idx", "brain"], "missing.idx"),
+        (["--index", "truncated.idx", "brain"], "truncated index file"),
+        (["--index", "corpus.idx", "--gap", "1", "2", "--split", "2", "brain", "stem"], "split"),
+        (["--index", "corpus.idx", "--limit", "0", "brain"], "limit"),
+    ],
+)
+def test_concordance_data_errors_exit_2(index_file, args, message):
+    (index_file.parent / "truncated.idx").write_bytes(index_file.read_bytes()[:100])
+    done = _run("concordance.py", *(str(index_file.parent / a) if a.endswith(".idx") else a for a in args))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and message in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_ablation_coord_has_an_ensemble_row(index_file):
