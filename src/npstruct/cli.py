@@ -259,10 +259,15 @@ def _cmd_relsim(args) -> int:
     lex = load_lexicon(args.lexicon)
     index = CorpusIndex.load(args.index)
     rows = []
-    for line in Path(args.pairs).read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(
+        Path(args.pairs).read_text(encoding="utf-8").splitlines(), start=1
+    ):
         if not line.strip():
             continue
-        noun1, noun2 = line.rstrip("\n").split("\t")[:2]
+        parts = line.split("\t")
+        if len(parts) < 2:
+            raise SystemExit_(DATA_ERROR, f"bad pair row on line {lineno}")
+        noun1, noun2 = parts[:2]
         rows.append((noun1, noun2, relsim.extract_pair_features(index, noun1, noun2, lex)))
     relsim.dump_pair_features(rows, args.out)
     return 0
@@ -279,13 +284,17 @@ def _cmd_sat(args) -> int:
     ):
         if not line.strip():
             continue
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) < 3:
-            raise SystemExit_(DATA_ERROR, f"bad analogy row on line {lineno}")
-        gold = int(parts[-1])
-        words = parts[:-1]
-        pairs = [tuple(w.split()) for w in words]
-        if any(len(p) != 2 for p in pairs):
+        parts = line.split("\t")
+        pairs = [tuple(w.split()) for w in parts[:-1]]
+        try:
+            gold = int(parts[-1])
+        except ValueError:
+            gold = -1
+        if (
+            not 2 <= len(pairs) <= 6
+            or any(len(p) != 2 for p in pairs)
+            or not 0 <= gold < len(pairs) - 1
+        ):
             raise SystemExit_(DATA_ERROR, f"bad analogy row on line {lineno}")
         stem, candidates = pairs[0], pairs[1:]
         choice = relsim.solve_sat(stem, candidates, index, lex)
@@ -310,13 +319,18 @@ def _parse_semeval(path: str) -> list[tuple[relsim.SemevalExample, bool]]:
             raise SystemExit_(DATA_ERROR, f"bad example on line {lineno}")
         sentence, e1, e2, relation, gold_field = parts[:5]
         query = parts[5] if len(parts) == 6 else ""
+        tokens = tuple(sentence.split())
         spans = []
         for span in (e1, e2):
             start, _, end = span.partition(":")
-            spans.append((int(start), int(end)))
-        example = relsim.SemevalExample(
-            tuple(sentence.split()), spans[0], spans[1], relation, query
-        )
+            try:
+                bounds = (int(start), int(end))
+            except ValueError:
+                bounds = (-1, -1)
+            if not 0 <= bounds[0] <= bounds[1] < len(tokens):
+                raise SystemExit_(DATA_ERROR, f"bad example on line {lineno}")
+            spans.append(bounds)
+        example = relsim.SemevalExample(tokens, spans[0], spans[1], relation, query)
         rows.append((example, gold_field == "true"))
     return rows
 

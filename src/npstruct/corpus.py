@@ -32,7 +32,7 @@ from itertools import accumulate, chain, compress, islice, pairwise, repeat
 from operator import add, le, lt, sub
 from pathlib import Path
 from struct import Struct
-from typing import Iterable, NamedTuple, Protocol
+from typing import Iterable, Protocol
 
 _MAGIC = b"NPSX"
 _FORMAT_VERSION = 3
@@ -118,12 +118,6 @@ def _normalize_positions(
     return tuple(out)
 
 
-class _Sentence(NamedTuple):
-    raw: str
-    tokens: tuple[str, ...]
-    tags: tuple[str, ...] | None = None
-
-
 class MiddleTrie:
     """Token trie over distinct middles, iterated in first-given order.
 
@@ -144,27 +138,6 @@ class MiddleTrie:
 
     def __iter__(self):
         return iter(self._middles)
-
-
-class _Sentences(Sequence):
-    """Read-only view of an index's sentences, each built when indexed."""
-
-    def __init__(self, index: "CorpusIndex"):
-        self._index = index
-        self._ids = range(len(index._starts) - 1)
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __getitem__(self, i: int) -> _Sentence:
-        index = self._index
-        sid = self._ids[i]  # IndexError past either end ends iteration
-        toks, tags = index.sentence_codes(sid)
-        return _Sentence(
-            index._raw(sid),
-            tuple(map(index.vocab.__getitem__, toks)),
-            tuple(map(index.tag_vocab.__getitem__, tags)) if index.tagged else None,
-        )
 
 
 class CorpusIndex:
@@ -231,21 +204,26 @@ class CorpusIndex:
         ids = self._ids
         return frozenset(ids[word] for word in words if word in ids)
 
-    def sentences(self) -> Sequence[_Sentence]:
-        return _Sentences(self)
+    @staticmethod
+    def _bounds(starts: array, sid: int) -> tuple[int, int]:
+        """``starts[sid]`` and ``starts[sid + 1]``; IndexError unless sentence ``sid`` exists."""
+        if not 0 <= sid < len(starts) - 1:
+            raise IndexError(f"sentence {sid} is outside the index")
+        return starts[sid], starts[sid + 1]
 
     def sentence_codes(self, sid: int) -> tuple[array, array]:
         """Token ids and tag ids of sentence ``sid``; the tag ids are empty untagged."""
-        a, b = self._starts[sid], self._starts[sid + 1]
+        a, b = self._bounds(self._starts, sid)
         return self._stream[a:b], self._tags[a:b]
 
     def total_tokens(self) -> int:
         return len(self._stream)
 
-    def _raw(self, sid: int) -> str:
-        raw = self._text[self._text_starts[sid] : self._text_starts[sid + 1]]
+    def text(self, sid: int) -> str:
+        """The raw text of sentence ``sid``, as ingested."""
+        a, b = self._bounds(self._text_starts, sid)
         try:
-            return raw.decode("utf-8")
+            return self._text[a:b].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorpusError(f"index file is corrupt: sentence {sid} is not UTF-8") from exc
 
@@ -388,7 +366,7 @@ class CorpusIndex:
         if sets is None:
             return []
         sids = sorted(set(self._matched_sentences(query, sets)))
-        return [self._raw(sid) for sid in sids[:limit]]
+        return [self.text(sid) for sid in sids[:limit]]
 
     def save(self, path: str | Path) -> None:
         """Write the columns as one format-3 file (layout in the module docstring)."""

@@ -77,5 +77,5 @@ def default_lexicon() -> MorphLexicon:
 
 
 def default_inventory() -> ParaphraseInventory:
-    """The bundled paraphrase inventory."""
-    return ParaphraseInventory.load(data_path("paraphrase_inventory.txt"))
+    """The default paraphrase inventory: ``paraphrase``'s word lists."""
+    return ParaphraseInventory()

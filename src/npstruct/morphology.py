@@ -22,6 +22,11 @@ PRONOUNS = frozenset(
     """i you he she it we they me him her us them
     myself yourself himself herself itself ourselves yourselves themselves""".split()
 )
+PREPOSITIONS = frozenset(
+    """of in on at by for with from to into onto about over under between
+    among through during against across behind beyond near toward towards
+    without within along around off up down out upon per via""".split()
+)
 
 BE_FORMS = frozenset("be is are was were am been being".split())
 HAVE_FORMS = frozenset("have has had having".split())
@@ -52,12 +57,11 @@ class MorphLexicon:
 
     forms_by_lemma: dict[str, frozenset[str]] = field(default_factory=dict)
     lemma_by_form: dict[str, str] = field(default_factory=dict)
-    source: str = "<builtin>"
 
     @classmethod
     def load(cls, path: str | Path) -> "MorphLexicon":
         """Read a lexicon TSV file."""
-        lex = cls(source=str(path))
+        lex = cls()
         text = Path(path).read_text(encoding="utf-8")
         for line in text.splitlines():
             line = line.strip()
@@ -71,7 +75,7 @@ class MorphLexicon:
     @classmethod
     def from_entries(cls, entries: dict[str, list[str]]) -> "MorphLexicon":
         """Build a lexicon from an in-memory mapping lemma -> forms."""
-        lex = cls(source="<memory>")
+        lex = cls()
         for lemma, forms in entries.items():
             lex.add(lemma.lower(), [f.lower() for f in forms])
         return lex

@@ -60,14 +60,20 @@ class PPQuad:
         object.__setattr__(self, "p", self.p.lower())
 
 
-def _noun_like(word: str) -> bool:
+def _word_class(word: str) -> str | None:
+    """The closed class of ``word`` (YEAR, NUM, PRO, ART, DET), or None for a noun."""
     w = word.lower()
-    return (
-        w not in PRONOUNS
-        and w not in DETERMINERS
-        and not _YEAR_RE.match(w)
-        and not _NUM_RE.match(w)
-    )
+    if _YEAR_RE.match(w):
+        return "YEAR"
+    if _NUM_RE.match(w):
+        return "NUM"
+    if w in PRONOUNS:
+        return "PRO"
+    if w in ARTICLES:
+        return "ART"
+    if w in OTHER_DETERMINERS:
+        return "DET"
+    return None
 
 
 def pp_ngram_decision(
@@ -140,7 +146,7 @@ def pp_paraphrase_decision(
     count = 0
     label = NOUN
     if pattern == 1:
-        if p == "to" or not _noun_like(quad.n1) or not _noun_like(quad.n2):
+        if p == "to" or _word_class(quad.n1) or _word_class(quad.n2):
             return abstain(name, "guard")
         count = provider.count(CountQuery.of(iv, DETERMINERS, i2, i1))
     elif pattern == 2:
@@ -189,22 +195,8 @@ def normalize_quad(quad: PPQuad, lex: MorphLexicon) -> PPQuad:
     other determiners DET; remaining nouns and the verb are
     lemmatized.
     """
-
-    def norm_noun(word: str) -> str:
-        w = word.lower()
-        if _YEAR_RE.match(w):
-            return "YEAR"
-        if _NUM_RE.match(w):
-            return "NUM"
-        if w in PRONOUNS:
-            return "PRO"
-        if w in ARTICLES:
-            return "ART"
-        if w in OTHER_DETERMINERS:
-            return "DET"
-        return lemma(lex, w)
-
-    return PPQuad(lemma(lex, quad.v.lower()), norm_noun(quad.n1), quad.p, norm_noun(quad.n2))
+    n1, n2 = (_word_class(w) or lemma(lex, w) for w in (quad.n1, quad.n2))
+    return PPQuad(lemma(lex, quad.v.lower()), n1, quad.p, n2)
 
 
 @dataclass

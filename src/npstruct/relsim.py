@@ -20,7 +20,16 @@ from typing import Iterator, Sequence
 
 from . import porter
 from .corpus import CorpusIndex
-from .morphology import BE_FORMS, DO_FORMS, HAVE_FORMS, MODALS, MorphLexicon, inflections, lemma
+from .morphology import (
+    BE_FORMS,
+    DO_FORMS,
+    HAVE_FORMS,
+    MODALS,
+    PREPOSITIONS,
+    MorphLexicon,
+    inflections,
+    lemma,
+)
 
 DIR_12 = "1->2"
 DIR_21 = "2->1"
@@ -39,11 +48,8 @@ IRREGULAR_PARTICIPLES = frozenset(
     woven begun sung won left lost meant felt said paid laid built""".split()
 )
 
-PREPOSITION_WORDS = frozenset(
-    """of in on at by for with from to into onto about over under between
-    among through during against across behind beyond near toward towards
-    without within along around off up down out upon per via like as""".split()
-)
+# Words a normalized human paraphrase may keep after its main verb.
+PREPOSITION_WORDS = PREPOSITIONS | {"like", "as"}
 
 
 @dataclass(frozen=True)
@@ -77,25 +83,19 @@ def _noun_runs(tags: Sequence, noun) -> list[tuple[int, int]]:
     return runs
 
 
-class _Reader:
-    """Reads a tagged index's sentences as token and tag ids.
+def _noun_tag(index: CorpusIndex) -> int | None:
+    """The id of the noun tag ``N`` in a tagged index, or None if no token has it."""
+    if not index.tagged:
+        raise ValueError("tags required")
+    return index.tag_vocab.index("N") if "N" in index.tag_vocab else None
 
-    The scans compare ids; only the words between matched nouns are
-    read back as (word, tag) strings.
-    """
 
-    def __init__(self, index: CorpusIndex):
-        if not index.tagged:
-            raise ValueError("tags required")
-        self.index = index
-        self.noun = index.tag_vocab.index("N") if "N" in index.tag_vocab else None
-        self.relativizers = index.encode(RELATIVIZERS)
-
-    def segment(
-        self, toks: Sequence[int], tags: Sequence[int], start: int, stop: int
-    ) -> list[tuple[str, str]]:
-        words, tag_names = self.index.vocab, self.index.tag_vocab
-        return [(words[toks[i]], tag_names[tags[i]]) for i in range(start, stop)]
+def _segment(
+    index: CorpusIndex, toks: Sequence[int], tags: Sequence[int], start: int, stop: int
+) -> list[tuple[str, str]]:
+    """Positions ``start:stop`` of a sentence read back as (word, tag) strings."""
+    words, tag_names = index.vocab, index.tag_vocab
+    return [(words[toks[i]], tag_names[tags[i]]) for i in range(start, stop)]
 
 
 def _verb_group(
@@ -155,24 +155,31 @@ def extract_pair_features(
     between them is classified as a verb (with optional preposition),
     a bare preposition, or a coordinating conjunction.
     """
-    reader = _Reader(index)
+    noun = _noun_tag(index)
     i1 = inflections(lex, noun1)
     i2 = inflections(lex, noun2)
     ids1, ids2 = index.encode(i1), index.encode(i2)
     return Counter(chain.from_iterable(
-        _sentence_pair_features(reader, sid, ids1, ids2, lex) for sid in index.sentence_ids(i1, i2)
+        _sentence_pair_features(index, noun, sid, ids1, ids2, lex)
+        for sid in index.sentence_ids(i1, i2)
     ))
 
 
 def _sentence_pair_features(
-    reader: _Reader, sid: int, i1: frozenset[int], i2: frozenset[int], lex: MorphLexicon
+    index: CorpusIndex,
+    noun: int | None,
+    sid: int,
+    i1: frozenset[int],
+    i2: frozenset[int],
+    lex: MorphLexicon,
 ) -> Iterator[PairFeature]:
     """The joining features of one tagged sentence, in sentence order.
 
-    ``i1`` and ``i2`` are the token ids of the two nouns' inflections.
+    ``noun`` is the noun tag's id, and ``i1`` and ``i2`` are the token
+    ids of the two nouns' inflections.
     """
-    toks, tags = reader.index.sentence_codes(sid)
-    runs = _noun_runs(tags, reader.noun)
+    toks, tags = index.sentence_codes(sid)
+    runs = _noun_runs(tags, noun)
     heads = [toks[end] for _start, end in runs]
     for (run_a, head_a), (run_b, head_b) in zip(
         zip(runs, heads), zip(runs[1:], heads[1:])
@@ -185,7 +192,7 @@ def _sentence_pair_features(
             continue
         if not 0 < run_b[0] - run_a[1] - 1 <= 8:
             continue
-        between = reader.segment(toks, tags, run_a[1] + 1, run_b[0])
+        between = _segment(index, toks, tags, run_a[1] + 1, run_b[0])
         if any(tag == "S" for _w, tag in between):
             continue
         feat = _classify_connector(between, lex)
@@ -233,27 +240,34 @@ def extract_paraphrase_verbs(
     something non-nominal has to follow it.  Only sentences holding
     the head, a complementizer and the modifier are scanned.
     """
-    reader = _Reader(index)
+    noun, relativizers = _noun_tag(index), index.encode(RELATIVIZERS)
     ih = inflections(lex, head)
     im = inflections(lex, modifier)
     ids_h, ids_m = index.encode(ih), index.encode(im)
     return Counter(chain.from_iterable(
-        _sentence_paraphrase_verbs(reader, sid, ids_h, ids_m, lex)
+        _sentence_paraphrase_verbs(index, noun, relativizers, sid, ids_h, ids_m, lex)
         for sid in index.sentence_ids(ih, RELATIVIZERS, im)
     ))
 
 
 def _sentence_paraphrase_verbs(
-    reader: _Reader, sid: int, ih: frozenset[int], im: frozenset[int], lex: MorphLexicon
+    index: CorpusIndex,
+    noun: int | None,
+    relativizers: frozenset[int],
+    sid: int,
+    ih: frozenset[int],
+    im: frozenset[int],
+    lex: MorphLexicon,
 ) -> Iterator[str]:
     """The relative-clause paraphrase verbs of one tagged sentence, in order.
 
-    ``ih`` and ``im`` are the token ids of the head's and the modifier's inflections.
+    ``noun`` is the noun tag's id, ``relativizers`` the ids of
+    ``RELATIVIZERS``, and ``ih`` and ``im`` the token ids of the head's
+    and the modifier's inflections.
     """
-    toks, tags = reader.index.sentence_codes(sid)
-    noun = reader.noun
+    toks, tags = index.sentence_codes(sid)
     for i, tok in enumerate(toks[:-2]):
-        if tok not in ih or toks[i + 1] not in reader.relativizers:
+        if tok not in ih or toks[i + 1] not in relativizers:
             continue
         for j in range(i + 2, min(i + 2 + 9, len(toks))):
             if toks[j] not in im:
@@ -263,7 +277,7 @@ def _sentence_paraphrase_verbs(
                 continue
             if noun in tags[i + 2 : j]:
                 continue
-            clause = reader.segment(toks, tags, i + 2, j)
+            clause = _segment(index, toks, tags, i + 2, j)
             groups = _vp_count(clause)
             if groups != 1:
                 continue
@@ -351,12 +365,6 @@ def knn_classify(train: list[tuple[dict, str]], query: dict) -> str | None:
     return None
 
 
-def pair_vector(
-    index: CorpusIndex, pair: tuple[str, str], lex: MorphLexicon
-) -> dict:
-    return dict(extract_pair_features(index, pair[0], pair[1], lex))
-
-
 def solve_sat(
     stem_pair: tuple[str, str],
     candidates: list[tuple[str, str]],
@@ -370,7 +378,7 @@ def solve_sat(
     """
     if not 1 <= len(candidates) <= 5:
         raise ValueError("need 1..5 candidate pairs")
-    vectors = [pair_vector(index, p, lex) for p in [stem_pair, *candidates]]
+    vectors = [dict(extract_pair_features(index, *p, lex)) for p in [stem_pair, *candidates]]
     weights = TfidfWeights.fit(vectors)
     weighted = [weights.weight(v) for v in vectors]
     stem_vec, cand_vecs = weighted[0], weighted[1:]

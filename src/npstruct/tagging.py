@@ -15,12 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .morphology import AUXILIARIES, DETERMINERS, MODALS, PRONOUNS, MorphLexicon, lemma
-
-PREPOSITIONS = frozenset(
-    """of in on at by for with from to into onto about over under between
-    among through during against across behind beyond near toward towards
-    without within along around off up down out upon per via""".split()
+from .morphology import (
+    AUXILIARIES,
+    DETERMINERS,
+    MODALS,
+    PREPOSITIONS,
+    PRONOUNS,
+    MorphLexicon,
+    lemma,
 )
 
 COORDINATORS = frozenset({"and", "or", "but", "nor"})

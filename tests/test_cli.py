@@ -244,6 +244,45 @@ class TestRelsimCommands:
         assert run(["sat", "--index", str(idx), "--dataset", str(dataset)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "a b\tc d\t7",
+            "a b\tc d\t-1",
+            "a b\tc d\tx",
+            "a b\t" + "c d\t" * 6 + "0",
+        ],
+        ids=["gold-past-candidates", "negative-gold", "gold-not-an-integer", "six-candidates"],
+    )
+    def test_sat_row_outside_the_format_names_its_line(self, tmp_path, capsys, row):
+        idx = self._tagged_index(tmp_path)
+        dataset = tmp_path / "sat.tsv"
+        dataset.write_text(f"committee member\tteam player\t0\n{row}\n", encoding="utf-8")
+        assert run(["sat", "--index", str(idx), "--dataset", str(dataset)]) == 2
+        assert capsys.readouterr().err == "bad analogy row on line 2\n"
+
+    def test_relsim_row_with_one_column_names_its_line(self, tmp_path, capsys):
+        idx = self._tagged_index(tmp_path)
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("committee\tmember\n\nteam\n", encoding="utf-8")
+        out = tmp_path / "features.tsv"
+        code = run(["relsim", "--index", str(idx), "--pairs", str(pairs), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "bad pair row on line 3\n"
+
+    @pytest.mark.parametrize("span", ["0:3", "3:3", "0:x", "x", "-1:0", "2:1", "0:1:2"])
+    def test_semeval_span_outside_the_sentence_names_its_line(self, tmp_path, capsys, span):
+        train = tmp_path / "train.tsv"
+        train.write_text(
+            "committees hold meetings\t0:0\t2:2\trel\ttrue\n"
+            f"players ignore rules\t0:0\t{span}\trel\tfalse\n",
+            encoding="utf-8",
+        )
+        test = tmp_path / "test.tsv"
+        test.write_text("committees hold sessions\t0:0\t2:2\trel\ttrue\n", encoding="utf-8")
+        assert run(["semeval", "--train", str(train), "--test", str(test)]) == 2
+        assert capsys.readouterr().err == "bad example on line 2\n"
+
     def test_semeval(self, tmp_path, capsys):
         train = tmp_path / "train.tsv"
         train.write_text(

@@ -58,13 +58,25 @@ class TestCountQuery:
 class TestIngestion:
     def test_normalization(self, tmp_path):
         index = make_index(tmp_path, ["The brain's stem-cells, too!"])
-        (sent,) = index.sentences()
-        assert sent.tokens == ("the", "brain", "s", "stem", "cells", "too")
+        toks, tags = index.sentence_codes(0)
+        assert [index.vocab[t] for t in toks] == ["the", "brain", "s", "stem", "cells", "too"]
+        assert not tags
+        assert index.text(0) == "The brain's stem-cells, too!"
         assert index.total_tokens() == 6
 
     def test_blank_and_punctuation_only_lines_skipped(self, tmp_path):
         index = make_index(tmp_path, ["a b", "", "...", "c"])
-        assert len(index.sentences()) == 2
+        assert [index.text(sid) for sid in range(2)] == ["a b", "c"]
+        with pytest.raises(IndexError):
+            index.text(2)
+
+    @pytest.mark.parametrize("sid", [-2, -1, 2, 3])
+    def test_sentence_accessors_reject_sids_outside_the_index(self, tmp_path, sid):
+        index = make_index(tmp_path, ["a b", "c"])
+        with pytest.raises(IndexError):
+            index.text(sid)
+        with pytest.raises(IndexError):
+            index.sentence_codes(sid)
 
     def test_empty_corpus_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -75,10 +87,12 @@ class TestIngestion:
     def test_tagged_corpus(self, tmp_path):
         index = make_index(tmp_path, ["The_D U.S._N stem-cell_N committee_N met_V ._O"], tagged=True)
         assert index.tagged
-        (sent,) = index.sentences()
-        assert sent.raw == "The U.S. stem-cell committee met ."
-        assert sent.tokens == ("the", "u", "s", "stem", "cell", "committee", "met")
-        assert sent.tags == ("D", "N", "N", "N", "N", "N", "V")
+        toks, tags = index.sentence_codes(0)
+        assert index.text(0) == "The U.S. stem-cell committee met ."
+        assert [index.vocab[t] for t in toks] == ["the", "u", "s", "stem", "cell", "committee", "met"]
+        assert [index.tag_vocab[t] for t in tags] == ["D", "N", "N", "N", "N", "N", "V"]
+        with pytest.raises(IndexError):
+            index.sentence_codes(1)
 
     def test_malformed_tagged_token_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -329,7 +343,9 @@ class TestMalformedFiles:
         index, _data = tiny
         loaded = CorpusIndex.load(tmp_path / "tiny.idx")
         assert _columns(loaded) == _columns(index)
-        assert list(loaded.sentences()) == list(index.sentences())
+        for sid in range(len(TINY_TAGGED)):
+            assert loaded.text(sid) == index.text(sid)
+            assert loaded.sentence_codes(sid) == index.sentence_codes(sid)
 
     def test_a_format_2_pickle_is_refused_unread(self, tmp_path):
         proof, marker = tmp_path / "proof", tmp_path / "marker"
@@ -400,10 +416,16 @@ def test_tagged_index_tokens_match_plain_index(tmp_path_factory, tagged_words, r
     lines = [" ".join(f"{w}_{t}" for w, t in tagged_words), "x_N"]
     tagged = make_index(tmp, lines, tagged=True, reload=reload)
     plain = make_index(tmp, [" ".join(words), "x"], name="plain.txt", reload=reload)
-    assert [(s.raw, s.tokens) for s in tagged.sentences()] == [
-        (s.raw, s.tokens) for s in plain.sentences()
-    ]
-    tags = [t for s in tagged.sentences() for t in s.tags]
+    # The first line is a sentence only if one of its words holds a token.
+    sids = range(1 + bool(normalize_line(" ".join(words))))
+    for index in (tagged, plain):
+        with pytest.raises(IndexError):
+            index.text(len(sids))
+    assert [tagged.text(sid) for sid in sids] == [plain.text(sid) for sid in sids]
+    assert tagged.vocab == plain.vocab
+    codes = [tagged.sentence_codes(sid) for sid in sids]
+    assert [toks for toks, _tags in codes] == [plain.sentence_codes(sid)[0] for sid in sids]
+    tags = [tagged.tag_vocab[t] for _toks, sentence_tags in codes for t in sentence_tags]
     assert tags == [t for w, t in tagged_words for _ in normalize_line(w)] + ["N"]
 
 
@@ -512,10 +534,11 @@ def test_sentence_ids_match_naive_scan(tmp_path_factory, sentences, positions, t
     index = make_index(tmp, [" ".join(s) for s in sentences], reload=reload)
     if twice:
         positions = positions + positions[:1]
+    # Every written sentence holds a token, so its line number is its id.
     expected = [
         sid
-        for sid, sent in enumerate(index.sentences())
-        if all(alts & set(sent.tokens) for alts in positions)
+        for sid, sent in enumerate(sentences)
+        if all(alts & set(sent) for alts in positions)
     ]
     got = index.sentence_ids(*positions)
     assert got == expected

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from npstruct.assoc import NounTriple
-from npstruct.datasets import biomedical_bracketing, data_path, default_inventory, default_lexicon
+from npstruct.datasets import biomedical_bracketing, default_inventory, default_lexicon
 from npstruct.decisions import ABSTAIN, LEFT, RIGHT
 from npstruct.paraphrase import (
     COPULAS,
@@ -26,15 +26,6 @@ def test_inventory_sizes():
     assert len(VERBAL_PREPOSITIONS) == 16
     assert len(DETERMINERS) == 12
     assert len(COPULAS) == 4
-
-
-def test_bundled_inventory_matches_defaults():
-    loaded = ParaphraseInventory.load(data_path("paraphrase_inventory.txt"))
-    default = ParaphraseInventory()
-    assert set(loaded.prepositions) == set(default.prepositions)
-    assert set(loaded.determiners) == set(default.determiners)
-    assert set(loaded.complementizers) == set(default.complementizers)
-    assert set(loaded.copulas) == set(default.copulas)
 
 
 def test_inventory_rejects_orphan_items(tmp_path):

@@ -12,11 +12,11 @@ from npstruct.morphology import inflections
 from npstruct.relsim import (
     DIR_12,
     DIR_21,
+    RELATIVIZERS,
     BinaryScores,
     PairFeature,
     SemevalExample,
     TfidfWeights,
-    _Reader,
     _sentence_pair_features,
     _sentence_paraphrase_verbs,
     dice,
@@ -25,7 +25,6 @@ from npstruct.relsim import (
     extract_paraphrase_verbs,
     knn_classify,
     normalize_human_verb,
-    pair_vector,
     score_binary,
     semeval_classify,
     semeval_vector,
@@ -174,18 +173,21 @@ def test_extractors_match_a_scan_of_every_sentence(tmp_path, small_lex):
     found_features = found_verbs = 0
     for seed in range(6):
         rng = random.Random(seed)
-        index = tagged_index(
-            tmp_path, _random_sentences(rng, 80), small_lex, name=f"rand{seed}.txt"
-        )
+        sentences = _random_sentences(rng, 80)
+        index = tagged_index(tmp_path, sentences, small_lex, name=f"rand{seed}.txt")
+        noun = index.tag_vocab.index("N")
+        relativizers = index.encode(RELATIVIZERS)
         for _ in range(8):
             a, b = rng.choice(NOUNS), rng.choice(NOUNS)
             for x, y in ((a, b), (b, a)):
                 ix, iy = (index.encode(inflections(small_lex, w)) for w in (x, y))
-                reader = _Reader(index)
                 features, verbs = Counter(), Counter()
-                for sid in range(len(index.sentences())):
-                    features.update(_sentence_pair_features(reader, sid, ix, iy, small_lex))
-                    verbs.update(_sentence_paraphrase_verbs(reader, sid, iy, ix, small_lex))
+                # Every sentence written holds a token, so each is one sentence id.
+                for sid in range(len(sentences)):
+                    features.update(_sentence_pair_features(index, noun, sid, ix, iy, small_lex))
+                    verbs.update(_sentence_paraphrase_verbs(
+                        index, noun, relativizers, sid, iy, ix, small_lex
+                    ))
                 got = extract_pair_features(index, x, y, small_lex)
                 assert list(got.items()) == list(features.items())
                 got_verbs = extract_paraphrase_verbs(index, x, y, small_lex)
@@ -309,7 +311,7 @@ class TestSat:
 
     def test_pair_vector(self, tmp_path, small_lex):
         index = self._index(tmp_path, small_lex)
-        vec = pair_vector(index, ("committee", "member"), small_lex)
+        vec = dict(extract_pair_features(index, "committee", "member", small_lex))
         assert vec[PairFeature("include", "V", DIR_12)] == 3
 
 

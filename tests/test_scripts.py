@@ -50,6 +50,15 @@ def test_concordance_prints_count_then_sentences(index_file):
         (["--index", "truncated.idx", "brain"], "truncated index file"),
         (["--index", "corpus.idx", "--gap", "1", "2", "--split", "2", "brain", "stem"], "split"),
         (["--index", "corpus.idx", "--limit", "0", "brain"], "limit"),
+        (["--index", "corpus.idx", "--split", "1", "brain", "stem"], "--split needs --gap"),
+        (["--index", "corpus.idx", "--split", "5", "brain", "stem"], "--split needs --gap"),
+        (["--index", "corpus.idx", "--gap", "0", "2", "--split", "-1", "brain", "stem", "cells"],
+         "--split -1"),
+        (["--index", "corpus.idx", "--gap", "0", "2", "--split", "0", "brain", "stem"], "--split 0"),
+        (["--index", "corpus.idx", "--gap", "0", "2", "--split", "3", "brain", "stem", "cells"],
+         "--split 3"),
+        # The default split of 1 leaves no word after the gap.
+        (["--index", "corpus.idx", "--gap", "0", "2", "brain"], "--split 1"),
     ],
 )
 def test_concordance_data_errors_exit_2(index_file, args, message):
@@ -59,6 +68,11 @@ def test_concordance_data_errors_exit_2(index_file, args, message):
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and message in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_concordance_gap_splits_after_the_first_word_by_default(index_file):
+    args = ["--index", str(index_file), "--gap", "0", "1", "brain", "stem", "cells"]
+    assert _script("concordance.py", *args).splitlines()[0] == "brain *{0,1} stem cells\t2"
 
 
 def test_ablation_coord_has_an_ensemble_row(index_file):
