@@ -6,7 +6,10 @@ Takes ``bracket``, ``ppattach`` or ``coord`` with the same flags as the
 and silence left unresolved, then all of them together with the
 subcommand's default label, and prints one evaluation row per run plus
 pairwise significance tests.  ``bracket`` and ``coord`` read the
-bundled evaluation sets unless ``--dataset`` is given.
+bundled evaluation sets unless ``--dataset`` is given.  Exit codes
+and error messages are those of ``npstruct``: a missing file prints
+``missing file: PATH`` and a bad row names its line, both with exit
+code 2.
 
 Example:
     python3 scripts/ablation.py bracket --index corpus.idx --preset biomedical
@@ -24,25 +27,18 @@ from npstruct.corpus import CorpusIndex, IndexProvider
 BUNDLED = {"bracket": "bracketing_biomedical.tsv", "coord": "coordination_treebank.tsv"}
 
 
-def main(argv: list[str]) -> int:
-    if argv and argv[0] in BUNDLED and "--dataset" not in argv:
-        argv = [*argv, "--dataset", str(datasets.data_path(BUNDLED[argv[0]]))]
-    try:
-        args = cli.build_parser().parse_args(argv)
-    except cli.SystemExit_ as exc:
-        print(exc.message, file=sys.stderr)
-        return exc.code
+def ablate(argv: list[str]) -> int:
+    args = cli.build_parser().parse_args(argv)
     task = cli.TASKS.get(args.command)
     if task is None:
-        print(f"not a voting subcommand: {args.command}", file=sys.stderr)
-        return cli.USAGE_ERROR
+        raise cli.SystemExit_(f"not a voting subcommand: {args.command}")
 
     voters = cli.voter_names(args)
     runs = {name: task.decider(args, (name,), None) for name in voters}
     runs["ensemble"] = task.decider(args, voters, cli.default_label(args))
-    provider = IndexProvider(CorpusIndex.load(args.index))
     lex = cli.load_lexicon(args.lexicon)
     rows = task.rows.load(args.dataset)
+    provider = IndexProvider(CorpusIndex.load(args.index))
     items = [item for item, _ in rows]
     gold = [label for _, label in rows]
     reports = {
@@ -51,6 +47,12 @@ def main(argv: list[str]) -> int:
     }
     print(stats.comparison_table(reports))
     return 0
+
+
+def main(argv: list[str]) -> int:
+    if argv and argv[0] in BUNDLED and "--dataset" not in argv:
+        argv = [*argv, "--dataset", str(datasets.data_path(BUNDLED[argv[0]]))]
+    return cli.guard(ablate, argv)
 
 
 if __name__ == "__main__":

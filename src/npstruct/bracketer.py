@@ -32,7 +32,6 @@ class VoteConfig:
     voters: tuple[str, ...] = DEFAULT_VOTERS
     default: str | None = LEFT
     margin: float = 0.0
-    snippet_limit: int = 1000
 
     def __post_init__(self) -> None:
         check_voters(self.voters, VOTERS)
@@ -81,7 +80,7 @@ def _paraphrases(triple, provider, lex, config, inventory) -> Decision:
 
 
 def _surface(triple, provider, lex, config, inventory) -> Decision:
-    snippets = triple_snippets(provider, lex, triple, config.snippet_limit)
+    snippets = triple_snippets(provider, lex, triple, surface.SNIPPET_LIMIT)
     decision, _tally = surface.surface_vote(snippets, triple, lex)
     return decision
 

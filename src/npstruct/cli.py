@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import bracketer, coordination, datasets, ppattach, relsim, stats
-from .corpus import CorpusError, CorpusIndex, IndexProvider, IngestConfig, build_index
+from .corpus import CorpusIndex, IndexProvider, IngestConfig, build_index
 from .decisions import LEFT, RIGHT
 from .morphology import MorphLexicon
 from .paraphrase import ParaphraseInventory
@@ -27,21 +27,14 @@ def _bracketer(args, voters: tuple[str, ...], default: str | None):
         if args.inventory
         else datasets.default_inventory()
     )
-    config = bracketer.VoteConfig(
-        voters=voters,
-        default=default,
-        margin=args.margin,
-        snippet_limit=args.snippet_limit,
-    )
+    config = bracketer.VoteConfig(voters=voters, default=default, margin=args.margin)
     return lambda items, provider, lex: [
         bracketer.bracket(t, provider, lex, config, inv) for t in items
     ]
 
 
 def _pp_attacher(args, voters: tuple[str, ...], default: str | None):
-    config = ppattach.PPVoteConfig(
-        voters=voters, default=default, snippet_limit=args.snippet_limit
-    )
+    config = ppattach.PPVoteConfig(voters=voters, default=default)
     if args.bootstrap:
         return lambda items, provider, lex: ppattach.pp_bootstrap(
             items, provider, lex, config
@@ -53,10 +46,7 @@ def _pp_attacher(args, voters: tuple[str, ...], default: str | None):
 
 def _coordinator(args, voters: tuple[str, ...], default: str | None):
     config = coordination.CoordVoteConfig(
-        voters=voters,
-        default=default,
-        threshold=args.threshold,
-        snippet_limit=args.snippet_limit,
+        voters=voters, default=default, threshold=args.threshold
     )
     return lambda items, provider, lex: [
         coordination.coord_pipeline(q, provider, lex, config) for q in items
@@ -67,11 +57,11 @@ def _coordinator(args, voters: tuple[str, ...], default: str | None):
 class Task:
     """A voting subcommand: its dataset rows, config, flags and report.
 
-    The config class's defaults are the defaults of ``--voters``,
-    ``--default`` and ``--snippet-limit``, and the row format's labels
-    are the choices of ``--default``.  ``decider(args, voters, default)``
-    builds the config, which rejects unknown voters, and returns a
-    function deciding a list of items against a provider and a lexicon.
+    The config class's defaults are the defaults of ``--voters`` and
+    ``--default``, and the row format's labels are the choices of
+    ``--default``.  ``decider(args, voters, default)`` builds the
+    config, which rejects unknown voters, and returns a function
+    deciding a list of items against a provider and a lexicon.
     A report line holds the item's dataset columns, the per-voter labels
     when ``show_votes`` is set, and the final label.
     """
@@ -117,13 +107,11 @@ TASKS = {
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: A003 - argparse API
         self.print_usage(sys.stderr)
-        raise SystemExit_(USAGE_ERROR, message)
+        raise SystemExit_(message)
 
 
 class SystemExit_(Exception):
-    def __init__(self, code: int, message: str = ""):
-        self.code = code
-        self.message = message
+    """A usage error: the command line does not parse."""
 
 
 def build_parser() -> _Parser:
@@ -149,7 +137,6 @@ def build_parser() -> _Parser:
             choices=(*task.rows.labels.values(), "none"),
             default=defaults.default,
         )
-        p.add_argument("--snippet-limit", type=int, default=defaults.snippet_limit)
         p.add_argument("--voters", default=",".join(defaults.voters))
         p.set_defaults(preset=None)  # only bracketing has a --preset flag
         for flag, options in task.flags:
@@ -195,16 +182,7 @@ def load_lexicon(path: str | None) -> MorphLexicon:
 
 
 def _read_labels(path: str) -> list[str]:
-    labels = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            labels.append(line.rstrip("\n").split("\t")[-1])
-    return labels
-
-
-def _require(path: str | None) -> None:
-    if path is not None and not Path(path).exists():
-        raise SystemExit_(DATA_ERROR, f"missing file: {path}")
+    return datasets.read_rows(path, lambda parts: parts[-1], "label row")
 
 
 def _write_report(path: str | None, lines: list[str]) -> None:
@@ -216,7 +194,6 @@ def _write_report(path: str | None, lines: list[str]) -> None:
 
 
 def _cmd_index(args) -> int:
-    _require(args.corpus)
     index = build_index(args.corpus, IngestConfig(tagged=args.tagged))
     index.save(args.out)
     print(f"indexed {index.total_tokens()} tokens")
@@ -236,12 +213,10 @@ def default_label(args) -> str | None:
 
 def _cmd_vote(args) -> int:
     task = TASKS[args.command]
-    for path in (args.index, args.dataset):
-        _require(path)
     lex = load_lexicon(args.lexicon)
     decide = task.decider(args, voter_names(args), default_label(args))
-    provider = IndexProvider(CorpusIndex.load(args.index))
     rows = task.rows.load(args.dataset)
+    provider = IndexProvider(CorpusIndex.load(args.index))
     results = decide([item for item, _ in rows], provider, lex)
     lines = []
     for r in results:
@@ -253,50 +228,43 @@ def _cmd_vote(args) -> int:
     return 0
 
 
+def _pair(parts: list[str]) -> tuple[str, str]:
+    if len(parts) < 2:
+        raise ValueError
+    return parts[0], parts[1]
+
+
 def _cmd_relsim(args) -> int:
-    for path in (args.index, args.pairs):
-        _require(path)
+    pairs = datasets.read_rows(args.pairs, _pair, "pair row")
     lex = load_lexicon(args.lexicon)
     index = CorpusIndex.load(args.index)
-    rows = []
-    for lineno, line in enumerate(
-        Path(args.pairs).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) < 2:
-            raise SystemExit_(DATA_ERROR, f"bad pair row on line {lineno}")
-        noun1, noun2 = parts[:2]
-        rows.append((noun1, noun2, relsim.extract_pair_features(index, noun1, noun2, lex)))
+    rows = [
+        (noun1, noun2, relsim.extract_pair_features(index, noun1, noun2, lex))
+        for noun1, noun2 in pairs
+    ]
     relsim.dump_pair_features(rows, args.out)
     return 0
 
 
+def _analogy(parts: list[str]) -> tuple[str, tuple, list[tuple], int]:
+    """A SAT row: the row text, stem pair, 1-5 candidate pairs and gold index."""
+    pairs = [tuple(w.split()) for w in parts[:-1]]
+    gold = int(parts[-1])
+    if (
+        not 2 <= len(pairs) <= 6
+        or any(len(p) != 2 for p in pairs)
+        or not 0 <= gold < len(pairs) - 1
+    ):
+        raise ValueError
+    return "\t".join(parts), pairs[0], pairs[1:], gold
+
+
 def _cmd_sat(args) -> int:
-    for path in (args.index, args.dataset):
-        _require(path)
+    analogies = datasets.read_rows(args.dataset, _analogy, "analogy row")
     lex = load_lexicon(args.lexicon)
     index = CorpusIndex.load(args.index)
     lines, correct, answered = [], 0, 0
-    for lineno, line in enumerate(
-        Path(args.dataset).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        pairs = [tuple(w.split()) for w in parts[:-1]]
-        try:
-            gold = int(parts[-1])
-        except ValueError:
-            gold = -1
-        if (
-            not 2 <= len(pairs) <= 6
-            or any(len(p) != 2 for p in pairs)
-            or not 0 <= gold < len(pairs) - 1
-        ):
-            raise SystemExit_(DATA_ERROR, f"bad analogy row on line {lineno}")
-        stem, candidates = pairs[0], pairs[1:]
+    for line, stem, candidates, gold in analogies:
         choice = relsim.solve_sat(stem, candidates, index, lex)
         if choice is not None:
             answered += 1
@@ -307,42 +275,32 @@ def _cmd_sat(args) -> int:
     return 0
 
 
-def _parse_semeval(path: str) -> list[tuple[relsim.SemevalExample, bool]]:
-    rows = []
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) not in (5, 6) or parts[4] not in ("true", "false"):
-            raise SystemExit_(DATA_ERROR, f"bad example on line {lineno}")
-        sentence, e1, e2, relation, gold_field = parts[:5]
-        query = parts[5] if len(parts) == 6 else ""
-        tokens = tuple(sentence.split())
-        spans = []
-        for span in (e1, e2):
-            start, _, end = span.partition(":")
-            try:
-                bounds = (int(start), int(end))
-            except ValueError:
-                bounds = (-1, -1)
-            if not 0 <= bounds[0] <= bounds[1] < len(tokens):
-                raise SystemExit_(DATA_ERROR, f"bad example on line {lineno}")
-            spans.append(bounds)
-        example = relsim.SemevalExample(tokens, spans[0], spans[1], relation, query)
-        rows.append((example, gold_field == "true"))
-    return rows
+def _example(parts: list[str]) -> tuple[relsim.SemevalExample, bool]:
+    """One SemEval example and its gold label.
+
+    Columns: sentence, two ``start:end`` entity spans, relation,
+    ``true`` or ``false``, and optionally a query.
+    """
+    if len(parts) not in (5, 6) or parts[4] not in ("true", "false"):
+        raise ValueError
+    sentence, e1, e2, relation, gold = parts[:5]
+    tokens = tuple(sentence.split())
+    spans = []
+    for span in (e1, e2):
+        start, _, end = span.partition(":")
+        bounds = (int(start), int(end))
+        if not 0 <= bounds[0] <= bounds[1] < len(tokens):
+            raise ValueError
+        spans.append(bounds)
+    query = parts[5] if len(parts) == 6 else ""
+    return relsim.SemevalExample(tokens, *spans, relation, query), gold == "true"
 
 
 def _cmd_semeval(args) -> int:
-    for path in (args.train, args.test):
-        _require(path)
-    _require(args.index)
+    train = datasets.read_rows(args.train, _example, "example")
+    test = datasets.read_rows(args.test, _example, "example")
     lex = load_lexicon(args.lexicon)
     index = CorpusIndex.load(args.index) if args.index else None
-    train = _parse_semeval(args.train)
-    test = _parse_semeval(args.test)
     predictions, gold = [], []
     lines = []
     for example, label in test:
@@ -360,12 +318,10 @@ def _cmd_semeval(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    for path in (args.gold, args.pred):
-        _require(path)
     gold = _read_labels(args.gold)
     pred = _read_labels(args.pred)
     if len(gold) != len(pred):
-        raise SystemExit_(DATA_ERROR, "gold and prediction files differ in length")
+        raise ValueError("gold and prediction files differ in length")
     report = stats.evaluate(pred, gold, args.level)
     print("correct\twrong\tn/a\taccuracy\tcoverage")
     print(report.summary())
@@ -373,17 +329,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    _require(args.gold)
     gold = _read_labels(args.gold)
     reports = {}
     for item in args.pred:
         name, _, path = item.rpartition("=")
         if not name:
             name, path = Path(path).stem, path
-        _require(path)
         pred = _read_labels(path)
         if len(pred) != len(gold):
-            raise SystemExit_(DATA_ERROR, f"{path} differs in length from gold")
+            raise ValueError(f"{path} differs in length from gold")
         reports[name] = stats.evaluate(pred, gold, args.level)
     print(stats.comparison_table(reports))
     return 0
@@ -400,19 +354,34 @@ _COMMANDS = {
 }
 
 
-def run(argv: list[str]) -> int:
-    """Entry point returning a process exit code."""
-    parser = build_parser()
+def guard(main: Callable[[list[str]], int], argv: list[str]) -> int:
+    """``main(argv)``'s exit code, or the code of the error it raised.
+
+    A usage error prints its message and gives 1; a data error gives 2,
+    printing ``missing file: PATH`` for a file that does not exist and
+    the error's own message otherwise.
+    """
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return main(argv)
     except SystemExit_ as exc:
-        if exc.message:
-            print(exc.message, file=sys.stderr)
-        return exc.code
-    except (CorpusError, ValueError, OSError) as exc:
+        print(exc, file=sys.stderr)
+        return USAGE_ERROR
+    except FileNotFoundError as exc:
+        print(f"missing file: {exc.filename}", file=sys.stderr)
+        return DATA_ERROR
+    except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return DATA_ERROR
+
+
+def _dispatch(argv: list[str]) -> int:
+    args = build_parser().parse_args(argv)
+    return _COMMANDS[args.command](args)
+
+
+def run(argv: list[str]) -> int:
+    """Entry point returning a process exit code."""
+    return guard(_dispatch, argv)
 
 
 def main() -> None:

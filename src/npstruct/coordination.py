@@ -27,7 +27,7 @@ from .decisions import (
     vote,
 )
 from .morphology import MorphLexicon, inflection_pattern, inflections, is_plural
-from .surface import cue_tally
+from .surface import SNIPPET_LIMIT, cue_tally
 
 CONJUNCTIONS = ("and", "or")
 
@@ -207,7 +207,6 @@ class CoordVoteConfig:
     voters: tuple[str, ...] = DEFAULT_COORD_VOTERS
     default: str | None = NP_COORD
     threshold: int = 1
-    snippet_limit: int = 1000
 
     def __post_init__(self) -> None:
         check_voters(self.voters, VOTERS)
@@ -235,7 +234,7 @@ def _number_agreement(quad, provider, lex, config) -> Decision:
 
 def _surface(quad, provider, lex, config) -> Decision:
     query = CountQuery.of(quad.n1, quad.c, quad.n2, inflections(lex, quad.h))
-    return coord_surface_vote(provider.snippets(query, config.snippet_limit), quad, lex)
+    return coord_surface_vote(provider.snippets(query, SNIPPET_LIMIT), quad, lex)
 
 
 # Voter name -> voter: the one list of names a config accepts.

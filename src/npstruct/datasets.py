@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .assoc import NounTriple
 from .coordination import CoordQuad
@@ -13,6 +13,25 @@ from .decisions import LEFT, NOUN, NOUN_COORD, NP_COORD, RIGHT, VERB
 from .morphology import MorphLexicon
 from .paraphrase import ParaphraseInventory
 from .ppattach import PPQuad
+
+T = TypeVar("T")
+
+
+def read_rows(path: str | Path, parse: Callable[[list[str]], T], what: str) -> list[T]:
+    """``parse`` of each nonblank line's tab-separated columns, in file order.
+
+    A ``ValueError`` from ``parse`` becomes ``bad {what} on line N``.
+    """
+    rows = []
+    for lineno, line in enumerate(
+        Path(path).read_text(encoding="utf-8").splitlines(), start=1
+    ):
+        if line.strip():
+            try:
+                rows.append(parse(line.split("\t")))
+            except ValueError:
+                raise ValueError(f"bad {what} on line {lineno}") from None
+    return rows
 
 
 @dataclass(frozen=True)
@@ -29,23 +48,19 @@ class RowFormat:
     labels: dict[str, str]
     optional: int = 0
 
+    def parse(self, parts: list[str]) -> tuple[object, str]:
+        """The ``(item, label)`` of one row's columns; ``ValueError`` if malformed."""
+        width = self.width
+        if (
+            not width < len(parts) <= width + 1 + self.optional
+            or parts[width] not in self.labels
+        ):
+            raise ValueError
+        return self.make(*parts[:width]), self.labels[parts[width]]
+
     def load(self, path: str | Path) -> list[tuple[object, str]]:
         """Read ``(item, label)`` rows, skipping blank lines."""
-        rows = []
-        for lineno, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            width = self.width
-            if (
-                not width < len(parts) <= width + 1 + self.optional
-                or parts[width] not in self.labels
-            ):
-                raise ValueError(f"bad dataset row on line {lineno}")
-            rows.append((self.make(*parts[:width]), self.labels[parts[width]]))
-        return rows
+        return read_rows(path, self.parse, "dataset row")
 
 
 # ``w1 w2 w3 left|right``, optionally followed by the compound's frequency.

@@ -76,20 +76,27 @@ class ParaphraseInventory:
         """Read a sectioned inventory file.
 
         Sections are headed ``[prep]``, ``[verbal-prep]``, ``[det]``,
-        ``[compl]``, ``[be]``; one item per line.
+        ``[compl]``, ``[be]``; one item per line.  Another header, or an
+        item before the first header, is a ``ValueError`` naming its line.
         """
         sections: dict[str, list[str]] = {}
         current: list[str] | None = None
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        for lineno, line in enumerate(
+            Path(path).read_text(encoding="utf-8").splitlines(), start=1
+        ):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if line.startswith("[") and line.endswith("]"):
+                if line[1:-1] not in ("prep", "verbal-prep", "det", "compl", "be"):
+                    raise ValueError(f"unknown inventory section {line} on line {lineno}")
                 current = sections.setdefault(line[1:-1], [])
             elif current is not None:
                 current.append(line)
             else:
-                raise ValueError(f"inventory item {line!r} outside any section")
+                raise ValueError(
+                    f"inventory item {line!r} outside any section on line {lineno}"
+                )
         preps = tuple(sections.get("prep", ())) + tuple(sections.get("verbal-prep", ()))
         return cls(
             prepositions=preps or NONVERBAL_PREPOSITIONS + VERBAL_PREPOSITIONS,

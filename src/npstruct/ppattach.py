@@ -38,7 +38,7 @@ from .morphology import (
     inflections,
     lemma,
 )
-from .surface import capital_tally, cue_tally
+from .surface import SNIPPET_LIMIT, capital_tally, cue_tally
 
 _YEAR_RE = re.compile(r"^\d{4}s?$")
 _NUM_RE = re.compile(r"^[\d.,]*\d[\d.,]*%?$|^%$")
@@ -311,7 +311,6 @@ class PPVoteConfig:
 
     voters: tuple[str, ...] = DEFAULT_PP_VOTERS
     default: str | None = VERB
-    snippet_limit: int = 1000
 
     def __post_init__(self) -> None:
         check_voters(self.voters, VOTERS)
@@ -336,7 +335,7 @@ def _heuristic(kind, quad, provider, lex, config, backoff) -> Decision:
 def _surface(quad, provider, lex, config, backoff) -> Decision:
     iv, i1, i2 = (inflections(lex, w) for w in (quad.v, quad.n1, quad.n2))
     query = CountQuery.of(iv, i1, quad.p, i2)
-    return pp_surface_vote(provider.snippets(query, config.snippet_limit), quad, lex)
+    return pp_surface_vote(provider.snippets(query, SNIPPET_LIMIT), quad, lex)
 
 
 def _backoff(quad, provider, lex, config, backoff) -> Decision:

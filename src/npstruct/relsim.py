@@ -449,14 +449,16 @@ def semeval_classify(
     """Binary relation check by 1-NN over weighted example vectors.
 
     An abstaining neighbor vote falls back to the training majority
-    class; entity heads sharing a lemma force a negative, last.
+    class; entity heads sharing a lemma force a negative, last.  With an
+    ``index``, which must be tagged, the entity heads' pair features join
+    each vector.
     """
     if not train:
         raise ValueError("train must be nonempty")
 
     def features(ex: SemevalExample) -> dict:
         pair = None
-        if index is not None and index.tagged:
+        if index is not None:
             pair = dict(
                 extract_pair_features(index, ex.entity_head(1), ex.entity_head(2), lex)
             )

@@ -21,6 +21,9 @@ from .morphology import MorphLexicon, inflection_pattern, inflections
 
 _ROMAN_RE = re.compile(r"^[ivxlcdm]+$", re.IGNORECASE)
 
+# How many raw snippets a surface voter fetches for one item.
+SNIPPET_LIMIT = 1000
+
 # Short everyday words that can collide with two-letter abbreviations.
 COMMON_SHORT_WORDS = frozenset(
     """a i an as at be by do go he hi if in is it me my no of on or ox so to

@@ -80,6 +80,55 @@ class TestExitCodes:
         assert code == 2
         assert "truncated index file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["index", "--out", "{tmp}/x.idx", "--corpus"],
+            ["bracket", "--dataset", "{dataset}", "--index"],
+            ["bracket", "--index", "{index}", "--dataset"],
+            ["bracket", "--index", "{index}", "--dataset", "{dataset}", "--lexicon"],
+            ["bracket", "--index", "{index}", "--dataset", "{dataset}", "--inventory"],
+            ["relsim", "--index", "{index}", "--out", "{tmp}/f.tsv", "--pairs"],
+            ["semeval", "--test", "{examples}", "--train"],
+            ["semeval", "--train", "{examples}", "--test"],
+            ["eval", "--pred", "{dataset}", "--gold"],
+            ["eval", "--gold", "{dataset}", "--pred"],
+        ],
+        ids=lambda argv: argv[-1],
+    )
+    def test_missing_input_file_names_its_path(
+        self, index_file, bracketing_dataset, tmp_path, capsys, argv
+    ):
+        missing = str(tmp_path / "missing.tsv")
+        examples = tmp_path / "examples.tsv"
+        examples.write_text("brain stem cells\t0:0\t2:2\trel\ttrue\n", encoding="utf-8")
+        paths = {"tmp": tmp_path, "index": index_file, "dataset": bracketing_dataset,
+                 "examples": examples}
+        assert run([*(a.format(**paths) for a in argv), missing]) == 2
+        assert capsys.readouterr().err == f"missing file: {missing}\n"
+
+    def test_missing_output_directory_names_the_output(self, corpus, tmp_path, capsys):
+        out = str(tmp_path / "nodir" / "x.idx")
+        assert run(["index", "--corpus", str(corpus), "--out", out]) == 2
+        assert capsys.readouterr().err == f"missing file: {out}\n"
+
+    @pytest.mark.parametrize(
+        "command, valid, rejected",
+        [
+            ("bracket", "brain\tstem\tcells\tleft", "brain\t\tcells\tleft"),
+            ("ppattach", "meet\tdemands\tfrom\tcustomers\tN", "meet\t\tfrom\tcustomers\tN"),
+            ("coord", "buses\tand\ttrains\tstation\tnoun", "bar\tbut\tpie\tgraph\tnoun"),
+        ],
+        ids=["bracket", "ppattach", "coord"],
+    )
+    def test_row_its_item_rejects_names_its_line(
+        self, index_file, tmp_path, capsys, command, valid, rejected
+    ):
+        dataset = tmp_path / "rows.tsv"
+        dataset.write_text(f"{valid}\n\n{rejected}\n", encoding="utf-8")
+        assert run([command, "--index", str(index_file), "--dataset", str(dataset)]) == 2
+        assert capsys.readouterr().err == "bad dataset row on line 3\n"
+
     def test_seed_flag_is_accepted(self, capsys):
         assert run(["--seed", "7"]) == 1  # still needs a subcommand
         capsys.readouterr()
@@ -282,6 +331,14 @@ class TestRelsimCommands:
         test.write_text("committees hold sessions\t0:0\t2:2\trel\ttrue\n", encoding="utf-8")
         assert run(["semeval", "--train", str(train), "--test", str(test)]) == 2
         assert capsys.readouterr().err == "bad example on line 2\n"
+
+    def test_semeval_on_an_untagged_index_is_data_error(self, index_file, tmp_path, capsys):
+        examples = tmp_path / "examples.tsv"
+        examples.write_text("brain stem cells\t0:0\t2:2\trel\ttrue\n", encoding="utf-8")
+        argv = ["semeval", "--index", str(index_file), "--train", str(examples),
+                "--test", str(examples)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "tags required\n"
 
     def test_semeval(self, tmp_path, capsys):
         train = tmp_path / "train.tsv"

@@ -30,8 +30,11 @@ def test_inventory_sizes():
 
 def test_inventory_rejects_orphan_items(tmp_path):
     path = tmp_path / "inv.txt"
-    path.write_text("of\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="outside any section"):
+    path.write_text("# prepositions\n\nof\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="outside any section on line 3"):
+        ParaphraseInventory.load(path)
+    path.write_text("[prep]\nof\n[preps]\nfrom\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"unknown inventory section \[preps\] on line 3"):
         ParaphraseInventory.load(path)
 
 

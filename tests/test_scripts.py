@@ -81,3 +81,20 @@ def test_ablation_coord_has_an_ensemble_row(index_file):
     assert rows[0][:2] == ["name", "correct"]
     assert rows[-1][0] == "ensemble"
     assert len(rows[-1]) == len(rows[0])
+
+
+@pytest.mark.parametrize(
+    "dataset, index, message",
+    [
+        ("buses\tand\ttrains\tstation\tnoun\n", "no.idx", "missing file: {tmp}/no.idx\n"),
+        ("bar\tbut\tpie\tgraph\tnoun\n", "corpus.idx", "bad dataset row on line 1\n"),
+    ],
+    ids=["missing-index", "rejected-row"],
+)
+def test_ablation_data_errors_exit_2(index_file, dataset, index, message):
+    tmp = index_file.parent
+    (tmp / "rows.tsv").write_text(dataset, encoding="utf-8")
+    done = _run("ablation.py", "coord", "--index", str(tmp / index), "--dataset", str(tmp / "rows.tsv"))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == message.format(tmp=tmp)
