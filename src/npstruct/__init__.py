@@ -6,7 +6,7 @@ statistical evaluation machinery tying them together.  All counting
 runs against a local corpus index with true occurrence frequencies.
 """
 
-from .assoc import NounTriple, assoc_score, decide
+from .assoc import NounTriple, assoc_score
 from .bracketer import VoteConfig, bracket
 from .coordination import CoordQuad, coord_pipeline
 from .corpus import (
@@ -25,7 +25,6 @@ from .stats import EvalReport, evaluate, kappa, pearson_chi2, wald_interval, wil
 __all__ = [
     "NounTriple",
     "assoc_score",
-    "decide",
     "VoteConfig",
     "bracket",
     "CoordQuad",

@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass
 
 from .corpus import CountProvider, CountQuery
-from .decisions import LEFT, RIGHT, Decision, compare
+from .decisions import LEFT, RIGHT, Decision, abstain, compare
 from .morphology import MorphLexicon, inflections
-from .stats import DegenerateTableError, pearson_chi2  # noqa: F401 (re-exported)
+from .stats import DegenerateTableError, pearson_chi2
 
 ASSOC_KINDS = ("freq", "prob", "pmi", "chi2")
 
@@ -49,20 +49,6 @@ class NounTriple:
         return (self.w1, self.w2, self.w3)
 
 
-@dataclass(frozen=True)
-class ContingencyCounts:
-    """Cells of the pair's two-by-two contingency table."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self) -> None:
-        if min(self.a, self.b, self.c, self.d) < 0 or self.a + self.b + self.c + self.d < 1:
-            raise ValueError("contingency cells must be nonnegative with positive total")
-
-
 def pair_count(provider: CountProvider, lex: MorphLexicon, wi: str, wj: str) -> int:
     """Bigram count of ``wi wj`` summed over inflections of ``wj``."""
     return provider.count(CountQuery.of(wi, inflections(lex, wj)))
@@ -75,18 +61,13 @@ def unigram_count(provider: CountProvider, lex: MorphLexicon, w: str) -> int:
 
 def contingency(
     provider: CountProvider, lex: MorphLexicon, wi: str, wj: str
-) -> ContingencyCounts:
-    """Contingency cells for the ordered pair (wi, wj)."""
+) -> tuple[int, int, int, int]:
+    """Cells ``(a, b, c, d)`` of the two-by-two table for the ordered pair (wi, wj)."""
     a = pair_count(provider, lex, wi, wj)
     b = unigram_count(provider, lex, wi) - a
     c = unigram_count(provider, lex, wj) - a
     d = provider.total() - a - b - c
-    return ContingencyCounts(a, b, c, d)
-
-
-def chi2_from_cells(cells: ContingencyCounts) -> float:
-    """Chi-squared score of a two-by-two table by the shortcut formula."""
-    return pearson_chi2(cells.a, cells.b, cells.c, cells.d)[0]
+    return a, b, c, d
 
 
 def assoc_score(
@@ -116,28 +97,7 @@ def assoc_score(
         if pair == 0 or mi == 0 or mj == 0:
             raise ZeroMarginalError("zero marginal")
         return math.log(provider.total() * pair / (mi * mj))
-    return chi2_from_cells(contingency(provider, lex, wi, wj))
-
-
-def decide(
-    model: str,
-    left_assoc: float,
-    right_assoc: float,
-    margin: float = 0.0,
-    name: str = "",
-) -> Decision:
-    """Bracket from two association scores; ties within ``margin`` abstain.
-
-    ``model`` is ``adjacency`` or ``dependency``; the left score is the
-    association of (w1, w2) in both, the right score is (w2, w3) for
-    adjacency and (w1, w3) for dependency.  A stronger left association
-    predicts left bracketing.
-    """
-    if model not in ("adjacency", "dependency"):
-        raise ValueError(f"unknown model {model!r}")
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
-    return compare(left_assoc, right_assoc, LEFT, RIGHT, name or model, margin)
+    return pearson_chi2(*contingency(provider, lex, wi, wj))[0]
 
 
 def assoc_bracketing(
@@ -148,11 +108,21 @@ def assoc_bracketing(
     triple: NounTriple,
     margin: float = 0.0,
 ) -> Decision:
-    """Run one association score under one comparison model on a triple."""
+    """Bracket a triple by one association score under one comparison model.
+
+    ``model`` is ``adjacency`` or ``dependency``; the left score is the
+    association of (w1, w2) in both, the right score is (w2, w3) for
+    adjacency and (w1, w3) for dependency.  A stronger left association
+    predicts left bracketing, and ties within ``margin`` abstain, as do
+    scores with a zero marginal or a degenerate table.
+    """
+    if model not in ("adjacency", "dependency"):
+        raise ValueError(f"unknown model {model!r}")
     w1, w2, w3 = triple.words()
-    left = assoc_score(kind, provider, lex, w1, w2)
-    if model == "adjacency":
-        right = assoc_score(kind, provider, lex, w2, w3)
-    else:
-        right = assoc_score(kind, provider, lex, w1, w3)
-    return decide(model, left, right, margin, name=f"{kind}-{model}")
+    second = (w2, w3) if model == "adjacency" else (w1, w3)
+    try:
+        left = assoc_score(kind, provider, lex, w1, w2)
+        right = assoc_score(kind, provider, lex, *second)
+    except (ZeroMarginalError, DegenerateTableError) as exc:
+        return abstain(str(exc))
+    return compare(left, right, LEFT, RIGHT, margin)

@@ -9,7 +9,7 @@ from typing import Callable
 from . import assoc, paraphrase, surface
 from .assoc import NounTriple
 from .corpus import CountProvider, CountQuery
-from .decisions import LEFT, Decision, VoteResult, abstain, check_voters, vote
+from .decisions import LEFT, Decision, VoteResult, check_voters, vote
 from .morphology import MorphLexicon, inflections
 
 # Voters combined by default: the strongest individual models.
@@ -35,6 +35,8 @@ class VoteConfig:
 
     def __post_init__(self) -> None:
         check_voters(self.voters, VOTERS)
+        if self.margin < 0:
+            raise ValueError("margin must be nonnegative")
 
 
 def triple_snippets(
@@ -108,12 +110,9 @@ def run_voter(
     config: VoteConfig,
     inventory: paraphrase.ParaphraseInventory | None = None,
 ) -> Decision:
-    """Run one named voter, turning degenerate association counts into abstentions."""
+    """Run one named voter."""
     check_voters((name,), VOTERS)
-    try:
-        return VOTERS[name](triple, provider, lex, config, inventory)
-    except (assoc.ZeroMarginalError, assoc.DegenerateTableError) as exc:
-        return abstain(name, note=str(exc))
+    return VOTERS[name](triple, provider, lex, config, inventory)
 
 
 def bracket(

@@ -60,8 +60,9 @@ class Task:
     The config class's defaults are the defaults of ``--voters`` and
     ``--default``, and the row format's labels are the choices of
     ``--default``.  ``decider(args, voters, default)`` builds the
-    config, which rejects unknown voters, and returns a function
-    deciding a list of items against a provider and a lexicon.
+    config, which rejects unknown voters and a bad ``--margin`` or
+    ``--threshold``, and returns a function deciding a list of items
+    against a provider and a lexicon.
     A report line holds the item's dataset columns, the per-voter labels
     when ``show_votes`` is set, and the final label.
     """
@@ -185,6 +186,13 @@ def _read_labels(path: str) -> list[str]:
     return datasets.read_rows(path, lambda parts: parts[-1], "label row")
 
 
+def _create_output(path: str | None) -> None:
+    """Create ``path`` if it is missing, so an output that cannot be
+    written fails before the work; an existing file is left as it is."""
+    if path is not None:
+        Path(path).open("a", encoding="utf-8").close()
+
+
 def _write_report(path: str | None, lines: list[str]) -> None:
     text = "\n".join(lines) + ("\n" if lines else "")
     if path is None:
@@ -216,6 +224,7 @@ def _cmd_vote(args) -> int:
     lex = load_lexicon(args.lexicon)
     decide = task.decider(args, voter_names(args), default_label(args))
     rows = task.rows.load(args.dataset)
+    _create_output(args.report)
     provider = IndexProvider(CorpusIndex.load(args.index))
     results = decide([item for item, _ in rows], provider, lex)
     lines = []
@@ -237,6 +246,7 @@ def _pair(parts: list[str]) -> tuple[str, str]:
 def _cmd_relsim(args) -> int:
     pairs = datasets.read_rows(args.pairs, _pair, "pair row")
     lex = load_lexicon(args.lexicon)
+    _create_output(args.out)
     index = CorpusIndex.load(args.index)
     rows = [
         (noun1, noun2, relsim.extract_pair_features(index, noun1, noun2, lex))
@@ -262,6 +272,7 @@ def _analogy(parts: list[str]) -> tuple[str, tuple, list[tuple], int]:
 def _cmd_sat(args) -> int:
     analogies = datasets.read_rows(args.dataset, _analogy, "analogy row")
     lex = load_lexicon(args.lexicon)
+    _create_output(args.report)
     index = CorpusIndex.load(args.index)
     lines, correct, answered = [], 0, 0
     for line, stem, candidates, gold in analogies:
@@ -300,6 +311,7 @@ def _cmd_semeval(args) -> int:
     train = datasets.read_rows(args.train, _example, "example")
     test = datasets.read_rows(args.test, _example, "example")
     lex = load_lexicon(args.lexicon)
+    _create_output(args.report)
     index = CorpusIndex.load(args.index) if args.index else None
     predictions, gold = [], []
     lines = []

@@ -75,13 +75,12 @@ def coord_ngram_decision(
         raise ValueError("model must be 'i' or 'ii'")
     ih = inflections(lex, quad.h)
     n1h = provider.count(CountQuery.of(quad.n1, ih))
-    name = f"ngram-{model}"
     if model == "i":
         n2h = provider.count(CountQuery.of(quad.n2, ih))
-        return compare(n1h, n2h, NOUN_COORD, NP_COORD, name)
+        return compare(n1h, n2h, NOUN_COORD, NP_COORD)
     i2 = inflections(lex, quad.n2)
     trigram = provider.count(CountQuery.of(quad.n1, CONJUNCTIONS, i2))
-    return compare(trigram, n1h, NOUN_COORD, NP_COORD, name)
+    return compare(trigram, n1h, NOUN_COORD, NP_COORD)
 
 
 def coord_paraphrase_decision(
@@ -99,8 +98,6 @@ def coord_paraphrase_decision(
     """
     if pattern not in (1, 2, 3, 4):
         raise ValueError("pattern must be 1..4")
-    if threshold < 1:
-        raise ValueError("threshold must be >= 1")
     ih = inflections(lex, quad.h)
     c = quad.c
     if pattern == 1:
@@ -116,30 +113,29 @@ def coord_paraphrase_decision(
         query = CountQuery.of(quad.n2, ih, c, quad.n1, ih)
         label = NOUN_COORD
     count = provider.count(query)
-    name = f"coord-paraphrase-{pattern}"
     if count >= threshold:
-        return Decision(label, count, 0, name)
-    return Decision(_opposite(label), 0, count, name, note="below threshold")
+        return Decision(label, count, 0)
+    return Decision(_opposite(label), 0, count, note="below threshold")
 
 
 def coord_heuristic(quad: CoordQuad, kind: str) -> Decision:
     """Same-word and determiner-context heuristics."""
     if kind == "h1":
         if quad.n1.lower() == quad.n2.lower():
-            return Decision(NP_COORD, model=kind)
-        return abstain(kind)
+            return Decision(NP_COORD)
+        return abstain()
     if kind not in ("h4", "h5", "h6"):
         raise ValueError(f"unknown heuristic {kind!r}")
     d1, d2 = quad.n1_determined, quad.n2_determined
     if UNKNOWN in (d1, d2):
-        return abstain(kind, "determiner context unknown")
+        return abstain("determiner context unknown")
     if kind == "h4" and d1 == YES and d2 == YES:
-        return Decision(NP_COORD, model=kind)
+        return Decision(NP_COORD)
     if kind == "h5" and quad.c == "or" and d1 == YES and d2 == NO:
-        return Decision(NOUN_COORD, model=kind)
+        return Decision(NOUN_COORD)
     if kind == "h6" and d1 == NO and d2 == YES:
-        return Decision(NP_COORD, model=kind)
-    return abstain(kind)
+        return Decision(NP_COORD)
+    return abstain()
 
 
 def number_agreement_decision(quad: CoordQuad, lex: MorphLexicon) -> Decision:
@@ -153,10 +149,10 @@ def number_agreement_decision(quad: CoordQuad, lex: MorphLexicon) -> Decision:
     p2 = is_plural(lex, quad.n2)
     ph = is_plural(lex, quad.h)
     if p1 == p2 and p1 != ph:
-        return Decision(NOUN_COORD, model="number-agreement")
+        return Decision(NOUN_COORD)
     if p1 != p2 and p1 == ph:
-        return Decision(NP_COORD, model="number-agreement")
-    return abstain("number-agreement")
+        return Decision(NP_COORD)
+    return abstain()
 
 
 # Feature -> (noun-coordination, NP-coordination) templates over n1 c n2 h.
@@ -186,7 +182,7 @@ def coord_surface_vote(
     n1, n2, h = (inflection_pattern(lex, w) for w in (quad.n1, quad.n2, quad.h))
     slots = {"n1": n1, "c": re.escape(quad.c), "n2": n2, "h": h}
     noun_votes, np_votes = map(sum, zip(*cue_tally(snippets, slots, COORD_CUES).values()))
-    return compare(noun_votes, np_votes, NOUN_COORD, NP_COORD, "surface")
+    return compare(noun_votes, np_votes, NOUN_COORD, NP_COORD)
 
 
 DEFAULT_COORD_VOTERS = (
@@ -210,6 +206,8 @@ class CoordVoteConfig:
 
     def __post_init__(self) -> None:
         check_voters(self.voters, VOTERS)
+        if self.threshold < 1:
+            raise ValueError("threshold must be >= 1")
 
 
 # Each voter takes its variant argument, if any, then

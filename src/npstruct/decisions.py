@@ -3,12 +3,13 @@
 Each voter compares a left-hand and a right-hand evidence score; the
 winning side's task label is emitted, and ties (within an optional
 margin) abstain.  ``vote`` runs a task's voters on one item and
-combines their decisions by majority.
+combines their decisions by majority.  A voter is named only by its
+key in its task's ``VOTERS`` registry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Collection, Iterable
 
 ABSTAIN = "abstain"
@@ -29,12 +30,12 @@ COORD_LABELS = (NOUN_COORD, NP_COORD)
 
 @dataclass(frozen=True)
 class Decision:
-    """Outcome of one voter: a label or an abstention, with its scores."""
+    """Outcome of one voter: a label or an abstention, its scores and a note."""
 
     label: str
     left_score: float = 0.0
     right_score: float = 0.0
-    model: str = ""
+    _: KW_ONLY
     note: str = ""
 
     @property
@@ -47,7 +48,6 @@ def compare(
     right_score: float,
     left_label: str,
     right_label: str,
-    model: str,
     margin: float = 0.0,
 ) -> Decision:
     """Pick the side whose score exceeds the other by more than ``margin``."""
@@ -57,12 +57,12 @@ def compare(
         label = right_label
     else:
         label = ABSTAIN
-    return Decision(label, left_score, right_score, model)
+    return Decision(label, left_score, right_score)
 
 
-def abstain(model: str, note: str = "") -> Decision:
+def abstain(note: str = "") -> Decision:
     """An abstention, optionally carrying a diagnostic note."""
-    return Decision(ABSTAIN, model=model, note=note)
+    return Decision(ABSTAIN, note=note)
 
 
 def majority_vote(decisions: list[Decision], default: str | None = None) -> Decision:
@@ -78,10 +78,10 @@ def majority_vote(decisions: list[Decision], default: str | None = None) -> Deci
         top = max(votes.values())
         leaders = [label for label, n in votes.items() if n == top]
         if len(leaders) == 1:
-            return Decision(leaders[0], model="majority-vote")
+            return Decision(leaders[0])
     if default is not None:
-        return Decision(default, model="majority-vote", note="default")
-    return Decision(ABSTAIN, model="majority-vote", note="tie")
+        return Decision(default, note="default")
+    return abstain("tie")
 
 
 @dataclass

@@ -193,4 +193,4 @@ def paraphrase_decision(
     hits = {"left": 0, "right": 0}
     for side, head, middles, tails in _families(triple, inv, lex):
         hits[side] += count_between(provider, head, middles, tails)
-    return compare(hits["left"], hits["right"], LEFT, RIGHT, "paraphrases")
+    return compare(hits["left"], hits["right"], LEFT, RIGHT)

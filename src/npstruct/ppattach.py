@@ -91,9 +91,8 @@ def pp_ngram_decision(
     """
     if model not in (1, 2, 3, 4):
         raise ValueError("model must be 1..4")
-    name = f"ngram-{model}"
     if quad.n1.lower() in PRONOUNS or quad.n2.lower() in PRONOUNS:
-        return abstain(name, "pronoun argument")
+        return abstain("pronoun argument")
     iv = inflections(lex, quad.v)
     i1 = inflections(lex, quad.n1)
     i2 = inflections(lex, quad.n2)
@@ -117,10 +116,10 @@ def pp_ngram_decision(
         noun_marginal = provider.count(CountQuery.of(i1))
         verb_marginal = provider.count(CountQuery.of(iv))
         if noun_marginal == 0 or verb_marginal == 0:
-            return abstain(name, "zero marginal")
+            return abstain("zero marginal")
         noun_score /= noun_marginal
         verb_score /= verb_marginal
-    return compare(noun_score, verb_score, NOUN, VERB, name)
+    return compare(noun_score, verb_score, NOUN, VERB)
 
 
 def pp_paraphrase_decision(
@@ -137,7 +136,6 @@ def pp_paraphrase_decision(
     """
     if pattern not in range(1, 7):
         raise ValueError("pattern must be 1..6")
-    name = f"paraphrase-{pattern}"
     iv = inflections(lex, quad.v)
     i1 = inflections(lex, quad.n1)
     i2 = inflections(lex, quad.n2)
@@ -147,7 +145,7 @@ def pp_paraphrase_decision(
     label = NOUN
     if pattern == 1:
         if p == "to" or _word_class(quad.n1) or _word_class(quad.n2):
-            return abstain(name, "guard")
+            return abstain("guard")
         count = provider.count(CountQuery.of(iv, DETERMINERS, i2, i1))
     elif pattern == 2:
         label = VERB
@@ -166,24 +164,24 @@ def pp_paraphrase_decision(
         count = provider.count(CountQuery.of({"is", "are"}, i1, p, i2))
     if count >= 1:
         side = (count, 0) if label == NOUN else (0, count)
-        return Decision(label, *side, name)
-    return abstain(name)
+        return Decision(label, *side)
+    return abstain()
 
 
 def pp_heuristic(quad: PPQuad, kind: str) -> Decision:
     """Closed-class shortcuts: pronoun n1, copular verb, the of-rule."""
     if kind == "pronoun-n1":
         if quad.n1.lower() in PRONOUNS:
-            return Decision(VERB, model=kind)
-        return abstain(kind)
+            return Decision(VERB)
+        return abstain()
     if kind == "verb-be":
         if quad.v.lower() in BE_FORMS:
-            return Decision(NOUN, model=kind)
-        return abstain(kind)
+            return Decision(NOUN)
+        return abstain()
     if kind == "of-rule":
         if quad.p == "of":
-            return Decision(NOUN, model=kind)
-        return abstain(kind)
+            return Decision(NOUN)
+        return abstain()
     raise ValueError(f"unknown heuristic {kind!r}")
 
 
@@ -251,15 +249,15 @@ def backoff_predict(model: BackoffModel, quad: PPQuad, lex: MorphLexicon) -> Dec
         r1 = noun / total
         if r1 != 0.5:
             label = NOUN if r1 > 0.5 else VERB
-            return Decision(label, r1, 1 - r1, "backoff")
+            return Decision(label, r1, 1 - r1)
     p_noun, p_total = model._lookup(("p", q.p))
     if p_total == 0:
-        return abstain("backoff", "unseen preposition")
+        return abstain("unseen preposition")
     r2 = p_noun / p_total
     if r2 == 0.5:
-        return abstain("backoff", "tie")
+        return abstain("tie")
     label = NOUN if r2 > 0.5 else VERB
-    return Decision(label, r2, 1 - r2, "backoff")
+    return Decision(label, r2, 1 - r2)
 
 
 # Feature -> (noun-attachment, verb-attachment) templates over v n1 p n2.
@@ -291,7 +289,7 @@ def pp_surface_vote(
     tally = cue_tally(snippets, slots, PP_CUES)
     tally["capitalization"] = capital_tally(snippets, PP_CAPITALS, slots)
     noun_votes, verb_votes = map(sum, zip(*tally.values()))
-    return compare(noun_votes, verb_votes, NOUN, VERB, "surface")
+    return compare(noun_votes, verb_votes, NOUN, VERB)
 
 
 DEFAULT_PP_VOTERS = (
@@ -307,41 +305,46 @@ DEFAULT_PP_VOTERS = (
 
 @dataclass(frozen=True)
 class PPVoteConfig:
-    """Voter set and defaulting for the attachment vote."""
+    """Voter set and defaulting for the attachment vote.
+
+    ``backoff`` is the trained model the ``backoff`` voter consults;
+    without one that voter abstains.
+    """
 
     voters: tuple[str, ...] = DEFAULT_PP_VOTERS
     default: str | None = VERB
+    backoff: BackoffModel | None = None
 
     def __post_init__(self) -> None:
         check_voters(self.voters, VOTERS)
 
 
 # Each voter takes its variant argument, if any, then
-# (quad, provider, lexicon, config, backoff model).
+# (quad, provider, lexicon, config).
 
 
-def _ngram(model, quad, provider, lex, config, backoff) -> Decision:
+def _ngram(model, quad, provider, lex, config) -> Decision:
     return pp_ngram_decision(provider, lex, quad, model)
 
 
-def _paraphrase(pattern, quad, provider, lex, config, backoff) -> Decision:
+def _paraphrase(pattern, quad, provider, lex, config) -> Decision:
     return pp_paraphrase_decision(provider, lex, quad, pattern)
 
 
-def _heuristic(kind, quad, provider, lex, config, backoff) -> Decision:
+def _heuristic(kind, quad, provider, lex, config) -> Decision:
     return pp_heuristic(quad, kind)
 
 
-def _surface(quad, provider, lex, config, backoff) -> Decision:
+def _surface(quad, provider, lex, config) -> Decision:
     iv, i1, i2 = (inflections(lex, w) for w in (quad.v, quad.n1, quad.n2))
     query = CountQuery.of(iv, i1, quad.p, i2)
     return pp_surface_vote(provider.snippets(query, SNIPPET_LIMIT), quad, lex)
 
 
-def _backoff(quad, provider, lex, config, backoff) -> Decision:
-    if backoff is None:
-        return abstain("backoff", "no trained model")
-    return backoff_predict(backoff, quad, lex)
+def _backoff(quad, provider, lex, config) -> Decision:
+    if config.backoff is None:
+        return abstain("no trained model")
+    return backoff_predict(config.backoff, quad, lex)
 
 
 # Voter name -> voter: the one list of names a config accepts.
@@ -360,11 +363,10 @@ def run_pp_voter(
     provider: CountProvider,
     lex: MorphLexicon,
     config: PPVoteConfig,
-    backoff: BackoffModel | None = None,
 ) -> Decision:
-    """Run one named voter; ``backoff`` abstains without a trained model."""
+    """Run one named voter."""
     check_voters((name,), VOTERS)
-    return VOTERS[name](quad, provider, lex, config, backoff)
+    return VOTERS[name](quad, provider, lex, config)
 
 
 def pp_pipeline(
@@ -372,7 +374,6 @@ def pp_pipeline(
     provider: CountProvider,
     lex: MorphLexicon,
     config: PPVoteConfig = PPVoteConfig(),
-    backoff: BackoffModel | None = None,
 ) -> VoteResult:
     """Vote the enabled voters; the of-rule fires first and short-circuits."""
     of_rule = pp_heuristic(quad, "of-rule")
@@ -381,7 +382,7 @@ def pp_pipeline(
     return vote(
         quad,
         config.voters,
-        lambda name: run_pp_voter(name, quad, provider, lex, config, backoff),
+        lambda name: run_pp_voter(name, quad, provider, lex, config),
         config.default,
     )
 
@@ -400,6 +401,6 @@ def pp_bootstrap(
     if not training:
         return first, BackoffModel()
     model = backoff_train(training, lex)
-    second_config = replace(config, voters=config.voters + ("backoff",))
-    second = [pp_pipeline(q, provider, lex, second_config, model) for q in quads]
+    second_config = replace(config, voters=config.voters + ("backoff",), backoff=model)
+    second = [pp_pipeline(q, provider, lex, second_config) for q in quads]
     return second, model

@@ -390,7 +390,8 @@ def solve_sat(
     return None
 
 
-DEFAULT_STOPWORDS = frozenset(
+# Context words a SemEval vector leaves out.
+STOPWORDS = frozenset(
     """a an the of in on at by for with from to into about over under and
     or but nor is are was were be been being am do does did have has had
     this that these those it its his her their our your my i you he she
@@ -418,7 +419,7 @@ class SemevalExample:
 def semeval_vector(
     example: SemevalExample,
     lex: MorphLexicon,
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS,
+    *,
     pair_features: dict | None = None,
 ) -> dict:
     """Feature vector: stemmed context words, entity lemmas, query words."""
@@ -429,7 +430,7 @@ def semeval_vector(
         w = tok.lower()
         if i in spans:
             vec[("ent", lemma(lex, w))] += 1
-        elif w not in stopwords:
+        elif w not in STOPWORDS:
             vec[("ctx", porter.stem(w))] += 1
     for w in example.query.lower().split():
         vec[("query", w)] += 1
@@ -443,7 +444,7 @@ def semeval_classify(
     example: SemevalExample,
     train: list[tuple[SemevalExample, bool]],
     lex: MorphLexicon,
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS,
+    *,
     index: CorpusIndex | None = None,
 ) -> bool:
     """Binary relation check by 1-NN over weighted example vectors.
@@ -462,7 +463,7 @@ def semeval_classify(
             pair = dict(
                 extract_pair_features(index, ex.entity_head(1), ex.entity_head(2), lex)
             )
-        return semeval_vector(ex, lex, stopwords, pair)
+        return semeval_vector(ex, lex, pair_features=pair)
 
     train_vecs = [(features(ex), label) for ex, label in train]
     weights = TfidfWeights.fit([v for v, _ in train_vecs])

@@ -16,7 +16,7 @@ from typing import Callable
 
 from .assoc import NounTriple
 from .corpus import CountProvider, CountQuery
-from .decisions import ABSTAIN, LEFT, RIGHT, Decision, compare
+from .decisions import LEFT, RIGHT, Decision, abstain, compare
 from .morphology import MorphLexicon, inflection_pattern, inflections
 
 _ROMAN_RE = re.compile(r"^[ivxlcdm]+$", re.IGNORECASE)
@@ -119,7 +119,7 @@ def surface_vote(
     right, left = capital_tally(snippets, BRACKET_CAPITALS, slots, capitalization_excluded)
     tally["capitalization"] = (left, right)
     left_total, right_total = map(sum, zip(*tally.values()))
-    return compare(left_total, right_total, LEFT, RIGHT, "surface-features"), tally
+    return compare(left_total, right_total, LEFT, RIGHT), tally
 
 
 CONCAT_VARIANTS = ("adjacency", "dependency", "triple")
@@ -144,7 +144,6 @@ def concatenation_decision(
         raise ValueError(f"unknown variant {variant!r}")
     w1, w2, w3 = triple.words()
     i1, i2, i3 = (inflections(lex, w) for w in triple.words())
-    name = f"concat-{variant}"
     if variant == "adjacency":
         left = provider.count(CountQuery.of(_glue(w1, i2)))
         right = provider.count(CountQuery.of(_glue(w2, i3)))
@@ -154,7 +153,7 @@ def concatenation_decision(
     else:
         left = provider.count(CountQuery.of(_glue(w1, i2), i3))
         right = provider.count(CountQuery.of(i1, _glue(w2, i3)))
-    return compare(left, right, LEFT, RIGHT, name)
+    return compare(left, right, LEFT, RIGHT)
 
 
 def wildcard_decision(
@@ -193,7 +192,7 @@ def wildcard_decision(
     else:
         left = gapped([i3], [w1, i2])
         right = gapped([w1, i3], [i2])
-    return compare(left, right, LEFT, RIGHT, f"wildcard-{variant}-{stars}")
+    return compare(left, right, LEFT, RIGHT)
 
 
 def _abbreviation_usable(abbr: str, lex: MorphLexicon) -> bool:
@@ -218,7 +217,7 @@ def misc_decision(
     if kind == "genitive":
         left = provider.count(CountQuery.of(w1, "s", w2, i3))
         right = provider.count(CountQuery.of(w1, w2, "s", i3))
-        return compare(left, right, LEFT, RIGHT, "genitive-marker")
+        return compare(left, right, LEFT, RIGHT)
 
     if kind == "abbreviation":
         abbr12 = w1[0] + w2[0]
@@ -228,21 +227,21 @@ def misc_decision(
             left = provider.count(CountQuery.of(w1, w2, abbr12, i3))
         if _abbreviation_usable(abbr23, lex):
             right = provider.count(CountQuery.of(w1, w2, i3, abbr23))
-        return compare(left, right, LEFT, RIGHT, "abbreviation")
+        return compare(left, right, LEFT, RIGHT)
 
     if kind == "reorder":
         left = provider.count(CountQuery.of(i3, w1, i2))
         right = provider.count(CountQuery.of(w2, i3, i1))
-        return compare(left, right, LEFT, RIGHT, "reorder")
+        return compare(left, right, LEFT, RIGHT)
 
     if kind == "inflection-variability":
         var1 = i1 - {w1}
         var2 = i2 - {w2}
         left = provider.count(CountQuery.of(w1, var2, i3)) if var2 else 0
         right = provider.count(CountQuery.of(var1, w2, i3)) if var1 else 0
-        return compare(left, right, LEFT, RIGHT, "inflection-variability")
+        return compare(left, right, LEFT, RIGHT)
 
     count = provider.count(CountQuery.of(w2, i1, i3))
     if count > 0:
-        return Decision(RIGHT, 0, count, "swap")
-    return Decision(ABSTAIN, model="swap")
+        return Decision(RIGHT, 0, count)
+    return abstain()

@@ -317,15 +317,11 @@ def test_property_suites():
 
     # Chi-squared is invariant under simultaneous row and column swap,
     # and never negative.
-    from npstruct.assoc import ContingencyCounts, chi2_from_cells
-
     for _ in range(1000):
         a, b, c, d = (rng.randint(1, 10**6) for _ in range(4))
-        x = chi2_from_cells(ContingencyCounts(a, b, c, d))
+        x = pearson_chi2(a, b, c, d)[0]
         assert x >= 0
-        assert chi2_from_cells(ContingencyCounts(d, c, b, a)) == pytest.approx(
-            x, rel=1e-9
-        )
+        assert pearson_chi2(d, c, b, a)[0] == pytest.approx(x, rel=1e-9)
 
     # Wilson interval stays inside the unit interval.
     for _ in range(1000):

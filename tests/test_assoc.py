@@ -7,21 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npstruct.assoc import (
-    ContingencyCounts,
     DegenerateTableError,
     NounTriple,
     ZeroMarginalError,
     assoc_bracketing,
     assoc_score,
-    chi2_from_cells,
     contingency,
-    decide,
     pair_count,
     unigram_count,
 )
 from npstruct.corpus import MappingProvider
 from npstruct.decisions import ABSTAIN, LEFT, RIGHT
 from npstruct.morphology import MorphLexicon
+from npstruct.stats import pearson_chi2
 from tests.conftest import make_provider
 
 
@@ -32,22 +30,20 @@ def test_noun_triple_lowercases():
         NounTriple("", "b", "c")
 
 
-def test_chi2_from_cells_golden():
+def test_pearson_chi2_golden():
     # Oracle: scipy.stats.chi2_contingency without continuity correction
     # on [[189, 55], [195, 49]] gives 0.43990.
-    assert chi2_from_cells(ContingencyCounts(189, 55, 195, 49)) == pytest.approx(
-        0.43990, abs=1e-4
-    )
+    assert pearson_chi2(189, 55, 195, 49)[0] == pytest.approx(0.43990, abs=1e-4)
 
 
 def test_chi2_degenerate_table():
     with pytest.raises(DegenerateTableError, match="degenerate table"):
-        chi2_from_cells(ContingencyCounts(0, 0, 3, 4))
+        pearson_chi2(0, 0, 3, 4)
 
 
 def test_chi2_row_column_swap_invariance():
-    a = chi2_from_cells(ContingencyCounts(12, 5, 7, 20))
-    b = chi2_from_cells(ContingencyCounts(20, 7, 5, 12))
+    a = pearson_chi2(12, 5, 7, 20)[0]
+    b = pearson_chi2(20, 7, 5, 12)[0]
     assert a == pytest.approx(b)
 
 
@@ -61,11 +57,11 @@ def test_pair_count_sums_inflections(tmp_path, small_lex):
 
 def test_contingency_cells(tmp_path, small_lex):
     provider = make_provider(tmp_path, ["brain stem", "brain x", "y stem"])
-    cells = contingency(provider, small_lex, "brain", "stem")
-    assert cells.a == 1
-    assert cells.b == 1  # one extra "brain"
-    assert cells.c == 1  # one extra "stem"
-    assert cells.d == provider.total() - 3
+    a, b, c, d = contingency(provider, small_lex, "brain", "stem")
+    assert a == 1
+    assert b == 1  # one extra "brain"
+    assert c == 1  # one extra "stem"
+    assert d == provider.total() - 3
 
 
 def test_assoc_score_kinds(tmp_path, small_lex):
@@ -87,16 +83,33 @@ def test_zero_marginal_errors(tmp_path, small_lex):
         assoc_score("pmi", provider, small_lex, "missing", "stem")
 
 
-def test_decide_labels_and_margin():
-    assert decide("adjacency", 5, 3).label == LEFT
-    assert decide("adjacency", 3, 5).label == RIGHT
-    assert decide("dependency", 4, 4).label == ABSTAIN
-    assert decide("adjacency", 5, 3, margin=2).label == ABSTAIN
-    assert decide("adjacency", 6, 3, margin=2).label == LEFT
-    with pytest.raises(ValueError):
-        decide("sideways", 1, 0)
-    with pytest.raises(ValueError):
-        decide("adjacency", 1, 0, margin=-1)
+def _freq(model, left, right, margin=0.0):
+    """Bracket alpha beta gamma by frequency from the two pairs' counts."""
+    second = "beta gamma|gammas" if model == "adjacency" else "alpha gamma|gammas"
+    provider = MappingProvider({"alpha beta|betas": left, second: right}, total_tokens=100)
+    triple = NounTriple("alpha", "beta", "gamma")
+    return assoc_bracketing("freq", model, provider, MorphLexicon(), triple, margin)
+
+
+def test_assoc_bracketing_labels_and_margin():
+    assert _freq("adjacency", 5, 3).label == LEFT
+    assert _freq("adjacency", 3, 5).label == RIGHT
+    assert _freq("dependency", 4, 4).label == ABSTAIN
+    assert _freq("adjacency", 5, 3, margin=2).label == ABSTAIN
+    assert _freq("adjacency", 6, 3, margin=2).label == LEFT
+    with pytest.raises(ValueError, match="unknown model"):
+        _freq("sideways", 1, 0)
+
+
+def test_assoc_bracketing_abstains_on_degenerate_counts(small_lex):
+    triple = NounTriple("brain", "stem", "cells")
+    provider = MappingProvider({}, total_tokens=100)
+    d = assoc_bracketing("prob", "adjacency", provider, small_lex, triple)
+    assert d.label == ABSTAIN and d.note == "zero marginal"
+    # A table whose cells sum to zero has no chi-squared score.
+    empty = MappingProvider({}, total_tokens=0)
+    d = assoc_bracketing("chi2", "dependency", empty, small_lex, triple)
+    assert d.label == ABSTAIN and d.note == "degenerate table"
 
 
 def test_assoc_bracketing_models(tmp_path, small_lex):
@@ -107,7 +120,6 @@ def test_assoc_bracketing_models(tmp_path, small_lex):
     dep = assoc_bracketing("freq", "dependency", provider, small_lex, triple)
     assert adj.label == LEFT and adj.left_score == 5 and adj.right_score == 2
     assert dep.label == LEFT and dep.right_score == 1
-    assert adj.model == "freq-adjacency"
 
 
 def _profile_provider(rng: random.Random):
@@ -143,6 +155,6 @@ def test_pmi_and_prob_agree_under_dependency_model():
     st.integers(1, 10**6),
 )
 def test_chi2_nonnegative_and_swap_invariant(a, b, c, d):
-    x = chi2_from_cells(ContingencyCounts(a, b, c, d))
+    x = pearson_chi2(a, b, c, d)[0]
     assert x >= 0
-    assert chi2_from_cells(ContingencyCounts(d, c, b, a)) == pytest.approx(x, rel=1e-9)
+    assert pearson_chi2(d, c, b, a)[0] == pytest.approx(x, rel=1e-9)

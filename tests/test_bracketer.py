@@ -30,6 +30,14 @@ def test_config_rejects_unknown_voters():
         VoteConfig(voters=("chi2-adjacency", "astrology"))
 
 
+def test_config_rejects_negative_margin():
+    with pytest.raises(ValueError, match="margin must be nonnegative"):
+        VoteConfig(margin=-1)
+    # Checked when built, whichever voters run.
+    with pytest.raises(ValueError, match="margin must be nonnegative"):
+        VoteConfig(voters=("surface",), margin=-0.5)
+
+
 def test_run_voter_turns_zero_marginal_into_abstention(small_lex):
     provider = MappingProvider({}, total_tokens=100)
     d = run_voter("prob-adjacency", TRIPLE, provider, small_lex, VoteConfig())

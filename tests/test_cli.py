@@ -129,6 +129,50 @@ class TestExitCodes:
         assert run([command, "--index", str(index_file), "--dataset", str(dataset)]) == 2
         assert capsys.readouterr().err == "bad dataset row on line 3\n"
 
+    @pytest.mark.parametrize(
+        "argv, row, message",
+        [
+            (["coord", "--voters", "h1", "--threshold", "0"],
+             "buses\tand\ttrains\tstation\tnoun", "threshold must be >= 1"),
+            (["bracket", "--voters", "surface", "--margin", "-1"],
+             "brain\tstem\tcells\tleft", "margin must be nonnegative"),
+        ],
+        ids=["threshold", "margin"],
+    )
+    def test_setting_is_checked_before_the_index(self, tmp_path, capsys, argv, row, message):
+        dataset = tmp_path / "rows.tsv"
+        dataset.write_text(f"{row}\n", encoding="utf-8")
+        index = str(tmp_path / "missing.idx")
+        assert run([*argv, "--index", index, "--dataset", str(dataset)]) == 2
+        assert capsys.readouterr() == ("", f"{message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bracket", "--dataset", "{triples}", "--report"],
+            ["sat", "--dataset", "{analogies}", "--report"],
+            ["semeval", "--train", "{examples}", "--test", "{examples}", "--report"],
+            ["relsim", "--pairs", "{pairs}", "--out"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_output_is_checked_before_the_index(self, tmp_path, capsys, argv):
+        rows = {
+            "triples": "brain\tstem\tcells\tleft",
+            "analogies": "committee member\tteam player\tmeeting chair\t0",
+            "examples": "brain stem cells\t0:0\t2:2\trel\ttrue",
+            "pairs": "committee\tmember",
+        }
+        paths = {}
+        for name, row in rows.items():
+            paths[name] = tmp_path / f"{name}.tsv"
+            paths[name].write_text(f"{row}\n", encoding="utf-8")
+        out = str(tmp_path / "nodir" / "r.tsv")
+        index = str(tmp_path / "missing.idx")
+        argv = [*(a.format(**paths) for a in argv), out, "--index", index]
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"missing file: {out}\n")
+
     def test_seed_flag_is_accepted(self, capsys):
         assert run(["--seed", "7"]) == 1  # still needs a subcommand
         capsys.readouterr()

@@ -88,8 +88,8 @@ class TestParaphrases:
     def test_validation(self, small_lex):
         with pytest.raises(ValueError):
             coord_paraphrase_decision(MappingProvider({}), small_lex, QUAD, 9)
-        with pytest.raises(ValueError):
-            coord_paraphrase_decision(MappingProvider({}), small_lex, QUAD, 1, threshold=0)
+        with pytest.raises(ValueError, match="threshold must be >= 1"):
+            CoordVoteConfig(threshold=0)
 
 
 class TestHeuristics:
@@ -188,6 +188,11 @@ class TestPipeline:
     def test_unknown_voter(self):
         with pytest.raises(ValueError, match="unknown voters"):
             CoordVoteConfig(voters=("ngram-i", "astrology"))
+
+    def test_threshold_below_one_rejected_when_built(self):
+        # Checked whichever voters run, not only the paraphrase voters.
+        with pytest.raises(ValueError, match="threshold must be >= 1"):
+            CoordVoteConfig(voters=("h1",), threshold=0)
 
 
 def test_load_coord_dataset(tmp_path):

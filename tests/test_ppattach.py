@@ -19,6 +19,7 @@ from npstruct.ppattach import (
     pp_paraphrase_decision,
     pp_pipeline,
     pp_surface_vote,
+    run_pp_voter,
 )
 from tests.conftest import make_provider
 
@@ -172,7 +173,7 @@ class TestBackoff:
     def test_first_stage_predicts_when_supported(self, small_lex):
         model = backoff_train(self._training(), small_lex)
         d = backoff_predict(model, PPQuad("meet", "needs", "from", "buyers"), small_lex)
-        assert d.label == NOUN and d.model == "backoff"
+        assert d.label == NOUN
 
     def test_small_denominator_backs_off_to_preposition_rate(self, small_lex):
         # Only the (p, n2) table matches: denominator 3, not > 3.
@@ -279,6 +280,16 @@ class TestPipeline:
         assert model.trained > 0
         assert all("backoff" in r.votes for r in results)
         assert len(results) == len(quads)
+
+    def test_bootstrap_backoff_votes_with_the_trained_model(self, tmp_path, small_lex):
+        provider = make_provider(tmp_path, ["they meet the customer demands daily"] * 3)
+        untrained = run_pp_voter("backoff", QUAD, provider, small_lex, PPVoteConfig())
+        assert untrained.abstained and untrained.note == "no trained model"
+        quads = [QUAD] * 3 + [PPQuad("meet", "demands", "from", "buyers")]
+        results, _model = pp_bootstrap(quads, provider, small_lex)
+        backoff_votes = [r.votes["backoff"] for r in results]
+        assert all(d.note != "no trained model" for d in backoff_votes)
+        assert not any(d.abstained for d in backoff_votes)
 
     def test_unknown_voter(self):
         with pytest.raises(ValueError, match="unknown voters"):
