@@ -62,11 +62,17 @@ def unigram_count(provider: CountProvider, lex: MorphLexicon, w: str) -> int:
 def contingency(
     provider: CountProvider, lex: MorphLexicon, wi: str, wj: str
 ) -> tuple[int, int, int, int]:
-    """Cells ``(a, b, c, d)`` of the two-by-two table for the ordered pair (wi, wj)."""
+    """Cells ``(a, b, c, d)`` of the two-by-two table for the ordered pair (wi, wj).
+
+    When ``wi`` and ``wj`` share forms, both marginals count the shared
+    tokens and ``d`` can go negative; such a table is degenerate.
+    """
     a = pair_count(provider, lex, wi, wj)
     b = unigram_count(provider, lex, wi) - a
     c = unigram_count(provider, lex, wj) - a
     d = provider.total() - a - b - c
+    if min(b, c, d) < 0:
+        raise DegenerateTableError("negative cell")
     return a, b, c, d
 
 

@@ -313,10 +313,11 @@ def _cmd_semeval(args) -> int:
     lex = load_lexicon(args.lexicon)
     _create_output(args.report)
     index = CorpusIndex.load(args.index) if args.index else None
+    model = relsim.SemevalModel.fit(train, lex, index)
     predictions, gold = [], []
     lines = []
     for example, label in test:
-        pred = relsim.semeval_classify(example, train, lex, index=index)
+        pred = model.classify(example)
         predictions.append(pred)
         gold.append(label)
         lines.append(f"{' '.join(example.tokens)}\t{str(pred).lower()}")

@@ -52,7 +52,9 @@ class MorphLexicon:
     """Maps lemmas to their inflected forms and back.
 
     Loaded from a TSV file of lines ``lemma<TAB>form1,form2,...``.
-    Lookup is case-insensitive.  Every lemma maps to itself.
+    Lookup is case-insensitive.  Every lemma maps to itself.  Only the
+    two constructors, ``load`` and ``from_entries``, call ``add``, so a
+    built lexicon does not change and its identity can key a cache.
     """
 
     forms_by_lemma: dict[str, frozenset[str]] = field(default_factory=dict)

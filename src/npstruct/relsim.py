@@ -12,6 +12,7 @@ checking between entity mentions.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -440,6 +441,68 @@ def semeval_vector(
     return dict(vec)
 
 
+def _semeval_features(
+    example: SemevalExample, lex: MorphLexicon, index: CorpusIndex | None
+) -> dict:
+    """``semeval_vector`` of ``example``, with its heads' pair features if ``index``."""
+    pair = None
+    if index is not None:
+        pair = dict(
+            extract_pair_features(index, example.entity_head(1), example.entity_head(2), lex)
+        )
+    return semeval_vector(example, lex, pair_features=pair)
+
+
+@dataclass(frozen=True)
+class SemevalModel:
+    """Binary relation check by 1-NN over weighted example vectors.
+
+    ``fit`` extracts and weights the training vectors once; ``classify``
+    then extracts only the test example's.  Entity heads sharing a lemma
+    force a negative, and an abstaining neighbor vote falls back to the
+    training majority label.  With an ``index``, which must be tagged,
+    the entity heads' pair features join each vector.
+    """
+
+    lex: MorphLexicon
+    index: CorpusIndex | None
+    weights: TfidfWeights
+    neighbours: list[tuple[dict, str]]
+    majority: str
+
+    @classmethod
+    def fit(
+        cls,
+        train: Sequence[tuple[SemevalExample, bool]],
+        lex: MorphLexicon,
+        index: CorpusIndex | None = None,
+    ) -> "SemevalModel":
+        if not train:
+            raise ValueError("train must be nonempty")
+        vectors = [_semeval_features(ex, lex, index) for ex, _ in train]
+        weights = TfidfWeights.fit(vectors)
+        labels = ["true" if label else "false" for _, label in train]
+        trues = labels.count("true")
+        majority = "true" if trues >= len(labels) - trues else "false"
+        neighbours = list(zip(map(weights.weight, vectors), labels))
+        return cls(lex, index, weights, neighbours, majority)
+
+    def vector(self, example: SemevalExample) -> dict:
+        """The weighted vector ``example`` is compared by."""
+        return self.weights.weight(_semeval_features(example, self.lex, self.index))
+
+    def classify(self, example: SemevalExample) -> bool:
+        """Whether ``example``'s entities hold the relation."""
+        if lemma(self.lex, example.entity_head(1)) == lemma(self.lex, example.entity_head(2)):
+            return False
+        return (knn_classify(self.neighbours, self.vector(example)) or self.majority) == "true"
+
+
+# The last model ``semeval_classify`` fitted with an index: weak references
+# to its lexicon and index, its training set, and its fitted parts.
+_last_fit: tuple | None = None
+
+
 def semeval_classify(
     example: SemevalExample,
     train: list[tuple[SemevalExample, bool]],
@@ -447,38 +510,24 @@ def semeval_classify(
     *,
     index: CorpusIndex | None = None,
 ) -> bool:
-    """Binary relation check by 1-NN over weighted example vectors.
+    """``SemevalModel.fit(train, lex, index).classify(example)``.
 
-    An abstaining neighbor vote falls back to the training majority
-    class; entity heads sharing a lemma force a negative, last.  With an
-    ``index``, which must be tagged, the entity heads' pair features join
-    each vector.
+    A call with an ``index`` reuses the previous such call's fit when the
+    training set is equal and ``lex`` and ``index`` are the same objects;
+    both are immutable once built.  Only weak references to them are
+    kept, so a dropped index is freed and never matches again.
     """
-    if not train:
-        raise ValueError("train must be nonempty")
-
-    def features(ex: SemevalExample) -> dict:
-        pair = None
-        if index is not None:
-            pair = dict(
-                extract_pair_features(index, ex.entity_head(1), ex.entity_head(2), lex)
-            )
-        return semeval_vector(ex, lex, pair_features=pair)
-
-    train_vecs = [(features(ex), label) for ex, label in train]
-    weights = TfidfWeights.fit([v for v, _ in train_vecs])
-    weighted_train = [
-        (weights.weight(v), "true" if label else "false") for v, label in train_vecs
-    ]
-    query = weights.weight(features(example))
-    label = knn_classify(weighted_train, query)
-    if label is None:
-        trues = sum(1 for _, lab in train if lab)
-        label = "true" if trues >= len(train) - trues else "false"
-    result = label == "true"
-    if lemma(lex, example.entity_head(1)) == lemma(lex, example.entity_head(2)):
-        result = False
-    return result
+    global _last_fit
+    key = tuple(train)
+    if index is not None and _last_fit is not None:
+        lex_ref, index_ref, last_key, parts = _last_fit
+        if lex_ref() is lex and index_ref() is index and last_key == key:
+            return SemevalModel(lex, index, *parts).classify(example)
+    model = SemevalModel.fit(train, lex, index)
+    if index is not None:
+        parts = (model.weights, model.neighbours, model.majority)
+        _last_fit = (weakref.ref(lex), weakref.ref(index), key, parts)
+    return model.classify(example)
 
 
 @dataclass(frozen=True)

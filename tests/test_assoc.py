@@ -16,6 +16,7 @@ from npstruct.assoc import (
     pair_count,
     unigram_count,
 )
+from npstruct.cli import run
 from npstruct.corpus import MappingProvider
 from npstruct.decisions import ABSTAIN, LEFT, RIGHT
 from npstruct.morphology import MorphLexicon
@@ -62,6 +63,34 @@ def test_contingency_cells(tmp_path, small_lex):
     assert b == 1  # one extra "brain"
     assert c == 1  # one extra "stem"
     assert d == provider.total() - 3
+
+
+def test_contingency_of_words_sharing_forms_is_degenerate(tmp_path, small_lex):
+    # Both marginals count each "stem", so d = 2 - 1 - 1 - 1 = -1.
+    provider = make_provider(tmp_path, ["stem stem"])
+    with pytest.raises(DegenerateTableError, match="negative cell"):
+        contingency(provider, small_lex, "stem", "stem")
+
+
+@pytest.mark.parametrize("model", ["adjacency", "dependency"])
+def test_chi2_voters_abstain_on_a_negative_cell(tmp_path, small_lex, model):
+    provider = make_provider(tmp_path, ["stem stem"])
+    d = assoc_bracketing("chi2", model, provider, small_lex, NounTriple("stem", "stem", "cells"))
+    assert (d.label, d.note) == (ABSTAIN, "negative cell")
+
+
+def test_bracket_run_with_a_repeated_word_exits_0(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("stem stem\n", encoding="utf-8")
+    dataset = tmp_path / "triples.tsv"
+    dataset.write_text("stem\tstem\tcells\tleft\nbrain\tstem\tcells\tleft\n", encoding="utf-8")
+    index = str(tmp_path / "corpus.idx")
+    assert run(["index", "--corpus", str(corpus), "--out", index]) == 0
+    report = tmp_path / "report.tsv"
+    argv = ["bracket", "--index", index, "--dataset", str(dataset), "--report", str(report)]
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert report.read_text(encoding="utf-8").count("\n") == 2
 
 
 def test_assoc_score_kinds(tmp_path, small_lex):

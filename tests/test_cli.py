@@ -384,6 +384,19 @@ class TestRelsimCommands:
         assert run(argv) == 2
         assert capsys.readouterr().err == "tags required\n"
 
+    def test_semeval_fits_before_reading_an_empty_test_set(self, index_file, tmp_path, capsys):
+        examples = tmp_path / "examples.tsv"
+        examples.write_text("brain stem cells\t0:0\t2:2\trel\ttrue\n", encoding="utf-8")
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("", encoding="utf-8")
+        argv = ["semeval", "--train", str(empty), "--test", str(empty)]
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", "train must be nonempty\n")
+        argv = ["semeval", "--index", str(index_file), "--train", str(examples),
+                "--test", str(empty)]
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", "tags required\n")
+
     def test_semeval(self, tmp_path, capsys):
         train = tmp_path / "train.tsv"
         train.write_text(

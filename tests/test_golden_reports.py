@@ -1,18 +1,21 @@
-"""Whole ``bracket``, ``ppattach`` and ``coord`` reports, pinned byte for byte.
+"""Whole CLI reports, pinned byte for byte.
 
-The corpus is written from fixed sentences chosen so that, for each
-task, n-gram, paraphrase, heuristic and surface voters fire on evidence.
-Each report's sha256 and summary line are reference values: a change in
-any label, column, separator or line order changes them.
+The ``bracket``, ``ppattach`` and ``coord`` corpus is written from fixed
+sentences chosen so that, for each task, n-gram, paraphrase, heuristic
+and surface voters fire on evidence.  The ``sat`` and ``semeval`` corpus
+is tagged, so that pair features join the vectors.  Each report's sha256
+and summary line are reference values: a change in any label, column,
+separator or line order changes them.
 """
 
 import hashlib
 
 import pytest
 
-from npstruct import bracketer, coordination, datasets, ppattach
-from npstruct.cli import run
+from npstruct import bracketer, coordination, datasets, ppattach, relsim
+from npstruct.cli import _example, run
 from npstruct.corpus import CorpusIndex, IndexProvider
+from npstruct.morphology import lemma
 
 SENTENCES = [
     # Bracketing: brain stem cells (left), human growth hormone (right).
@@ -147,3 +150,101 @@ def test_corpus_makes_each_kind_of_voter_fire(task, files):
         if not d.abstained and d.note != "below threshold"
     }
     assert set(FIRING[task]) <= fired
+
+
+TAGGED_SENTENCES = [
+    "The_D committee_N includes_V all_D members_N",
+    "The_D team_N includes_V all_D players_N",
+    "The_D committee_N holds_V meetings_N",
+    "The_D committees_N hold_V sessions_N",
+    "The_D players_N ignore_V rules_N",
+    "The_D chair_N of_P the_D meeting_N",
+    "The_D members_N of_P the_D committee_N",
+    "The_D players_N of_P the_D team_N",
+]
+
+# Answered right, answered wrong, answered on a reversed stem, and a tie.
+SAT_ROWS = [
+    "committee member\tteam player\tmeeting chair\t0",
+    "committee member\tteam player\tmeeting chair\t1",
+    "member committee\tplayer team\tchair meeting\t0",
+    "committee session\tteam rule\tdog bone\t1",
+]
+
+# Both labels once each, so that a test sharing no feature with either
+# ties, and the tie falls to the majority.
+SEMEVAL_TRAIN = [
+    "committees hold meetings\t0:0\t2:2\trel\ttrue",
+    "players ignore rules\t0:0\t2:2\trel\tfalse",
+]
+
+# Nearest neighbour (twice), majority fallback, and same-lemma negative.
+SEMEVAL_TEST = [
+    "committees hold sessions\t0:0\t2:2\trel\ttrue",
+    "players ignore laws\t0:0\t2:2\trel\tfalse",
+    "alpha links beta\t0:0\t2:2\trel\tfalse",
+    "member meets members\t0:0\t2:2\trel\ttrue\tcommittee member",
+]
+
+# Command -> (report sha256, summary line).
+RELSIM_EXPECTED = {
+    "sat": (
+        "2f0866dc7444368c86fc4aa3976c2bc800ca9b2de3b04416328a2a12ba06de73",
+        "answered 3, correct 2\n",
+    ),
+    "semeval": (
+        "3bc2b8a19beaa8295d0de42d968d5000e991d2475d36c4a2fc9832e39700b17d",
+        "P 0.5000 R 0.5000 F 0.5000 Acc 0.5000\n",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def tagged_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("golden-tagged")
+    corpus = tmp / "tagged.txt"
+    corpus.write_text("\n".join(TAGGED_SENTENCES) + "\n", encoding="utf-8")
+    index = tmp / "tagged.idx"
+    assert run(["index", "--corpus", str(corpus), "--out", str(index), "--tagged"]) == 0
+    paths = {"index": index}
+    for name, rows in (("sat", SAT_ROWS), ("train", SEMEVAL_TRAIN), ("test", SEMEVAL_TEST)):
+        paths[name] = tmp / f"{name}.tsv"
+        paths[name].write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return paths
+
+
+@pytest.mark.parametrize("command", sorted(RELSIM_EXPECTED))
+def test_relsim_report_and_summary_are_pinned(command, tagged_files, tmp_path, capsys):
+    capsys.readouterr()
+    report = tmp_path / "report.tsv"
+    argv = [command, "--index", str(tagged_files["index"]), "--report", str(report)]
+    if command == "sat":
+        argv += ["--dataset", str(tagged_files["sat"])]
+        rows = SAT_ROWS
+    else:
+        argv += ["--train", str(tagged_files["train"]), "--test", str(tagged_files["test"])]
+        rows = SEMEVAL_TEST
+    assert run(argv) == 0
+    digest, summary = RELSIM_EXPECTED[command]
+    assert capsys.readouterr().out == summary
+    assert report.read_text(encoding="utf-8").count("\n") == len(rows)
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+def test_semeval_tests_take_each_path(tagged_files):
+    lex = datasets.default_lexicon()
+    model = relsim.SemevalModel.fit(
+        [_example(row.split("\t")) for row in SEMEVAL_TRAIN],
+        lex,
+        CorpusIndex.load(tagged_files["index"]),
+    )
+    paths = []
+    for row in SEMEVAL_TEST:
+        example, _ = _example(row.split("\t"))
+        if lemma(lex, example.entity_head(1)) == lemma(lex, example.entity_head(2)):
+            paths.append("same lemma")
+        elif relsim.knn_classify(model.neighbours, model.vector(example)) is None:
+            paths.append("majority")
+        else:
+            paths.append("neighbour")
+    assert paths == ["neighbour", "neighbour", "majority", "same lemma"]
