@@ -20,7 +20,7 @@ from .decisions import Decision, majority_vote
 from .morphology import MorphLexicon, inflections, lemma
 from .paraphrase import ParaphraseInventory, paraphrase_decision
 from .ppattach import PPQuad, pp_pipeline
-from .stats import EvalReport, evaluate, kappa, pearson_chi2, wald_interval, wilson_interval
+from .stats import EvalReport, evaluate, pearson_chi2, wilson_interval
 
 __all__ = [
     "NounTriple",
@@ -45,9 +45,7 @@ __all__ = [
     "pp_pipeline",
     "EvalReport",
     "evaluate",
-    "kappa",
     "pearson_chi2",
-    "wald_interval",
     "wilson_interval",
 ]
 

@@ -163,26 +163,6 @@ def _families(
         yield "right", (w2, t3), middles[t3], [(t1,) for t1 in i1]
 
 
-def generate_bracketing_queries(
-    triple: NounTriple,
-    inv: ParaphraseInventory,
-    lex: MorphLexicon,
-) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
-    """All left- and right-predicting paraphrases of a triple, as token tuples.
-
-    Left patterns keep ``w1 w2`` together (``cells from the bone
-    marrow``); right patterns keep ``w2 w3`` (``marrow cells of the
-    bone``).  Multiword prepositions are split into tokens; the empty
-    determiner realizes the optional slot; the copula must agree in
-    number with the clause head (the inflected ``w3``).  This spells
-    out, phrase by phrase, what ``paraphrase_decision`` counts.
-    """
-    families: dict[str, list[tuple[str, ...]]] = {"left": [], "right": []}
-    for side, head, middles, tails in _families(triple, inv, lex):
-        families[side] += [head + middle + tail for tail in tails for middle in middles]
-    return families["left"], families["right"]
-
-
 def paraphrase_decision(
     provider: CountProvider,
     triple: NounTriple,

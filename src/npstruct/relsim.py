@@ -26,7 +26,6 @@ from .morphology import (
     DO_FORMS,
     HAVE_FORMS,
     MODALS,
-    PREPOSITIONS,
     MorphLexicon,
     inflections,
     lemma,
@@ -35,22 +34,10 @@ from .morphology import (
 DIR_12 = "1->2"
 DIR_21 = "2->1"
 
-RAISING_VERBS = frozenset("seem appear happen tend turn prove".split())
-
 ADVERBS = frozenset(
     """not also only usually often always never eventually typically
     really just sometimes generally mainly mostly frequently""".split()
 )
-
-IRREGULAR_PARTICIPLES = frozenset(
-    """made given taken done found known seen born borne built caught held
-    kept written sold bought brought put set sent told shown grown drawn
-    driven eaten chosen worn thrown broken spoken stolen hidden frozen
-    woven begun sung won left lost meant felt said paid laid built""".split()
-)
-
-# Words a normalized human paraphrase may keep after its main verb.
-PREPOSITION_WORDS = PREPOSITIONS | {"like", "as"}
 
 
 @dataclass(frozen=True)
@@ -220,88 +207,6 @@ def _classify_connector(
             lexeme = f"{verb} {prep}" if prep else verb
             return (lexeme, "V")
     return None
-
-
-RELATIVIZERS = frozenset({"that", "which", "who"})
-
-
-def extract_paraphrase_verbs(
-    index: CorpusIndex,
-    modifier: str,
-    head: str,
-    lex: MorphLexicon,
-) -> Counter[str]:
-    """Verbs paraphrasing a head-modifier compound via a relative clause.
-
-    Looks for ``head that/which/who ... modifier`` with up to eight
-    words between; keeps clauses that are a single verb phrase with no
-    intervening nouns, drops modals and auxiliaries but retains the
-    passive ``be``, attaches a following preposition, and lemmatizes
-    the main verb.  The modifier must not end its noun phrase early:
-    something non-nominal has to follow it.  Only sentences holding
-    the head, a complementizer and the modifier are scanned.
-    """
-    noun, relativizers = _noun_tag(index), index.encode(RELATIVIZERS)
-    ih = inflections(lex, head)
-    im = inflections(lex, modifier)
-    ids_h, ids_m = index.encode(ih), index.encode(im)
-    return Counter(chain.from_iterable(
-        _sentence_paraphrase_verbs(index, noun, relativizers, sid, ids_h, ids_m, lex)
-        for sid in index.sentence_ids(ih, RELATIVIZERS, im)
-    ))
-
-
-def _sentence_paraphrase_verbs(
-    index: CorpusIndex,
-    noun: int | None,
-    relativizers: frozenset[int],
-    sid: int,
-    ih: frozenset[int],
-    im: frozenset[int],
-    lex: MorphLexicon,
-) -> Iterator[str]:
-    """The relative-clause paraphrase verbs of one tagged sentence, in order.
-
-    ``noun`` is the noun tag's id, ``relativizers`` the ids of
-    ``RELATIVIZERS``, and ``ih`` and ``im`` the token ids of the head's
-    and the modifier's inflections.
-    """
-    toks, tags = index.sentence_codes(sid)
-    for i, tok in enumerate(toks[:-2]):
-        if tok not in ih or toks[i + 1] not in relativizers:
-            continue
-        for j in range(i + 2, min(i + 2 + 9, len(toks))):
-            if toks[j] not in im:
-                continue
-            tail_tags = tags[j + 1 :]
-            if not tail_tags or all(t == noun for t in tail_tags):
-                continue
-            if noun in tags[i + 2 : j]:
-                continue
-            clause = _segment(index, toks, tags, i + 2, j)
-            groups = _vp_count(clause)
-            if groups != 1:
-                continue
-            group = _verb_group(clause, lex)
-            if group is None:
-                continue
-            verb, prep = group
-            yield f"{verb} {prep}" if prep else verb
-            break
-
-
-def _vp_count(clause: list[tuple[str, str]]) -> int:
-    """Number of contiguous verb-ish runs in a clause."""
-    count = 0
-    in_run = False
-    for _w, tag in clause:
-        if tag in ("M", "A", "V"):
-            if not in_run:
-                count += 1
-                in_run = True
-        else:
-            in_run = False
-    return count
 
 
 @dataclass
@@ -552,75 +457,6 @@ def score_binary(predictions: list[bool], gold: list[bool]) -> BinaryScores:
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     accuracy = (tp + tn) / len(gold) if gold else 0.0
     return BinaryScores(precision, recall, f1, accuracy)
-
-
-def normalize_human_verb(
-    phrase: str,
-    lex: MorphLexicon,
-    known_verbs: frozenset[str] | None = None,
-) -> str | None:
-    """Canonicalize a free-text verbal paraphrase, or reject it.
-
-    Strips adverbs and leading modals, removes perfect have and
-    continuous be, collapses raising verbs over ``to be`` to ``be``,
-    restores the passive ``be`` before a bare participle, rejects
-    phrases with non-verb content or an infinitive other than ``be``,
-    and lemmatizes the main verb of active phrases.
-    """
-    tokens = [t for t in phrase.lower().split() if t]
-    tokens = [t for t in tokens if t not in ADVERBS]
-    while tokens and tokens[0] in MODALS:
-        tokens = tokens[1:]
-    if not tokens:
-        return None
-
-    if (
-        len(tokens) >= 3
-        and lemma(lex, tokens[0]) in RAISING_VERBS
-        and tokens[1] == "to"
-        and tokens[2] == "be"
-    ):
-        tokens = ["be"] + tokens[3:]
-
-    if "to" in tokens:
-        at = tokens.index("to")
-        if at + 1 >= len(tokens) or tokens[at + 1] != "be":
-            return None
-
-    perfect = False
-    if tokens[0] in HAVE_FORMS and len(tokens) > 1:
-        tokens = tokens[1:]
-        perfect = True
-
-    if tokens[0] in BE_FORMS:
-        rest = tokens[1:]
-        if rest and rest[0].endswith("ing"):
-            tokens = rest
-        else:
-            tokens = ["be"] + rest
-    elif not perfect and _is_participle(tokens[0]):
-        tokens = ["be"] + tokens
-
-    passive = tokens[0] == "be"
-    main_at = 1 if passive and len(tokens) > 1 else 0
-    for i, tok in enumerate(tokens):
-        if i <= main_at or tok == "be":
-            continue
-        if tok not in PREPOSITION_WORDS:
-            return None
-    if known_verbs is not None:
-        main = tokens[main_at] if main_at < len(tokens) else tokens[0]
-        if main != "be" and lemma(lex, main) not in known_verbs:
-            return None
-    if not passive:
-        tokens[0] = lemma(lex, tokens[0])
-    return " ".join(tokens)
-
-
-def _is_participle(word: str) -> bool:
-    if word in IRREGULAR_PARTICIPLES:
-        return True
-    return word.endswith("ed") and len(word) > 3
 
 
 def dump_pair_features(

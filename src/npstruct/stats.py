@@ -1,4 +1,4 @@
-"""Evaluation statistics: intervals, significance tests, agreement, reports."""
+"""Evaluation statistics: intervals, significance tests, reports."""
 
 from __future__ import annotations
 
@@ -33,18 +33,6 @@ def wilson_interval(correct: int, total: int, level: float = 0.95) -> tuple[floa
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def wald_interval(correct: int, total: int, level: float = 0.95) -> tuple[float, float]:
-    """Normal-approximation interval p ± z·sqrt(p(1-p)/n); may leave [0, 1]."""
-    if total < 1:
-        raise ValueError("total must be >= 1")
-    if not 0 <= correct <= total:
-        raise ValueError("correct must be in [0, total]")
-    z = _z(level)
-    p = correct / total
-    half = z * math.sqrt(p * (1 - p) / total)
-    return (p - half, p + half)
-
-
 def chi2_sf1(x: float) -> float:
     """Upper tail probability of the chi-squared distribution with 1 df."""
     if x < 0:
@@ -69,13 +57,6 @@ def pearson_chi2(a: int, b: int, c: int, d: int) -> tuple[float, float]:
         raise DegenerateTableError("degenerate table")
     chi2 = n * (a * d - b * c) ** 2 / denom
     return chi2, chi2_sf1(chi2)
-
-
-def kappa(pr_a: float, pr_e: float) -> float:
-    """Chance-corrected agreement K = (Pr(A) - Pr(E)) / (1 - Pr(E))."""
-    if pr_e >= 1:
-        raise ValueError("chance agreement must be < 1")
-    return (pr_a - pr_e) / (1 - pr_e)
 
 
 @dataclass(frozen=True)

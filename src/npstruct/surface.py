@@ -161,24 +161,20 @@ def wildcard_decision(
     lex: MorphLexicon,
     triple: NounTriple,
     variant: str,
-    stars: int = 1,
 ) -> Decision:
     """Compare gap-query frequencies of the two groupings.
 
     The left-predicting pattern is ``w1 w2 * w3`` (or ``w3 * w1 w2``
-    for the reversed variants); the right-predicting pattern keeps the
-    head next to ``w2``.
+    for the reversed variants), the ``*`` standing for exactly one
+    token; the right-predicting pattern keeps the head next to ``w2``.
     """
     if variant not in WILDCARD_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if not 1 <= stars <= 3:
-        raise ValueError("stars must be in 1..3")
     w1, w2, _w3 = triple.words()
     i1, i2, i3 = (inflections(lex, w) for w in triple.words())
-    gap = (stars, stars)
 
     def gapped(left_part: list, right_part: list) -> int:
-        return provider.count(CountQuery.gapped(left_part, right_part, *gap))
+        return provider.count(CountQuery.gapped(left_part, right_part, 1, 1))
 
     if variant == "adjacency":
         left = gapped([w1, i2], [i3])

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from npstruct.assoc import NounTriple
 from npstruct.corpus import CorpusIndex, CountQuery, IndexProvider, IngestConfig, build_index
-from npstruct.morphology import MorphLexicon
+from npstruct.morphology import MorphLexicon, inflections, is_plural
+from npstruct.paraphrase import ParaphraseInventory
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 
@@ -45,6 +47,42 @@ def naive_count(sentences: list[list[str]], query: CountQuery) -> int:
         for pat in patterns:
             total += len(re.findall(f"(?= {pat} )", text))
     return total
+
+
+def generate_bracketing_queries(
+    triple: NounTriple,
+    inv: ParaphraseInventory,
+    lex: MorphLexicon,
+) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
+    """All left- and right-predicting paraphrases of a triple, as token tuples.
+
+    Spells out, phrase by phrase and straight from the inventory, what
+    ``paraphrase_decision`` counts.  Left patterns keep ``w1 w2``
+    together (``cells from the bone marrow``); right patterns keep
+    ``w2 w3`` (``marrow cells of the bone``).  Multiword prepositions
+    are split into tokens; the empty determiner realizes the optional
+    slot; ``is``/``was`` need a singular clause head (the inflected
+    ``w3``) and ``are``/``were`` a plural one.  Each phrase is listed
+    once, in first-generated order.
+    """
+    w1, w2, w3 = triple.words()
+    i1, i2, i3 = (sorted(inflections(lex, w)) for w in (w1, w2, w3))
+    dets = [()] + [tuple(d.split()) for d in inv.determiners]
+    prep_dets = [tuple(p.split()) + det for p in inv.prepositions for det in dets]
+
+    def middles(t3: str) -> list[tuple[str, ...]]:
+        plural = is_plural(lex, t3)
+        out = list(prep_dets)
+        for compl in inv.complementizers:
+            for cop in inv.copulas:
+                if (cop in ("is", "was") and plural) or (cop in ("are", "were") and not plural):
+                    continue
+                out += [(compl, cop) + rest for rest in dets + prep_dets]
+        return out
+
+    left = [(t3, *m, w1, t2) for t3 in i3 for t2 in i2 for m in middles(t3)]
+    right = [(w2, t3, *m, t1) for t3 in i3 for t1 in i1 for m in middles(t3)]
+    return list(dict.fromkeys(left)), list(dict.fromkeys(right))
 
 
 def make_index(

@@ -3,8 +3,8 @@
 Each test here pins down a user-visible guarantee of the toolkit:
 reference statistics values, bundled-dataset integrity, count-provider
 correctness against an independent scanner, recorded-count decision
-traces, algebraic properties, end-to-end pipelines on rigged corpora,
-and the human-verb normalizer.
+traces, algebraic properties, and end-to-end pipelines on rigged
+corpora.
 """
 
 from __future__ import annotations
@@ -42,11 +42,10 @@ from npstruct.decisions import (
 )
 from npstruct.morphology import MorphLexicon, inflections
 from npstruct.ppattach import PPQuad, pp_paraphrase_decision, pp_pipeline
-from npstruct.relsim import dice, knn_classify, normalize_human_verb, solve_sat
+from npstruct.relsim import dice, knn_classify, solve_sat
 from npstruct.stats import (
     EvalReport,
     pearson_chi2,
-    wald_interval,
     wilson_interval,
 )
 from npstruct.surface import concatenation_decision, misc_decision, wildcard_decision
@@ -79,10 +78,6 @@ LEX = MorphLexicon.from_entries(
         "meet": ["meets", "met", "meeting"],
         "chair": ["chairs", "chaired", "chairing"],
         "be": ["is", "are", "was", "were", "am", "been", "being"],
-        "cause": ["causes", "caused", "causing"],
-        "donate": ["donates", "donated", "donating"],
-        "seem": ["seems", "seemed", "seeming"],
-        "make": ["makes", "made", "making"],
     }
 )
 
@@ -114,10 +109,6 @@ def test_statistics_reference_values():
     assert report.margin == report.accuracy - low
     assert report.margin == pytest.approx(0.0547, abs=1e-3)
     assert 0.0 <= low < high <= 1.0
-
-    wlow, whigh = wald_interval(195, 244, 0.95)
-    assert wlow == pytest.approx(0.7492, abs=1e-3)
-    assert whigh == pytest.approx(0.8492, abs=1e-3)
 
     _, p = pearson_chi2(189, 55, 195, 49)
     assert p == pytest.approx(0.5072, abs=2e-3)
@@ -255,7 +246,7 @@ def test_direct_count_decisions_from_recorded_counts():
             _gapped_key([i1], ["stem", i3], 1, 1): 272_601,
         }
     )
-    assert wildcard_decision(wildcard, LEX, triple, "adjacency", stars=1).label == LEFT
+    assert wildcard_decision(wildcard, LEX, triple, "adjacency").label == LEFT
 
     reorder = MappingProvider(
         {_key(i3, "brain", i2): 138_010, _key("stem", i3, i1): 25_020}
@@ -472,17 +463,3 @@ def test_end_to_end_pipelines(tmp_path):
 
     assert time.monotonic() - start < 60.0
 
-
-# ---------------------------------------------------------------------------
-# 7. Human-verb normalization.
-
-
-def test_human_verb_normalization():
-    cases = {
-        "can cause": "cause",
-        "seems to be": "be",
-        "made from": "be made from",
-        "is donating": "donate",
-    }
-    for raw, expected in cases.items():
-        assert normalize_human_verb(raw, LEX) == expected

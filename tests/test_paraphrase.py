@@ -5,6 +5,7 @@ import random
 import pytest
 
 from npstruct.assoc import NounTriple
+from npstruct.corpus import CountQuery
 from npstruct.datasets import biomedical_bracketing, default_inventory, default_lexicon
 from npstruct.decisions import ABSTAIN, LEFT, RIGHT
 from npstruct.paraphrase import (
@@ -13,10 +14,15 @@ from npstruct.paraphrase import (
     NONVERBAL_PREPOSITIONS,
     VERBAL_PREPOSITIONS,
     ParaphraseInventory,
-    generate_bracketing_queries,
     paraphrase_decision,
 )
-from tests.conftest import CountOnlyProvider, make_provider
+from tests.conftest import (
+    CountOnlyProvider,
+    generate_bracketing_queries,
+    make_provider,
+    naive_count,
+    normalize_line,
+)
 
 TRIPLE = NounTriple("bone", "marrow", "cells")
 
@@ -136,6 +142,27 @@ def test_batch_and_fallback_agree_on_bundled_triples(tmp_path):
     for batch, fallback in decisions:
         _same_decision(batch, fallback)
     assert all(b.left_score >= 3 and b.right_score >= 2 for b, _ in decisions)
+
+
+def test_decision_sums_naive_counts_of_every_spelled_out_phrase(tmp_path, small_lex):
+    inv = ParaphraseInventory(prepositions=("of", "from", "out of"), determiners=("the", "a"))
+    lines = [
+        "cells from the bone marrow",
+        "cell out of a bone marrows",
+        "cells that are of bone marrow",
+        "cells that is of bone marrow",  # disagreeing copula
+        "marrow cells of the bone and marrow cells of bones",
+        "marrow cell that is from a bone",
+        "bone marrow cells",
+    ]
+    sentences = [normalize_line(line) for line in lines]
+    decision = paraphrase_decision(make_provider(tmp_path, lines), TRIPLE, inv, small_lex)
+    left, right = generate_bracketing_queries(TRIPLE, inv, small_lex)
+    expected = [
+        sum(naive_count(sentences, CountQuery.of(*phrase)) for phrase in family)
+        for family in (left, right)
+    ]
+    assert [decision.left_score, decision.right_score] == expected == [3, 3]
 
 
 def test_inventory_words_are_lowercased(tmp_path, small_lex):

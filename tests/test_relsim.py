@@ -12,19 +12,16 @@ from npstruct.morphology import inflections
 from npstruct.relsim import (
     DIR_12,
     DIR_21,
-    RELATIVIZERS,
     BinaryScores,
     PairFeature,
     SemevalExample,
+    SemevalModel,
     TfidfWeights,
     _sentence_pair_features,
-    _sentence_paraphrase_verbs,
     dice,
     dump_pair_features,
     extract_pair_features,
-    extract_paraphrase_verbs,
     knn_classify,
-    normalize_human_verb,
     score_binary,
     semeval_classify,
     semeval_vector,
@@ -112,39 +109,11 @@ class TestPairFeatures:
         assert dict(fwd) == flipped
 
 
-class TestParaphraseVerbs:
-    def test_relative_clause_verb(self, tmp_path, small_lex):
-        index = tagged_index(
-            tmp_path, ["cells that come from the brain are rare ."], small_lex
-        )
-        verbs = extract_paraphrase_verbs(index, "brain", "cell", small_lex)
-        assert verbs["come from"] == 1
-
-    def test_intervening_noun_blocks(self, tmp_path, small_lex):
-        index = tagged_index(
-            tmp_path, ["cells that give doctors the brain samples are rare ."], small_lex
-        )
-        verbs = extract_paraphrase_verbs(index, "brain", "cell", small_lex)
-        assert not verbs
-
-    def test_modifier_must_not_end_the_phrase(self, tmp_path, small_lex):
-        index = tagged_index(tmp_path, ["cells that come from the brain"], small_lex)
-        verbs = extract_paraphrase_verbs(index, "brain", "cell", small_lex)
-        assert not verbs
-
-    def test_requires_tags(self, tmp_path, small_lex):
-        index = make_index(tmp_path, ["cells that come from the brain are rare"])
-        with pytest.raises(ValueError, match="tags required"):
-            extract_paraphrase_verbs(index, "brain", "cell", small_lex)
-
-
 class TestUntagged:
     def test_tags_required_even_for_absent_nouns(self, tmp_path, small_lex):
         index = make_index(tmp_path, ["alpha beta gamma"])
         with pytest.raises(ValueError, match="tags required"):
             extract_pair_features(index, "committee", "member", small_lex)
-        with pytest.raises(ValueError, match="tags required"):
-            extract_paraphrase_verbs(index, "brain", "cell", small_lex)
 
 
 NOUNS = "committee member team player cell brain analysis".split()
@@ -170,31 +139,24 @@ def _random_sentences(rng, n):
 
 def test_extractors_match_a_scan_of_every_sentence(tmp_path, small_lex):
     """Scanning only co-occurrence sentences loses nothing and keeps order."""
-    found_features = found_verbs = 0
+    found_features = 0
     for seed in range(6):
         rng = random.Random(seed)
         sentences = _random_sentences(rng, 80)
         index = tagged_index(tmp_path, sentences, small_lex, name=f"rand{seed}.txt")
         noun = index.tag_vocab.index("N")
-        relativizers = index.encode(RELATIVIZERS)
         for _ in range(8):
             a, b = rng.choice(NOUNS), rng.choice(NOUNS)
             for x, y in ((a, b), (b, a)):
                 ix, iy = (index.encode(inflections(small_lex, w)) for w in (x, y))
-                features, verbs = Counter(), Counter()
+                features = Counter()
                 # Every sentence written holds a token, so each is one sentence id.
                 for sid in range(len(sentences)):
                     features.update(_sentence_pair_features(index, noun, sid, ix, iy, small_lex))
-                    verbs.update(_sentence_paraphrase_verbs(
-                        index, noun, relativizers, sid, iy, ix, small_lex
-                    ))
                 got = extract_pair_features(index, x, y, small_lex)
                 assert list(got.items()) == list(features.items())
-                got_verbs = extract_paraphrase_verbs(index, x, y, small_lex)
-                assert list(got_verbs.items()) == list(verbs.items())
                 found_features += len(features)
-                found_verbs += len(verbs)
-    assert found_features and found_verbs  # the corpora exercise both extractors
+    assert found_features  # the corpora exercise the extractor
 
 
 class TestSimilarity:
@@ -349,13 +311,22 @@ class TestSemeval:
         assert semeval_classify(query, train, small_lex) is False
 
     def test_abstention_falls_to_majority(self, small_lex):
-        train = [
+        # The query shares only ``links`` with one true and one false
+        # example, so the nearest neighbours tie 1:1 and the vote
+        # abstains; the third example sets the majority either way.
+        tied = [
             (self._example(["alpha", "links", "beta"], (0, 0), (2, 2)), True),
-            (self._example(["gamma", "links", "delta"], (0, 0), (2, 2)), True),
-            (self._example(["epsilon", "links", "zeta"], (0, 0), (2, 2)), False),
+            (self._example(["gamma", "links", "delta"], (0, 0), (2, 2)), False),
         ]
-        query = self._example(["unrelated", "words", "entirely"], (0, 0), (2, 2))
-        assert semeval_classify(query, train, small_lex) is True
+        third = self._example(["epsilon", "joins", "zeta"], (0, 0), (2, 2))
+        query = self._example(["omega", "links", "psi"], (0, 0), (2, 2))
+        for majority in (True, False):
+            train = tied + [(third, majority)]
+            model = SemevalModel.fit(train, small_lex)
+            assert knn_classify(model.neighbours, model.vector(query)) is None
+            assert model.majority == str(majority).lower()
+            assert model.classify(query) is majority
+            assert semeval_classify(query, train, small_lex) is majority
 
     def test_empty_train_rejected(self, small_lex):
         with pytest.raises(ValueError):
@@ -372,31 +343,6 @@ class TestScores:
     def test_score_binary_alignment(self):
         with pytest.raises(ValueError):
             score_binary([True], [True, False])
-
-
-class TestHumanVerbNormalization:
-    def test_golden_set(self, small_lex):
-        assert normalize_human_verb("can cause", small_lex) == "cause"
-        assert normalize_human_verb("seems to be", small_lex) == "be"
-        assert normalize_human_verb("made from", small_lex) == "be made from"
-        assert normalize_human_verb("is donating", small_lex) == "donate"
-
-    def test_adverbs_stripped(self, small_lex):
-        assert normalize_human_verb("usually causes", small_lex) == "cause"
-
-    def test_infinitive_other_than_be_rejected(self, small_lex):
-        assert normalize_human_verb("wants to go", small_lex) is None
-
-    def test_non_verb_content_rejected(self, small_lex):
-        assert normalize_human_verb("causes big trouble", small_lex) is None
-
-    def test_known_verb_filter(self, small_lex):
-        known = frozenset({"cause"})
-        assert normalize_human_verb("can cause", small_lex, known) == "cause"
-        assert normalize_human_verb("donates", small_lex, known) is None
-
-    def test_empty_rejected(self, small_lex):
-        assert normalize_human_verb("   ", small_lex) is None
 
 
 class TestPorterStemmer:

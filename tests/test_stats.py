@@ -1,4 +1,4 @@
-"""Confidence intervals, significance tests, agreement, and reports."""
+"""Confidence intervals, significance tests, and reports."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +11,7 @@ from npstruct.stats import (
     compare_reports,
     comparison_table,
     evaluate,
-    kappa,
     pearson_chi2,
-    wald_interval,
     wilson_interval,
 )
 
@@ -37,32 +35,18 @@ class TestIntervals:
         _, high = wilson_interval(50, 50)
         assert high <= 1.0
 
-    def test_wald_golden(self):
-        low, high = wald_interval(195, 244, 0.95)
-        assert low == pytest.approx(0.7492, abs=1e-3)
-        assert high == pytest.approx(0.8492, abs=1e-3)
-
-    def test_wald_narrows_with_n(self):
-        low, high = wald_interval(500_000, 1_000_000, 0.95)
-        assert high - low < 0.005
-
-    def test_wald_may_leave_unit_interval(self):
-        _, high = wald_interval(9, 10, 0.999)
-        assert high > 1.0
-
     def test_z_quantile(self):
         from npstruct.stats import _z
 
         assert _z(0.95) == pytest.approx(1.96, abs=5e-3)
 
     def test_validation(self):
-        for fn in (wilson_interval, wald_interval):
-            with pytest.raises(ValueError):
-                fn(1, 0)
-            with pytest.raises(ValueError):
-                fn(5, 4)
-            with pytest.raises(ValueError):
-                fn(1, 2, 1.5)
+        with pytest.raises(ValueError):
+            wilson_interval(1, 0)
+        with pytest.raises(ValueError):
+            wilson_interval(5, 4)
+        with pytest.raises(ValueError):
+            wilson_interval(1, 2, 1.5)
 
 
 @settings(max_examples=300, deadline=None)
@@ -110,17 +94,6 @@ class TestChi2:
     def test_tail_validation(self):
         with pytest.raises(ValueError):
             chi2_sf1(-0.5)
-
-
-class TestKappa:
-    def test_golden(self):
-        assert kappa(1.0, 0.5) == pytest.approx(1.0)
-        assert kappa(0.5, 0.5) == pytest.approx(0.0)
-        assert kappa(0.4, 0.5) == pytest.approx(-0.2)
-
-    def test_chance_one_rejected(self):
-        with pytest.raises(ValueError):
-            kappa(0.9, 1.0)
 
 
 class TestEvalReport:

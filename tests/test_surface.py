@@ -152,7 +152,7 @@ class TestWildcard:
                 _gapped_key([i1], ["stem", i3], 1, 1): 272_601,
             }
         )
-        d = wildcard_decision(provider, lex, TRIPLE, "adjacency", stars=1)
+        d = wildcard_decision(provider, lex, TRIPLE, "adjacency")
         assert d.label == LEFT
 
     def test_adjacency_reversed(self, lex):
@@ -161,11 +161,11 @@ class TestWildcard:
         i3 = inflections(lex, "cells")
         provider = MappingProvider(
             {
-                _gapped_key([i3], ["brain", i2], 2, 2): 943_005,
-                _gapped_key(["stem", i3], [i1], 2, 2): 268_901,
+                _gapped_key([i3], ["brain", i2], 1, 1): 943_005,
+                _gapped_key(["stem", i3], [i1], 1, 1): 268_901,
             }
         )
-        d = wildcard_decision(provider, lex, TRIPLE, "adjacency-reversed", stars=2)
+        d = wildcard_decision(provider, lex, TRIPLE, "adjacency-reversed")
         assert d.label == LEFT
 
     def test_dependency_right(self, lex):
@@ -178,10 +178,6 @@ class TestWildcard:
             }
         )
         assert wildcard_decision(provider, lex, TRIPLE, "dependency").label == RIGHT
-
-    def test_star_range_validated(self, lex):
-        with pytest.raises(ValueError):
-            wildcard_decision(MappingProvider({}), lex, TRIPLE, "adjacency", stars=0)
 
 
 class TestMiscVoters:
