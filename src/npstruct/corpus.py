@@ -25,7 +25,6 @@ import sys
 import zlib
 from array import array
 from bisect import bisect_right
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, islice, pairwise, repeat
@@ -63,11 +62,14 @@ class CountQuery:
     ``phrase`` is one token-alternative set per position.  When ``gap``
     is set, ``split`` positions precede the gap and the rest follow it;
     the gap admits between ``gap[0]`` and ``gap[1]`` intervening tokens.
+    A ``fill``, when given, is the set of token runs (lowercase, as the
+    index holds them) that the gap's tokens must equal.
     """
 
     phrase: tuple[frozenset[str], ...]
     gap: tuple[int, int] | None = None
     split: int | None = None
+    fill: frozenset[tuple[str, ...]] | None = None
 
     def __post_init__(self) -> None:
         if not self.phrase or any(not alts for alts in self.phrase):
@@ -78,6 +80,8 @@ class CountQuery:
                 raise CorpusError(f"gap range must satisfy 0 <= min <= max <= {MAX_GAP}")
             if self.split is None or not (0 < self.split < len(self.phrase)):
                 raise CorpusError("gap queries need a split strictly inside the phrase")
+        elif self.fill is not None:
+            raise CorpusError("a fill needs a gap")
 
     @classmethod
     def of(cls, *positions: str | Iterable[str]) -> "CountQuery":
@@ -91,17 +95,28 @@ class CountQuery:
         right: Sequence[str | Iterable[str]],
         min_gap: int,
         max_gap: int,
+        fill: frozenset[tuple[str, ...]] | None = None,
     ) -> "CountQuery":
-        """Build a query matching ``left``, a gap of min..max tokens, then ``right``."""
+        """Build a query matching ``left``, a gap of min..max tokens, then ``right``.
+
+        ``fill`` is kept as given, neither copied nor normalized.
+        """
         phrase = _normalize_positions(list(left) + list(right))
-        return cls(phrase=phrase, gap=(min_gap, max_gap), split=len(tuple(left)))
+        return cls(phrase=phrase, gap=(min_gap, max_gap), split=len(tuple(left)), fill=fill)
 
     def canonical(self) -> str:
-        """Stable cache-key text: alternatives joined by '|', gap as '*{min,max}'."""
+        """Stable cache-key text: alternatives joined by '|', gap as '*{min,max}'.
+
+        A fill follows the gap marker as its sorted runs in parentheses,
+        e.g. ``cells *{1,2}(of|of the) bone marrow|marrows``.
+        """
         parts = ["|".join(sorted(alts)) for alts in self.phrase]
         if self.gap is not None:
             lo, hi = self.gap
-            parts.insert(self.split, "*{%d,%d}" % (lo, hi))
+            gap = "*{%d,%d}" % (lo, hi)
+            if self.fill is not None:
+                gap += "(%s)" % "|".join(sorted(map(" ".join, self.fill)))
+            parts.insert(self.split, gap)
         return " ".join(parts)
 
 
@@ -116,28 +131,6 @@ def _normalize_positions(
             alts = list(pos)
         out.append(frozenset(a.lower() for a in alts))
     return tuple(out)
-
-
-class MiddleTrie:
-    """Token trie over distinct middles, iterated in first-given order.
-
-    Each node maps a token to its child; a node where a middle ends
-    also holds the key ``END``.  The empty middle marks the root.
-    """
-
-    END = None
-
-    def __init__(self, middles: Iterable[tuple[str, ...]]):
-        self._middles = tuple(dict.fromkeys(middles))
-        self.root: dict = {}
-        for middle in self._middles:
-            node = self.root
-            for tok in middle:
-                node = node.setdefault(tok, {})
-            node[self.END] = True
-
-    def __iter__(self):
-        return iter(self._middles)
 
 
 class CorpusIndex:
@@ -227,12 +220,6 @@ class CorpusIndex:
         except UnicodeDecodeError as exc:
             raise CorpusError(f"index file is corrupt: sentence {sid} is not UTF-8") from exc
 
-    def _occurrences(self, i: int) -> Iterable[tuple[int, int]]:
-        """(sentence id, position in the stream) of each occurrence of id ``i``."""
-        a, b = self._post_starts[i], self._post_starts[i + 1]
-        sids = self._post_sids[a:b]
-        return zip(sids, map(add, map(self._starts.__getitem__, sids), self._post_offsets[a:b]))
-
     def _size(self, ids: Iterable[int]) -> int:
         ps = self._post_starts
         return sum(ps[i + 1] - ps[i] for i in ids)
@@ -242,26 +229,19 @@ class CorpusIndex:
         sets = [self.encode(alts) for alts in positions]
         return sets if all(sets) else None
 
-    def sentence_ids(self, *positions: Iterable[str]) -> list[int]:
-        """Ascending ids of the sentences holding a token of every alternative set.
+    def sentence_ids(self, first: Iterable[str], second: Iterable[str]) -> list[int]:
+        """Ascending ids of the sentences holding a token of both alternative sets.
 
-        Each position is a set of normalized tokens; a sentence qualifies
-        when each set meets its tokens, whatever their order, so two sets
-        may be met by the same token.
+        Each set holds normalized tokens; a sentence qualifies when both
+        sets meet its tokens, whatever their order, so one token may meet
+        both.
         """
-        if not positions:
-            raise CorpusError("need at least one position")
-        sets = self._id_sets(positions)
+        sets = self._id_sets((first, second))
         if sets is None:
             return []
         ps, post_sids = self._post_starts, self._post_sids
-        common: set[int] | None = None
-        for ids in sorted(sets, key=self._size):
-            sids = set().union(*(post_sids[ps[i] : ps[i + 1]] for i in ids))
-            common = sids if common is None else common & sids
-            if not common:
-                return []
-        return sorted(common)
+        a, b = (set().union(*(post_sids[ps[i] : ps[i + 1]] for i in ids)) for ids in sets)
+        return sorted(a & b)
 
     def _matched_sentences(self, query: CountQuery, sets: list[frozenset[int]]) -> list[int]:
         """The sentence id of each match of ``query``, one entry per match.
@@ -271,7 +251,8 @@ class CorpusIndex:
         its matches are those of all its layouts.  The candidates are the
         stream positions of the rarest position's occurrences, which
         every layout filters as a whole, one position at a time, rarest
-        first.  Only the survivors' sentence bounds are checked.
+        first.  Only the survivors' gap tokens, decoded to words, are
+        checked against a fill, and only theirs are bounded by sentences.
         """
         n = len(sets)
         if query.gap is None:
@@ -279,7 +260,7 @@ class CorpusIndex:
         else:
             split, widths = query.split, range(query.gap[0], query.gap[1] + 1)
         rare, *rest = sorted(range(n), key=lambda i: self._size(sets[i]))
-        ps, starts, stream = self._post_starts, self._starts, self._stream
+        ps, starts, stream, fill = self._post_starts, self._starts, self._stream, query.fill
         anchors: list[int] = []
         for i in sets[rare]:
             a, b = ps[i], ps[i + 1]
@@ -299,6 +280,10 @@ class CorpusIndex:
                     break
                 tokens = map(stream.__getitem__, map(add, found, repeat(offsets[j] - lead)))
                 found = list(compress(found, map(sets[j].__contains__, tokens)))
+            if fill is not None:
+                word, at = self._vocab.__getitem__, split - lead
+                gaps = (tuple(map(word, stream[g + at : g + at + width])) for g in found)
+                found = list(compress(found, map(fill.__contains__, gaps)))
             for g in found:
                 k = bisect_right(starts, g)
                 if starts[k - 1] <= g - lead and g - lead + span <= starts[k]:
@@ -313,50 +298,6 @@ class CorpusIndex:
         if query.gap is None and len(sets) == 1:
             return self._size(sets[0])
         return len(self._matched_sentences(query, sets))
-
-    def count_between(
-        self,
-        head: tuple[str, ...],
-        middles: MiddleTrie,
-        tails: Iterable[tuple[str, ...]],
-    ) -> int:
-        """Summed count of ``head + m + t`` over the middles ``m`` and tails ``t``.
-
-        Equals ``count_sum`` of those phrases, a tail given twice
-        counting twice, but builds none of them: from each posting of
-        ``head[0]`` it checks the rest of the head, walks the middle trie
-        along the sentence and looks the tails up at every middle's end.
-        Tokens are compared as given, so they must already be normalized
-        (lowercase, as the index holds them).
-        """
-        head = tuple(head)
-        if not head:
-            raise CorpusError("head must be nonempty")
-        ids = self._ids
-        if not all(tok in ids for tok in head):
-            return 0
-        by_length: dict[int, Counter[tuple[str, ...]]] = {}
-        for tail in tails:
-            by_length.setdefault(len(tail), Counter())[tail] += 1
-        lengths = sorted(by_length.items())
-        starts, stream, word = self._starts, self._stream, self._vocab.__getitem__
-        rest = array(stream.typecode, [ids[tok] for tok in head[1:]])
-        total = 0
-        for sid, pos in self._occurrences(ids[head[0]]):
-            end = starts[sid + 1]
-            i = pos + len(head)
-            if i > end or stream[pos + 1 : i] != rest:
-                continue
-            node = middles.root
-            while node is not None:
-                if MiddleTrie.END in node:
-                    for n, wanted in lengths:
-                        if i + n > end:
-                            break
-                        total += wanted.get(tuple(map(word, stream[i : i + n])), 0)
-                node = node.get(word(stream[i])) if i < end else None
-                i += 1
-        return total
 
     def snippets(self, query: CountQuery, limit: int) -> list[str]:
         """Raw text of up to ``limit`` matching sentences, in corpus order."""
@@ -592,48 +533,13 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
 
 
 class CountProvider(Protocol):
-    """Anything that can answer counts for the decision models.
-
-    A provider may also offer ``count_between(head, middles, tails)``,
-    a trie walk over a family of exact phrases; ``count_between`` below
-    falls back to single counts for providers without it.
-    """
+    """Anything that can answer counts for the decision models."""
 
     def count(self, query: CountQuery) -> int: ...
 
     def total(self) -> int: ...
 
     def snippets(self, query: CountQuery, limit: int) -> list[str]: ...
-
-
-def count_sum(provider: CountProvider, phrases: Iterable[tuple[str, ...]]) -> int:
-    """Summed count of exact phrases given as normalized token tuples.
-
-    One ``count`` per phrase, a phrase given twice counting twice; an
-    empty phrase raises ``CorpusError``.
-    """
-    return sum(provider.count(CountQuery.of(*p)) for p in phrases)
-
-
-def count_between(
-    provider: CountProvider,
-    head: tuple[str, ...],
-    middles: MiddleTrie,
-    tails: Iterable[tuple[str, ...]],
-) -> int:
-    """Summed count of ``head + m + t`` over the trie's middles and the tails.
-
-    Uses the provider's own ``count_between`` when it has one;
-    otherwise expands the phrases, tail by tail, into ``count_sum``.
-    An empty head raises ``CorpusError`` either way.
-    """
-    walk = getattr(provider, "count_between", None)
-    if walk is not None:
-        return walk(head, middles, tails)
-    head = tuple(head)
-    if not head:
-        raise CorpusError("head must be nonempty")
-    return count_sum(provider, [head + m + t for t in tails for m in middles])
 
 
 @dataclass
@@ -644,11 +550,6 @@ class IndexProvider:
 
     def count(self, query: CountQuery) -> int:
         return self.index.count(query)
-
-    def count_between(
-        self, head: tuple[str, ...], middles: MiddleTrie, tails: Iterable[tuple[str, ...]]
-    ) -> int:
-        return self.index.count_between(head, middles, tails)
 
     def total(self) -> int:
         return self.index.total_tokens()

@@ -5,7 +5,9 @@ stem`` (keeping the first two words together, so left bracketing) or as
 ``stem cells from the brain`` (right bracketing).  This module
 instantiates every such rewriting over a fixed inventory of
 prepositions, determiners, complementizers, and copulas, counts both
-families in the corpus, and votes for the larger sum.
+families in the corpus, and votes for the larger sum.  A family is
+counted as gapped queries whose gap must hold one of the inventory's
+middles.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .assoc import NounTriple
-from .corpus import CountProvider, MiddleTrie, count_between
+from .corpus import MAX_GAP, CountProvider, CountQuery
 from .decisions import LEFT, RIGHT, Decision, compare
 from .morphology import MorphLexicon, inflections, is_plural
 
@@ -115,14 +117,17 @@ def _copula_agrees(copula: str, head: str, lex: MorphLexicon) -> bool:
 
 
 @functools.lru_cache(maxsize=64)
-def _middles(inv: ParaphraseInventory, copulas: tuple[str, ...]) -> MiddleTrie:
-    """Every token run between a paraphrase's head and its tail.
+def _middles(
+    inv: ParaphraseInventory, copulas: tuple[str, ...]
+) -> tuple[frozenset[tuple[str, ...]], int, int]:
+    """The token runs between a paraphrase's head and tail, and their least and greatest lengths.
 
     A preposition with an optional determiner, or a complementizer and
     one of the ``copulas`` (those agreeing with the clause head)
     followed by an optional determiner or by such a prepositional run.
     Multiword prepositions are split into tokens; the empty determiner
-    realizes the optional slot.
+    realizes the optional slot.  A middle longer than ``MAX_GAP`` tokens
+    raises ``ValueError``.
     """
     dets: list[tuple[str, ...]] = [()] + [tuple(d.split()) for d in inv.determiners]
     preps = [tuple(p.split()) for p in inv.prepositions]
@@ -133,34 +138,33 @@ def _middles(inv: ParaphraseInventory, copulas: tuple[str, ...]) -> MiddleTrie:
             clause = (compl, cop)
             out += [clause + det for det in dets]
             out += [clause + pd for pd in prep_dets]
-    return MiddleTrie(out)
+    longest = max(out, key=len, default=())
+    if len(longest) > MAX_GAP:
+        raise ValueError(f"paraphrase middle {' '.join(longest)!r} is longer than {MAX_GAP} tokens")
+    return frozenset(out), min(map(len, out), default=0), len(longest)
 
 
 def _families(
     triple: NounTriple,
     inv: ParaphraseInventory,
     lex: MorphLexicon,
-) -> Iterator[tuple[str, tuple[str, ...], MiddleTrie, list[tuple[str, ...]]]]:
-    """Yield ``(side, head, middles, tails)``, one per side and inflection of ``w3``.
+) -> Iterator[tuple[str, CountQuery]]:
+    """Yield ``(side, query)``, one per side and inflection ``t3`` of ``w3``.
 
-    Left comes first, then right, each inflection in sorted order.  Left
-    phrases are ``t3 + middle + (w1, t2)``, right ones ``(w2, t3) +
-    middle + (t1,)``.  No two yields share a phrase, because the
-    inflected head differs, and the tails are distinct and of one
-    length, so distinct middles give distinct phrases.
+    Inflections come in sorted order, each with its left query and then
+    its right one.  Left queries are ``t3 *(middle) w1 i2``, right ones
+    ``w2 t3 *(middle) i1``, where ``i1`` and ``i2`` are the inflections
+    of ``w1`` and ``w2`` and the gap holds one of the middles agreeing
+    with ``t3``.  No two queries share a match, because the inflected
+    head differs.
     """
     w1, w2, _w3 = triple.words()
-    i1 = sorted(inflections(lex, triple.w1))
-    i2 = sorted(inflections(lex, triple.w2))
-    i3 = sorted(inflections(lex, triple.w3))
-    middles = {
-        t3: _middles(inv, tuple(c for c in inv.copulas if _copula_agrees(c, t3, lex)))
-        for t3 in i3
-    }
-    for t3 in i3:
-        yield "left", (t3,), middles[t3], [(w1, t2) for t2 in i2]
-    for t3 in i3:
-        yield "right", (w2, t3), middles[t3], [(t1,) for t1 in i1]
+    i1 = inflections(lex, triple.w1)
+    i2 = inflections(lex, triple.w2)
+    for t3 in sorted(inflections(lex, triple.w3)):
+        fill, lo, hi = _middles(inv, tuple(c for c in inv.copulas if _copula_agrees(c, t3, lex)))
+        yield "left", CountQuery.gapped([t3], [w1, i2], lo, hi, fill)
+        yield "right", CountQuery.gapped([w2, t3], [i1], lo, hi, fill)
 
 
 def paraphrase_decision(
@@ -171,6 +175,6 @@ def paraphrase_decision(
 ) -> Decision:
     """Compare total corpus hits of left- vs right-predicting paraphrases."""
     hits = {"left": 0, "right": 0}
-    for side, head, middles, tails in _families(triple, inv, lex):
-        hits[side] += count_between(provider, head, middles, tails)
+    for side, query in _families(triple, inv, lex):
+        hits[side] += provider.count(query)
     return compare(hits["left"], hits["right"], LEFT, RIGHT)

@@ -207,7 +207,6 @@ class BackoffModel:
     """
 
     tables: dict[tuple, list[int]] = field(default_factory=dict)
-    trained: int = 0
 
     def _bump(self, key: tuple, is_noun: bool) -> None:
         cell = self.tables.setdefault(key, [0, 0])
@@ -235,7 +234,6 @@ def backoff_train(
         model._bump(("n1p", q.n1, q.p), is_noun)
         model._bump(("pn2", q.p, q.n2), is_noun)
         model._bump(("p", q.p), is_noun)
-        model.trained += 1
     return model
 
 

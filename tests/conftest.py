@@ -106,26 +106,6 @@ def make_provider(tmp_path: Path, lines: list[str], tagged: bool = False):
     return IndexProvider(make_index(tmp_path, lines, tagged))
 
 
-class CountOnlyProvider:
-    """Exposes only ``count``/``total``/``snippets`` of an inner provider.
-
-    Like an outside wrapper, it has no ``count_between``, so it takes
-    the phrase-expanding fallback of ``npstruct.corpus.count_between``.
-    """
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def count(self, query: CountQuery) -> int:
-        return self.inner.count(query)
-
-    def total(self) -> int:
-        return self.inner.total()
-
-    def snippets(self, query: CountQuery, limit: int) -> list[str]:
-        return self.inner.snippets(query, limit)
-
-
 @pytest.fixture
 def small_lex() -> MorphLexicon:
     """A compact in-memory lexicon covering the words the tests use."""

@@ -17,12 +17,9 @@ from npstruct.corpus import (
     IndexProvider,
     IngestConfig,
     MappingProvider,
-    MiddleTrie,
     build_index,
-    count_between,
-    count_sum,
 )
-from tests.conftest import CountOnlyProvider, make_index, naive_count, normalize_line
+from tests.conftest import make_index, naive_count, normalize_line
 
 
 class TestCountQuery:
@@ -42,12 +39,23 @@ class TestCountQuery:
         with pytest.raises(CorpusError):
             CountQuery(phrase=(frozenset({"a"}), frozenset({"b"})), gap=(1, 1), split=2)
 
+    def test_fill_needs_a_gap(self):
+        with pytest.raises(CorpusError, match="a fill needs a gap"):
+            CountQuery(phrase=(frozenset({"a"}), frozenset({"b"})), fill=frozenset({("of",)}))
+
     def test_canonical_format(self):
         q = CountQuery.gapped(
             ["health", {"care", "cares"}], [{"reform", "reforms"}], 1, 1
         )
         assert q.canonical() == "health care|cares *{1,1} reform|reforms"
         assert CountQuery.of("A", "b").canonical() == "a b"
+
+    def test_canonical_puts_the_sorted_fill_after_the_gap(self):
+        fill = frozenset({("of", "the"), ("of",)})
+        q = CountQuery.gapped(["cells"], ["bone", {"marrow", "marrows"}], 1, 2, fill)
+        assert q.fill is fill  # kept as given, not copied
+        assert q.canonical() == "cells *{1,2}(of|of the) bone marrow|marrows"
+        assert MappingProvider({q.canonical(): 5}).count(q) == 5
 
     def test_canonical_sorts_alternatives(self):
         q1 = CountQuery.of({"b", "a"})
@@ -506,135 +514,64 @@ def test_alternatives_superset_monotone(tmp_path_factory, sentences):
 
 
 PHRASE_TOKENS = st.sampled_from(["a", "b", "c", "d", "e", "z"])  # "z" is never indexed
-PHRASES = st.lists(st.lists(PHRASE_TOKENS, min_size=1, max_size=12).map(tuple), max_size=15)
-
-
-@settings(max_examples=60, deadline=None)
-@given(SENTENCES, PHRASES, st.integers(0, 3))
-def test_count_sum_matches_naive_scanner(tmp_path_factory, sentences, phrases, repeats):
-    tmp = tmp_path_factory.mktemp("sum")
-    index = make_index(tmp, [" ".join(s) for s in sentences])
-    phrases = phrases + phrases[:repeats]  # duplicates count once per occurrence
-    expected = sum(naive_count(sentences, CountQuery.of(*p)) for p in phrases)
-    assert count_sum(IndexProvider(index), phrases) == expected
-    assert count_sum(CountOnlyProvider(IndexProvider(index)), phrases) == expected
-
-
 ALT_SETS = st.frozensets(PHRASE_TOKENS, min_size=1, max_size=3)
 
 
 @settings(max_examples=80, deadline=None)
-@given(SENTENCES, st.lists(ALT_SETS, min_size=1, max_size=4), st.booleans(), st.booleans())
-@example([["a", "b"], ["b", "c"]], [frozenset({"a"}), frozenset({"z"})], False, False)  # absent
-@example([["a", "b"], ["c"]], [frozenset({"a", "c"})], True, True)  # same set twice
-@example([["a", "b", "a"], ["b"]], [frozenset({"a"}), frozenset({"b"})], False, True)  # repeat
-@example([["c", "a"], ["b"], ["a"]], [frozenset({"a"})], False, False)  # single position
-def test_sentence_ids_match_naive_scan(tmp_path_factory, sentences, positions, twice, reload):
+@given(SENTENCES, ALT_SETS, ALT_SETS, st.booleans())
+@example([["a", "b"], ["b", "c"]], frozenset({"a"}), frozenset({"z"}), False)  # absent
+@example([["a", "b"], ["c"]], frozenset({"a", "c"}), frozenset({"a", "c"}), True)  # same set twice
+@example([["a", "b", "a"], ["b"]], frozenset({"a"}), frozenset({"b"}), True)  # repeat
+def test_sentence_ids_match_naive_scan(tmp_path_factory, sentences, first, second, reload):
     tmp = tmp_path_factory.mktemp("sids")
     index = make_index(tmp, [" ".join(s) for s in sentences], reload=reload)
-    if twice:
-        positions = positions + positions[:1]
     # Every written sentence holds a token, so its line number is its id.
     expected = [
-        sid
-        for sid, sent in enumerate(sentences)
-        if all(alts & set(sent) for alts in positions)
+        sid for sid, sent in enumerate(sentences) if first & set(sent) and second & set(sent)
     ]
-    got = index.sentence_ids(*positions)
+    got = index.sentence_ids(first, second)
     assert got == expected
     assert all(a < b for a, b in zip(got, got[1:]))
 
 
-def test_sentence_ids_need_a_position(tmp_path):
-    with pytest.raises(CorpusError):
-        make_index(tmp_path, ["a b"]).sentence_ids()
-
-
-class TestCountSum:
-    def test_phrases_never_run_past_the_sentence_end(self, tmp_path):
-        index = make_index(tmp_path, ["x a b", "a b c"])
-        assert count_sum(IndexProvider(index), [("a", "b", "c"), ("a", "b")]) == 3
-
-    def test_empty_list_counts_zero(self, tmp_path):
-        provider = IndexProvider(make_index(tmp_path, ["a b"]))
-        assert count_sum(provider, []) == 0
-        assert count_sum(CountOnlyProvider(provider), []) == 0
-
-    def test_empty_phrase_rejected_on_both_paths(self, tmp_path):
-        provider = IndexProvider(make_index(tmp_path, ["a b"]))
-        with pytest.raises(CorpusError):
-            count_sum(provider, [("a",), ()])
-        with pytest.raises(CorpusError):
-            count_sum(CountOnlyProvider(provider), [("a",), ()])
-
-    def test_fallback_serves_providers_without_count_sum(self):
-        provider = MappingProvider({"a b": 7, "c": 2})
-        assert count_sum(provider, [("a", "b"), ("c",), ("a", "b"), ("d",)]) == 16
-
-
 SHORT_RUNS = st.lists(PHRASE_TOKENS, max_size=3).map(tuple)
-
-
-def _expected_between(sentences, head, middles, tails):
-    phrases = [head + m + t for t in tails for m in dict.fromkeys(middles)]
-    return sum(naive_count(sentences, CountQuery.of(*p)) for p in phrases), phrases
+MIDDLES = [("out", "of"), ("out", "of", "the"), ("of",), ("of", "the")]
+BONE_MARROW = [  # the third is cut off before the tail's second word
+    "cells out of the bone marrow",
+    "cells out of bone marrow",
+    "cells of the bone",
+    "cells of bone marrow of bone marrow",
+    "marrow cells of bone",
+]
+POSITIONS = st.lists(ALT_SETS, min_size=1, max_size=2)
+GAPS = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(sorted)
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    SENTENCES,
-    st.lists(PHRASE_TOKENS, min_size=1, max_size=3).map(tuple),
-    st.lists(SHORT_RUNS, max_size=6),
-    st.lists(SHORT_RUNS, max_size=5),
-    st.booleans(),
-)
+@given(SENTENCES, POSITIONS, st.lists(SHORT_RUNS, max_size=6), POSITIONS, GAPS, st.booleans())
 # Multiword middles sharing a first token, and the empty middle (no determiner).
-@example([["a", "b", "c", "d"], ["a", "d"]], ("a",), [("b",), ("b", "c"), ()], [("d",)], False)
-@example([["a", "b", "c"], ["x", "a", "b"]], ("a",), [("b",)], [("c",)], True)  # cut at the end
-@example([["a", "b", "b", "c"]], ("a",), [("b",), ("b", "b")], [("b",), ("c",)], False)  # tail starts a middle
-@example([["a", "b", "c", "d"]], ("a",), [("b",)], [("c",), ("c", "d"), (), ("c",)], True)  # mixed lengths
-@example([["a", "b"]], ("z",), [("b",)], [()], False)  # absent head
-def test_count_between_matches_naive_scanner(tmp_path_factory, sentences, head, middles, tails, reload):
-    tmp = tmp_path_factory.mktemp("between")
-    provider = IndexProvider(make_index(tmp, [" ".join(s) for s in sentences], reload=reload))
-    expected, phrases = _expected_between(sentences, head, middles, tails)
-    trie = MiddleTrie(middles)
-    assert provider.count_between(head, trie, tails) == expected
-    assert count_between(provider, head, trie, tails) == expected
-    assert count_between(CountOnlyProvider(provider), head, trie, tails) == expected
-    assert count_sum(provider, phrases) == expected
-
-
-class TestCountBetween:
-    def test_middle_trie_keeps_distinct_middles_in_order(self):
-        trie = MiddleTrie([("in", "the"), ("in",), ("in", "the"), (), ("of",)])
-        assert list(trie) == [("in", "the"), ("in",), (), ("of",)]
-
-    def test_examples(self, tmp_path):
-        lines = [
-            "cells out of the bone marrow",
-            "cells out of bone marrow",
-            "cells of the bone",  # cut off before the tail's second word
-            "cells of bone marrow of bone marrow",
-            "marrow cells of bone",
-        ]
-        index = make_index(tmp_path, lines)
-        middles = MiddleTrie([("out", "of"), ("out", "of", "the"), ("of",), ("of", "the")])
-        tails = [("bone", "marrow")]
-        assert index.count_between(("cells",), middles, tails) == 3
-        assert index.count_between(("cells",), middles, [("bone",), ("bone", "marrow")]) == 8
-        assert index.count_between(("marrow", "cells"), middles, [("bone",)]) == 1
-        assert index.count_between(("stem",), middles, tails) == 0
-        assert index.count_between(("cells",), MiddleTrie([]), tails) == 0
-        assert index.count_between(("cells",), middles, []) == 0
-
-    def test_empty_head_rejected_on_both_paths(self, tmp_path):
-        provider = IndexProvider(make_index(tmp_path, ["a b"]))
-        for p in (provider, CountOnlyProvider(provider)):
-            with pytest.raises(CorpusError):
-                count_between(p, (), MiddleTrie([("a",)]), [("b",)])
-
-    def test_fallback_serves_providers_without_count_between(self):
-        provider = MappingProvider({"a x b": 3, "a y b": 2, "a x c": 5})
-        middles = MiddleTrie([("x",), ("y",), ("x",)])
-        assert count_between(provider, ("a",), middles, [("b",), ("c",)]) == 10
+@example(
+    [["a", "b", "c", "d"], ["a", "d"]], [{"a"}], [("b",), ("b", "c"), ()], [{"d"}], (0, 2), False
+)
+@example([["a", "b", "c"], ["x", "a", "b"]], [{"a"}], [("b",)], [{"c"}], (1, 1), True)  # cut at end
+# A tail token that starts a middle.
+@example([["a", "b", "b", "c"]], [{"a"}], [("b",), ("b", "b")], [{"b", "c"}], (1, 2), False)
+@example([["a", "b"]], [{"z"}], [("b",)], [{"a"}], (1, 1), False)  # absent head
+@example(
+    [s.split() for s in BONE_MARROW], [{"cells"}], MIDDLES, [{"bone"}, {"marrow"}], (1, 3), True
+)
+def test_filled_gap_matches_naive_scanner(
+    tmp_path_factory, sentences, head, fill, tail, gap, reload
+):
+    """A filled gapped query counts, and finds, what its spelled-out phrases do."""
+    tmp = tmp_path_factory.mktemp("fill")
+    lines = [" ".join(s) for s in sentences]
+    index = make_index(tmp, lines, reload=reload)
+    query = CountQuery.gapped(head, tail, *gap, frozenset(fill))
+    lo, hi = gap
+    phrases = [CountQuery.of(*head, *run, *tail) for run in set(fill) if lo <= len(run) <= hi]
+    assert index.count(query) == sum(naive_count(sentences, p) for p in phrases)
+    expected = [
+        line for line, sent in zip(lines, sentences) if any(naive_count([sent], p) for p in phrases)
+    ]
+    assert index.snippets(query, len(lines)) == expected

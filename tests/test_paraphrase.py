@@ -5,9 +5,10 @@ import random
 import pytest
 
 from npstruct.assoc import NounTriple
-from npstruct.corpus import CountQuery
+from npstruct.corpus import MAX_GAP, CountQuery
 from npstruct.datasets import biomedical_bracketing, default_inventory, default_lexicon
 from npstruct.decisions import ABSTAIN, LEFT, RIGHT
+from npstruct.morphology import inflections
 from npstruct.paraphrase import (
     COPULAS,
     DETERMINERS,
@@ -17,7 +18,6 @@ from npstruct.paraphrase import (
     paraphrase_decision,
 )
 from tests.conftest import (
-    CountOnlyProvider,
     generate_bracketing_queries,
     make_provider,
     naive_count,
@@ -101,15 +101,47 @@ def test_decision_abstains_without_evidence(tmp_path, small_lex):
     assert d.label == ABSTAIN
 
 
-def _both_paths(provider, triple, inv, lex):
-    """The decision through the index's trie walk and through single counts."""
-    batch = paraphrase_decision(provider, triple, inv, lex)
-    fallback = paraphrase_decision(CountOnlyProvider(provider), triple, inv, lex)
-    return batch, fallback
+def _oracle_scores(lines, triple, inv, lex):
+    """Left and right sums of ``naive_count`` over every spelled-out paraphrase.
+
+    A phrase whose text appears in no sentence counts 0 without a regex
+    scan, which keeps the 64k phrases of the default inventory cheap.
+    """
+    sentences = [normalize_line(line) for line in lines]
+    text = "".join(f" {' '.join(s)} \n" for s in sentences)
+    return [
+        sum(
+            naive_count(sentences, CountQuery.of(*phrase))
+            for phrase in family
+            if f" {' '.join(phrase)} " in text
+        )
+        for family in generate_bracketing_queries(triple, inv, lex)
+    ]
 
 
-def _same_decision(a, b):
-    assert (a.label, a.left_score, a.right_score) == (b.label, b.left_score, b.right_score)
+def _checked_decision(provider, lines, triple, inv, lex):
+    """The decision on the corpus ``lines``, after checking its scores against the oracle."""
+    decision = paraphrase_decision(provider, triple, inv, lex)
+    assert [decision.left_score, decision.right_score] == _oracle_scores(lines, triple, inv, lex)
+    return decision
+
+
+class CallCounter:
+    """Only ``count``/``total``/``snippets``, as a tracing wrapper offers, counting count calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def count(self, query):
+        self.calls += 1
+        return self.inner.count(query)
+
+    def total(self):
+        return self.inner.total()
+
+    def snippets(self, query, limit):
+        return self.inner.snippets(query, limit)
 
 
 @pytest.mark.parametrize(
@@ -123,8 +155,9 @@ def _same_decision(a, b):
     ],
 )
 def test_batch_and_fallback_agree_on_rigged_corpora(tmp_path, small_lex, lines):
-    batch, fallback = _both_paths(make_provider(tmp_path, lines), TRIPLE, ParaphraseInventory(), small_lex)
-    _same_decision(batch, fallback)
+    # The family queries against the phrase-by-phrase sum of the oracle.
+    provider = make_provider(tmp_path, lines)
+    _checked_decision(provider, lines, TRIPLE, ParaphraseInventory(), small_lex)
 
 
 def test_batch_and_fallback_agree_on_bundled_triples(tmp_path):
@@ -138,10 +171,27 @@ def test_batch_and_fallback_agree_on_bundled_triples(tmp_path):
             lines.append("we saw " + " ".join(phrase) + " here")
             lines.append(" ".join(phrase[:-1]))  # cut off by the sentence end
     provider = make_provider(tmp_path, lines)
-    decisions = [_both_paths(provider, t, inv, lex) for t in triples]
-    for batch, fallback in decisions:
-        _same_decision(batch, fallback)
-    assert all(b.left_score >= 3 and b.right_score >= 2 for b, _ in decisions)
+    decisions = [_checked_decision(provider, lines, t, inv, lex) for t in triples]
+    assert all(d.left_score >= 3 and d.right_score >= 2 for d in decisions)
+
+
+def test_count_only_provider_gets_one_query_per_family(tmp_path):
+    """A provider with only count/total/snippets, as a tracer wraps, sees each family once."""
+    lex, inv = default_lexicon(), default_inventory()
+    rng = random.Random(11)
+    triples = [t for t, _ in rng.sample(biomedical_bracketing(), 4)]
+    lines = []
+    for triple in triples:
+        left, right = generate_bracketing_queries(triple, inv, lex)
+        lines += [" ".join(phrase) for phrase in rng.sample(left, 2) + rng.sample(right, 3)]
+    provider = make_provider(tmp_path, lines)
+    for triple in triples:
+        counter = CallCounter(provider)
+        decision = paraphrase_decision(counter, triple, inv, lex)
+        assert counter.calls == 2 * len(inflections(lex, triple.w3))
+        scores = [decision.left_score, decision.right_score]
+        assert scores == _oracle_scores(lines, triple, inv, lex)
+        assert scores[0] >= 2 and scores[1] >= 3
 
 
 def test_decision_sums_naive_counts_of_every_spelled_out_phrase(tmp_path, small_lex):
@@ -171,10 +221,9 @@ def test_inventory_words_are_lowercased(tmp_path, small_lex):
     shouting = ParaphraseInventory(prepositions=("From", "OF"), determiners=("THE",))
     quiet = ParaphraseInventory(prepositions=("from", "of"), determiners=("the",))
     assert shouting == quiet
-    expected, _ = _both_paths(provider, TRIPLE, quiet, small_lex)
+    expected = _checked_decision(provider, lines, TRIPLE, quiet, small_lex)
     assert (expected.left_score, expected.right_score) == (3, 1)
-    for got in _both_paths(provider, TRIPLE, shouting, small_lex):
-        _same_decision(got, expected)
+    assert _checked_decision(provider, lines, TRIPLE, shouting, small_lex) == expected
 
 
 def test_repeated_inventory_words_give_each_paraphrase_once(tmp_path, small_lex):
@@ -183,29 +232,47 @@ def test_repeated_inventory_words_give_each_paraphrase_once(tmp_path, small_lex)
     assert generate_bracketing_queries(TRIPLE, repeated, small_lex) == generate_bracketing_queries(
         TRIPLE, plain, small_lex
     )
-    provider = make_provider(tmp_path, ["cells from the bone marrow", "marrow cells of the bone"])
-    for got in _both_paths(provider, TRIPLE, repeated, small_lex):
-        assert (got.left_score, got.right_score) == (1, 1)
+    lines = ["cells from the bone marrow", "marrow cells of the bone"]
+    got = _checked_decision(make_provider(tmp_path, lines), lines, TRIPLE, repeated, small_lex)
+    assert (got.left_score, got.right_score) == (1, 1)
 
 
 def test_cached_middles_follow_inventory_and_copula_agreement(tmp_path, small_lex):
-    provider = make_provider(
-        tmp_path,
-        [
-            "cells that are from the bone marrow",
-            "cell that is from the bone marrow",
-            "cells that is from the bone marrow",  # disagreeing copulas never count
-            "cell that were from the bone marrow",
-            "cells of the bone marrow",
-            "cells of the bone marrow",
-            "marrow cells from the bone",
-        ],
-    )
+    lines = [
+        "cells that are from the bone marrow",
+        "cell that is from the bone marrow",
+        "cells that is from the bone marrow",  # disagreeing copulas never count
+        "cell that were from the bone marrow",
+        "cells of the bone marrow",
+        "cells of the bone marrow",
+        "marrow cells from the bone",
+    ]
+    provider = make_provider(tmp_path, lines)
     from_inv = ParaphraseInventory(prepositions=("from",))
     of_inv = ParaphraseInventory(prepositions=("of",))
     # One process, alternating inventories, each decision over both
     # numbers of w3: a cache keyed too coarsely would serve stale middles.
     for inv, scores in [(from_inv, (2, 1)), (of_inv, (2, 0)), (from_inv, (2, 1))]:
         for triple in (TRIPLE, NounTriple("bone", "marrow", "cell")):
-            for got in _both_paths(provider, triple, inv, small_lex):
-                assert (got.left_score, got.right_score) == scores
+            got = _checked_decision(provider, lines, triple, inv, small_lex)
+            assert (got.left_score, got.right_score) == scores
+
+
+def test_no_middles_count_zero(tmp_path, small_lex):
+    provider = CallCounter(make_provider(tmp_path, ["cells from the bone marrow"]))
+    empty = ParaphraseInventory(prepositions=(), complementizers=())
+    d = paraphrase_decision(provider, TRIPLE, empty, small_lex)
+    assert (d.label, d.left_score, d.right_score) == (ABSTAIN, 0, 0)
+    assert provider.calls == 2 * len(inflections(small_lex, "cells"))
+
+
+def test_middles_longer_than_the_widest_gap_are_refused(tmp_path, small_lex):
+    long_prep = " ".join(f"w{i}" for i in range(MAX_GAP + 1))
+    inv = ParaphraseInventory(prepositions=(long_prep,), determiners=(), complementizers=())
+    provider = make_provider(tmp_path, ["cells from the bone marrow"])
+    with pytest.raises(ValueError, match=f"'{long_prep}' is longer than {MAX_GAP} tokens"):
+        paraphrase_decision(provider, TRIPLE, inv, small_lex)
+    fits = ParaphraseInventory(
+        prepositions=(long_prep.partition(" ")[2],), determiners=(), complementizers=()
+    )
+    assert paraphrase_decision(provider, TRIPLE, fits, small_lex).label == ABSTAIN

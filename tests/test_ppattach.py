@@ -277,7 +277,7 @@ class TestPipeline:
             PPQuad("meet", "demands", "from", "buyers"),
         ]
         results, model = pp_bootstrap(quads, provider, small_lex)
-        assert model.trained > 0
+        assert model.tables
         assert all("backoff" in r.votes for r in results)
         assert len(results) == len(quads)
 
