@@ -229,19 +229,15 @@ class CorpusIndex:
         sets = [self.encode(alts) for alts in positions]
         return sets if all(sets) else None
 
-    def sentence_ids(self, first: Iterable[str], second: Iterable[str]) -> list[int]:
-        """Ascending ids of the sentences holding a token of both alternative sets.
+    def occurrences(self, words: Iterable[str]) -> list[tuple[int, int]]:
+        """The (sentence id, offset) of every occurrence of ``words``, in corpus order.
 
-        Each set holds normalized tokens; a sentence qualifies when both
-        sets meet its tokens, whatever their order, so one token may meet
-        both.
+        ``words`` are normalized tokens; one the index lacks has none.
         """
-        sets = self._id_sets((first, second))
-        if sets is None:
-            return []
-        ps, post_sids = self._post_starts, self._post_sids
-        a, b = (set().union(*(post_sids[ps[i] : ps[i + 1]] for i in ids)) for ids in sets)
-        return sorted(a & b)
+        ps, sids, offsets = self._post_starts, self._post_sids, self._post_offsets
+        return sorted(chain.from_iterable(
+            zip(sids[ps[i] : ps[i + 1]], offsets[ps[i] : ps[i + 1]]) for i in self.encode(words)
+        ))
 
     def _matched_sentences(self, query: CountQuery, sets: list[frozenset[int]]) -> list[int]:
         """The sentence id of each match of ``query``, one entry per match.

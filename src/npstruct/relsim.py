@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 import weakref
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import porter
 from .corpus import CorpusIndex
@@ -53,22 +54,6 @@ class PairFeature:
             raise ValueError("kind must be V, P, or C")
         if self.direction not in (DIR_12, DIR_21):
             raise ValueError("bad direction")
-
-
-def _noun_runs(tags: Sequence, noun) -> list[tuple[int, int]]:
-    """Maximal [start, end] spans of tokens tagged ``noun``."""
-    runs = []
-    start = None
-    for i, tag in enumerate(tags):
-        if tag == noun:
-            if start is None:
-                start = i
-        elif start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(tags) - 1))
-    return runs
 
 
 def _noun_tag(index: CorpusIndex) -> int | None:
@@ -138,60 +123,94 @@ def extract_pair_features(
 ) -> Counter[PairFeature]:
     """Mine directed joining features for an ordered noun pair.
 
-    Scans every tagged sentence containing both nouns; whenever two
-    adjacent noun-phrase heads realize the two targets, the material
-    between them is classified as a verb (with optional preposition),
-    a bare preposition, or a coordinating conjunction.
+    Whenever two adjacent noun-phrase heads (the last tokens of two noun
+    runs with 1 to 8 tokens between them) realize the two targets, the
+    material between them is classified as a verb (with optional
+    preposition), a bare preposition, or a coordinating conjunction.  The
+    heads are found from the postings: each occurrence of the rarer noun
+    that ends a run, in a sentence that also holds the other noun, is
+    walked out to the runs on either side.  The features come in corpus
+    order, as a scan of every sentence finds them, and each distinct
+    connector is classified once per call.
     """
     noun = _noun_tag(index)
-    i1 = inflections(lex, noun1)
-    i2 = inflections(lex, noun2)
+    i1, i2 = inflections(lex, noun1), inflections(lex, noun2)
     ids1, ids2 = index.encode(i1), index.encode(i2)
-    return Counter(chain.from_iterable(
-        _sentence_pair_features(index, noun, sid, ids1, ids2, lex)
-        for sid in index.sentence_ids(i1, i2)
-    ))
-
-
-def _sentence_pair_features(
-    index: CorpusIndex,
-    noun: int | None,
-    sid: int,
-    i1: frozenset[int],
-    i2: frozenset[int],
-    lex: MorphLexicon,
-) -> Iterator[PairFeature]:
-    """The joining features of one tagged sentence, in sentence order.
-
-    ``noun`` is the noun tag's id, and ``i1`` and ``i2`` are the token
-    ids of the two nouns' inflections.
-    """
-    toks, tags = index.sentence_codes(sid)
-    runs = _noun_runs(tags, noun)
-    heads = [toks[end] for _start, end in runs]
-    for (run_a, head_a), (run_b, head_b) in zip(
-        zip(runs, heads), zip(runs[1:], heads[1:])
+    occ1, occ2 = index.occurrences(i1), index.occurrences(i2)
+    rare, occ, other = (ids1, occ1, occ2) if len(occ1) <= len(occ2) else (ids2, occ2, occ1)
+    with_other = set(map(itemgetter(0), other))
+    # Each distinct gap, keyed by its token and tag ids, is classified once.
+    connectors: dict[tuple[bytes, bytes], tuple[str, str] | None] = {}
+    # (gap key, direction) -> matches, in corpus order, so each feature's first gap comes first.
+    found: Counter = Counter()
+    for toks, tags, head_a, start, stop, head_b in _adjacent_runs(
+        index, noun, rare, (o for o in occ if o[0] in with_other)
     ):
-        if head_a in i1 and head_b in i2:
+        if head_a in ids1 and head_b in ids2:
             direction = DIR_12
-        elif head_a in i2 and head_b in i1:
+        elif head_a in ids2 and head_b in ids1:
             direction = DIR_21
         else:
             continue
-        if not 0 < run_b[0] - run_a[1] - 1 <= 8:
-            continue
-        between = _segment(index, toks, tags, run_a[1] + 1, run_b[0])
-        if any(tag == "S" for _w, tag in between):
-            continue
-        feat = _classify_connector(between, lex)
+        key = (toks[start:stop].tobytes(), tags[start:stop].tobytes())
+        if key not in connectors:
+            between = _segment(index, toks, tags, start, stop)
+            connectors[key] = _classify_connector(between, lex)
+        found[key, direction] += 1
+    features: Counter[PairFeature] = Counter()
+    for (key, direction), n in found.items():
+        feat = connectors[key]
         if feat is not None:
-            lexeme, kind = feat
-            yield PairFeature(lexeme, kind, direction)
+            features[PairFeature(*feat, direction)] += n
+    return features
+
+
+def _adjacent_runs(
+    index: CorpusIndex,
+    noun: int | None,
+    rare: frozenset[int],
+    occurrences: Iterable[tuple[int, int]],
+) -> Iterator[tuple[array, array, int, int, int, int]]:
+    """Each pair of adjacent noun runs 1 to 8 tokens apart that has a head in ``rare``.
+
+    ``occurrences`` are the (sentence, offset) of tokens in ``rare``, in
+    corpus order; ``noun`` is the noun tag's id, and without one no token
+    heads a run.  Yields the sentence's token and tag ids, the first run's
+    head, the bounds of the gap after it, and the second run's head, in
+    corpus order and once per pair.
+    """
+    sid = None
+    for at, o in occurrences:
+        if at != sid:
+            toks, tags = index.sentence_codes(at)
+            sid, n = at, len(tags)
+        if tags[o] != noun or (o + 1 < n and tags[o + 1] == noun):
+            continue  # not a run's head
+        start = o
+        while start and tags[start - 1] == noun:
+            start -= 1
+        j, stop = start - 1, max(start - 10, -1)
+        while j > stop and tags[j] != noun:
+            j -= 1
+        # A previous head in ``rare`` yields this pair from its own occurrence.
+        if j > stop and toks[j] not in rare:
+            yield toks, tags, toks[j], j + 1, start, toks[o]
+        k, stop = o + 1, min(o + 10, n)
+        while k < stop and tags[k] != noun:
+            k += 1
+        if k < stop:
+            end = k
+            while end + 1 < n and tags[end + 1] == noun:
+                end += 1
+            yield toks, tags, toks[o], o + 1, k, toks[end]
 
 
 def _classify_connector(
     between: list[tuple[str, str]], lex: MorphLexicon
 ) -> tuple[str, str] | None:
+    """The (lexeme, kind) a gap's (word, tag) pairs join by, or None if none or any is tagged S."""
+    if any(tag == "S" for _w, tag in between):
+        return None
     end = len(between)
     while end and between[end - 1][1] in ("D", "J", "R"):
         end -= 1

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from npstruct.assoc import NounTriple
 from npstruct.corpus import CorpusIndex, CountQuery, IndexProvider, IngestConfig, build_index
 from npstruct.morphology import MorphLexicon, inflections, is_plural
 from npstruct.paraphrase import ParaphraseInventory
+from npstruct.relsim import DIR_12, DIR_21, PairFeature, _classify_connector, _segment
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 
@@ -47,6 +50,65 @@ def naive_count(sentences: list[list[str]], query: CountQuery) -> int:
         for pat in patterns:
             total += len(re.findall(f"(?= {pat} )", text))
     return total
+
+
+def noun_runs(tags, noun) -> list[tuple[int, int]]:
+    """Maximal [start, end] spans of tokens tagged ``noun``."""
+    runs = []
+    start = None
+    for i, tag in enumerate(tags):
+        if tag == noun:
+            if start is None:
+                start = i
+        elif start is not None:
+            runs.append((start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(tags) - 1))
+    return runs
+
+
+def sentence_pair_features(index: CorpusIndex, noun, sid: int, i1, i2, lex: MorphLexicon):
+    """The joining features of one tagged sentence, in sentence order.
+
+    ``noun`` is the noun tag's id, and ``i1`` and ``i2`` are the token
+    ids of the two nouns' inflections.  Every pair of adjacent noun runs
+    in the sentence is tested, with no use of the postings.
+    """
+    toks, tags = index.sentence_codes(sid)
+    runs = noun_runs(tags, noun)
+    heads = [toks[end] for _start, end in runs]
+    for (run_a, head_a), (run_b, head_b) in zip(
+        zip(runs, heads), zip(runs[1:], heads[1:])
+    ):
+        if head_a in i1 and head_b in i2:
+            direction = DIR_12
+        elif head_a in i2 and head_b in i1:
+            direction = DIR_21
+        else:
+            continue
+        if not 0 < run_b[0] - run_a[1] - 1 <= 8:
+            continue
+        between = _segment(index, toks, tags, run_a[1] + 1, run_b[0])
+        if any(tag == "S" for _w, tag in between):
+            continue
+        feat = _classify_connector(between, lex)
+        if feat is not None:
+            lexeme, kind = feat
+            yield PairFeature(lexeme, kind, direction)
+
+
+def scan_pair_features(index: CorpusIndex, noun1: str, noun2: str, lex: MorphLexicon) -> Counter:
+    """``extract_pair_features`` by a scan of every sentence of a tagged index."""
+    noun = index.tag_vocab.index("N") if "N" in index.tag_vocab else None
+    i1, i2 = (index.encode(inflections(lex, w)) for w in (noun1, noun2))
+    features: Counter = Counter()
+    for sid in count():
+        try:
+            index.sentence_codes(sid)
+        except IndexError:  # past the last sentence
+            return features
+        features.update(sentence_pair_features(index, noun, sid, i1, i2, lex))
 
 
 def generate_bracketing_queries(

@@ -518,20 +518,23 @@ ALT_SETS = st.frozensets(PHRASE_TOKENS, min_size=1, max_size=3)
 
 
 @settings(max_examples=80, deadline=None)
-@given(SENTENCES, ALT_SETS, ALT_SETS, st.booleans())
-@example([["a", "b"], ["b", "c"]], frozenset({"a"}), frozenset({"z"}), False)  # absent
-@example([["a", "b"], ["c"]], frozenset({"a", "c"}), frozenset({"a", "c"}), True)  # same set twice
-@example([["a", "b", "a"], ["b"]], frozenset({"a"}), frozenset({"b"}), True)  # repeat
-def test_sentence_ids_match_naive_scan(tmp_path_factory, sentences, first, second, reload):
-    tmp = tmp_path_factory.mktemp("sids")
+@given(SENTENCES, ALT_SETS, st.booleans())
+@example([["a", "b"], ["b", "c"]], frozenset({"z"}), False)  # absent
+@example([["a", "b"], ["c"]], frozenset({"a", "c", "z"}), True)  # several words, one absent
+@example([["a", "b", "a"], ["b"]], frozenset({"a"}), True)  # repeat
+def test_occurrences_match_naive_scan(tmp_path_factory, sentences, words, reload):
+    tmp = tmp_path_factory.mktemp("occ")
     index = make_index(tmp, [" ".join(s) for s in sentences], reload=reload)
     # Every written sentence holds a token, so its line number is its id.
     expected = [
-        sid for sid, sent in enumerate(sentences) if first & set(sent) and second & set(sent)
+        (sid, offset)
+        for sid, sent in enumerate(sentences)
+        for offset, token in enumerate(sent)
+        if token in words
     ]
-    got = index.sentence_ids(first, second)
+    got = index.occurrences(words)
     assert got == expected
-    assert all(a < b for a, b in zip(got, got[1:]))
+    assert all(a < b for a, b in zip(got, got[1:]))  # corpus order
 
 
 SHORT_RUNS = st.lists(PHRASE_TOKENS, max_size=3).map(tuple)

@@ -1,14 +1,13 @@
 """Joining-feature extraction, similarity, and the three classifiers."""
 
 import random
-from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from npstruct import porter
-from npstruct.morphology import inflections
+from npstruct.corpus import IngestConfig, build_index
 from npstruct.relsim import (
     DIR_12,
     DIR_21,
@@ -17,7 +16,6 @@ from npstruct.relsim import (
     SemevalExample,
     SemevalModel,
     TfidfWeights,
-    _sentence_pair_features,
     dice,
     dump_pair_features,
     extract_pair_features,
@@ -28,7 +26,7 @@ from npstruct.relsim import (
     solve_sat,
 )
 from npstruct.tagging import TinyTagger, write_tagged_corpus
-from tests.conftest import make_index
+from tests.conftest import make_index, scan_pair_features
 
 VERBS = frozenset(
     "include consist hold chair come meet serve join elect use contain".split()
@@ -39,8 +37,6 @@ def tagged_index(tmp_path, sentences, small_lex, name="tagged.txt"):
     tagger = TinyTagger(verbs=VERBS, adjectives=frozenset({"rare", "large"}), lex=small_lex)
     path = tmp_path / name
     write_tagged_corpus(sentences, tagger, path)
-    from npstruct.corpus import IngestConfig, build_index
-
     return build_index(path, IngestConfig(tagged=True))
 
 
@@ -138,25 +134,106 @@ def _random_sentences(rng, n):
 
 
 def test_extractors_match_a_scan_of_every_sentence(tmp_path, small_lex):
-    """Scanning only co-occurrence sentences loses nothing and keeps order."""
+    """Walking out from the postings loses nothing and keeps order."""
     found_features = 0
     for seed in range(6):
         rng = random.Random(seed)
         sentences = _random_sentences(rng, 80)
         index = tagged_index(tmp_path, sentences, small_lex, name=f"rand{seed}.txt")
-        noun = index.tag_vocab.index("N")
         for _ in range(8):
             a, b = rng.choice(NOUNS), rng.choice(NOUNS)
             for x, y in ((a, b), (b, a)):
-                ix, iy = (index.encode(inflections(small_lex, w)) for w in (x, y))
-                features = Counter()
-                # Every sentence written holds a token, so each is one sentence id.
-                for sid in range(len(sentences)):
-                    features.update(_sentence_pair_features(index, noun, sid, ix, iy, small_lex))
+                features = scan_pair_features(index, x, y, small_lex)
                 got = extract_pair_features(index, x, y, small_lex)
                 assert list(got.items()) == list(features.items())
                 found_features += len(features)
     assert found_features  # the corpora exercise the extractor
+
+
+# "meeting" inflects both "meet" and "meeting"; "x" is in no noun's set.
+TAGGED_WORDS = st.sampled_from(
+    "committee committees member members meeting meet x of the and includes s".split()
+)
+TAGS = st.sampled_from("N N N P D C V S J".split())
+TAGGED_SENTENCES = st.lists(
+    st.lists(st.tuples(TAGGED_WORDS, TAGS), min_size=1, max_size=24), min_size=1, max_size=6
+)
+PAIR_NOUNS = st.sampled_from(["committee", "member", "meeting", "meet"])
+
+
+def _tagged(line):
+    return [tuple(token.split("_")) for token in line.split()]
+
+
+GAPS = [
+    _tagged("committee_N of_P members_N"),
+    _tagged("committee_N of_P" + " the_D" * 7 + " members_N"),
+    _tagged("committee_N of_P" + " the_D" * 8 + " members_N"),
+]
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(TAGGED_SENTENCES, PAIR_NOUNS, PAIR_NOUNS)
+# Noun runs at both sentence edges.
+@example([_tagged("committee_N includes_V members_N")], "committee", "member")
+# Gaps of 1, 8 and 9 tokens, walked forward from the first noun and back from the second.
+@example(GAPS, "committee", "member")
+@example(GAPS, "member", "committee")
+# Two noun tokens side by side make one run, headed by the second.
+@example([_tagged("the_D committee_N members_N of_P committee_N members_N")], "member", "committee")
+# An S tag in the gap, on a word the verb group would drop as an adverb.
+@example([_tagged("committee_N includes_V only_S members_N")], "committee", "member")
+@example([_tagged("meeting_N of_P meeting_N and_C meet_N")], "meet", "meeting")  # in both sets
+@example([_tagged("committee_N of_P committees_N and_C committee_N")], "committee", "committee")
+# The rarer noun heads several runs in one sentence.
+@example(
+    [_tagged("members_N of_P committee_N and_C member_N with_P committees_N of_P member_N")],
+    "member",
+    "committee",
+)
+@example([_tagged("committee_V of_P members_D")], "committee", "member")  # no N tag at all
+# A sentence without the other noun, before one with it.
+@example(
+    [_tagged("member_N of_P x_N"), _tagged("member_N of_P committee_N")], "member", "committee"
+)
+def test_walk_matches_a_scan_of_every_sentence(tmp_path_factory, small_lex, sentences, noun1, noun2):
+    lines = [" ".join(f"{word}_{tag}" for word, tag in sentence) for sentence in sentences]
+    index = make_index(tmp_path_factory.mktemp("walk"), lines, tagged=True)
+    got = extract_pair_features(index, noun1, noun2, small_lex)
+    assert list(got.items()) == list(scan_pair_features(index, noun1, noun2, small_lex).items())
+
+
+def test_connector_reuse_keeps_no_state(tmp_path, small_lex):
+    """One call's classified connectors never leak into another call or index.
+
+    The second corpus gives the same token and tag ids to other words and
+    tags, so a connector table that outlived a call would misread it.
+    """
+    first = make_index(tmp_path, [
+        "committee_N includes_V members_N",
+        "team_N includes_V players_N",
+        "players_N includes_V committee_N",
+        "members_N includes_V team_N",
+    ], tagged=True, name="first.txt")
+    second = make_index(tmp_path, ["committee_N inside_P members_N"], tagged=True, name="second.txt")
+    assert first.vocab.index("includes") == second.vocab.index("inside")
+    assert first.tag_vocab.index("V") == second.tag_vocab.index("P")
+    block = [
+        ("committee", "member"),
+        ("team", "player"),
+        ("player", "committee"),
+        ("member", "team"),
+        ("committee", "team"),
+        ("member", "player"),
+    ]
+    forward = [list(extract_pair_features(first, *p, small_lex).items()) for p in block]
+    inside = extract_pair_features(second, "committee", "member", small_lex)
+    assert list(inside.items()) == [(PairFeature("inside", "P", DIR_12), 1)]
+    backward = [list(extract_pair_features(first, *p, small_lex).items()) for p in block[::-1]]
+    assert forward == backward[::-1]
+    assert forward[0] == [(PairFeature("include", "V", DIR_12), 1)]
 
 
 class TestSimilarity:
