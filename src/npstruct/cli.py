@@ -126,6 +126,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--tagged", action="store_true")
 
+    p = sub.add_parser("info", help="describe a saved index")
+    p.add_argument("--index", required=True)
+
     for command, task in TASKS.items():
         defaults = task.config()
         p = sub.add_parser(command, help=task.help)
@@ -205,6 +208,12 @@ def _cmd_index(args) -> int:
     index = build_index(args.corpus, IngestConfig(tagged=args.tagged))
     index.save(args.out)
     print(f"indexed {index.total_tokens()} tokens")
+    return 0
+
+
+def _cmd_info(args) -> int:
+    for name, value in CorpusIndex.load(args.index).info().items():
+        print(f"{name} {value}")
     return 0
 
 
@@ -358,6 +367,7 @@ def _cmd_compare(args) -> int:
 
 _COMMANDS = {
     "index": _cmd_index,
+    "info": _cmd_info,
     **{command: _cmd_vote for command in TASKS},
     "relsim": _cmd_relsim,
     "sat": _cmd_sat,

@@ -6,21 +6,24 @@ alternative word forms, counts with a bounded wildcard gap, and returns
 the raw sentences containing a match for surface-feature scanning.
 
 Counting runs on a normalized layer (lowercase, punctuation stripped,
-hyphenated words split); snippets come from the untouched raw layer.
-Queries never cross sentence boundaries.
+hyphenated words split).  The raw text is not stored a second time: a
+sentence is its tokens' spellings with the runs of text between them
+(separators), rebuilt on demand.  Queries never cross sentence
+boundaries.
 
-An index file (format 3) is a header (``_HEADER``) followed by the
+An index file (format 4) is a header (``_HEADER``) followed by the
 sections in ``_SECTIONS`` order; ``CorpusIndex`` says what each holds.
 Integer columns are unsigned, little-endian, and as narrow as their
-largest value allows.  Text sections are UTF-8, and word lists are
-newline-separated.  Nothing is pickled, so loading runs no code from
-the file.
+largest value allows.  Text sections are UTF-8, and a word list ends
+each entry with a newline.  Nothing is pickled, so loading runs no code
+from the file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+import string
 import sys
 import zlib
 from array import array
@@ -34,14 +37,21 @@ from struct import Struct
 from typing import Iterable, Protocol
 
 _MAGIC = b"NPSX"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
+# A token is a run of these characters; every other character separates tokens.
+_WORD_CHARS = frozenset(string.ascii_letters + string.digits)
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
+# A token with the separator run before it, or else a sentence's trailing run.
+_PIECE_RE = re.compile(r"[^A-Za-z0-9]*[A-Za-z0-9]+|[^A-Za-z0-9]+")
+# The separator run of each piece, in pieces joined by newlines.
+_RUN_RE = re.compile(r"([^A-Za-z0-9\n]*)[A-Za-z0-9]+")
 # File order of the sections; each is a CorpusIndex constructor argument.
 _SECTIONS = (
-    "provenance", "vocab", "tag_vocab", "text",
-    "text_starts", "stream", "starts", "tags", "post_starts", "post_sids", "post_offsets",
+    "provenance", "vocab", "tag_vocab", "spellings", "separators", "stream", "starts",
+    "tags", "cases", "seps", "trails", "post_starts", "post_sids", "post_offsets",
 )
-_TEXTS = frozenset({"provenance", "vocab", "tag_vocab", "text"})
+_WORD_LISTS = ("vocab", "tag_vocab", "spellings", "separators")
+_TEXTS = frozenset({"provenance", *_WORD_LISTS})
 # Magic, version, CRC-32 of the rest of the file, then (type code, byte length) per section.
 _HEADER = Struct("<4sBI" + "cQ" * len(_SECTIONS))
 _CHECKED_FROM = Struct("<4sBI").size
@@ -140,10 +150,18 @@ class CorpusIndex:
     the sorted ``vocab``, and sentence ``s`` spans positions
     ``starts[s]:starts[s + 1]``.  The occurrences of id ``i`` are entries
     ``post_starts[i]:post_starts[i + 1]`` of ``post_sids`` (the sentence)
-    and ``post_offsets`` (the position in it), in corpus order.  Sentence
-    ``s``'s raw text is ``text[text_starts[s]:text_starts[s + 1]]`` in
-    UTF-8.  A tagged index also holds one id into the sorted ``tag_vocab``
-    per position in ``tags``; an untagged one has both empty.
+    and ``post_offsets`` (the position in it), in corpus order.  A tagged
+    index also holds one id into the sorted ``tag_vocab`` per position in
+    ``tags``; an untagged one has both empty.
+
+    The raw text is held as columns too.  ``separators`` is the sorted
+    list of the distinct runs of text before a token or after a
+    sentence's last one.  Per position, ``seps`` holds the id of the run
+    before the token, and ``cases`` the token's place in its spelling
+    group: entry ``i`` of ``spellings`` holds, space-separated, the
+    spellings that lowercase to ``vocab[i]``, sorted from last to first
+    (so the lowercase one, where the corpus has it, is case 0).  Per
+    sentence, ``trails`` holds the id of the run after its last token.
     """
 
     def __init__(
@@ -152,11 +170,14 @@ class CorpusIndex:
         provenance: str,
         vocab: Sequence[str],
         tag_vocab: Sequence[str],
-        text: bytes,
-        text_starts: array,
+        spellings: Sequence[str],
+        separators: Sequence[str],
         stream: array,
         starts: array,
         tags: array,
+        cases: array,
+        seps: array,
+        trails: array,
         post_starts: array,
         post_sids: array,
         post_offsets: array,
@@ -165,11 +186,15 @@ class CorpusIndex:
         self._vocab = tuple(vocab)
         self._ids = {tok: i for i, tok in enumerate(vocab)}
         self._tag_vocab = tuple(tag_vocab)
-        self._text = text
-        self._text_starts = text_starts
+        self._spellings = tuple(spellings)
+        self._spelled = [entry.split(" ") for entry in spellings]
+        self._separators = tuple(separators)
         self._stream = stream
         self._starts = starts
         self._tags = tags
+        self._cases = cases
+        self._seps = seps
+        self._trails = trails
         self._post_starts = post_starts
         self._post_sids = post_sids
         self._post_offsets = post_offsets
@@ -213,12 +238,15 @@ class CorpusIndex:
         return len(self._stream)
 
     def text(self, sid: int) -> str:
-        """The raw text of sentence ``sid``, as ingested."""
-        a, b = self._bounds(self._text_starts, sid)
+        """The raw text of sentence ``sid``, as ingested: separators and spellings in turn."""
+        a, b = self._bounds(self._starts, sid)
+        separators, spelled = self._separators, self._spelled
+        columns = zip(self._seps[a:b], self._stream[a:b], self._cases[a:b])
         try:
-            return self._text[a:b].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorpusError(f"index file is corrupt: sentence {sid} is not UTF-8") from exc
+            pieces = [separators[sep] + spelled[token][case] for sep, token, case in columns]
+        except IndexError as exc:  # a case past its token's spellings
+            raise CorpusError(f"index file is corrupt: bad case in sentence {sid}") from exc
+        return "".join(pieces) + separators[self._trails[sid]]
 
     def _size(self, ids: Iterable[int]) -> int:
         ps = self._post_starts
@@ -305,9 +333,27 @@ class CorpusIndex:
         sids = sorted(set(self._matched_sentences(query, sets)))
         return [self.text(sid) for sid in sids[:limit]]
 
+    def _sections(self) -> list[tuple[str, bytes]]:
+        """Each section's type code and bytes, in file order."""
+        return [_encoded(getattr(self, f"_{name}")) for name in _SECTIONS]
+
+    def info(self) -> dict[str, object]:
+        """The format, provenance and sizes of the index, and each section's bytes."""
+        return {
+            "format": _FORMAT_VERSION,
+            "provenance": self._provenance,
+            "sentences": len(self._starts) - 1,
+            "tokens": len(self._stream),
+            "vocabulary": len(self._vocab),
+            "tags": len(self._tag_vocab),
+            "separators": len(self._separators),
+            "most_spellings": _most_spellings(self._spellings),
+            **{f"bytes.{name}": len(blob) for name, (_code, blob) in zip(_SECTIONS, self._sections())},
+        }
+
     def save(self, path: str | Path) -> None:
-        """Write the columns as one format-3 file (layout in the module docstring)."""
-        sections = [_encoded(getattr(self, f"_{name}")) for name in _SECTIONS]
+        """Write the columns as one format-4 file (layout in the module docstring)."""
+        sections = self._sections()
         table = [f for code, blob in sections for f in (code.encode("ascii"), len(blob))]
         rest = _HEADER.pack(_MAGIC, _FORMAT_VERSION, 0, *table)[_CHECKED_FROM:]
         body = b"".join(blob for _code, blob in sections)
@@ -316,9 +362,9 @@ class CorpusIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "CorpusIndex":
-        """Read a format-3 file whole, and check it before anything is used.
+        """Read a format-4 file whole, and check it before anything is used.
 
-        A file that is not a complete, intact format-3 index raises
+        A file that is not a complete, intact format-4 index raises
         ``CorpusError``.  Nothing in the file is ever run.
         """
         data = Path(path).read_bytes()
@@ -371,7 +417,7 @@ def _encoded(value: array | tuple[str, ...] | str | bytes) -> tuple[str, bytes]:
             value.byteswap()
         return value.typecode, value.tobytes()
     if isinstance(value, tuple):  # a word list
-        value = "\n".join(value)
+        value = "".join(f"{word}\n" for word in value)
     if isinstance(value, str):
         value = value.encode("utf-8")
     return "B", value
@@ -384,15 +430,11 @@ class IngestConfig:
     tagged: bool = False
 
 
-def _tokens(text: str) -> list[str]:
-    """Normalized tokens of ``text``: its alphanumeric runs, lowercased."""
-    return [t.lower() for t in _WORD_RE.findall(text)]
-
-
 def _column(values: Iterable[int], largest: int) -> array:
     """The values as an array of the narrowest unsigned type holding ``largest``."""
     code = next(c for c in _CODES if largest < 1 << 8 * array(c).itemsize)
-    return array(code, values)
+    # Bytes or a list fill an array faster than an iterator does.
+    return array(code, bytes(values) if code == "B" else list(values))
 
 
 def _ascending(values: Sequence, strict: bool = False) -> bool:
@@ -404,41 +446,84 @@ def _offsets_ok(offsets: array, end: int) -> bool:
     return len(offsets) > 0 and offsets[0] == 0 and offsets[-1] == end and _ascending(offsets)
 
 
+def _below(column: array, bound: int) -> bool:
+    """Whether every value of ``column`` is less than ``bound``.
+
+    The values are compared one byte plane at a time, most significant
+    first, and none becomes a Python int: a value is out of play once
+    its byte is below the bound's, and fails if its byte is above it.
+    """
+    if bound >= 1 << 8 * column.itemsize:
+        return True
+    if bound <= 0:
+        return not column
+    data, width = column.tobytes(), column.itemsize
+    in_play = -1  # all bits set on the bytes of the values still in play
+    for k in reversed(range(width)):
+        plane = data[k if _LITTLE_ENDIAN else width - 1 - k :: width]
+        if in_play != -1:  # bytes of values out of play read 0
+            plane = (int.from_bytes(plane, "little") & in_play).to_bytes(len(plane), "little")
+        digit = (bound - 1) >> 8 * k & 0xFF
+        if plane.translate(None, bytes(range(digit + 1))):
+            return False
+        equal = bytearray(256)
+        equal[digit] = 0xFF
+        in_play &= int.from_bytes(plane.translate(equal), "little")
+        if not in_play:
+            break
+    return True
+
+
+def _most_spellings(spellings: Sequence[str]) -> int:
+    """The most spellings an entry of a spelling table holds; 0 for no entries."""
+    return max(map(str.count, spellings, repeat(" ")), default=-1) + 1
+
+
 def _word_list(blob: bytes) -> list[str]:
-    return blob.decode("utf-8").split("\n") if blob else []
+    """The entries of a word list; each ends with a newline, so ``[""]`` is ``b"\\n"``."""
+    words = blob.decode("utf-8").split("\n")
+    if words.pop():
+        raise CorpusError("index file is corrupt: a word list does not end with a newline")
+    return words
 
 
 def _checked(sections: dict) -> dict:
     """Constructor arguments from a file's sections, each checked against the others.
 
     Posting offsets are not checked one by one: a wrong offset can only
-    miscount, since every match is bounded by its sentence's end.
+    miscount, since every match is bounded by its sentence's end.  Nor
+    are spellings and separators: a wrong one can only misspell the text.
+    A case is checked against the most spellings any token has, and
+    ``text`` refuses one past its own token's spellings.
     """
     try:
         args = dict(
             sections,
             provenance=sections["provenance"].decode("utf-8"),
-            vocab=_word_list(sections["vocab"]),
-            tag_vocab=_word_list(sections["tag_vocab"]),
+            **{name: _word_list(sections[name]) for name in _WORD_LISTS},
         )
     except UnicodeDecodeError as exc:
         raise CorpusError("index file is corrupt: a word list is not UTF-8") from exc
-    vocab, tag_vocab, stream, tags, starts, post_sids = (
-        args[k] for k in ("vocab", "tag_vocab", "stream", "tags", "starts", "post_sids")
+    vocab, tag_vocab, separators, stream, tags, starts, post_sids = (
+        args[k]
+        for k in ("vocab", "tag_vocab", "separators", "stream", "tags", "starts", "post_sids")
     )
-    n = len(stream)
+    spellings, n = args["spellings"], len(stream)
     for what, ok in (
         ("vocabulary", _ascending(vocab, strict=True)),
         ("tag vocabulary", _ascending(tag_vocab, strict=True)),
+        ("spellings", len(spellings) == len(vocab)),
         ("sentence starts", _offsets_ok(starts, n)),
-        ("text starts", len(args["text_starts"]) == len(starts)
-         and _offsets_ok(args["text_starts"], len(args["text"]))),
         ("posting starts", len(args["post_starts"]) == len(vocab) + 1
          and _offsets_ok(args["post_starts"], n)),
         ("postings", len(post_sids) == len(args["post_offsets"]) == n
-         and max(post_sids, default=-1) < len(starts) - 1),
-        ("token ids", max(stream, default=-1) < len(vocab)),
-        ("tags", len(tags) == (n if tag_vocab else 0) and max(tags, default=-1) < len(tag_vocab)),
+         and _below(post_sids, len(starts) - 1)),
+        ("token ids", _below(stream, len(vocab))),
+        ("tags", len(tags) == (n if tag_vocab else 0) and _below(tags, len(tag_vocab))),
+        ("cases", len(args["cases"]) == n and _below(args["cases"], _most_spellings(spellings))),
+        ("separator ids", len(args["seps"]) == n and _below(args["seps"], len(separators))),
+        ("trailing runs", len(args["trails"]) == len(starts) - 1
+         and _below(args["trails"], len(separators))),
     ):
         if not ok:
             raise CorpusError(f"index file is corrupt: bad {what}")
@@ -453,20 +538,21 @@ class _Ids(dict):
         return n
 
 
-def _renumbered(ids: _Ids, column: array) -> tuple[list[str], array]:
-    """The sorted words of ``ids``, and ``column`` with ids renumbered in that order."""
+def _ranks(ids: _Ids) -> tuple[list[str], list[int]]:
+    """The sorted words of ``ids``, and each id's place among them."""
     words = sorted(ids)
     rank = [0] * len(words)
     for i, word in enumerate(words):
         rank[ids[word]] = i
-    return words, _column(map(rank.__getitem__, column), len(words) - 1)
+    return words, rank
 
 
 def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) -> CorpusIndex:
     """Index a UTF-8, one-sentence-per-line corpus file.
 
     With ``config.tagged`` each whitespace token must look like
-    ``word_TAG``; normalized sub-tokens inherit the raw token's tag.
+    ``word_TAG``; normalized sub-tokens inherit the raw token's tag, and
+    the sentence's raw text is its words joined by spaces.
     The provenance is a digest of the content and the config alone, so
     the same corpus gives the same index wherever its file lies.
     """
@@ -475,9 +561,12 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
     digest = hashlib.sha256(
         text.encode("utf-8") + repr(config).encode("utf-8")
     ).hexdigest()[:16]
-    token_ids, tag_ids = _Ids(), _Ids()
-    stream, tags = array("I"), array("I")  # ids in order of first appearance
-    raws: list[bytes] = []
+    # A piece is a token with the separator run before it.  Ids are in
+    # order of first appearance; each distinct piece is split only once,
+    # and each distinct spelling lowercased only once.
+    piece_ids, run_ids, tag_ids = _Ids(), _Ids(), _Ids()
+    pieces: list[int] = []
+    trails, tags = array("I"), array("I")
     starts = [0]
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -490,38 +579,59 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
                 if not sep or not word or not tag:
                     raise CorpusError(f"malformed tagged token {raw_tok!r} on line {lineno}")
                 words.append(word)
-                toks = _tokens(word)
-                stream.extend(map(token_ids.__getitem__, toks))
-                tags.extend([tag_ids[tag]] * len(toks))
+                tags.extend([tag_ids[tag]] * len(_WORD_RE.findall(word)))
             line = " ".join(words)
-        else:
-            stream.extend(map(token_ids.__getitem__, _tokens(line)))
-        if len(stream) > starts[-1]:
-            raws.append(line.encode("utf-8"))
-            starts.append(len(stream))
-    n = len(stream)
+        found = _PIECE_RE.findall(line)
+        trail = found.pop() if found[-1][-1] not in _WORD_CHARS else ""
+        pieces.extend(map(piece_ids.__getitem__, found))
+        if len(pieces) > starts[-1]:
+            trails.append(run_ids[trail])
+            starts.append(len(pieces))
+    n = len(pieces)
     if not n:
         raise CorpusError("empty corpus")
-    vocab, stream = _renumbered(token_ids, stream)
-    tag_vocab, tags = _renumbered(tag_ids, tags)
+    # Flat lists and dicts of ints, not tuples: thousands of small tuples
+    # set off the cyclic garbage collector, which then walks ``pieces``.
+    joined = "\n".join(piece_ids)
+    runs, spelled = _RUN_RE.findall(joined), _WORD_RE.findall(joined)
+    groups: dict[str, list[str]] = {}
+    for spelling in sorted(set(spelled), reverse=True):
+        groups.setdefault(spelling.lower(), []).append(spelling)
+    vocab = sorted(groups)
+    token_of, case_of = {}, {}
+    for i, word in enumerate(vocab):
+        for case, spelling in enumerate(groups[word]):
+            token_of[spelling], case_of[spelling] = i, case
+    piece_run = list(map(run_ids.__getitem__, runs))
+    separators, run_rank = _ranks(run_ids)
+    tag_vocab, tag_rank = _ranks(tag_ids)
+    piece_token = list(map(token_of.__getitem__, spelled))
+    piece_case = list(map(case_of.__getitem__, spelled))
+    piece_sep = list(map(run_rank.__getitem__, piece_run))
+    stream = _column(map(piece_token.__getitem__, pieces), len(vocab) - 1)
+    cases = _column(map(piece_case.__getitem__, pieces), max(case_of.values()))
+    seps = _column(map(piece_sep.__getitem__, pieces), len(separators) - 1)
+    del text, pieces  # not needed past here; let them go before the postings grow
     sids_of: list[list[int]] = [[] for _ in vocab]
     offsets_of: list[list[int]] = [[] for _ in vocab]
     for sid, (a, b) in enumerate(pairwise(starts)):
         for offset, i in enumerate(stream[a:b]):
             sids_of[i].append(sid)
             offsets_of[i].append(offset)
-    raw_text = b"".join(raws)
     return CorpusIndex(
         provenance=f"sha256:{digest}",
         vocab=vocab,
         tag_vocab=tag_vocab,
-        text=raw_text,
-        text_starts=_column(accumulate(map(len, raws), initial=0), len(raw_text)),
+        spellings=[" ".join(groups[word]) for word in vocab],
+        separators=separators,
         stream=stream,
         starts=_column(starts, n),
-        tags=tags,
+        tags=_column(map(tag_rank.__getitem__, tags), len(tag_vocab) - 1),
+        cases=cases,
+        seps=seps,
+        trails=_column(map(run_rank.__getitem__, trails), len(separators) - 1),
         post_starts=_column(accumulate(map(len, sids_of), initial=0), n),
-        post_sids=_column(chain.from_iterable(sids_of), len(raws) - 1),
+        post_sids=_column(chain.from_iterable(sids_of), len(starts) - 2),
         post_offsets=_column(
             chain.from_iterable(offsets_of), max(map(sub, starts[1:], starts)) - 1
         ),

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from npstruct.cli import run
+from npstruct.corpus import _HEADER, _SECTIONS
 
 
 @pytest.fixture
@@ -73,6 +74,15 @@ class TestExitCodes:
         code = run(["bracket", "--index", str(index_file), "--dataset", str(bracketing_dataset)])
         assert code == 2
         assert "unsupported index format version 1" in capsys.readouterr().err
+
+    def test_format_3_index_must_be_rebuilt(self, index_file, capsys):
+        data = bytearray(index_file.read_bytes())
+        data[4] = 3
+        index_file.write_bytes(bytes(data))
+        assert run(["info", "--index", str(index_file)]) == 2
+        err = capsys.readouterr().err
+        assert "rebuilt with `npstruct index`" in err
+        assert "unsupported index format version 3" in err
 
     def test_truncated_index_is_data_error(self, index_file, bracketing_dataset, capsys):
         index_file.write_bytes(index_file.read_bytes()[:40])
@@ -176,6 +186,33 @@ class TestExitCodes:
     def test_seed_flag_is_accepted(self, capsys):
         assert run(["--seed", "7"]) == 1  # still needs a subcommand
         capsys.readouterr()
+
+
+class TestInfo:
+    def test_prints_one_name_value_line_each(self, index_file, capsys):
+        assert run(["info", "--index", str(index_file)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        info = dict(line.split(" ") for line in lines)
+        assert len(info) == len(lines)
+        assert info["format"] == "4"
+        assert info["provenance"].startswith("sha256:")
+        assert (info["sentences"], info["tokens"], info["vocabulary"], info["tags"]) == (
+            "13", "46", "7", "0"
+        )
+        # "" (before a first word and after a last one), " ", "-" and "'"
+        assert (info["separators"], info["most_spellings"]) == ("4", "1")
+        sizes = {name[len("bytes."):]: int(v) for name, v in info.items() if name.startswith("bytes.")}
+        assert list(sizes) == list(_SECTIONS)
+        assert _HEADER.size + sum(sizes.values()) == index_file.stat().st_size
+
+    def test_missing_and_bad_files_are_data_errors(self, index_file, tmp_path, capsys):
+        missing = str(tmp_path / "missing.idx")
+        assert run(["info", "--index", missing]) == 2
+        assert capsys.readouterr().err == f"missing file: {missing}\n"
+        index_file.write_bytes(index_file.read_bytes()[:-1])
+        assert run(["info", "--index", str(index_file)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "truncated index file\n")
 
 
 class TestBracket:

@@ -221,7 +221,27 @@ class TestSerialization:
         with pytest.raises(CorpusError, match="not an index file"):
             CorpusIndex.load(path)
 
-    @pytest.mark.parametrize("version", [1, 99])
+    @pytest.mark.parametrize("words", [[], [""], ["", ""], ["a"], ["", "a", ""], ["a b", " \t"]])
+    def test_word_lists_round_trip(self, words):
+        code, blob = corpus._encoded(tuple(words))
+        assert code == "B"
+        assert corpus._word_list(blob) == words
+
+    @pytest.mark.parametrize("blob", [b"a", b"a\nb", b"\n\na"])
+    def test_a_word_list_without_its_last_newline_is_a_data_error(self, blob):
+        with pytest.raises(CorpusError, match="index file is corrupt"):
+            corpus._word_list(blob)
+
+    def test_one_token_lines_round_trip(self, tmp_path):
+        """The separator list is [""], which must not load as an empty list."""
+        path = tmp_path / "bare.txt"
+        path.write_text("abc\nxyz\n", encoding="utf-8")
+        build_index(path).save(tmp_path / "bare.idx")
+        index = CorpusIndex.load(tmp_path / "bare.idx")
+        assert index.info()["separators"] == 1
+        assert [index.text(0), index.text(1)] == ["abc", "xyz"]
+
+    @pytest.mark.parametrize("version", [1, 3, 99])
     def test_bad_version_rejected(self, tmp_path, version):
         index = make_index(tmp_path, ["a"])
         path = tmp_path / "x.idx"
@@ -237,7 +257,7 @@ TINY_TAGGED = ["The_D brain_N grows_V", "cells_N grow_V", "the_D end_N"]
 
 
 def _section_spans(data: bytes) -> dict[str, tuple[int, int]]:
-    """Byte span of each section of a format-3 file, read from its table."""
+    """Byte span of each section of a format-4 file, read from its table."""
     sizes = corpus._HEADER.unpack_from(data)[4::2]
     at = corpus._HEADER.size
     spans = {}
@@ -278,9 +298,18 @@ CORRUPTIONS = {
     "unsorted vocabulary": lambda c: dict(vocab=c["vocab"][::-1]),
     "unsorted tag vocabulary": lambda c: dict(tag_vocab=c["tag_vocab"][::-1]),
     "sentence starts decrease": lambda c: dict(starts=_swapped(c["starts"], 1)),
-    "text starts decrease": lambda c: dict(text_starts=_swapped(c["text_starts"], 1)),
     "posting starts decrease": lambda c: dict(post_starts=_swapped(c["post_starts"], 1)),
-    "text shorter than its starts": lambda c: dict(text=c["text"][:-1]),
+    "a spelling entry too few": lambda c: dict(spellings=c["spellings"][1:]),
+    "separator id out of range": lambda c: dict(seps=_last_set(c["seps"], len(c["separators"]))),
+    "separator column too short": lambda c: dict(seps=c["seps"][:-1]),
+    "trailing-run id out of range": lambda c: dict(
+        trails=_last_set(c["trails"], len(c["separators"]))
+    ),
+    "a trailing run too few": lambda c: dict(trails=c["trails"][:-1]),
+    "case out of range": lambda c: dict(
+        cases=_last_set(c["cases"], corpus._most_spellings(c["spellings"]))
+    ),
+    "case column too short": lambda c: dict(cases=c["cases"][:-1]),
     "token id out of range": lambda c: dict(stream=_last_set(c["stream"], len(c["vocab"]))),
     "posting sentence out of range": lambda c: dict(
         post_sids=_last_set(c["post_sids"], len(c["starts"]) - 1)
@@ -309,7 +338,29 @@ class TestMalformedFiles:
         start, end = spans["starts"]
         assert data[start:end] == bytes([0, 3, 5, 7])  # one byte per entry
         start, end = spans["vocab"]
-        assert data[start:end] == b"brain\ncells\nend\ngrow\ngrows\nthe"
+        assert data[start:end] == b"brain\ncells\nend\ngrow\ngrows\nthe\n"
+        start, end = spans["spellings"]
+        assert data[start:end] == b"brain\ncells\nend\ngrow\ngrows\nthe The\n"
+        start, end = spans["separators"]
+        assert data[start:end] == b"\n \n"  # "" and " "
+        for name, column in [
+            ("seps", [0, 1, 1, 0, 1, 0, 1]),
+            ("cases", [1, 0, 0, 0, 0, 0, 0]),  # "The" is the second spelling of "the"
+            ("trails", [0, 0, 0]),
+        ]:
+            start, end = spans[name]
+            assert data[start:end] == bytes(column)
+
+    def test_a_case_past_its_tokens_spellings_is_refused_when_rebuilt(self, tiny, tmp_path):
+        index, _data = tiny
+        columns = _columns(index)
+        cases = array("B", columns["cases"])
+        cases[1] = 1  # "brain" has one spelling, though "the" has two
+        CorpusIndex(**dict(columns, cases=cases)).save(tmp_path / "bad.idx")
+        loaded = CorpusIndex.load(tmp_path / "bad.idx")
+        assert loaded.text(1) == "cells grow"
+        with pytest.raises(CorpusError, match="index file is corrupt: bad case in sentence 0"):
+            loaded.text(0)
 
     def test_every_prefix_is_a_data_error(self, tiny, tmp_path):
         _index, data = tiny
@@ -435,6 +486,42 @@ def test_tagged_index_tokens_match_plain_index(tmp_path_factory, tagged_words, r
     assert [toks for toks, _tags in codes] == [plain.sentence_codes(sid)[0] for sid in sids]
     tags = [tagged.tag_vocab[t] for _toks, sentence_tags in codes for t in sentence_tags]
     assert tags == [t for w, t in tagged_words for _ in normalize_line(w)] + ["N"]
+
+
+# Word characters, runs of punctuation, tabs and no-break spaces, and
+# non-ASCII letters, which the tokenizer treats as separators.  No
+# character that ``str.splitlines`` breaks on.
+RAW_CHARS = "aZ3 \t\xa0.,;-()'\"_éßΩ漢"
+RAW_LINES = st.lists(st.text(RAW_CHARS, max_size=14), min_size=1, max_size=6)
+RAW_WORDS = st.lists(st.text(RAW_CHARS.replace(" ", "").replace("\t", "").replace("\xa0", ""),
+                             min_size=1, max_size=6), min_size=1, max_size=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(RAW_LINES, st.booleans())
+@example(["  (Abc) ", "\t-x--y.\t", "...", "é café ΩZ"], True)  # leading and trailing runs
+@example(["a\tb\xa0\xa0c ", "A a", "A"], False)
+def test_text_rebuilds_each_plain_line(tmp_path_factory, lines, reload):
+    tmp = tmp_path_factory.mktemp("raw")
+    index = make_index(tmp, [*lines, "x"], reload=reload)  # "x" keeps the corpus nonempty
+    expected = [line.strip() for line in [*lines, "x"] if normalize_line(line)]
+    assert [index.text(sid) for sid in range(len(expected))] == expected
+    with pytest.raises(IndexError):
+        index.text(len(expected))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(RAW_WORDS, min_size=1, max_size=4), st.booleans())
+@example([["Ab,", "(c)"], ["é"], ["x_y", "Z"]], True)
+def test_text_rebuilds_each_tagged_line_as_its_words(tmp_path_factory, sentences, reload):
+    tmp = tmp_path_factory.mktemp("rawtagged")
+    sentences = [*sentences, ["x"]]
+    lines = [" ".join(f"{word}_N" for word in words) for words in sentences]
+    index = make_index(tmp, lines, tagged=True, reload=reload)
+    expected = [" ".join(words) for words in sentences if normalize_line(" ".join(words))]
+    assert [index.text(sid) for sid in range(len(expected))] == expected
+    with pytest.raises(IndexError):
+        index.text(len(expected))
 
 
 def _random_queries(seed: int) -> list[CountQuery]:
