@@ -12,7 +12,7 @@ and error messages are those of ``npstruct``: a missing file prints
 code 2.
 
 Example:
-    python3 scripts/ablation.py bracket --index corpus.idx --preset biomedical
+    python3 scripts/ablation.py bracket --index corpus.idx --default right
     python3 scripts/ablation.py coord --index corpus.idx --threshold 2
     python3 scripts/ablation.py ppattach --index corpus.idx --dataset quads.tsv
 """

@@ -1,4 +1,10 @@
-"""Majority-vote combination of the noun-compound bracketing voters."""
+"""The noun-compound bracketing voters and their majority vote.
+
+The direct-count voters (concatenation, wildcard, genitive, abbreviation,
+reordering, inflection variability and swap) are the ``DIRECT_COUNTS``
+table here; the other voters come from ``assoc``, ``paraphrase`` and
+``surface``.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +15,7 @@ from typing import Callable
 from . import assoc, paraphrase, surface
 from .assoc import NounTriple
 from .corpus import CountProvider, CountQuery
-from .decisions import LEFT, Decision, VoteResult, check_voters, vote
+from .decisions import LEFT, RIGHT, Decision, VoteResult, check_voters, compare, vote
 from .morphology import MorphLexicon, inflections
 
 # Voters combined by default: the strongest individual models.
@@ -56,6 +62,77 @@ def triple_snippets(
     return list(dict.fromkeys(snippets))[:limit]
 
 
+# Short everyday words that can collide with two-letter abbreviations.
+COMMON_SHORT_WORDS = frozenset(
+    """a i an as at be by do go he hi if in is it me my no of on or ox so to
+    up us we am ah ok tv no ms mr""".split()
+)
+
+# Two-letter uppercase postal-style state codes.
+STATE_CODES = frozenset(
+    """AL AK AZ AR CA CO CT DE FL GA HI ID IL IN IA KS KY LA ME MD MA MI MN
+    MS MO MT NE NV NH NJ NM NY NC ND OH OK OR PA RI SC SD TN TX UT VT VA WA
+    WV WI WY DC""".split()
+)
+
+
+def _abbreviation(first: str, second: str, lex: MorphLexicon) -> str:
+    """The words' initials, or "" if they read as a common word, a known
+    form, a Roman numeral or a state code."""
+    abbr = first[0] + second[0]
+    taken = abbr in COMMON_SHORT_WORDS or abbr in lex.lemma_by_form or abbr.upper() in STATE_CODES
+    return "" if taken or surface.ROMAN_NUMERAL.match(abbr) else abbr
+
+
+def _glue(first: str, seconds: frozenset[str]) -> frozenset[str]:
+    return frozenset(first + s for s in seconds)
+
+
+_of = CountQuery.of
+
+
+def _gap(left: list, right: list) -> CountQuery:
+    """``left``, exactly one wildcard token, then ``right``."""
+    return CountQuery.gapped(left, right, 1, 1)
+
+
+def _unless_empty(*positions) -> list[CountQuery]:
+    """The query over ``positions``, or none if a position is empty."""
+    return [_of(*positions)] if all(positions) else []
+
+
+# Direct-count voter -> its (left-predicting, right-predicting) queries,
+# given the words w1 w2 w3, their inflection sets i1 i2 i3 and the
+# lexicon.  A side scores its queries' summed counts; an empty side
+# issues no query and scores 0.
+DIRECT_COUNTS: dict[str, Callable[..., tuple[list[CountQuery], list[CountQuery]]]] = {
+    "concat-adjacency": lambda w1, w2, w3, i1, i2, i3, lex: (
+        [_of(_glue(w1, i2))], [_of(_glue(w2, i3))]),
+    "concat-dependency": lambda w1, w2, w3, i1, i2, i3, lex: (
+        [_of(_glue(w1, i2))], [_of(_glue(w1, i3))]),
+    "concat-triple": lambda w1, w2, w3, i1, i2, i3, lex: (
+        [_of(_glue(w1, i2), i3)], [_of(i1, _glue(w2, i3))]),
+    "wildcard-adjacency": lambda w1, w2, w3, i1, i2, i3, lex: (
+        [_gap([w1, i2], [i3])], [_gap([i1], [w2, i3])]),
+    "wildcard-dependency": lambda w1, w2, w3, i1, i2, i3, lex: (
+        [_gap([w1, i2], [i3])], [_gap([i2], [w1, i3])]),
+    "wildcard-adjacency-reversed": lambda w1, w2, w3, i1, i2, i3, lex: (
+        [_gap([i3], [w1, i2])], [_gap([w2, i3], [i1])]),
+    "wildcard-dependency-reversed": lambda w1, w2, w3, i1, i2, i3, lex: (
+        [_gap([i3], [w1, i2])], [_gap([w1, i3], [i2])]),
+    "genitive": lambda w1, w2, w3, i1, i2, i3, lex: (
+        [_of(w1, "s", w2, i3)], [_of(w1, w2, "s", i3)]),
+    "abbreviation": lambda w1, w2, w3, i1, i2, i3, lex: (
+        _unless_empty(w1, w2, _abbreviation(w1, w2, lex), i3),
+        _unless_empty(w1, w2, i3, _abbreviation(w2, w3, lex))),
+    "reorder": lambda w1, w2, w3, i1, i2, i3, lex: (
+        [_of(i3, w1, i2)], [_of(w2, i3, i1)]),
+    "inflection-variability": lambda w1, w2, w3, i1, i2, i3, lex: (
+        _unless_empty(w1, i2 - {w2}, i3), _unless_empty(i1 - {w1}, w2, i3)),
+    "swap": lambda w1, w2, w3, i1, i2, i3, lex: ([], [_of(w2, i1, i3)]),
+}
+
+
 # Each voter takes its variant arguments, if any, then
 # (triple, provider, lexicon, config, inventory).
 
@@ -64,16 +141,10 @@ def _assoc(kind, model, triple, provider, lex, config, inventory) -> Decision:
     return assoc.assoc_bracketing(kind, model, provider, lex, triple, config.margin)
 
 
-def _concat(variant, triple, provider, lex, config, inventory) -> Decision:
-    return surface.concatenation_decision(provider, lex, triple, variant)
-
-
-def _wildcard(variant, triple, provider, lex, config, inventory) -> Decision:
-    return surface.wildcard_decision(provider, lex, triple, variant)
-
-
-def _misc(kind, triple, provider, lex, config, inventory) -> Decision:
-    return surface.misc_decision(kind, provider, lex, triple)
+def _direct(name, triple, provider, lex, config, inventory) -> Decision:
+    words = triple.words()
+    left, right = DIRECT_COUNTS[name](*words, *(inflections(lex, w) for w in words), lex)
+    return compare(sum(map(provider.count, left)), sum(map(provider.count, right)), LEFT, RIGHT)
 
 
 def _paraphrases(triple, provider, lex, config, inventory) -> Decision:
@@ -94,9 +165,7 @@ VOTERS: dict[str, Callable[..., Decision]] = {
         for kind in assoc.ASSOC_KINDS
         for model in ("adjacency", "dependency")
     },
-    **{f"concat-{v}": partial(_concat, v) for v in surface.CONCAT_VARIANTS},
-    **{f"wildcard-{v}": partial(_wildcard, v) for v in surface.WILDCARD_VARIANTS},
-    **{kind: partial(_misc, kind) for kind in surface.MISC_KINDS},
+    **{name: partial(_direct, name) for name in DIRECT_COUNTS},
     "paraphrases": _paraphrases,
     "surface": _surface,
 }

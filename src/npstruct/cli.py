@@ -10,15 +10,11 @@ from typing import Callable
 
 from . import bracketer, coordination, datasets, ppattach, relsim, stats
 from .corpus import CorpusIndex, IndexProvider, IngestConfig, build_index
-from .decisions import LEFT, RIGHT
 from .morphology import MorphLexicon
 from .paraphrase import ParaphraseInventory
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
-
-# Named presets for bracketing: the default label for each dataset style.
-PRESETS = {"encyclopedia": LEFT, "biomedical": RIGHT}
 
 
 def _bracketer(args, voters: tuple[str, ...], default: str | None):
@@ -83,7 +79,6 @@ TASKS = {
         (
             ("--margin", {"type": float, "default": 0.0}),
             ("--inventory", {"default": None}),
-            ("--preset", {"choices": sorted(PRESETS), "default": None}),
         ),
         _bracketer,
         show_votes=True,
@@ -117,8 +112,6 @@ class SystemExit_(Exception):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="npstruct", description=__doc__)
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved; no randomized components exist")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("index", help="build a corpus index")
@@ -142,7 +135,6 @@ def build_parser() -> _Parser:
             default=defaults.default,
         )
         p.add_argument("--voters", default=",".join(defaults.voters))
-        p.set_defaults(preset=None)  # only bracketing has a --preset flag
         for flag, options in task.flags:
             p.add_argument(flag, **options)
 
@@ -223,9 +215,8 @@ def voter_names(args) -> tuple[str, ...]:
 
 
 def default_label(args) -> str | None:
-    """The label ties fall to: the preset's, else ``--default``; ``none`` is None."""
-    label = PRESETS[args.preset] if args.preset else args.default
-    return None if label == "none" else label
+    """The label ties fall to: ``--default``, where ``none`` is None."""
+    return None if args.default == "none" else args.default
 
 
 def _cmd_vote(args) -> int:

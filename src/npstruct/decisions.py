@@ -94,10 +94,14 @@ class VoteResult:
 
 
 def check_voters(voters: Iterable[str], known: Collection[str]) -> None:
-    """Reject voter names that are not in a task's registry."""
-    unknown = sorted({name for name in voters if name not in known})
+    """Reject voter names that are not in a task's registry, or named twice."""
+    names = list(voters)
+    unknown = sorted({name for name in names if name not in known})
     if unknown:
         raise ValueError(f"unknown voters: {unknown}")
+    duplicates = sorted({name for name in names if names.count(name) > 1})
+    if duplicates:
+        raise ValueError(f"duplicate voters: {duplicates}")
 
 
 def vote(

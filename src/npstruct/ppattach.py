@@ -399,6 +399,7 @@ def pp_bootstrap(
     if not training:
         return first, BackoffModel()
     model = backoff_train(training, lex)
-    second_config = replace(config, voters=config.voters + ("backoff",), backoff=model)
+    voters = config.voters if "backoff" in config.voters else config.voters + ("backoff",)
+    second_config = replace(config, voters=voters, backoff=model)
     second = [pp_pipeline(q, provider, lex, second_config) for q in quads]
     return second, model

@@ -1,12 +1,12 @@
-"""Orthographic and direct-count bracketing voters for noun compounds.
+"""Orthographic cues in raw snippets, and the bracketing cue voter.
 
 Authors often reveal the grouping of a three-word compound through
 punctuation (``cell-cycle analysis``), genitives (``brain's stem
-cells``), capitalization, concatenated spellings, or word order.  One
-matcher, ``cue_tally``, counts such cues in raw snippets for all three
-tasks, each of which declares its cues as a table of regex templates;
-the direct-count models compare corpus frequencies of rewritten
-variants of the triple.
+cells``), parentheses or capitalization.  One matcher, ``cue_tally``,
+counts such cues in raw snippets for all three tasks, each of which
+declares its cues as a table of regex templates; bracketing's table is
+``BRACKET_CUES``.  The direct-count bracketing voters, which count
+rewritten variants of the triple instead, are ``bracketer.DIRECT_COUNTS``.
 """
 
 from __future__ import annotations
@@ -15,32 +15,18 @@ import re
 from typing import Callable
 
 from .assoc import NounTriple
-from .corpus import CountProvider, CountQuery
-from .decisions import LEFT, RIGHT, Decision, abstain, compare
-from .morphology import MorphLexicon, inflection_pattern, inflections
+from .decisions import LEFT, RIGHT, Decision, compare
+from .morphology import MorphLexicon, inflection_pattern
 
-_ROMAN_RE = re.compile(r"^[ivxlcdm]+$", re.IGNORECASE)
+ROMAN_NUMERAL = re.compile(r"^[ivxlcdm]+$", re.IGNORECASE)
 
 # How many raw snippets a surface voter fetches for one item.
 SNIPPET_LIMIT = 1000
 
-# Short everyday words that can collide with two-letter abbreviations.
-COMMON_SHORT_WORDS = frozenset(
-    """a i an as at be by do go he hi if in is it me my no of on or ox so to
-    up us we am ah ok tv no ms mr""".split()
-)
-
-# Two-letter uppercase postal-style state codes.
-STATE_CODES = frozenset(
-    """AL AK AZ AR CA CO CT DE FL GA HI ID IL IN IA KS KY LA ME MD MA MI MN
-    MS MO MT NE NV NH NJ NM NY NC ND OH OK OR PA RI SC SD TN TX UT VT VA WA
-    WV WI WY DC""".split()
-)
-
 
 def capitalization_excluded(word: str) -> bool:
     """Capitalization is uninformative for single letters and Roman digits."""
-    return len(word) == 1 or bool(_ROMAN_RE.match(word))
+    return len(word) == 1 or bool(ROMAN_NUMERAL.match(word))
 
 
 def cue_tally(
@@ -120,124 +106,3 @@ def surface_vote(
     tally["capitalization"] = (left, right)
     left_total, right_total = map(sum, zip(*tally.values()))
     return compare(left_total, right_total, LEFT, RIGHT), tally
-
-
-CONCAT_VARIANTS = ("adjacency", "dependency", "triple")
-WILDCARD_VARIANTS = (
-    "adjacency",
-    "dependency",
-    "adjacency-reversed",
-    "dependency-reversed",
-)
-MISC_KINDS = ("genitive", "abbreviation", "reorder", "inflection-variability", "swap")
-
-
-def _glue(first: str, seconds: frozenset[str]) -> frozenset[str]:
-    return frozenset(first + s for s in seconds)
-
-
-def concatenation_decision(
-    provider: CountProvider, lex: MorphLexicon, triple: NounTriple, variant: str
-) -> Decision:
-    """Compare frequencies of concatenated spellings of the two groupings."""
-    if variant not in CONCAT_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    w1, w2, w3 = triple.words()
-    i1, i2, i3 = (inflections(lex, w) for w in triple.words())
-    if variant == "adjacency":
-        left = provider.count(CountQuery.of(_glue(w1, i2)))
-        right = provider.count(CountQuery.of(_glue(w2, i3)))
-    elif variant == "dependency":
-        left = provider.count(CountQuery.of(_glue(w1, i2)))
-        right = provider.count(CountQuery.of(_glue(w1, i3)))
-    else:
-        left = provider.count(CountQuery.of(_glue(w1, i2), i3))
-        right = provider.count(CountQuery.of(i1, _glue(w2, i3)))
-    return compare(left, right, LEFT, RIGHT)
-
-
-def wildcard_decision(
-    provider: CountProvider,
-    lex: MorphLexicon,
-    triple: NounTriple,
-    variant: str,
-) -> Decision:
-    """Compare gap-query frequencies of the two groupings.
-
-    The left-predicting pattern is ``w1 w2 * w3`` (or ``w3 * w1 w2``
-    for the reversed variants), the ``*`` standing for exactly one
-    token; the right-predicting pattern keeps the head next to ``w2``.
-    """
-    if variant not in WILDCARD_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    w1, w2, _w3 = triple.words()
-    i1, i2, i3 = (inflections(lex, w) for w in triple.words())
-
-    def gapped(left_part: list, right_part: list) -> int:
-        return provider.count(CountQuery.gapped(left_part, right_part, 1, 1))
-
-    if variant == "adjacency":
-        left = gapped([w1, i2], [i3])
-        right = gapped([i1], [w2, i3])
-    elif variant == "dependency":
-        left = gapped([w1, i2], [i3])
-        right = gapped([i2], [w1, i3])
-    elif variant == "adjacency-reversed":
-        left = gapped([i3], [w1, i2])
-        right = gapped([w2, i3], [i1])
-    else:
-        left = gapped([i3], [w1, i2])
-        right = gapped([w1, i3], [i2])
-    return compare(left, right, LEFT, RIGHT)
-
-
-def _abbreviation_usable(abbr: str, lex: MorphLexicon) -> bool:
-    if abbr in COMMON_SHORT_WORDS or abbr in lex.lemma_by_form:
-        return False
-    if _ROMAN_RE.match(abbr):
-        return False
-    if abbr.upper() in STATE_CODES:
-        return False
-    return True
-
-
-def misc_decision(
-    kind: str, provider: CountProvider, lex: MorphLexicon, triple: NounTriple
-) -> Decision:
-    """Remaining direct-count voters over rewritten triples."""
-    if kind not in MISC_KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    w1, w2, w3 = triple.words()
-    i1, i2, i3 = (inflections(lex, w) for w in triple.words())
-
-    if kind == "genitive":
-        left = provider.count(CountQuery.of(w1, "s", w2, i3))
-        right = provider.count(CountQuery.of(w1, w2, "s", i3))
-        return compare(left, right, LEFT, RIGHT)
-
-    if kind == "abbreviation":
-        abbr12 = w1[0] + w2[0]
-        abbr23 = w2[0] + w3[0]
-        left = right = 0
-        if _abbreviation_usable(abbr12, lex):
-            left = provider.count(CountQuery.of(w1, w2, abbr12, i3))
-        if _abbreviation_usable(abbr23, lex):
-            right = provider.count(CountQuery.of(w1, w2, i3, abbr23))
-        return compare(left, right, LEFT, RIGHT)
-
-    if kind == "reorder":
-        left = provider.count(CountQuery.of(i3, w1, i2))
-        right = provider.count(CountQuery.of(w2, i3, i1))
-        return compare(left, right, LEFT, RIGHT)
-
-    if kind == "inflection-variability":
-        var1 = i1 - {w1}
-        var2 = i2 - {w2}
-        left = provider.count(CountQuery.of(w1, var2, i3)) if var2 else 0
-        right = provider.count(CountQuery.of(var1, w2, i3)) if var1 else 0
-        return compare(left, right, LEFT, RIGHT)
-
-    count = provider.count(CountQuery.of(w2, i1, i3))
-    if count > 0:
-        return Decision(RIGHT, 0, count)
-    return abstain()

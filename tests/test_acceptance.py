@@ -16,7 +16,7 @@ import time
 import pytest
 
 from npstruct.assoc import NounTriple, assoc_bracketing
-from npstruct.bracketer import DEFAULT_VOTERS, VoteConfig, bracket
+from npstruct.bracketer import DEFAULT_VOTERS, VoteConfig, bracket, run_voter
 from npstruct.coordination import (
     CoordQuad,
     coord_heuristic,
@@ -48,7 +48,6 @@ from npstruct.stats import (
     pearson_chi2,
     wilson_interval,
 )
-from npstruct.surface import concatenation_decision, misc_decision, wildcard_decision
 from npstruct.tagging import TinyTagger, write_tagged_corpus
 
 # ---------------------------------------------------------------------------
@@ -230,7 +229,7 @@ def test_direct_count_decisions_from_recorded_counts():
             _key({"stem" + s for s in i3}): 498,
         }
     )
-    assert concatenation_decision(concat, LEX, triple, "adjacency").label == LEFT
+    assert run_voter("concat-adjacency", triple, concat, LEX, VoteConfig()).label == LEFT
 
     triples = MappingProvider(
         {
@@ -238,7 +237,7 @@ def test_direct_count_decisions_from_recorded_counts():
             _key(i1, {"stem" + s for s in i3}): 304,
         }
     )
-    assert concatenation_decision(triples, LEX, triple, "triple").label == LEFT
+    assert run_voter("concat-triple", triple, triples, LEX, VoteConfig()).label == LEFT
 
     wildcard = MappingProvider(
         {
@@ -246,20 +245,20 @@ def test_direct_count_decisions_from_recorded_counts():
             _gapped_key([i1], ["stem", i3], 1, 1): 272_601,
         }
     )
-    assert wildcard_decision(wildcard, LEX, triple, "adjacency").label == LEFT
+    assert run_voter("wildcard-adjacency", triple, wildcard, LEX, VoteConfig()).label == LEFT
 
     reorder = MappingProvider(
         {_key(i3, "brain", i2): 138_010, _key("stem", i3, i1): 25_020}
     )
-    assert misc_decision("reorder", reorder, LEX, triple).label == LEFT
+    assert run_voter("reorder", triple, reorder, LEX, VoteConfig()).label == LEFT
 
     genitive = MappingProvider(
         {_key("brain", "s", "stem", i3): 285, _key("brain", "stem", "s", i3): 5}
     )
-    assert misc_decision("genitive", genitive, LEX, triple).label == LEFT
+    assert run_voter("genitive", triple, genitive, LEX, VoteConfig()).label == LEFT
 
     variability = MappingProvider({_key("brain", i2 - {"stem"}, i3): 882})
-    assert misc_decision("inflection-variability", variability, LEX, triple).label == LEFT
+    assert run_voter("inflection-variability", triple, variability, LEX, VoteConfig()).label == LEFT
 
     assert time.monotonic() - start < 1.0
 

@@ -1,20 +1,25 @@
 """Voter dispatch and majority combination for bracketing."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from npstruct import datasets
 from npstruct.assoc import NounTriple
 from npstruct.bracketer import (
     DEFAULT_VOTERS,
+    DIRECT_COUNTS,
     VOTERS,
     VoteConfig,
     bracket,
     run_voter,
     triple_snippets,
 )
-from npstruct.corpus import MappingProvider
+from npstruct.corpus import IndexProvider, MappingProvider, build_index
 from npstruct.decisions import ABSTAIN, LEFT, RIGHT, Decision, majority_vote
+from perfbench import inputs
 from tests.conftest import make_provider
 
 TRIPLE = NounTriple("brain", "stem", "cells")
@@ -28,6 +33,11 @@ def test_default_voters_are_known():
 def test_config_rejects_unknown_voters():
     with pytest.raises(ValueError, match="unknown voters"):
         VoteConfig(voters=("chi2-adjacency", "astrology"))
+
+
+def test_config_rejects_duplicate_voters():
+    with pytest.raises(ValueError, match=r"duplicate voters: \['genitive'\]"):
+        VoteConfig(voters=("genitive", "genitive", "reorder"))
 
 
 def test_config_rejects_negative_margin():
@@ -50,6 +60,76 @@ def test_run_voter_turns_zero_marginal_into_abstention(small_lex):
 def test_run_voter_unknown_name(small_lex):
     with pytest.raises(ValueError, match="unknown voter"):
         run_voter("astrology", TRIPLE, MappingProvider({}), small_lex, VoteConfig())
+
+
+DIRECT_COUNT_VOTERS = (
+    "concat-adjacency",
+    "concat-dependency",
+    "concat-triple",
+    "wildcard-adjacency",
+    "wildcard-dependency",
+    "wildcard-adjacency-reversed",
+    "wildcard-dependency-reversed",
+    "genitive",
+    "abbreviation",
+    "reorder",
+    "inflection-variability",
+    "swap",
+)
+
+# sha256 over every (voter, triple, label, scores, note, counted keys)
+# record of the direct-count voters on the bundled triples, keyed by the
+# seed of the ``perfbench`` bracket corpus they count over.  Scores are
+# compared as floats, so an abstention's 0 and 0.0 agree.  A deliberate
+# change to a voter's queries or direction recomputes both digests.
+DIRECT_COUNT_DIGESTS = {
+    1: "2ab977ff26a5b68b6351b7db40358dd42c8d6be8a6a3ea3c2ac26d3ed34a6397",
+    1001: "354b7986d7695d7d90efa3fdd2314ece02a752e0e22a46ccfbff066987d3b381",
+}
+
+
+class _KeyRecorder:
+    """Count through ``provider``, keeping each query's canonical key."""
+
+    def __init__(self, provider):
+        self.provider = provider
+        self.keys: list[str] = []
+
+    def count(self, query):
+        self.keys.append(query.canonical())
+        return self.provider.count(query)
+
+    def total(self):
+        return self.provider.total()
+
+    def snippets(self, query, limit):
+        return self.provider.snippets(query, limit)
+
+
+def test_direct_count_table_is_the_registry_slice():
+    assert tuple(DIRECT_COUNTS) == DIRECT_COUNT_VOTERS
+    names = list(VOTERS)
+    start = names.index(DIRECT_COUNT_VOTERS[0])
+    assert tuple(names[start : start + len(DIRECT_COUNT_VOTERS)]) == DIRECT_COUNT_VOTERS
+
+
+@pytest.mark.parametrize("seed", sorted(DIRECT_COUNT_DIGESTS))
+def test_direct_count_voters_match_their_recorded_digest(seed, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    inputs.generate("bracket", seed).write_corpus(corpus)
+    recorder = _KeyRecorder(IndexProvider(build_index(corpus)))
+    lex = datasets.default_lexicon()
+    triples = [t for t, _ in datasets.biomedical_bracketing()]
+    assert len(triples) == 429
+    digest = hashlib.sha256()
+    for name in DIRECT_COUNT_VOTERS:
+        for triple in triples:
+            recorder.keys.clear()
+            d = run_voter(name, triple, recorder, lex, VoteConfig())
+            scores = (float(d.left_score), float(d.right_score))
+            record = (name, triple.words(), d.label, scores, d.note, recorder.keys)
+            digest.update(repr(record).encode())
+    assert digest.hexdigest() == DIRECT_COUNT_DIGESTS[seed]
 
 
 def test_triple_snippets_cover_genitive_spellings(tmp_path, small_lex):

@@ -146,8 +146,10 @@ class TestExitCodes:
              "buses\tand\ttrains\tstation\tnoun", "threshold must be >= 1"),
             (["bracket", "--voters", "surface", "--margin", "-1"],
              "brain\tstem\tcells\tleft", "margin must be nonnegative"),
+            (["bracket", "--voters", "genitive,genitive,reorder"],
+             "brain\tstem\tcells\tleft", "duplicate voters: ['genitive']"),
         ],
-        ids=["threshold", "margin"],
+        ids=["threshold", "margin", "duplicate-voters"],
     )
     def test_setting_is_checked_before_the_index(self, tmp_path, capsys, argv, row, message):
         dataset = tmp_path / "rows.tsv"
@@ -183,10 +185,6 @@ class TestExitCodes:
         assert run(argv) == 2
         assert capsys.readouterr() == ("", f"missing file: {out}\n")
 
-    def test_seed_flag_is_accepted(self, capsys):
-        assert run(["--seed", "7"]) == 1  # still needs a subcommand
-        capsys.readouterr()
-
 
 class TestInfo:
     def test_prints_one_name_value_line_each(self, index_file, capsys):
@@ -220,7 +218,6 @@ class TestBracket:
         report = tmp_path / "out.tsv"
         code = run(
             [
-                "--seed", "1",
                 "bracket",
                 "--index", str(index_file),
                 "--dataset", str(bracketing_dataset),
@@ -247,17 +244,17 @@ class TestBracket:
         capsys.readouterr()
         assert r1.read_bytes() == r2.read_bytes()
 
-    def test_preset_overrides_default(self, index_file, tmp_path, capsys):
+    def test_default_decides_unseen_triples(self, index_file, tmp_path, capsys):
         dataset = tmp_path / "unseen.tsv"
         dataset.write_text("xylo\tphone\tcase\tright\n", encoding="utf-8")
-        report = tmp_path / "preset.tsv"
+        report = tmp_path / "default.tsv"
         code = run(
             [
                 "bracket",
                 "--index", str(index_file),
                 "--dataset", str(dataset),
                 "--report", str(report),
-                "--preset", "biomedical",
+                "--default", "right",
             ]
         )
         assert code == 0
@@ -270,10 +267,12 @@ class TestBracket:
     [
         ["bracket", "--default", "banana"],
         ["coord", "--default", "banana"],
+        # No task has a --preset flag any more; --default names the label.
         ["coord", "--preset", "biomedical"],
         ["ppattach", "--preset", "encyclopedia"],
+        ["bracket", "--preset", "biomedical"],
     ],
-    ids=["bracket-default", "coord-default", "coord-preset", "ppattach-preset"],
+    ids=["bracket-default", "coord-default", "coord-preset", "ppattach-preset", "bracket-preset"],
 )
 def test_default_and_preset_outside_the_task_are_usage_errors(argv, index_file, tmp_path, capsys):
     dataset = tmp_path / "data.tsv"

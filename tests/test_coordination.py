@@ -189,6 +189,10 @@ class TestPipeline:
         with pytest.raises(ValueError, match="unknown voters"):
             CoordVoteConfig(voters=("ngram-i", "astrology"))
 
+    def test_duplicate_voter(self):
+        with pytest.raises(ValueError, match=r"duplicate voters: \['h1'\]"):
+            CoordVoteConfig(voters=("h1", "ngram-i", "h1"))
+
     def test_threshold_below_one_rejected_when_built(self):
         # Checked whichever voters run, not only the paraphrase voters.
         with pytest.raises(ValueError, match="threshold must be >= 1"):

@@ -295,6 +295,19 @@ class TestPipeline:
         with pytest.raises(ValueError, match="unknown voters"):
             PPVoteConfig(voters=("ngram-2", "astrology"))
 
+    def test_duplicate_voter(self):
+        with pytest.raises(ValueError, match=r"duplicate voters: \['ngram-2'\]"):
+            PPVoteConfig(voters=("ngram-2", "verb-be", "ngram-2"))
+
+    def test_bootstrap_keeps_a_named_backoff_voter_once(self, tmp_path, small_lex):
+        provider = make_provider(tmp_path, ["they meet the customer demands daily"] * 3)
+        quads = [QUAD] * 3 + [PPQuad("meet", "demands", "from", "buyers")]
+        config = PPVoteConfig(voters=("paraphrase-1", "backoff"))
+        results, model = pp_bootstrap(quads, provider, small_lex, config)
+        assert model.tables
+        assert all(list(r.votes) == ["paraphrase-1", "backoff"] for r in results)
+        assert not any(r.votes["backoff"].abstained for r in results)
+
 
 def test_load_pp_dataset(tmp_path):
     path = tmp_path / "pp.tsv"

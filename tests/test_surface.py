@@ -1,18 +1,14 @@
-"""Orthographic snippet features and direct-count bracketing voters."""
+"""Orthographic snippet features, and the direct-count bracketing voters
+run by name through ``bracketer.run_voter``."""
 
 import pytest
 
 from npstruct.assoc import NounTriple
+from npstruct.bracketer import VoteConfig, run_voter
 from npstruct.corpus import CountQuery, MappingProvider
 from npstruct.decisions import ABSTAIN, LEFT, RIGHT
 from npstruct.morphology import MorphLexicon, inflections
-from npstruct.surface import (
-    capitalization_excluded,
-    concatenation_decision,
-    misc_decision,
-    surface_vote,
-    wildcard_decision,
-)
+from npstruct.surface import capitalization_excluded, surface_vote
 
 TRIPLE = NounTriple("brain", "stem", "cells")
 
@@ -91,6 +87,10 @@ class TestSnippetFeatures:
         assert d.left_score == 2 and d.right_score == 1
 
 
+def _run(name, provider, lex, triple=TRIPLE):
+    return run_voter(name, triple, provider, lex, VoteConfig())
+
+
 def _key(*positions) -> str:
     return CountQuery.of(*positions).canonical()
 
@@ -109,7 +109,7 @@ class TestConcatenation:
                 _key({"stem" + s for s in i3}): 498,
             }
         )
-        d = concatenation_decision(provider, lex, TRIPLE, "adjacency")
+        d = _run("concat-adjacency", provider, lex)
         assert d.label == LEFT
         assert d.left_score == 98_633_000
 
@@ -122,7 +122,7 @@ class TestConcatenation:
                 _key({"brain" + s for s in i3}): 40,
             }
         )
-        assert concatenation_decision(provider, lex, TRIPLE, "dependency").label == RIGHT
+        assert _run("concat-dependency", provider, lex).label == RIGHT
 
     def test_triple(self, lex):
         i1 = inflections(lex, "brain")
@@ -134,11 +134,7 @@ class TestConcatenation:
                 _key(i1, {"stem" + s for s in i3}): 304,
             }
         )
-        assert concatenation_decision(provider, lex, TRIPLE, "triple").label == LEFT
-
-    def test_unknown_variant(self, lex):
-        with pytest.raises(ValueError):
-            concatenation_decision(MappingProvider({}), lex, TRIPLE, "bogus")
+        assert _run("concat-triple", provider, lex).label == LEFT
 
 
 class TestWildcard:
@@ -152,7 +148,7 @@ class TestWildcard:
                 _gapped_key([i1], ["stem", i3], 1, 1): 272_601,
             }
         )
-        d = wildcard_decision(provider, lex, TRIPLE, "adjacency")
+        d = _run("wildcard-adjacency", provider, lex)
         assert d.label == LEFT
 
     def test_adjacency_reversed(self, lex):
@@ -165,7 +161,7 @@ class TestWildcard:
                 _gapped_key(["stem", i3], [i1], 1, 1): 268_901,
             }
         )
-        d = wildcard_decision(provider, lex, TRIPLE, "adjacency-reversed")
+        d = _run("wildcard-adjacency-reversed", provider, lex)
         assert d.label == LEFT
 
     def test_dependency_right(self, lex):
@@ -177,7 +173,7 @@ class TestWildcard:
                 _gapped_key([i2], ["brain", i3], 1, 1): 50,
             }
         )
-        assert wildcard_decision(provider, lex, TRIPLE, "dependency").label == RIGHT
+        assert _run("wildcard-dependency", provider, lex).label == RIGHT
 
 
 class TestMiscVoters:
@@ -189,12 +185,12 @@ class TestMiscVoters:
                 _key("brain", "stem", "s", i3): 5,
             }
         )
-        assert misc_decision("genitive", provider, lex, TRIPLE).label == LEFT
+        assert _run("genitive", provider, lex).label == LEFT
 
     def test_abbreviation(self, lex):
         i3 = inflections(lex, "cells")
         provider = MappingProvider({_key("brain", "stem", "bs", i3): 3})
-        assert misc_decision("abbreviation", provider, lex, TRIPLE).label == LEFT
+        assert _run("abbreviation", provider, lex).label == LEFT
 
     def test_abbreviation_skips_dictionary_collisions(self, lex):
         # (orange, fruit, basket): "of" is a common word, "fb" is not.
@@ -206,7 +202,7 @@ class TestMiscVoters:
                 _key("orange", "fruit", i3, "fb"): 2,
             }
         )
-        assert misc_decision("abbreviation", provider, lex, triple).label == RIGHT
+        assert _run("abbreviation", provider, lex, triple).label == RIGHT
 
     def test_abbreviation_skips_roman_and_state_codes(self, lex):
         # (iron, vane, alloys) -> "iv" is a Roman numeral;
@@ -215,12 +211,12 @@ class TestMiscVoters:
         provider = MappingProvider(
             {_key("iron", "vane", "iv", inflections(lex, "alloys")): 9}
         )
-        assert misc_decision("abbreviation", provider, lex, t1).label == ABSTAIN
+        assert _run("abbreviation", provider, lex, t1).label == ABSTAIN
         t2 = NounTriple("copper", "alloy", "layers")
         provider = MappingProvider(
             {_key("copper", "alloy", "ca", inflections(lex, "layers")): 9}
         )
-        assert misc_decision("abbreviation", provider, lex, t2).label == ABSTAIN
+        assert _run("abbreviation", provider, lex, t2).label == ABSTAIN
 
     def test_reorder(self, lex):
         i1 = inflections(lex, "brain")
@@ -232,19 +228,19 @@ class TestMiscVoters:
                 _key("stem", i3, i1): 25_020,
             }
         )
-        assert misc_decision("reorder", provider, lex, TRIPLE).label == LEFT
+        assert _run("reorder", provider, lex).label == LEFT
 
     def test_inflection_variability(self, lex):
         i3 = inflections(lex, "cells")
         var2 = inflections(lex, "stem") - {"stem"}
         provider = MappingProvider({_key("brain", var2, i3): 882})
-        assert misc_decision("inflection-variability", provider, lex, TRIPLE).label == LEFT
+        assert _run("inflection-variability", provider, lex).label == LEFT
 
     def test_inflection_variability_without_variants_abstains(self):
         lex = MorphLexicon.from_entries({"sheep": [], "deer": [], "fish": []})
         triple = NounTriple("sheep", "deer", "fish")
         assert (
-            misc_decision("inflection-variability", MappingProvider({}), lex, triple).label
+            _run("inflection-variability", MappingProvider({}), lex, triple).label
             == ABSTAIN
         )
 
@@ -252,9 +248,5 @@ class TestMiscVoters:
         i1 = inflections(lex, "brain")
         i3 = inflections(lex, "cells")
         provider = MappingProvider({_key("stem", i1, i3): 4})
-        assert misc_decision("swap", provider, lex, TRIPLE).label == RIGHT
-        assert misc_decision("swap", MappingProvider({}), lex, TRIPLE).label == ABSTAIN
-
-    def test_unknown_kind(self, lex):
-        with pytest.raises(ValueError):
-            misc_decision("bogus", MappingProvider({}), lex, TRIPLE)
+        assert _run("swap", provider, lex).label == RIGHT
+        assert _run("swap", MappingProvider({}), lex).label == ABSTAIN
