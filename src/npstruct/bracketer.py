@@ -15,7 +15,7 @@ from typing import Callable
 from . import assoc, paraphrase, surface
 from .assoc import NounTriple
 from .corpus import CountProvider, CountQuery
-from .decisions import LEFT, RIGHT, Decision, VoteResult, check_voters, compare, vote
+from .decisions import LEFT, RIGHT, Decision, VoteResult, check_voters, compare_counts, vote
 from .morphology import MorphLexicon, inflections
 
 # Voters combined by default: the strongest individual models.
@@ -103,8 +103,7 @@ def _unless_empty(*positions) -> list[CountQuery]:
 
 # Direct-count voter -> its (left-predicting, right-predicting) queries,
 # given the words w1 w2 w3, their inflection sets i1 i2 i3 and the
-# lexicon.  A side scores its queries' summed counts; an empty side
-# issues no query and scores 0.
+# lexicon, scored by ``decisions.compare_counts``.
 DIRECT_COUNTS: dict[str, Callable[..., tuple[list[CountQuery], list[CountQuery]]]] = {
     "concat-adjacency": lambda w1, w2, w3, i1, i2, i3, lex: (
         [_of(_glue(w1, i2))], [_of(_glue(w2, i3))]),
@@ -143,8 +142,8 @@ def _assoc(kind, model, triple, provider, lex, config, inventory) -> Decision:
 
 def _direct(name, triple, provider, lex, config, inventory) -> Decision:
     words = triple.words()
-    left, right = DIRECT_COUNTS[name](*words, *(inflections(lex, w) for w in words), lex)
-    return compare(sum(map(provider.count, left)), sum(map(provider.count, right)), LEFT, RIGHT)
+    sides = DIRECT_COUNTS[name](*words, *(inflections(lex, w) for w in words), lex)
+    return compare_counts(provider, sides, LEFT, RIGHT)
 
 
 def _paraphrases(triple, provider, lex, config, inventory) -> Decision:

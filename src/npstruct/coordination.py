@@ -5,7 +5,10 @@ shared head graph (noun coordination, with the first head elided);
 ``president and chief executive`` coordinates two full NPs.  The
 voters compare head collocations, look for disambiguating rewrites,
 apply determiner and same-word heuristics, check number agreement,
-and scan raw snippets for separating punctuation.
+and scan raw snippets for separating punctuation.  The collocation
+voters are the ``COUNTS`` table of query pairs, scored by
+``decisions.compare_counts``; the rewrites are the ``PARAPHRASES``
+table, each a label and one query checked against a threshold.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .decisions import (
     abstain,
     check_voters,
     compare,
+    compare_counts,
     vote,
 )
 from .morphology import MorphLexicon, inflection_pattern, inflections, is_plural
@@ -60,62 +64,26 @@ def _opposite(label: str) -> str:
     return NP_COORD if label == NOUN_COORD else NOUN_COORD
 
 
-def coord_ngram_decision(
-    provider: CountProvider,
-    lex: MorphLexicon,
-    quad: CoordQuad,
-    model: str,
-) -> Decision:
-    """Collocation models (i) #(n1,h) vs #(n2,h) and (ii) #(n1,c,n2) vs #(n1,h).
+_of = CountQuery.of
 
-    The first count winning predicts noun coordination.  Conjunction
-    counts pool both ``and`` and ``or``.
-    """
-    if model not in ("i", "ii"):
-        raise ValueError("model must be 'i' or 'ii'")
-    ih = inflections(lex, quad.h)
-    n1h = provider.count(CountQuery.of(quad.n1, ih))
-    if model == "i":
-        n2h = provider.count(CountQuery.of(quad.n2, ih))
-        return compare(n1h, n2h, NOUN_COORD, NP_COORD)
-    i2 = inflections(lex, quad.n2)
-    trigram = provider.count(CountQuery.of(quad.n1, CONJUNCTIONS, i2))
-    return compare(trigram, n1h, NOUN_COORD, NP_COORD)
+# Count voter -> its (noun-coordination, NP-coordination) queries, given
+# n1 and n2, n2's inflection set i2 and the head's ih, scored by
+# ``decisions.compare_counts``: (i) #(n1,h) vs #(n2,h); (ii) #(n1,c,n2)
+# vs #(n1,h), pooling ``and`` and ``or``.
+COUNTS: dict[str, Callable[..., tuple[list[CountQuery], list[CountQuery]]]] = {
+    "ngram-i": lambda n1, n2, i2, ih: ([_of(n1, ih)], [_of(n2, ih)]),
+    "ngram-ii": lambda n1, n2, i2, ih: ([_of(n1, CONJUNCTIONS, i2)], [_of(n1, ih)]),
+}
 
-
-def coord_paraphrase_decision(
-    provider: CountProvider,
-    lex: MorphLexicon,
-    quad: CoordQuad,
-    pattern: int,
-    threshold: int = 1,
-) -> Decision:
-    """Rewriting patterns 1-4; enough matches confirm, too few invert.
-
-    (1) ``n2 c n1 h`` noun-coord; (2) ``n2 h c n1`` NP-coord; (3)
-    ``n1 h c n2 h`` noun-coord; (4) ``n2 h c n1 h`` noun-coord.  A
-    count below the threshold yields the opposite label.
-    """
-    if pattern not in (1, 2, 3, 4):
-        raise ValueError("pattern must be 1..4")
-    ih = inflections(lex, quad.h)
-    c = quad.c
-    if pattern == 1:
-        query = CountQuery.of(quad.n2, c, quad.n1, ih)
-        label = NOUN_COORD
-    elif pattern == 2:
-        query = CountQuery.of(quad.n2, ih, c, quad.n1)
-        label = NP_COORD
-    elif pattern == 3:
-        query = CountQuery.of(quad.n1, ih, c, quad.n2, ih)
-        label = NOUN_COORD
-    else:
-        query = CountQuery.of(quad.n2, ih, c, quad.n1, ih)
-        label = NOUN_COORD
-    count = provider.count(query)
-    if count >= threshold:
-        return Decision(label, count, 0)
-    return Decision(_opposite(label), 0, count, note="below threshold")
+# Paraphrase voter -> (the label a match confirms, its query over n1 c n2
+# and the head's inflection set ih).  A count below the threshold yields
+# the opposite label.
+PARAPHRASES: dict[str, tuple[str, Callable[..., CountQuery]]] = {
+    "coord-paraphrase-1": (NOUN_COORD, lambda n1, c, n2, ih: _of(n2, c, n1, ih)),
+    "coord-paraphrase-2": (NP_COORD, lambda n1, c, n2, ih: _of(n2, ih, c, n1)),
+    "coord-paraphrase-3": (NOUN_COORD, lambda n1, c, n2, ih: _of(n1, ih, c, n2, ih)),
+    "coord-paraphrase-4": (NOUN_COORD, lambda n1, c, n2, ih: _of(n2, ih, c, n1, ih)),
+}
 
 
 def coord_heuristic(quad: CoordQuad, kind: str) -> Decision:
@@ -214,12 +182,18 @@ class CoordVoteConfig:
 # (quad, provider, lexicon, config).
 
 
-def _ngram(model, quad, provider, lex, config) -> Decision:
-    return coord_ngram_decision(provider, lex, quad, model)
+def _ngram(name, quad, provider, lex, config) -> Decision:
+    i2, ih = inflections(lex, quad.n2), inflections(lex, quad.h)
+    return compare_counts(provider, COUNTS[name](quad.n1, quad.n2, i2, ih), NOUN_COORD, NP_COORD)
 
 
-def _paraphrase(pattern, quad, provider, lex, config) -> Decision:
-    return coord_paraphrase_decision(provider, lex, quad, pattern, config.threshold)
+def _paraphrase(name, quad, provider, lex, config) -> Decision:
+    """Enough matches confirm the paraphrase's label; too few give the opposite one."""
+    label, query = PARAPHRASES[name]
+    count = provider.count(query(quad.n1, quad.c, quad.n2, inflections(lex, quad.h)))
+    if count >= config.threshold:
+        return Decision(label, count, 0)
+    return Decision(_opposite(label), 0, count, note="below threshold")
 
 
 def _heuristic(kind, quad, provider, lex, config) -> Decision:
@@ -237,8 +211,8 @@ def _surface(quad, provider, lex, config) -> Decision:
 
 # Voter name -> voter: the one list of names a config accepts.
 VOTERS: dict[str, Callable[..., Decision]] = {
-    **{f"ngram-{m}": partial(_ngram, m) for m in ("i", "ii")},
-    **{f"coord-paraphrase-{n}": partial(_paraphrase, n) for n in (1, 2, 3, 4)},
+    **{name: partial(_ngram, name) for name in COUNTS},
+    **{name: partial(_paraphrase, name) for name in PARAPHRASES},
     **{kind: partial(_heuristic, kind) for kind in ("h1", "h4", "h5", "h6")},
     "number-agreement": _number_agreement,
     "surface": _surface,

@@ -2,9 +2,11 @@
 
 Each voter compares a left-hand and a right-hand evidence score; the
 winning side's task label is emitted, and ties (within an optional
-margin) abstain.  ``vote`` runs a task's voters on one item and
-combines their decisions by majority.  A voter is named only by its
-key in its task's ``VOTERS`` registry.
+margin) abstain.  A count voter's two sides are lists of queries,
+scored by ``count_sides`` and compared by ``compare_counts``.  ``vote``
+runs a task's voters on one item and combines their decisions by
+majority.  A voter is named only by its key in its task's ``VOTERS``
+registry.
 """
 
 from __future__ import annotations
@@ -58,6 +60,20 @@ def compare(
     else:
         label = ABSTAIN
     return Decision(label, left_score, right_score)
+
+
+def count_sides(provider, sides) -> tuple[int, int]:
+    """Each side's score: its queries' summed counts, left side first.
+
+    An empty side issues no query and scores 0.
+    """
+    left, right = sides
+    return sum(map(provider.count, left)), sum(map(provider.count, right))
+
+
+def compare_counts(provider, sides, left_label: str, right_label: str) -> Decision:
+    """``compare`` a count voter's (left, right) query lists by their summed counts."""
+    return compare(*count_sides(provider, sides), left_label, right_label)
 
 
 def abstain(note: str = "") -> Decision:

@@ -6,7 +6,9 @@ preposition with the noun versus the verb, look for unambiguous
 paraphrases of either attachment, apply closed-class heuristics, scan
 raw snippets for orthographic cues, and finally combine everything in
 a majority vote backed by a count-table classifier trained on the
-vote's own output.
+vote's own output.  The count voters (n-gram models and paraphrases)
+are the ``COUNTS`` table of noun- and verb-predicting queries, scored
+by ``decisions.compare_counts``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .decisions import (
     abstain,
     check_voters,
     compare,
+    compare_counts,
+    count_sides,
     vote,
 )
 from .morphology import (
@@ -76,96 +80,31 @@ def _word_class(word: str) -> str | None:
     return None
 
 
-def pp_ngram_decision(
-    provider: CountProvider,
-    lex: MorphLexicon,
-    quad: PPQuad,
-    model: int,
-) -> Decision:
-    """Corpus-association models 1-4.
+_of = CountQuery.of
 
-    (1) #(n1,p) vs #(v,p); (2) Pr(p|n1) vs Pr(p|v); (3) #(n1,p,n2) vs
-    #(v,p,n2); (4) Pr(p,n2|n1) vs Pr(p,n2|v).  A determiner may
-    intervene between p and n2.  The noun-side score winning predicts
-    noun attachment.  Disabled when either noun is a pronoun.
-    """
-    if model not in (1, 2, 3, 4):
-        raise ValueError("model must be 1..4")
-    if quad.n1.lower() in PRONOUNS or quad.n2.lower() in PRONOUNS:
-        return abstain("pronoun argument")
-    iv = inflections(lex, quad.v)
-    i1 = inflections(lex, quad.n1)
-    i2 = inflections(lex, quad.n2)
-    p = quad.p
-
-    def pair(head: frozenset[str]) -> int:
-        return provider.count(CountQuery.of(head, p))
-
-    def triple(head: frozenset[str]) -> int:
-        direct = provider.count(CountQuery.of(head, p, i2))
-        det = provider.count(CountQuery.of(head, p, DETERMINERS, i2))
-        return direct + det
-
-    if model in (1, 2):
-        noun_score: float = pair(i1)
-        verb_score: float = pair(iv)
-    else:
-        noun_score = triple(i1)
-        verb_score = triple(iv)
-    if model in (2, 4):
-        noun_marginal = provider.count(CountQuery.of(i1))
-        verb_marginal = provider.count(CountQuery.of(iv))
-        if noun_marginal == 0 or verb_marginal == 0:
-            return abstain("zero marginal")
-        noun_score /= noun_marginal
-        verb_score /= verb_marginal
-    return compare(noun_score, verb_score, NOUN, VERB)
-
-
-def pp_paraphrase_decision(
-    provider: CountProvider,
-    lex: MorphLexicon,
-    quad: PPQuad,
-    pattern: int,
-) -> Decision:
-    """Unambiguous rewriting patterns 1-6; one corpus match decides.
-
-    (1) ``v DET n2 n1`` noun; (2) ``v p n2 DET n1`` verb; (3)
-    ``p n2 ... v n1`` verb; (4) ``n1 p n2 v`` noun; (5)
-    ``v him/her p n2`` verb; (6) ``is/are n1 p n2`` noun.
-    """
-    if pattern not in range(1, 7):
-        raise ValueError("pattern must be 1..6")
-    iv = inflections(lex, quad.v)
-    i1 = inflections(lex, quad.n1)
-    i2 = inflections(lex, quad.n2)
-    p = quad.p
-
-    count = 0
-    label = NOUN
-    if pattern == 1:
-        if p == "to" or _word_class(quad.n1) or _word_class(quad.n2):
-            return abstain("guard")
-        count = provider.count(CountQuery.of(iv, DETERMINERS, i2, i1))
-    elif pattern == 2:
-        label = VERB
-        count = provider.count(CountQuery.of(iv, p, i2, DETERMINERS, i1))
-    elif pattern == 3:
-        label = VERB
-        count = provider.count(CountQuery.of(p, i2, iv, i1))
-        count += provider.count(CountQuery.gapped([p, i2], [iv, i1], 1, 3))
-    elif pattern == 4:
-        count = provider.count(CountQuery.of(i1, p, i2, iv))
-        count += provider.count(CountQuery.of(i1, p, DETERMINERS, i2, iv))
-    elif pattern == 5:
-        label = VERB
-        count = provider.count(CountQuery.of(iv, {"him", "her"}, p, i2))
-    else:
-        count = provider.count(CountQuery.of({"is", "are"}, i1, p, i2))
-    if count >= 1:
-        side = (count, 0) if label == NOUN else (0, count)
-        return Decision(label, *side)
-    return abstain()
+# Count voter -> its (noun-predicting, verb-predicting) queries, given the
+# inflection sets iv i1 i2 of v, n1 and n2 and the preposition p, scored
+# by ``decisions.compare_counts``.  The n-gram models compare the noun's
+# and the verb's collocation with ``p`` (``ngram-3``: and with n2, a
+# determiner allowed between); ``ngram-2`` and ``ngram-4`` are their
+# rates.  Each paraphrase is an unambiguous rewrite of one attachment,
+# so its other side is empty and one match decides: (1) ``v DET n2 n1``;
+# (2) ``v p n2 DET n1``; (3) ``p n2 (...) v n1``; (4) ``n1 p (DET) n2
+# v``; (5) ``v him/her p n2``; (6) ``is/are n1 p n2``.
+COUNTS: dict[str, Callable[..., tuple[list[CountQuery], list[CountQuery]]]] = {
+    "ngram-1": lambda iv, i1, p, i2: ([_of(i1, p)], [_of(iv, p)]),
+    "ngram-3": lambda iv, i1, p, i2: (
+        [_of(i1, p, i2), _of(i1, p, DETERMINERS, i2)],
+        [_of(iv, p, i2), _of(iv, p, DETERMINERS, i2)]),
+    "paraphrase-1": lambda iv, i1, p, i2: ([_of(iv, DETERMINERS, i2, i1)], []),
+    "paraphrase-2": lambda iv, i1, p, i2: ([], [_of(iv, p, i2, DETERMINERS, i1)]),
+    "paraphrase-3": lambda iv, i1, p, i2: (
+        [], [_of(p, i2, iv, i1), CountQuery.gapped([p, i2], [iv, i1], 1, 3)]),
+    "paraphrase-4": lambda iv, i1, p, i2: (
+        [_of(i1, p, i2, iv), _of(i1, p, DETERMINERS, i2, iv)], []),
+    "paraphrase-5": lambda iv, i1, p, i2: ([], [_of(iv, {"him", "her"}, p, i2)]),
+    "paraphrase-6": lambda iv, i1, p, i2: ([_of({"is", "are"}, i1, p, i2)], []),
+}
 
 
 def pp_heuristic(quad: PPQuad, kind: str) -> Decision:
@@ -261,7 +200,7 @@ def backoff_predict(model: BackoffModel, quad: PPQuad, lex: MorphLexicon) -> Dec
 # Feature -> (noun-attachment, verb-attachment) templates over v n1 p n2.
 PP_CUES = {
     "parentheses": (
-        (r"\(\s*{v}\s*\)\s+{n1}\s+{p}\s+{n2}", r"\b{v}\s+\(\s*{n1}\s+{p}\s+{n2}\s*\)"),
+        (r"\(\s*{v}\s*\)\s+{n1}\s+{p}\s+{n2}\b", r"\b{v}\s+\(\s*{n1}\s+{p}\s+{n2}\s*\)"),
         (r"\(\s*{v}\s+{n1}\s*\)\s+{p}\s+{n2}\b", r"\b{v}\s+{n1}\s+\(\s*{p}\s+{n2}\s*\)"),
     ),
     "punctuation": (
@@ -321,12 +260,32 @@ class PPVoteConfig:
 # (quad, provider, lexicon, config).
 
 
-def _ngram(model, quad, provider, lex, config) -> Decision:
-    return pp_ngram_decision(provider, lex, quad, model)
+def _inflections(quad: PPQuad, lex: MorphLexicon) -> tuple[frozenset[str], ...]:
+    return tuple(inflections(lex, w) for w in (quad.v, quad.n1, quad.n2))
 
 
-def _paraphrase(pattern, quad, provider, lex, config) -> Decision:
-    return pp_paraphrase_decision(provider, lex, quad, pattern)
+def _ngram(name, rate, quad, provider, lex, config) -> Decision:
+    """``name``'s counts, as rates of #(n1) and #(v) with ``rate``;
+    disabled when either noun is a pronoun."""
+    if quad.n1.lower() in PRONOUNS or quad.n2.lower() in PRONOUNS:
+        return abstain("pronoun argument")
+    iv, i1, i2 = _inflections(quad, lex)
+    sides = COUNTS[name](iv, i1, quad.p, i2)
+    if not rate:
+        return compare_counts(provider, sides, NOUN, VERB)
+    noun, verb = count_sides(provider, sides)
+    noun_marginal, verb_marginal = count_sides(provider, ([_of(i1)], [_of(iv)]))
+    if noun_marginal == 0 or verb_marginal == 0:
+        return abstain("zero marginal")
+    return compare(noun / noun_marginal, verb / verb_marginal, NOUN, VERB)
+
+
+def _paraphrase(name, quad, provider, lex, config) -> Decision:
+    """One corpus match decides; ``paraphrase-1`` is off for ``to`` and closed-class nouns."""
+    if name == "paraphrase-1" and (quad.p == "to" or _word_class(quad.n1) or _word_class(quad.n2)):
+        return abstain("guard")
+    iv, i1, i2 = _inflections(quad, lex)
+    return compare_counts(provider, COUNTS[name](iv, i1, quad.p, i2), NOUN, VERB)
 
 
 def _heuristic(kind, quad, provider, lex, config) -> Decision:
@@ -334,7 +293,7 @@ def _heuristic(kind, quad, provider, lex, config) -> Decision:
 
 
 def _surface(quad, provider, lex, config) -> Decision:
-    iv, i1, i2 = (inflections(lex, w) for w in (quad.v, quad.n1, quad.n2))
+    iv, i1, i2 = _inflections(quad, lex)
     query = CountQuery.of(iv, i1, quad.p, i2)
     return pp_surface_vote(provider.snippets(query, SNIPPET_LIMIT), quad, lex)
 
@@ -347,8 +306,11 @@ def _backoff(quad, provider, lex, config) -> Decision:
 
 # Voter name -> voter: the one list of names a config accepts.
 VOTERS: dict[str, Callable[..., Decision]] = {
-    **{f"ngram-{m}": partial(_ngram, m) for m in (1, 2, 3, 4)},
-    **{f"paraphrase-{n}": partial(_paraphrase, n) for n in range(1, 7)},
+    "ngram-1": partial(_ngram, "ngram-1", False),
+    "ngram-2": partial(_ngram, "ngram-1", True),
+    "ngram-3": partial(_ngram, "ngram-3", False),
+    "ngram-4": partial(_ngram, "ngram-3", True),
+    **{name: partial(_paraphrase, name) for name in COUNTS if name.startswith("paraphrase-")},
     **{kind: partial(_heuristic, kind) for kind in ("pronoun-n1", "verb-be", "of-rule")},
     "surface": _surface,
     "backoff": _backoff,

@@ -5,8 +5,9 @@ punctuation (``cell-cycle analysis``), genitives (``brain's stem
 cells``), parentheses or capitalization.  One matcher, ``cue_tally``,
 counts such cues in raw snippets for all three tasks, each of which
 declares its cues as a table of regex templates; bracketing's table is
-``BRACKET_CUES``.  The direct-count bracketing voters, which count
-rewritten variants of the triple instead, are ``bracketer.DIRECT_COUNTS``.
+``BRACKET_CUES``.  The voters that count rewritten variants of an item
+instead are tables of queries: ``bracketer.DIRECT_COUNTS``,
+``ppattach.COUNTS``, and ``coordination.COUNTS`` and ``PARAPHRASES``.
 """
 
 from __future__ import annotations

@@ -168,6 +168,53 @@ def make_provider(tmp_path: Path, lines: list[str], tagged: bool = False):
     return IndexProvider(make_index(tmp_path, lines, tagged))
 
 
+class CountRecorder:
+    """Count through ``provider``, keeping each query and its count in order."""
+
+    def __init__(self, provider):
+        self.provider = provider
+        self.counts: list[tuple[CountQuery, int]] = []
+
+    @property
+    def keys(self) -> list[str]:
+        """The canonical key of each counted query."""
+        return [query.canonical() for query, _n in self.counts]
+
+    def count(self, query):
+        n = self.provider.count(query)
+        self.counts.append((query, n))
+        return n
+
+    def total(self):
+        return self.provider.total()
+
+    def snippets(self, query, limit):
+        return self.provider.snippets(query, limit)
+
+
+# Sentences in the ``perfbench`` attach corpora the count-voter digests run over.
+ATTACH_SENTENCES = 20_000
+
+
+@pytest.fixture(scope="session")
+def attach_corpus(tmp_path_factory):
+    """``seed`` -> (items, provider) of a seeded ``perfbench`` attach corpus, built once."""
+    # Imported here: the benchmark loads this file on its own, as its count oracle.
+    from perfbench import inputs
+
+    built = {}
+
+    def get(seed: int):
+        if seed not in built:
+            generated = inputs.generate("attach", seed, ATTACH_SENTENCES)
+            path = tmp_path_factory.mktemp(f"attach{seed}") / "corpus.txt"
+            generated.write_corpus(path)
+            built[seed] = generated.items, IndexProvider(build_index(path))
+        return built[seed]
+
+    return get
+
+
 @pytest.fixture
 def small_lex() -> MorphLexicon:
     """A compact in-memory lexicon covering the words the tests use."""

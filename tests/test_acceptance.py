@@ -41,7 +41,7 @@ from npstruct.decisions import (
     majority_vote,
 )
 from npstruct.morphology import MorphLexicon, inflections
-from npstruct.ppattach import PPQuad, pp_paraphrase_decision, pp_pipeline
+from npstruct.ppattach import PPQuad, PPVoteConfig, pp_pipeline, run_pp_voter
 from npstruct.relsim import dice, knn_classify, solve_sat
 from npstruct.stats import (
     EvalReport,
@@ -419,7 +419,8 @@ def test_end_to_end_pipelines(tmp_path):
     }
     for pattern, (sentences, label) in pattern_fixtures.items():
         p = _provider(tmp_path, sentences, name=f"pp{pattern}.txt")
-        assert pp_paraphrase_decision(p, LEX, quad, pattern).label == label
+        d = run_pp_voter(f"paraphrase-{pattern}", quad, p, LEX, PPVoteConfig())
+        assert d.label == label
 
     # Coordination: number agreement and the repeated-word heuristic.
     agree = CoordQuad("buses", "and", "trains", "station")

@@ -20,7 +20,7 @@ from npstruct.bracketer import (
 from npstruct.corpus import IndexProvider, MappingProvider, build_index
 from npstruct.decisions import ABSTAIN, LEFT, RIGHT, Decision, majority_vote
 from perfbench import inputs
-from tests.conftest import make_provider
+from tests.conftest import CountRecorder, make_provider
 
 TRIPLE = NounTriple("brain", "stem", "cells")
 
@@ -88,24 +88,6 @@ DIRECT_COUNT_DIGESTS = {
 }
 
 
-class _KeyRecorder:
-    """Count through ``provider``, keeping each query's canonical key."""
-
-    def __init__(self, provider):
-        self.provider = provider
-        self.keys: list[str] = []
-
-    def count(self, query):
-        self.keys.append(query.canonical())
-        return self.provider.count(query)
-
-    def total(self):
-        return self.provider.total()
-
-    def snippets(self, query, limit):
-        return self.provider.snippets(query, limit)
-
-
 def test_direct_count_table_is_the_registry_slice():
     assert tuple(DIRECT_COUNTS) == DIRECT_COUNT_VOTERS
     names = list(VOTERS)
@@ -117,14 +99,14 @@ def test_direct_count_table_is_the_registry_slice():
 def test_direct_count_voters_match_their_recorded_digest(seed, tmp_path):
     corpus = tmp_path / "corpus.txt"
     inputs.generate("bracket", seed).write_corpus(corpus)
-    recorder = _KeyRecorder(IndexProvider(build_index(corpus)))
+    recorder = CountRecorder(IndexProvider(build_index(corpus)))
     lex = datasets.default_lexicon()
     triples = [t for t, _ in datasets.biomedical_bracketing()]
     assert len(triples) == 429
     digest = hashlib.sha256()
     for name in DIRECT_COUNT_VOTERS:
         for triple in triples:
-            recorder.keys.clear()
+            recorder.counts.clear()
             d = run_voter(name, triple, recorder, lex, VoteConfig())
             scores = (float(d.left_score), float(d.right_score))
             record = (name, triple.words(), d.label, scores, d.note, recorder.keys)

@@ -1,30 +1,37 @@
 """Coordination-scope voters and pipeline."""
 
+import hashlib
+
 import pytest
 
+from npstruct import datasets
 from npstruct.coordination import (
     NO,
+    VOTERS,
     YES,
     CoordQuad,
     CoordVoteConfig,
     coord_heuristic,
-    coord_ngram_decision,
-    coord_paraphrase_decision,
     coord_pipeline,
     coord_surface_vote,
     number_agreement_decision,
+    run_coord_voter,
 )
 from npstruct.corpus import CountQuery, MappingProvider
 from npstruct.datasets import COORDINATION
 from npstruct.decisions import ABSTAIN, NOUN_COORD, NP_COORD
 from npstruct.morphology import inflections
-from tests.conftest import make_provider
+from tests.conftest import CountRecorder, make_provider
 
 QUAD = CoordQuad("bar", "and", "pie", "graph")
 
 
 def _key(*positions) -> str:
     return CountQuery.of(*positions).canonical()
+
+
+def _vote(name, provider, lex, threshold=1):
+    return run_coord_voter(name, QUAD, provider, lex, CoordVoteConfig(threshold=threshold))
 
 
 def test_quad_validation():
@@ -38,10 +45,10 @@ class TestNgramModels:
     def test_model_i(self, small_lex):
         ih = inflections(small_lex, "graph")
         provider = MappingProvider({_key("bar", ih): 9, _key("pie", ih): 2})
-        d = coord_ngram_decision(provider, small_lex, QUAD, "i")
+        d = _vote("ngram-i", provider, small_lex)
         assert d.label == NOUN_COORD
         provider = MappingProvider({_key("bar", ih): 1, _key("pie", ih): 7})
-        assert coord_ngram_decision(provider, small_lex, QUAD, "i").label == NP_COORD
+        assert _vote("ngram-i", provider, small_lex).label == NP_COORD
 
     def test_model_ii_pools_conjunctions(self, small_lex):
         ih = inflections(small_lex, "graph")
@@ -49,12 +56,8 @@ class TestNgramModels:
         provider = MappingProvider(
             {_key("bar", {"and", "or"}, i2): 8, _key("bar", ih): 3}
         )
-        d = coord_ngram_decision(provider, small_lex, QUAD, "ii")
+        d = _vote("ngram-ii", provider, small_lex)
         assert d.label == NOUN_COORD
-
-    def test_bad_model(self, small_lex):
-        with pytest.raises(ValueError):
-            coord_ngram_decision(MappingProvider({}), small_lex, QUAD, "iii")
 
 
 class TestParaphrases:
@@ -68,26 +71,24 @@ class TestParaphrases:
         }
         for pattern, (key, label) in cases.items():
             provider = MappingProvider({key: 2})
-            d = coord_paraphrase_decision(provider, small_lex, QUAD, pattern)
+            d = _vote(f"coord-paraphrase-{pattern}", provider, small_lex)
             assert d.label == label, pattern
 
     def test_below_threshold_inverts(self, small_lex):
-        d = coord_paraphrase_decision(MappingProvider({}), small_lex, QUAD, 1)
+        d = _vote("coord-paraphrase-1", MappingProvider({}), small_lex)
         assert d.label == NP_COORD and d.note == "below threshold"
-        d = coord_paraphrase_decision(MappingProvider({}), small_lex, QUAD, 2)
+        d = _vote("coord-paraphrase-2", MappingProvider({}), small_lex)
         assert d.label == NOUN_COORD
 
     def test_threshold_raises_the_bar(self, small_lex):
         ih = inflections(small_lex, "graph")
         provider = MappingProvider({_key("pie", "and", "bar", ih): 2})
-        low = coord_paraphrase_decision(provider, small_lex, QUAD, 1, threshold=2)
+        low = _vote("coord-paraphrase-1", provider, small_lex, threshold=2)
         assert low.label == NOUN_COORD
-        high = coord_paraphrase_decision(provider, small_lex, QUAD, 1, threshold=3)
+        high = _vote("coord-paraphrase-1", provider, small_lex, threshold=3)
         assert high.label == NP_COORD
 
-    def test_validation(self, small_lex):
-        with pytest.raises(ValueError):
-            coord_paraphrase_decision(MappingProvider({}), small_lex, QUAD, 9)
+    def test_validation(self):
         with pytest.raises(ValueError, match="threshold must be >= 1"):
             CoordVoteConfig(threshold=0)
 
@@ -189,6 +190,10 @@ class TestPipeline:
         with pytest.raises(ValueError, match="unknown voters"):
             CoordVoteConfig(voters=("ngram-i", "astrology"))
 
+    def test_run_coord_voter_unknown_name(self, small_lex):
+        with pytest.raises(ValueError, match=r"unknown voters: \['coord-paraphrase-9'\]"):
+            run_coord_voter("coord-paraphrase-9", QUAD, MappingProvider({}), small_lex, CoordVoteConfig())
+
     def test_duplicate_voter(self):
         with pytest.raises(ValueError, match=r"duplicate voters: \['h1'\]"):
             CoordVoteConfig(voters=("h1", "ngram-i", "h1"))
@@ -197,6 +202,45 @@ class TestPipeline:
         # Checked whichever voters run, not only the paraphrase voters.
         with pytest.raises(ValueError, match="threshold must be >= 1"):
             CoordVoteConfig(voters=("h1",), threshold=0)
+
+
+COUNT_VOTERS = (
+    "ngram-i", "ngram-ii",
+    "coord-paraphrase-1", "coord-paraphrase-2",
+    "coord-paraphrase-3", "coord-paraphrase-4",
+)
+
+# sha256 over every (voter, quad, label, scores, note, sorted counted
+# keys) record of the count voters on the coordination items of a seeded
+# ``perfbench`` attach corpus, keyed by its seed.  Scores are compared as
+# floats, so an abstention's 0 and 0.0 agree.  A deliberate change to a
+# voter's queries or direction recomputes both digests.
+COUNT_DIGESTS = {
+    1: "7170f8afbfa0cc459658e94f14541cf40e9c1aa87eee9828dd30f25397e4888e",
+    1001: "aa7413362cd3cac1ccba2ad1a981abbd5340a1ec8b763d299b1573427e628b6b",
+}
+
+
+def test_count_voters_lead_the_registry():
+    assert tuple(VOTERS)[: len(COUNT_VOTERS)] == COUNT_VOTERS
+
+
+@pytest.mark.parametrize("seed", sorted(COUNT_DIGESTS))
+def test_count_voters_match_their_recorded_digest(seed, attach_corpus):
+    items, provider = attach_corpus(seed)
+    quads = [item for item in items if item.kind == "coord"]
+    assert len(quads) == 428
+    recorder = CountRecorder(provider)
+    lex = datasets.default_lexicon()
+    digest = hashlib.sha256()
+    for name in COUNT_VOTERS:
+        for item in quads:
+            recorder.counts.clear()
+            d = run_coord_voter(name, item.args[0], recorder, lex, CoordVoteConfig())
+            scores = (float(d.left_score), float(d.right_score))
+            record = (name, item.key, d.label, scores, d.note, sorted(recorder.keys))
+            digest.update(repr(record).encode())
+    assert digest.hexdigest() == COUNT_DIGESTS[seed]
 
 
 def test_load_coord_dataset(tmp_path):

@@ -1,13 +1,17 @@
 """Attachment voters, backoff classifier, and the attachment pipeline."""
 
+import hashlib
+
 import pytest
 
+from npstruct import datasets
 from npstruct.corpus import CountQuery, MappingProvider
 from npstruct.datasets import PP_ATTACHMENT
 from npstruct.decisions import ABSTAIN, NOUN, VERB
 from npstruct.morphology import inflections
 from npstruct.ppattach import (
     DETERMINERS,
+    VOTERS,
     PPQuad,
     PPVoteConfig,
     backoff_predict,
@@ -15,19 +19,21 @@ from npstruct.ppattach import (
     normalize_quad,
     pp_bootstrap,
     pp_heuristic,
-    pp_ngram_decision,
-    pp_paraphrase_decision,
     pp_pipeline,
     pp_surface_vote,
     run_pp_voter,
 )
-from tests.conftest import make_provider
+from tests.conftest import CountRecorder, make_provider
 
 QUAD = PPQuad("meet", "demands", "from", "customers")
 
 
 def _key(*positions) -> str:
     return CountQuery.of(*positions).canonical()
+
+
+def _vote(name, provider, lex, quad=QUAD):
+    return run_pp_voter(name, quad, provider, lex, PPVoteConfig())
 
 
 class TestHeuristics:
@@ -53,7 +59,7 @@ class TestNgramModels:
         i1 = inflections(small_lex, "demands")
         iv = inflections(small_lex, "meet")
         provider = MappingProvider({_key(i1, "from"): 10, _key(iv, "from"): 3})
-        d = pp_ngram_decision(provider, small_lex, QUAD, 1)
+        d = _vote("ngram-1", provider, small_lex)
         assert d.label == NOUN
 
     def test_model_2_normalizes_by_marginals(self, small_lex):
@@ -68,11 +74,11 @@ class TestNgramModels:
             }
         )
         # Raw counts favor the noun; rates favor the verb.
-        assert pp_ngram_decision(provider, small_lex, QUAD, 2).label == VERB
+        assert _vote("ngram-2", provider, small_lex).label == VERB
 
     def test_model_2_zero_marginal_abstains(self, small_lex):
         provider = MappingProvider({})
-        d = pp_ngram_decision(provider, small_lex, QUAD, 2)
+        d = _vote("ngram-2", provider, small_lex)
         assert d.label == ABSTAIN and d.note == "zero marginal"
 
     def test_model_3_adds_determiner_insertion(self, small_lex):
@@ -86,59 +92,54 @@ class TestNgramModels:
                 _key(iv, "from", i2): 3,
             }
         )
-        d = pp_ngram_decision(provider, small_lex, QUAD, 3)
+        d = _vote("ngram-3", provider, small_lex)
         assert d.label == NOUN and d.left_score == 5
 
     def test_pronoun_arguments_disable_models(self, small_lex):
         quad = PPQuad("saw", "him", "with", "scope")
-        d = pp_ngram_decision(MappingProvider({}), small_lex, quad, 1)
+        d = _vote("ngram-1", MappingProvider({}), small_lex, quad)
         assert d.label == ABSTAIN and d.note == "pronoun argument"
-
-    def test_model_validation(self, small_lex):
-        with pytest.raises(ValueError):
-            pp_ngram_decision(MappingProvider({}), small_lex, QUAD, 7)
 
 
 class TestParaphrases:
     def test_pattern_1_noun(self, tmp_path, small_lex):
         provider = make_provider(tmp_path, ["they meet the customer demands daily"])
-        d = pp_paraphrase_decision(provider, small_lex, QUAD, 1)
+        d = _vote("paraphrase-1", provider, small_lex)
         assert d.label == NOUN
 
     def test_pattern_1_guards(self, small_lex):
         to_quad = PPQuad("gave", "book", "to", "student")
-        assert pp_paraphrase_decision(MappingProvider({}), small_lex, to_quad, 1).label == ABSTAIN
+        d = _vote("paraphrase-1", MappingProvider({}), small_lex, to_quad)
+        assert d.label == ABSTAIN and d.note == "guard"
         pro_quad = PPQuad("saw", "it", "with", "scope")
-        assert pp_paraphrase_decision(MappingProvider({}), small_lex, pro_quad, 1).label == ABSTAIN
+        d = _vote("paraphrase-1", MappingProvider({}), small_lex, pro_quad)
+        assert d.label == ABSTAIN and d.note == "guard"
 
     def test_pattern_2_verb(self, tmp_path, small_lex):
         provider = make_provider(tmp_path, ["meet from customers the demands"])
-        assert pp_paraphrase_decision(provider, small_lex, QUAD, 2).label == VERB
+        assert _vote("paraphrase-2", provider, small_lex).label == VERB
 
     def test_pattern_3_verb_with_gap(self, tmp_path, small_lex):
         provider = make_provider(
             tmp_path, ["from customers we often meet demands"]
         )
-        assert pp_paraphrase_decision(provider, small_lex, QUAD, 3).label == VERB
+        assert _vote("paraphrase-3", provider, small_lex).label == VERB
 
     def test_pattern_4_noun(self, tmp_path, small_lex):
         provider = make_provider(tmp_path, ["demands from customers met"])
-        assert pp_paraphrase_decision(provider, small_lex, QUAD, 4).label == NOUN
+        assert _vote("paraphrase-4", provider, small_lex).label == NOUN
 
     def test_pattern_5_verb(self, tmp_path, small_lex):
         provider = make_provider(tmp_path, ["meet her from customers"])
-        assert pp_paraphrase_decision(provider, small_lex, QUAD, 5).label == VERB
+        assert _vote("paraphrase-5", provider, small_lex).label == VERB
 
     def test_pattern_6_noun(self, tmp_path, small_lex):
         provider = make_provider(tmp_path, ["there are demands from customers"])
-        assert pp_paraphrase_decision(provider, small_lex, QUAD, 6).label == NOUN
+        assert _vote("paraphrase-6", provider, small_lex).label == NOUN
 
     def test_no_evidence_abstains(self, small_lex):
         for pattern in range(1, 7):
-            assert (
-                pp_paraphrase_decision(MappingProvider({}), small_lex, QUAD, pattern).label
-                == ABSTAIN
-            )
+            assert _vote(f"paraphrase-{pattern}", MappingProvider({}), small_lex).label == ABSTAIN
 
 
 class TestNormalization:
@@ -229,6 +230,18 @@ class TestSurface:
         verb = pp_surface_vote(["meet demands (from customers)"], QUAD, small_lex)
         assert verb.label == VERB
 
+    def test_n2_must_end_its_word(self, small_lex):
+        quad = PPQuad("meet", "demands", "from", "customer")
+        for snippet in (
+            "(meet) demands from customerbase",
+            "meet (demands from customerbase)",
+            "meet, demands from customerbase",
+            "meet demands (from customerbase)",
+            "(meet demands) from customerbase",
+            "meet demands, from customerbase",
+        ):
+            assert pp_surface_vote([snippet], quad, small_lex).label == ABSTAIN, snippet
+
     def test_capitalization_votes(self, small_lex):
         quad = PPQuad("meet", "board", "with", "members")
         noun = pp_surface_vote(["meet Board with members"], quad, small_lex)
@@ -307,6 +320,45 @@ class TestPipeline:
         assert model.tables
         assert all(list(r.votes) == ["paraphrase-1", "backoff"] for r in results)
         assert not any(r.votes["backoff"].abstained for r in results)
+
+
+COUNT_VOTERS = (
+    "ngram-1", "ngram-2", "ngram-3", "ngram-4",
+    "paraphrase-1", "paraphrase-2", "paraphrase-3",
+    "paraphrase-4", "paraphrase-5", "paraphrase-6",
+)
+
+# sha256 over every (voter, quad, label, scores, note, sorted counted
+# keys) record of the count voters on the PP items of a seeded
+# ``perfbench`` attach corpus, keyed by its seed.  Scores are compared as
+# floats, so an abstention's 0 and 0.0 agree.  A deliberate change to a
+# voter's queries or direction recomputes both digests.
+COUNT_DIGESTS = {
+    1: "80a331916d69d3b207f574cd809428a804637a4a8f733007e83a57945eeae3a2",
+    1001: "0b33c3dd1c760b7971c80065db911f331729fb8a351429eb9b73871653bdfb4c",
+}
+
+
+def test_count_voters_lead_the_registry():
+    assert tuple(VOTERS)[: len(COUNT_VOTERS)] == COUNT_VOTERS
+
+
+@pytest.mark.parametrize("seed", sorted(COUNT_DIGESTS))
+def test_count_voters_match_their_recorded_digest(seed, attach_corpus):
+    items, provider = attach_corpus(seed)
+    quads = [item for item in items if item.kind == "pp"]
+    assert len(quads) == 428
+    recorder = CountRecorder(provider)
+    lex = datasets.default_lexicon()
+    digest = hashlib.sha256()
+    for name in COUNT_VOTERS:
+        for item in quads:
+            recorder.counts.clear()
+            d = run_pp_voter(name, item.args[0], recorder, lex, PPVoteConfig())
+            scores = (float(d.left_score), float(d.right_score))
+            record = (name, item.key, d.label, scores, d.note, sorted(recorder.keys))
+            digest.update(repr(record).encode())
+    assert digest.hexdigest() == COUNT_DIGESTS[seed]
 
 
 def test_load_pp_dataset(tmp_path):

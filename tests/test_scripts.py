@@ -98,3 +98,21 @@ def test_ablation_data_errors_exit_2(index_file, dataset, index, message):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == message.format(tmp=tmp)
+
+
+def test_conftest_loads_on_its_own(tmp_path):
+    """The benchmark loads ``tests/conftest.py`` by path, as its count oracle, with only ``src`` importable."""
+    code = (
+        "import importlib.util, sys\n"
+        "spec = importlib.util.spec_from_file_location('oracle', sys.argv[1])\n"
+        "module = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(module)\n"
+        "print(module.naive_count.__name__, module.normalize_line.__name__)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "tests" / "conftest.py")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "naive_count normalize_line\n"
