@@ -2,12 +2,13 @@
 
 The direct-count voters (concatenation, wildcard, genitive, abbreviation,
 reordering, inflection variability and swap) are the ``DIRECT_COUNTS``
-table here; the other voters come from ``assoc``, ``paraphrase`` and
-``surface``.
+table here, and the surface cues the ``BRACKET_CUES`` table; the other
+voters come from ``assoc`` and ``paraphrase``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -17,6 +18,7 @@ from .assoc import NounTriple
 from .corpus import CountProvider, CountQuery
 from .decisions import LEFT, RIGHT, Decision, VoteResult, check_voters, compare_counts, vote
 from .morphology import MorphLexicon, inflections
+from .surface import Capitals, CueTable
 
 # Voters combined by default: the strongest individual models.
 DEFAULT_VOTERS = (
@@ -45,22 +47,7 @@ class VoteConfig:
             raise ValueError("margin must be nonnegative")
 
 
-def triple_snippets(
-    provider: CountProvider,
-    lex: MorphLexicon,
-    triple: NounTriple,
-    limit: int,
-) -> list[str]:
-    """Distinct raw sentences containing the compound, genitive variants included."""
-    i1, i2, i3 = (inflections(lex, w) for w in triple.words())
-    queries = [
-        CountQuery.of(i1, i2, i3),
-        CountQuery.of(i1, "s", i2, i3),
-        CountQuery.of(i1, i2, "s", i3),
-    ]
-    snippets = (s for q in queries for s in provider.snippets(q, limit))
-    return list(dict.fromkeys(snippets))[:limit]
-
+ROMAN_NUMERAL = re.compile(r"^[ivxlcdm]+$", re.IGNORECASE)
 
 # Short everyday words that can collide with two-letter abbreviations.
 COMMON_SHORT_WORDS = frozenset(
@@ -81,7 +68,7 @@ def _abbreviation(first: str, second: str, lex: MorphLexicon) -> str:
     form, a Roman numeral or a state code."""
     abbr = first[0] + second[0]
     taken = abbr in COMMON_SHORT_WORDS or abbr in lex.lemma_by_form or abbr.upper() in STATE_CODES
-    return "" if taken or surface.ROMAN_NUMERAL.match(abbr) else abbr
+    return "" if taken or ROMAN_NUMERAL.match(abbr) else abbr
 
 
 def _glue(first: str, seconds: frozenset[str]) -> frozenset[str]:
@@ -132,6 +119,34 @@ DIRECT_COUNTS: dict[str, Callable[..., tuple[list[CountQuery], list[CountQuery]]
 }
 
 
+def capitalization_excluded(word: str) -> bool:
+    """Capitalization is uninformative for single letters and Roman digits."""
+    return len(word) == 1 or bool(ROMAN_NUMERAL.match(word))
+
+
+# Left- and right-predicting cues over w1 w2 w3.  A capitalized w2
+# predicts right bracketing, else a capitalized w3 left.
+BRACKET_CUES = CueTable(
+    (LEFT, RIGHT),
+    {
+        "dash": ((r"\b{w1}-{w2}\s+{w3}\b",), (r"\b{w1}\s+{w2}-{w3}\b",)),
+        "genitive": (
+            (r"\b{w1}\s+{w2}(?:'s|’s)\s+{w3}\b",), (r"\b{w1}(?:'s|’s)\s+{w2}\s+{w3}\b",)
+        ),
+        "slash": ((r"\b{w1}\s+{w2}/{w3}\b",), (r"\b{w1}/{w2}\s+{w3}\b",)),
+        "parentheses": (
+            (r"\(\s*{w1}\s+{w2}\s*\)\s+{w3}\b", r"\b{w1}\s+{w2}\s+\(\s*{w3}\s*\)"),
+            (r"\(\s*{w1}\s*\)\s+{w2}\s+{w3}\b", r"\b{w1}\s+\(\s*{w2}\s+{w3}\s*\)"),
+        ),
+        "external-dash": (
+            (r"\b{w1}\s+{w2}\s+{w3}-[A-Za-z0-9]",), (r"[A-Za-z0-9]-{w1}\s+{w2}\s+{w3}\b",)
+        ),
+        "punctuation": ((r"\b{w1}\s+{w2}[,.:]\s+{w3}\b",), (r"\b{w1}[,.:]\s+{w2}\s+{w3}\b",)),
+    },
+    Capitals(r"\b{w1}\s+({w2})\s+({w3})\b", RIGHT, capitalization_excluded),
+)
+
+
 # Each voter takes its variant arguments, if any, then
 # (triple, provider, lexicon, config, inventory).
 
@@ -152,9 +167,11 @@ def _paraphrases(triple, provider, lex, config, inventory) -> Decision:
 
 
 def _surface(triple, provider, lex, config, inventory) -> Decision:
-    snippets = triple_snippets(provider, lex, triple, surface.SNIPPET_LIMIT)
-    decision, _tally = surface.surface_vote(snippets, triple, lex)
-    return decision
+    """Cues in the sentences holding the compound, genitive spellings included."""
+    i1, i2, i3 = (inflections(lex, w) for w in triple.words())
+    queries = [_of(i1, i2, i3), _of(i1, "s", i2, i3), _of(i1, i2, "s", i3)]
+    texts = surface.snippets(provider, queries)
+    return surface.cue_vote(texts, {"w1": i1, "w2": i2, "w3": i3}, BRACKET_CUES)[0]
 
 
 # Voter name -> voter: the one list of names a config accepts.

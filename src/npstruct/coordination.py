@@ -13,7 +13,6 @@ table, each a label and one query checked against a threshold.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -26,12 +25,11 @@ from .decisions import (
     VoteResult,
     abstain,
     check_voters,
-    compare,
     compare_counts,
     vote,
 )
-from .morphology import MorphLexicon, inflection_pattern, inflections, is_plural
-from .surface import SNIPPET_LIMIT, cue_tally
+from .morphology import MorphLexicon, inflections, is_plural
+from .surface import CueTable, cue_vote, snippets
 
 CONJUNCTIONS = ("and", "or")
 
@@ -123,34 +121,24 @@ def number_agreement_decision(quad: CoordQuad, lex: MorphLexicon) -> Decision:
     return abstain()
 
 
-# Feature -> (noun-coordination, NP-coordination) templates over n1 c n2 h.
+# Noun- and NP-coordination cues over n1 c n2 h.  Most separators
+# between n2 and the head, and a dash suspending n1, indicate noun
+# coordination; separators isolating n1 indicate NP coordination.
 # ``{{}}`` in the separator class is a literal ``{}`` once formatted.
-COORD_CUES = {
-    "dash": ((r"\b{n1}-\s+{c}\s+{n2}\s+{h}\b",), ()),
-    "brackets": (
-        (r"\(\s*{n1}\s+{c}\s+{n2}\s*\)\s+{h}\b", r"\b{n1}\s+{c}\s+{n2}\s+\(\s*{h}\s*\)"),
-        (r"\(\s*{n1}\s*\)\s+{c}\s+{n2}\s+{h}\b", r"\b{n1}\s+\(\s*{c}\s+{n2}\s+{h}\s*\)"),
-    ),
-    "separator": (
-        (r"\b{n1}\s+{c}\s+{n2}\s*[,:;.!?/\\\]\[{{}}\"']\s*{h}\b",),
-        (r"\b{n1}\s*[,:;.!?/\\\]\[{{}}\"']\s*{c}\s+{n2}\s+{h}\b",),
-    ),
-}
-
-
-def coord_surface_vote(
-    snippets: list[str], quad: CoordQuad, lex: MorphLexicon
-) -> Decision:
-    """Separating punctuation and brackets in raw text.
-
-    Most separators between n2 and the head, and a dash suspending n1,
-    indicate noun coordination; separators isolating n1 indicate NP
-    coordination.
-    """
-    n1, n2, h = (inflection_pattern(lex, w) for w in (quad.n1, quad.n2, quad.h))
-    slots = {"n1": n1, "c": re.escape(quad.c), "n2": n2, "h": h}
-    noun_votes, np_votes = map(sum, zip(*cue_tally(snippets, slots, COORD_CUES).values()))
-    return compare(noun_votes, np_votes, NOUN_COORD, NP_COORD)
+COORD_CUES = CueTable(
+    (NOUN_COORD, NP_COORD),
+    {
+        "dash": ((r"\b{n1}-\s+{c}\s+{n2}\s+{h}\b",), ()),
+        "brackets": (
+            (r"\(\s*{n1}\s+{c}\s+{n2}\s*\)\s+{h}\b", r"\b{n1}\s+{c}\s+{n2}\s+\(\s*{h}\s*\)"),
+            (r"\(\s*{n1}\s*\)\s+{c}\s+{n2}\s+{h}\b", r"\b{n1}\s+\(\s*{c}\s+{n2}\s+{h}\s*\)"),
+        ),
+        "separator": (
+            (r"\b{n1}\s+{c}\s+{n2}\s*[,:;.!?/\\\]\[{{}}\"']\s*{h}\b",),
+            (r"\b{n1}\s*[,:;.!?/\\\]\[{{}}\"']\s*{c}\s+{n2}\s+{h}\b",),
+        ),
+    },
+)
 
 
 DEFAULT_COORD_VOTERS = (
@@ -205,8 +193,9 @@ def _number_agreement(quad, provider, lex, config) -> Decision:
 
 
 def _surface(quad, provider, lex, config) -> Decision:
-    query = CountQuery.of(quad.n1, quad.c, quad.n2, inflections(lex, quad.h))
-    return coord_surface_vote(provider.snippets(query, SNIPPET_LIMIT), quad, lex)
+    i1, i2, ih = (inflections(lex, w) for w in (quad.n1, quad.n2, quad.h))
+    texts = snippets(provider, [_of(quad.n1, quad.c, quad.n2, ih)])
+    return cue_vote(texts, {"n1": i1, "c": {quad.c}, "n2": i2, "h": ih}, COORD_CUES)[0]
 
 
 # Voter name -> voter: the one list of names a config accepts.

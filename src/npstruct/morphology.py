@@ -8,7 +8,6 @@ word lists that the tagger and the voters share live here too.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -140,8 +139,3 @@ def is_plural(lex: MorphLexicon, word: str) -> bool:
         return w != base
     return w.endswith("s") and not w.endswith("ss")
 
-
-def inflection_pattern(lex: MorphLexicon, word: str) -> str:
-    """A regex group matching any inflection of ``word``, longest forms first."""
-    forms = sorted(inflections(lex, word), key=len, reverse=True)
-    return "(?:" + "|".join(re.escape(f) for f in forms) + ")"

@@ -15,11 +15,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 from .assoc import NounTriple
 from .corpus import MAX_GAP, CountProvider, CountQuery
-from .decisions import LEFT, RIGHT, Decision, compare
+from .decisions import LEFT, RIGHT, Decision, compare_counts
 from .morphology import MorphLexicon, inflections, is_plural
 
 NONVERBAL_PREPOSITIONS = (
@@ -148,23 +147,24 @@ def _families(
     triple: NounTriple,
     inv: ParaphraseInventory,
     lex: MorphLexicon,
-) -> Iterator[tuple[str, CountQuery]]:
-    """Yield ``(side, query)``, one per side and inflection ``t3`` of ``w3``.
+) -> tuple[list[CountQuery], list[CountQuery]]:
+    """The left and right query families, one per inflection ``t3`` of ``w3``.
 
-    Inflections come in sorted order, each with its left query and then
-    its right one.  Left queries are ``t3 *(middle) w1 i2``, right ones
-    ``w2 t3 *(middle) i1``, where ``i1`` and ``i2`` are the inflections
-    of ``w1`` and ``w2`` and the gap holds one of the middles agreeing
-    with ``t3``.  No two queries share a match, because the inflected
-    head differs.
+    Inflections come in sorted order.  Left queries are ``t3 *(middle)
+    w1 i2``, right ones ``w2 t3 *(middle) i1``, where ``i1`` and ``i2``
+    are the inflections of ``w1`` and ``w2`` and the gap holds one of the
+    middles agreeing with ``t3``.  No two queries share a match, because
+    the inflected head differs.
     """
     w1, w2, _w3 = triple.words()
     i1 = inflections(lex, triple.w1)
     i2 = inflections(lex, triple.w2)
+    left, right = [], []
     for t3 in sorted(inflections(lex, triple.w3)):
         fill, lo, hi = _middles(inv, tuple(c for c in inv.copulas if _copula_agrees(c, t3, lex)))
-        yield "left", CountQuery.gapped([t3], [w1, i2], lo, hi, fill)
-        yield "right", CountQuery.gapped([w2, t3], [i1], lo, hi, fill)
+        left.append(CountQuery.gapped([t3], [w1, i2], lo, hi, fill))
+        right.append(CountQuery.gapped([w2, t3], [i1], lo, hi, fill))
+    return left, right
 
 
 def paraphrase_decision(
@@ -173,8 +173,8 @@ def paraphrase_decision(
     inv: ParaphraseInventory,
     lex: MorphLexicon,
 ) -> Decision:
-    """Compare total corpus hits of left- vs right-predicting paraphrases."""
-    hits = {"left": 0, "right": 0}
-    for side, query in _families(triple, inv, lex):
-        hits[side] += provider.count(query)
-    return compare(hits["left"], hits["right"], LEFT, RIGHT)
+    """Compare total corpus hits of left- vs right-predicting paraphrases.
+
+    Every left family is counted, then every right one.
+    """
+    return compare_counts(provider, _families(triple, inv, lex), LEFT, RIGHT)

@@ -38,11 +38,10 @@ from .morphology import (
     OTHER_DETERMINERS,
     PRONOUNS,
     MorphLexicon,
-    inflection_pattern,
     inflections,
     lemma,
 )
-from .surface import SNIPPET_LIMIT, capital_tally, cue_tally
+from .surface import Capitals, CueTable, cue_vote, snippets
 
 _YEAR_RE = re.compile(r"^\d{4}s?$")
 _NUM_RE = re.compile(r"^[\d.,]*\d[\d.,]*%?$|^%$")
@@ -197,36 +196,25 @@ def backoff_predict(model: BackoffModel, quad: PPQuad, lex: MorphLexicon) -> Dec
     return Decision(label, r2, 1 - r2)
 
 
-# Feature -> (noun-attachment, verb-attachment) templates over v n1 p n2.
-PP_CUES = {
-    "parentheses": (
-        (r"\(\s*{v}\s*\)\s+{n1}\s+{p}\s+{n2}\b", r"\b{v}\s+\(\s*{n1}\s+{p}\s+{n2}\s*\)"),
-        (r"\(\s*{v}\s+{n1}\s*\)\s+{p}\s+{n2}\b", r"\b{v}\s+{n1}\s+\(\s*{p}\s+{n2}\s*\)"),
-    ),
-    "punctuation": (
-        (r"\b{v}[-,/;:.?!]\s+{n1}\s+{p}\s+{n2}\b",),
-        (r"\b{v}\s+{n1}[-,/;:.?!]\s+{p}\s+{n2}\b",),
-    ),
-}
-# A capitalized n1 predicts noun attachment, else a capitalized p verb.
-PP_CAPITALS = r"\b({v})\s+({n1})\s+({p})\s+({n2})\b"
-
-
-def pp_surface_vote(
-    snippets: list[str], quad: PPQuad, lex: MorphLexicon
-) -> Decision:
-    """Orthographic cues in raw text.
-
-    Punctuation or a bracket separating the verb from n1 keeps
-    ``n1 p n2`` together (noun attachment); separation between n1 and
-    the preposition groups the verb with n1 (verb attachment).
-    """
-    v, n1, n2 = (inflection_pattern(lex, w) for w in (quad.v, quad.n1, quad.n2))
-    slots = {"v": v, "n1": n1, "p": re.escape(quad.p), "n2": n2}
-    tally = cue_tally(snippets, slots, PP_CUES)
-    tally["capitalization"] = capital_tally(snippets, PP_CAPITALS, slots)
-    noun_votes, verb_votes = map(sum, zip(*tally.values()))
-    return compare(noun_votes, verb_votes, NOUN, VERB)
+# Noun- and verb-attachment cues over v n1 p n2.  Punctuation or a
+# bracket separating the verb from n1 keeps ``n1 p n2`` together (noun
+# attachment); separation between n1 and the preposition groups the verb
+# with n1 (verb attachment).  A capitalized n1 predicts noun attachment,
+# else a capitalized p verb.
+PP_CUES = CueTable(
+    (NOUN, VERB),
+    {
+        "parentheses": (
+            (r"\(\s*{v}\s*\)\s+{n1}\s+{p}\s+{n2}\b", r"\b{v}\s+\(\s*{n1}\s+{p}\s+{n2}\s*\)"),
+            (r"\(\s*{v}\s+{n1}\s*\)\s+{p}\s+{n2}\b", r"\b{v}\s+{n1}\s+\(\s*{p}\s+{n2}\s*\)"),
+        ),
+        "punctuation": (
+            (r"\b{v}[-,/;:.?!]\s+{n1}\s+{p}\s+{n2}\b",),
+            (r"\b{v}\s+{n1}[-,/;:.?!]\s+{p}\s+{n2}\b",),
+        ),
+    },
+    Capitals(r"\b{v}\s+({n1})\s+({p})\s+{n2}\b", NOUN),
+)
 
 
 DEFAULT_PP_VOTERS = (
@@ -294,8 +282,8 @@ def _heuristic(kind, quad, provider, lex, config) -> Decision:
 
 def _surface(quad, provider, lex, config) -> Decision:
     iv, i1, i2 = _inflections(quad, lex)
-    query = CountQuery.of(iv, i1, quad.p, i2)
-    return pp_surface_vote(provider.snippets(query, SNIPPET_LIMIT), quad, lex)
+    texts = snippets(provider, [_of(iv, i1, quad.p, i2)])
+    return cue_vote(texts, {"v": iv, "n1": i1, "p": {quad.p}, "n2": i2}, PP_CUES)[0]
 
 
 def _backoff(quad, provider, lex, config) -> Decision:

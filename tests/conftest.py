@@ -192,7 +192,23 @@ class CountRecorder:
         return self.provider.snippets(query, limit)
 
 
-# Sentences in the ``perfbench`` attach corpora the count-voter digests run over.
+class FixedSnippets:
+    """A provider that counts nothing and answers every snippet query with ``texts``."""
+
+    def __init__(self, texts: list[str]):
+        self.texts = texts
+
+    def count(self, query):
+        return 0
+
+    def total(self):
+        return 1
+
+    def snippets(self, query, limit):
+        return self.texts[:limit]
+
+
+# Sentences in the ``perfbench`` attach corpora the voter digests run over.
 ATTACH_SENTENCES = 20_000
 
 

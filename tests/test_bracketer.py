@@ -15,7 +15,6 @@ from npstruct.bracketer import (
     VoteConfig,
     bracket,
     run_voter,
-    triple_snippets,
 )
 from npstruct.corpus import IndexProvider, MappingProvider, build_index
 from npstruct.decisions import ABSTAIN, LEFT, RIGHT, Decision, majority_vote
@@ -115,17 +114,25 @@ def test_direct_count_voters_match_their_recorded_digest(seed, tmp_path):
 
 
 def test_triple_snippets_cover_genitive_spellings(tmp_path, small_lex):
-    provider = make_provider(
-        tmp_path,
-        ["the brain stem cells", "the brain's stem cells", "brain stem's cells", "noise"],
-    )
-    got = triple_snippets(provider, small_lex, TRIPLE, 10)
-    assert set(got) == {
-        "the brain stem cells",
-        "the brain's stem cells",
-        "brain stem's cells",
-    }
-    assert len(triple_snippets(provider, small_lex, TRIPLE, 2)) == 2
+    lines = ["the brain stem cells", "the brain's stem cells", "brain stem's cells", "noise"]
+    recorder = SnippetRecorder(make_provider(tmp_path, lines))
+    d = run_voter("surface", TRIPLE, recorder, small_lex, VoteConfig())
+    assert set(recorder.texts) == set(lines[:3])
+    # One genitive cue for each side.
+    assert (d.label, d.left_score, d.right_score) == (ABSTAIN, 1, 1)
+
+
+class SnippetRecorder(CountRecorder):
+    """A ``CountRecorder`` that also keeps every snippet it passes on."""
+
+    def __init__(self, provider):
+        super().__init__(provider)
+        self.texts: list[str] = []
+
+    def snippets(self, query, limit):
+        out = self.provider.snippets(query, limit)
+        self.texts += out
+        return out
 
 
 def test_bracket_rigged_left(tmp_path, small_lex):

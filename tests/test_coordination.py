@@ -13,15 +13,14 @@ from npstruct.coordination import (
     CoordVoteConfig,
     coord_heuristic,
     coord_pipeline,
-    coord_surface_vote,
     number_agreement_decision,
     run_coord_voter,
 )
-from npstruct.corpus import CountQuery, MappingProvider
+from npstruct.corpus import CountQuery, IndexProvider, MappingProvider
 from npstruct.datasets import COORDINATION
 from npstruct.decisions import ABSTAIN, NOUN_COORD, NP_COORD
 from npstruct.morphology import inflections
-from tests.conftest import CountRecorder, make_provider
+from tests.conftest import CountRecorder, FixedSnippets, make_index, make_provider
 
 QUAD = CoordQuad("bar", "and", "pie", "graph")
 
@@ -130,34 +129,48 @@ class TestNumberAgreement:
         assert number_agreement_decision(quad, small_lex).label == ABSTAIN
 
 
+def _surface(snippets, lex, quad=QUAD):
+    """The ``surface`` vote of ``quad`` on a corpus answering every query with ``snippets``."""
+    return run_coord_voter("surface", quad, FixedSnippets(snippets), lex, CoordVoteConfig())
+
+
 class TestSurface:
     def test_dash_suspension(self, small_lex):
         quad = CoordQuad("buy", "and", "sell", "orders")
-        d = coord_surface_vote(["buy- and sell orders"], quad, small_lex)
+        d = _surface(["buy- and sell orders"], small_lex, quad)
         assert d.label == NOUN_COORD
 
     def test_separator_after_pair(self, small_lex):
-        d = coord_surface_vote(["bar and pie: graph"], QUAD, small_lex)
+        d = _surface(["bar and pie: graph"], small_lex)
         assert d.label == NOUN_COORD
 
     def test_brackets_around_pair(self, small_lex):
-        d = coord_surface_vote(["(bar and pie) graph"], QUAD, small_lex)
+        d = _surface(["(bar and pie) graph"], small_lex)
         assert d.label == NOUN_COORD
-        d = coord_surface_vote(["bar and pie (graph)"], QUAD, small_lex)
+        d = _surface(["bar and pie (graph)"], small_lex)
         assert d.label == NOUN_COORD
 
     def test_separator_isolating_first(self, small_lex):
-        d = coord_surface_vote(["bar, and pie graph"], QUAD, small_lex)
+        d = _surface(["bar, and pie graph"], small_lex)
         assert d.label == NP_COORD
 
     def test_brackets_isolating_first(self, small_lex):
-        d = coord_surface_vote(["(bar) and pie graph", "bar (and pie graph)"], QUAD, small_lex)
+        d = _surface(["(bar) and pie graph", "bar (and pie graph)"], small_lex)
         assert d.label == NP_COORD
         assert d.right_score == 2
 
     def test_no_cues_abstain(self, small_lex):
-        d = coord_surface_vote(["bar and pie graph"], QUAD, small_lex)
+        d = _surface(["bar and pie graph"], small_lex)
         assert d.label == ABSTAIN
+
+    def test_a_repeated_line_counts_once(self, tmp_path, small_lex):
+        line = "Bar and pie: graph."
+        once, twice = (
+            _vote("surface", IndexProvider(make_index(tmp_path, lines, name=name)), small_lex)
+            for name, lines in (("once.txt", [line]), ("twice.txt", [line, line]))
+        )
+        assert (once.label, once.left_score, once.right_score) == (NOUN_COORD, 1, 0)
+        assert twice == once
 
 
 class TestPipeline:

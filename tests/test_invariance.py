@@ -4,16 +4,16 @@ Every voter of the three voting tasks runs, through a recording
 provider, on a small seeded ``perfbench`` corpus and on three rewrites
 of it.  The original corpus is the reference, so no oracle is needed:
 
-- every line written twice: each count doubles and no label changes;
+- every line written twice: each count doubles, and no label and no
+  ``surface`` score changes;
 - lines shuffled: no count and no label changes;
 - lines upper-cased: no count changes, nor the label of any voter but
   ``surface``, whose capitalization cues read the raw case.
 
 On these corpora the snippet limit never binds, so a surface voter sees
-every matching sentence whatever the line order.  Bracketing's snippets
-are deduplicated by text, so a doubled corpus gives its ``surface``
-voter the same snippets; the other tasks' surface voters see each one
-twice, and their tallies double.
+every matching sentence whatever the line order.  Every task's snippets
+are deduplicated by text, so a doubled corpus gives each ``surface``
+voter the same snippets, and its scores stay the same.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ TASKS = {
 
 @pytest.fixture(scope="module")
 def decide(tmp_path_factory):
-    """(workload, rewrite) -> {(item number, voter): (label, [(query, count), ...])}."""
+    """(workload, rewrite) -> {(item number, voter): (item kind, decision, counts)},
+    where counts are the voter's [(query, count), ...] in order."""
     lex = datasets.default_lexicon()
     done = {}
 
@@ -78,7 +79,7 @@ def decide(tmp_path_factory):
                 for name in voters:
                     recorder.counts = []
                     d = run(name, item.args[0], recorder, lex)
-                    out[i, name] = (d.label, recorder.counts)
+                    out[i, name] = (item.kind, d, recorder.counts)
             done[workload, rewrite] = out
         return done[workload, rewrite]
 
@@ -86,11 +87,20 @@ def decide(tmp_path_factory):
 
 
 def _labels(decisions, skip=()):
-    return {key: label for key, (label, _counts) in decisions.items() if key[1] not in skip}
+    return {key: d.label for key, (_kind, d, _counts) in decisions.items() if key[1] not in skip}
 
 
 def _counts(decisions):
-    return {key: counts for key, (_label, counts) in decisions.items()}
+    return {key: counts for key, (_kind, _d, counts) in decisions.items()}
+
+
+def _surface_scores(decisions):
+    """Item kind -> {item number: the ``surface`` voter's scores}."""
+    out = {}
+    for (i, name), (kind, d, _counts) in decisions.items():
+        if name == "surface":
+            out.setdefault(kind, {})[i] = (d.left_score, d.right_score)
+    return out
 
 
 @pytest.mark.parametrize("workload", sorted(SENTENCES))
@@ -106,6 +116,15 @@ def test_doubled_lines_double_every_count_and_keep_every_label(workload, decide)
     twice = {k: [(query, 2 * n) for query, n in counts] for k, counts in _counts(base).items()}
     assert _counts(doubled) == twice
     assert _labels(doubled) == _labels(base)
+
+
+@pytest.mark.parametrize("workload", sorted(SENTENCES))
+def test_doubled_lines_keep_every_surface_score(workload, decide):
+    base, doubled = _surface_scores(decide(workload)), _surface_scores(decide(workload, "doubled"))
+    assert sorted(base) == {"bracket": ["bracket"], "attach": ["coord", "pp"]}[workload]
+    # Each task has cues to double.
+    assert all(any(map(any, scores.values())) for scores in base.values())
+    assert doubled == base
 
 
 @pytest.mark.parametrize("workload", sorted(SENTENCES))

@@ -15,9 +15,11 @@ from npstruct.paraphrase import (
     NONVERBAL_PREPOSITIONS,
     VERBAL_PREPOSITIONS,
     ParaphraseInventory,
+    _families,
     paraphrase_decision,
 )
 from tests.conftest import (
+    CountRecorder,
     generate_bracketing_queries,
     make_provider,
     naive_count,
@@ -99,6 +101,18 @@ def test_decision_abstains_without_evidence(tmp_path, small_lex):
     provider = make_provider(tmp_path, ["completely unrelated text"])
     d = paraphrase_decision(provider, TRIPLE, ParaphraseInventory(), small_lex)
     assert d.label == ABSTAIN
+
+
+def test_every_left_family_is_counted_before_the_right_ones(tmp_path, small_lex):
+    inv = ParaphraseInventory()
+    recorder = CountRecorder(make_provider(tmp_path, ["cells from the bone marrow"]))
+    d = paraphrase_decision(recorder, TRIPLE, inv, small_lex)
+    left, right = _families(TRIPLE, inv, small_lex)
+    assert [query for query, _n in recorder.counts] == left + right
+    # One family per inflection of the head, in sorted order.
+    heads = [frozenset({t3}) for t3 in sorted(inflections(small_lex, "cells"))]
+    assert [q.phrase[0] for q in left] == [q.phrase[1] for q in right] == heads
+    assert (d.label, d.left_score, d.right_score) == (LEFT, 1, 0)
 
 
 def _oracle_scores(lines, triple, inv, lex):

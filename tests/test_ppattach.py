@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from npstruct import datasets
-from npstruct.corpus import CountQuery, MappingProvider
+from npstruct.corpus import CountQuery, IndexProvider, MappingProvider
 from npstruct.datasets import PP_ATTACHMENT
 from npstruct.decisions import ABSTAIN, NOUN, VERB
 from npstruct.morphology import inflections
@@ -20,10 +20,9 @@ from npstruct.ppattach import (
     pp_bootstrap,
     pp_heuristic,
     pp_pipeline,
-    pp_surface_vote,
     run_pp_voter,
 )
-from tests.conftest import CountRecorder, make_provider
+from tests.conftest import CountRecorder, FixedSnippets, make_index, make_provider
 
 QUAD = PPQuad("meet", "demands", "from", "customers")
 
@@ -213,21 +212,26 @@ class TestBackoff:
         assert d.label == ABSTAIN and d.note == "unseen preposition"
 
 
+def _surface(snippets, lex, quad=QUAD):
+    """The ``surface`` vote of ``quad`` on a corpus answering every query with ``snippets``."""
+    return _vote("surface", FixedSnippets(snippets), lex, quad)
+
+
 class TestSurface:
     def test_punctuation_votes(self, small_lex):
-        noun = pp_surface_vote(["They meet, demands from customers."], QUAD, small_lex)
+        noun = _surface(["They meet, demands from customers."], small_lex)
         assert noun.label == NOUN
-        verb = pp_surface_vote(["They meet demands, from customers."], QUAD, small_lex)
+        verb = _surface(["They meet demands, from customers."], small_lex)
         assert verb.label == VERB
 
     def test_bracket_votes(self, small_lex):
-        noun = pp_surface_vote(["meet (demands from customers)"], QUAD, small_lex)
+        noun = _surface(["meet (demands from customers)"], small_lex)
         assert noun.label == NOUN
-        verb = pp_surface_vote(["(meet demands) from customers"], QUAD, small_lex)
+        verb = _surface(["(meet demands) from customers"], small_lex)
         assert verb.label == VERB
-        noun = pp_surface_vote(["(meet) demands from customers"], QUAD, small_lex)
+        noun = _surface(["(meet) demands from customers"], small_lex)
         assert noun.label == NOUN
-        verb = pp_surface_vote(["meet demands (from customers)"], QUAD, small_lex)
+        verb = _surface(["meet demands (from customers)"], small_lex)
         assert verb.label == VERB
 
     def test_n2_must_end_its_word(self, small_lex):
@@ -240,18 +244,27 @@ class TestSurface:
             "(meet demands) from customerbase",
             "meet demands, from customerbase",
         ):
-            assert pp_surface_vote([snippet], quad, small_lex).label == ABSTAIN, snippet
+            assert _surface([snippet], small_lex, quad).label == ABSTAIN, snippet
 
     def test_capitalization_votes(self, small_lex):
         quad = PPQuad("meet", "board", "with", "members")
-        noun = pp_surface_vote(["meet Board with members"], quad, small_lex)
+        noun = _surface(["meet Board with members"], small_lex, quad)
         assert noun.label == NOUN
-        verb = pp_surface_vote(["meet demands From customers"], QUAD, small_lex)
+        verb = _surface(["meet demands From customers"], small_lex)
         assert verb.label == VERB
 
     def test_no_cues_abstain(self, small_lex):
-        d = pp_surface_vote(["meet demands from customers"], QUAD, small_lex)
+        d = _surface(["meet demands from customers"], small_lex)
         assert d.label == ABSTAIN
+
+    def test_a_repeated_line_counts_once(self, tmp_path, small_lex):
+        line = "They meet, demands from customers."
+        once, twice = (
+            _vote("surface", IndexProvider(make_index(tmp_path, lines, name=name)), small_lex)
+            for name, lines in (("once.txt", [line]), ("twice.txt", [line, line]))
+        )
+        assert (once.label, once.left_score, once.right_score) == (NOUN, 1, 0)
+        assert twice == once
 
 
 class TestPipeline:

@@ -1,14 +1,19 @@
-"""Orthographic snippet features, and the direct-count bracketing voters
-run by name through ``bracketer.run_voter``."""
+"""The surface cue voter of all three tasks, bracketing's cue table, and
+the direct-count bracketing voters run by name through
+``bracketer.run_voter``."""
+
+import hashlib
 
 import pytest
 
+from npstruct import coordination, datasets, ppattach, surface
 from npstruct.assoc import NounTriple
-from npstruct.bracketer import VoteConfig, run_voter
-from npstruct.corpus import CountQuery, MappingProvider
+from npstruct.bracketer import BRACKET_CUES, VoteConfig, capitalization_excluded, run_voter
+from npstruct.corpus import CountQuery, IndexProvider, MappingProvider, build_index
 from npstruct.decisions import ABSTAIN, LEFT, RIGHT
 from npstruct.morphology import MorphLexicon, inflections
-from npstruct.surface import capitalization_excluded, surface_vote
+from perfbench import inputs
+from tests.conftest import make_provider
 
 TRIPLE = NounTriple("brain", "stem", "cells")
 
@@ -19,8 +24,8 @@ def lex(small_lex):
 
 
 def _features(snippets, lex, triple=TRIPLE):
-    decision, tally = surface_vote(snippets, triple, lex)
-    return decision, tally
+    i1, i2, i3 = (inflections(lex, w) for w in triple.words())
+    return surface.cue_vote(snippets, {"w1": i1, "w2": i2, "w3": i3}, BRACKET_CUES)
 
 
 class TestSnippetFeatures:
@@ -85,6 +90,77 @@ class TestSnippetFeatures:
         )
         assert d.label == LEFT
         assert d.left_score == 2 and d.right_score == 1
+
+
+class TestEngine:
+    def test_snippets_drop_repeated_texts_then_cut_to_the_limit(self, tmp_path, monkeypatch):
+        provider = make_provider(tmp_path, ["a b", "a b", "x d", "y d", "z d"])
+        queries = [CountQuery.of("a", "b"), CountQuery.of("d")]
+        assert surface.snippets(provider, queries) == ["a b", "x d", "y d", "z d"]
+        assert surface.snippets(provider, queries[::-1]) == ["x d", "y d", "z d", "a b"]
+        # The repeat is dropped before the merged list is cut to the limit.
+        monkeypatch.setattr(surface, "SNIPPET_LIMIT", 2)
+        assert surface.snippets(provider, queries) == ["a b", "x d"]
+        assert surface.snippets(provider, queries[::-1]) == ["x d", "y d"]
+
+    def test_a_slot_matches_each_of_its_forms_literally(self):
+        table = surface.CueTable(("x", "y"), {"pair": ((r"\b{a}-{b}\b",), (r"\b{b}-{a}\b",))})
+        words = {"a": {"c++", "cxx"}, "b": {"go"}}
+        d, tally = surface.cue_vote(["c++-go", "go-cxx", "cxx-go", "cx-go"], words, table)
+        assert tally == {"pair": (2, 1)}
+        assert (d.label, d.left_score, d.right_score) == ("x", 2, 1)
+
+    def test_no_text_abstains_with_an_empty_tally(self):
+        d, tally = surface.cue_vote([], {"w1": {"a"}, "w2": {"b"}, "w3": {"c"}}, BRACKET_CUES)
+        assert d.label == ABSTAIN
+        assert tally == dict.fromkeys([*BRACKET_CUES.cues, "capitalization"], (0, 0))
+
+
+# sha256 over every (voter, item key, label, scores, note) record of the
+# task's ``surface`` voter, keyed by task and by the seed of the
+# ``perfbench`` corpus it reads: the bundled triples over a bracket
+# corpus, and the PP and coordination items of the ``attach_corpus``
+# fixture.  Scores are compared as floats.  A deliberate change to a cue
+# table or to the snippet policy recomputes the digests.
+SURFACE_DIGESTS = {
+    ("bracket", 1): "9d5e3bce186b6feb97367f47b969cefb2c3ce8cd8237bf7b3e5838d9e43405e2",
+    ("bracket", 1001): "11dfd06f7c6b9e7c96c09f611c2bb487ab414d6515fc9bfc1c0fd3dbfb4bd526",
+    ("pp", 1): "e4aa7e4540cad404a01e266f69c16d8e2fbc2a206dbbdce21e60fa5bcb24c72a",
+    ("pp", 1001): "d3a75f4f3848a828e2d696b3a8926d1a77f4dac9e332f1cc6cc414c2768117c7",
+    ("coord", 1): "ac40a354bbf7e2c9e4f8847f3bd71f7ca953e74af8f7fd75e0f5d74ae2badf2f",
+    ("coord", 1001): "8cc91d0b1c06875e3f0fa198e14028a89a196df8598bddb7c36ea6ccc9f8cb81",
+}
+
+RUN_SURFACE = {
+    "bracket": lambda item, provider, lex: run_voter("surface", item, provider, lex, VoteConfig()),
+    "pp": lambda item, provider, lex: ppattach.run_pp_voter(
+        "surface", item, provider, lex, ppattach.PPVoteConfig()
+    ),
+    "coord": lambda item, provider, lex: coordination.run_coord_voter(
+        "surface", item, provider, lex, coordination.CoordVoteConfig()
+    ),
+}
+
+
+@pytest.mark.parametrize(("task", "seed"), sorted(SURFACE_DIGESTS))
+def test_surface_voters_match_their_recorded_digest(task, seed, tmp_path, attach_corpus):
+    if task == "bracket":
+        corpus = tmp_path / "corpus.txt"
+        inputs.generate("bracket", seed).write_corpus(corpus)
+        provider = IndexProvider(build_index(corpus))
+        items = [(t.words(), t) for t, _ in datasets.biomedical_bracketing()]
+        assert len(items) == 429
+    else:
+        generated, provider = attach_corpus(seed)
+        items = [(item.key, item.args[0]) for item in generated if item.kind == task]
+        assert len(items) == 428
+    lex = datasets.default_lexicon()
+    digest = hashlib.sha256()
+    for key, item in items:
+        d = RUN_SURFACE[task](item, provider, lex)
+        scores = (float(d.left_score), float(d.right_score))
+        digest.update(repr(("surface", key, d.label, scores, d.note)).encode())
+    assert digest.hexdigest() == SURFACE_DIGESTS[task, seed]
 
 
 def _run(name, provider, lex, triple=TRIPLE):
