@@ -13,7 +13,7 @@ code 2.
 
 Example:
     python3 scripts/ablation.py bracket --index corpus.idx --default right
-    python3 scripts/ablation.py coord --index corpus.idx --threshold 2
+    python3 scripts/ablation.py coord --index corpus.idx --voters h1,number-agreement
     python3 scripts/ablation.py ppattach --index corpus.idx --dataset quads.tsv
 """
 
@@ -34,8 +34,8 @@ def ablate(argv: list[str]) -> int:
         raise cli.SystemExit_(f"not a voting subcommand: {args.command}")
 
     voters = cli.voter_names(args)
-    runs = {name: task.decider(args, (name,), None) for name in voters}
-    runs["ensemble"] = task.decider(args, voters, cli.default_label(args))
+    runs = {name: cli.decider(args, (name,), None) for name in voters}
+    runs["ensemble"] = cli.decider(args, voters, cli.default_label(args))
     lex = cli.load_lexicon(args.lexicon)
     rows = task.rows.load(args.dataset)
     provider = IndexProvider(CorpusIndex.load(args.index))

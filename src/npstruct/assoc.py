@@ -112,15 +112,14 @@ def assoc_bracketing(
     provider: CountProvider,
     lex: MorphLexicon,
     triple: NounTriple,
-    margin: float = 0.0,
 ) -> Decision:
     """Bracket a triple by one association score under one comparison model.
 
     ``model`` is ``adjacency`` or ``dependency``; the left score is the
     association of (w1, w2) in both, the right score is (w2, w3) for
     adjacency and (w1, w3) for dependency.  A stronger left association
-    predicts left bracketing, and ties within ``margin`` abstain, as do
-    scores with a zero marginal or a degenerate table.
+    predicts left bracketing, and ties abstain, as do scores with a zero
+    marginal or a degenerate table.
     """
     if model not in ("adjacency", "dependency"):
         raise ValueError(f"unknown model {model!r}")
@@ -131,4 +130,4 @@ def assoc_bracketing(
         right = assoc_score(kind, provider, lex, *second)
     except (ZeroMarginalError, DegenerateTableError) as exc:
         return abstain(str(exc))
-    return compare(left, right, LEFT, RIGHT, margin)
+    return compare(left, right, LEFT, RIGHT)

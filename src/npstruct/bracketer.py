@@ -39,12 +39,9 @@ class VoteConfig:
 
     voters: tuple[str, ...] = DEFAULT_VOTERS
     default: str | None = LEFT
-    margin: float = 0.0
 
     def __post_init__(self) -> None:
         check_voters(self.voters, VOTERS)
-        if self.margin < 0:
-            raise ValueError("margin must be nonnegative")
 
 
 ROMAN_NUMERAL = re.compile(r"^[ivxlcdm]+$", re.IGNORECASE)
@@ -152,7 +149,7 @@ BRACKET_CUES = CueTable(
 
 
 def _assoc(kind, model, triple, provider, lex, config, inventory) -> Decision:
-    return assoc.assoc_bracketing(kind, model, provider, lex, triple, config.margin)
+    return assoc.assoc_bracketing(kind, model, provider, lex, triple)
 
 
 def _direct(name, triple, provider, lex, config, inventory) -> Decision:
@@ -162,7 +159,7 @@ def _direct(name, triple, provider, lex, config, inventory) -> Decision:
 
 
 def _paraphrases(triple, provider, lex, config, inventory) -> Decision:
-    inv = inventory or paraphrase.ParaphraseInventory()
+    inv = inventory or paraphrase.DEFAULT_INVENTORY
     return paraphrase.paraphrase_decision(provider, triple, inv, lex)
 
 

@@ -10,64 +10,28 @@ from typing import Callable
 
 from . import bracketer, coordination, datasets, ppattach, relsim, stats
 from .corpus import CorpusIndex, IndexProvider, IngestConfig, build_index
+from .decisions import VoteResult
 from .morphology import MorphLexicon
-from .paraphrase import ParaphraseInventory
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
 
 
-def _bracketer(args, voters: tuple[str, ...], default: str | None):
-    inv = (
-        ParaphraseInventory.load(args.inventory)
-        if args.inventory
-        else datasets.default_inventory()
-    )
-    config = bracketer.VoteConfig(voters=voters, default=default, margin=args.margin)
-    return lambda items, provider, lex: [
-        bracketer.bracket(t, provider, lex, config, inv) for t in items
-    ]
-
-
-def _pp_attacher(args, voters: tuple[str, ...], default: str | None):
-    config = ppattach.PPVoteConfig(voters=voters, default=default)
-    if args.bootstrap:
-        return lambda items, provider, lex: ppattach.pp_bootstrap(
-            items, provider, lex, config
-        )[0]
-    return lambda items, provider, lex: [
-        ppattach.pp_pipeline(q, provider, lex, config) for q in items
-    ]
-
-
-def _coordinator(args, voters: tuple[str, ...], default: str | None):
-    config = coordination.CoordVoteConfig(
-        voters=voters, default=default, threshold=args.threshold
-    )
-    return lambda items, provider, lex: [
-        coordination.coord_pipeline(q, provider, lex, config) for q in items
-    ]
-
-
 @dataclass(frozen=True)
 class Task:
-    """A voting subcommand: its dataset rows, config, flags and report.
+    """A voting subcommand: its dataset rows, config, pipeline and report.
 
     The config class's defaults are the defaults of ``--voters`` and
     ``--default``, and the row format's labels are the choices of
-    ``--default``.  ``decider(args, voters, default)`` builds the
-    config, which rejects unknown voters and a bad ``--margin`` or
-    ``--threshold``, and returns a function deciding a list of items
-    against a provider and a lexicon.
-    A report line holds the item's dataset columns, the per-voter labels
-    when ``show_votes`` is set, and the final label.
+    ``--default``.  ``pipeline(item, provider, lexicon, config)`` votes
+    one item.  A report line holds the item's dataset columns, the
+    per-voter labels when ``show_votes`` is set, and the final label.
     """
 
     help: str
     rows: datasets.RowFormat
     config: type
-    flags: tuple[tuple[str, dict], ...]
-    decider: Callable
+    pipeline: Callable[..., VoteResult]
     show_votes: bool = False
 
 
@@ -76,28 +40,41 @@ TASKS = {
         "bracket three-word compounds",
         datasets.BRACKETING,
         bracketer.VoteConfig,
-        (
-            ("--margin", {"type": float, "default": 0.0}),
-            ("--inventory", {"default": None}),
-        ),
-        _bracketer,
+        bracketer.bracket,
         show_votes=True,
     ),
     "ppattach": Task(
         "resolve PP attachment",
         datasets.PP_ATTACHMENT,
         ppattach.PPVoteConfig,
-        (("--bootstrap", {"action": "store_true"}),),
-        _pp_attacher,
+        ppattach.pp_pipeline,
     ),
     "coord": Task(
         "resolve coordination scope",
         datasets.COORDINATION,
         coordination.CoordVoteConfig,
-        (("--threshold", {"type": int, "default": 1}),),
-        _coordinator,
+        coordination.coord_pipeline,
     ),
 }
+
+
+def decider(args, voters: tuple[str, ...], default: str | None) -> Callable:
+    """``args.command``'s function deciding a list of items against a provider and a lexicon.
+
+    The task's config is built here, so an unknown or repeated voter
+    fails before the dataset and the index are read.  ``ppattach
+    --bootstrap`` decides with ``ppattach.pp_bootstrap``; every other
+    run votes each item with the task's pipeline.
+    """
+    task = TASKS[args.command]
+    config = task.config(voters=voters, default=default)
+    if args.bootstrap:
+        return lambda items, provider, lex: ppattach.pp_bootstrap(
+            items, provider, lex, config
+        )[0]
+    return lambda items, provider, lex: [
+        task.pipeline(item, provider, lex, config) for item in items
+    ]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,8 +112,10 @@ def build_parser() -> _Parser:
             default=defaults.default,
         )
         p.add_argument("--voters", default=",".join(defaults.voters))
-        for flag, options in task.flags:
-            p.add_argument(flag, **options)
+        if command == "ppattach":
+            p.add_argument("--bootstrap", action="store_true")
+        else:
+            p.set_defaults(bootstrap=False)
 
     p = sub.add_parser("relsim", help="dump joining features for noun pairs")
     p.add_argument("--index", required=True)
@@ -222,7 +201,7 @@ def default_label(args) -> str | None:
 def _cmd_vote(args) -> int:
     task = TASKS[args.command]
     lex = load_lexicon(args.lexicon)
-    decide = task.decider(args, voter_names(args), default_label(args))
+    decide = decider(args, voter_names(args), default_label(args))
     rows = task.rows.load(args.dataset)
     _create_output(args.report)
     provider = IndexProvider(CorpusIndex.load(args.index))

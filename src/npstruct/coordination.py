@@ -8,7 +8,7 @@ apply determiner and same-word heuristics, check number agreement,
 and scan raw snippets for separating punctuation.  The collocation
 voters are the ``COUNTS`` table of query pairs, scored by
 ``decisions.compare_counts``; the rewrites are the ``PARAPHRASES``
-table, each a label and one query checked against a threshold.
+table, each a label and one query that any match confirms.
 """
 
 from __future__ import annotations
@@ -74,8 +74,7 @@ COUNTS: dict[str, Callable[..., tuple[list[CountQuery], list[CountQuery]]]] = {
 }
 
 # Paraphrase voter -> (the label a match confirms, its query over n1 c n2
-# and the head's inflection set ih).  A count below the threshold yields
-# the opposite label.
+# and the head's inflection set ih).  No match yields the opposite label.
 PARAPHRASES: dict[str, tuple[str, Callable[..., CountQuery]]] = {
     "coord-paraphrase-1": (NOUN_COORD, lambda n1, c, n2, ih: _of(n2, c, n1, ih)),
     "coord-paraphrase-2": (NP_COORD, lambda n1, c, n2, ih: _of(n2, ih, c, n1)),
@@ -158,12 +157,9 @@ class CoordVoteConfig:
 
     voters: tuple[str, ...] = DEFAULT_COORD_VOTERS
     default: str | None = NP_COORD
-    threshold: int = 1
 
     def __post_init__(self) -> None:
         check_voters(self.voters, VOTERS)
-        if self.threshold < 1:
-            raise ValueError("threshold must be >= 1")
 
 
 # Each voter takes its variant argument, if any, then
@@ -176,10 +172,10 @@ def _ngram(name, quad, provider, lex, config) -> Decision:
 
 
 def _paraphrase(name, quad, provider, lex, config) -> Decision:
-    """Enough matches confirm the paraphrase's label; too few give the opposite one."""
+    """A match confirms the paraphrase's label; none gives the opposite one."""
     label, query = PARAPHRASES[name]
     count = provider.count(query(quad.n1, quad.c, quad.n2, inflections(lex, quad.h)))
-    if count >= config.threshold:
+    if count:
         return Decision(label, count, 0)
     return Decision(_opposite(label), 0, count, note="below threshold")
 

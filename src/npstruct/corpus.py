@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-import string
 import sys
 import zlib
 from array import array
@@ -38,13 +37,14 @@ from typing import Iterable, Protocol
 
 _MAGIC = b"NPSX"
 _FORMAT_VERSION = 4
-# A token is a run of these characters; every other character separates tokens.
-_WORD_CHARS = frozenset(string.ascii_letters + string.digits)
-_WORD_RE = re.compile(r"[A-Za-z0-9]+")
+# A token is a run of the characters in this regex class; every other
+# character separates tokens.  The three patterns below are built from it.
+_WORD_CLASS = "A-Za-z0-9"
+_WORD_RE = re.compile(f"[{_WORD_CLASS}]+")
 # A token with the separator run before it, or else a sentence's trailing run.
-_PIECE_RE = re.compile(r"[^A-Za-z0-9]*[A-Za-z0-9]+|[^A-Za-z0-9]+")
+_PIECE_RE = re.compile(f"[^{_WORD_CLASS}]*[{_WORD_CLASS}]+|[^{_WORD_CLASS}]+")
 # The separator run of each piece, in pieces joined by newlines.
-_RUN_RE = re.compile(r"([^A-Za-z0-9\n]*)[A-Za-z0-9]+")
+_RUN_RE = re.compile(f"([^{_WORD_CLASS}\\n]*)[{_WORD_CLASS}]+")
 # File order of the sections; each is a CorpusIndex constructor argument.
 _SECTIONS = (
     "provenance", "vocab", "tag_vocab", "spellings", "separators", "stream", "starts",
@@ -582,7 +582,7 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
                 tags.extend([tag_ids[tag]] * len(_WORD_RE.findall(word)))
             line = " ".join(words)
         found = _PIECE_RE.findall(line)
-        trail = found.pop() if found[-1][-1] not in _WORD_CHARS else ""
+        trail = "" if _WORD_RE.match(line, len(line) - 1) else found.pop()
         pieces.extend(map(piece_ids.__getitem__, found))
         if len(pieces) > starts[-1]:
             trails.append(run_ids[trail])

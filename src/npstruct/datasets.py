@@ -11,7 +11,7 @@ from .assoc import NounTriple
 from .coordination import CoordQuad
 from .decisions import LEFT, NOUN, NOUN_COORD, NP_COORD, RIGHT, VERB
 from .morphology import MorphLexicon
-from .paraphrase import ParaphraseInventory
+from .paraphrase import DEFAULT_INVENTORY, ParaphraseInventory
 from .ppattach import PPQuad
 
 T = TypeVar("T")
@@ -92,5 +92,5 @@ def default_lexicon() -> MorphLexicon:
 
 
 def default_inventory() -> ParaphraseInventory:
-    """The default paraphrase inventory: ``paraphrase``'s word lists."""
-    return ParaphraseInventory()
+    """The default paraphrase inventory: ``paraphrase``'s word lists, one shared instance."""
+    return DEFAULT_INVENTORY

@@ -1,12 +1,11 @@
 """Tri-valued decisions and the majority vote shared by all tasks.
 
 Each voter compares a left-hand and a right-hand evidence score; the
-winning side's task label is emitted, and ties (within an optional
-margin) abstain.  A count voter's two sides are lists of queries,
-scored by ``count_sides`` and compared by ``compare_counts``.  ``vote``
-runs a task's voters on one item and combines their decisions by
-majority.  A voter is named only by its key in its task's ``VOTERS``
-registry.
+winning side's task label is emitted, and ties abstain.  A count
+voter's two sides are lists of queries, scored by ``count_sides`` and
+compared by ``compare_counts``.  ``vote`` runs a task's voters on one
+item and combines their decisions by majority.  A voter is named only
+by its key in its task's ``VOTERS`` registry.
 """
 
 from __future__ import annotations
@@ -50,12 +49,11 @@ def compare(
     right_score: float,
     left_label: str,
     right_label: str,
-    margin: float = 0.0,
 ) -> Decision:
-    """Pick the side whose score exceeds the other by more than ``margin``."""
-    if left_score - right_score > margin:
+    """Pick the side with the higher score; a tie abstains."""
+    if left_score > right_score:
         label = left_label
-    elif right_score - left_score > margin:
+    elif right_score > left_score:
         label = right_label
     else:
         label = ABSTAIN

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from pathlib import Path
 
 from .assoc import NounTriple
 from .corpus import MAX_GAP, CountProvider, CountQuery
@@ -72,39 +71,10 @@ class ParaphraseInventory:
         for name in ("prepositions", "determiners", "complementizers", "copulas"):
             object.__setattr__(self, name, tuple(w.lower() for w in getattr(self, name)))
 
-    @classmethod
-    def load(cls, path: str | Path) -> "ParaphraseInventory":
-        """Read a sectioned inventory file.
 
-        Sections are headed ``[prep]``, ``[verbal-prep]``, ``[det]``,
-        ``[compl]``, ``[be]``; one item per line.  Another header, or an
-        item before the first header, is a ``ValueError`` naming its line.
-        """
-        sections: dict[str, list[str]] = {}
-        current: list[str] | None = None
-        for lineno, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                if line[1:-1] not in ("prep", "verbal-prep", "det", "compl", "be"):
-                    raise ValueError(f"unknown inventory section {line} on line {lineno}")
-                current = sections.setdefault(line[1:-1], [])
-            elif current is not None:
-                current.append(line)
-            else:
-                raise ValueError(
-                    f"inventory item {line!r} outside any section on line {lineno}"
-                )
-        preps = tuple(sections.get("prep", ())) + tuple(sections.get("verbal-prep", ()))
-        return cls(
-            prepositions=preps or NONVERBAL_PREPOSITIONS + VERBAL_PREPOSITIONS,
-            determiners=tuple(sections.get("det", DETERMINERS)),
-            complementizers=tuple(sections.get("compl", COMPLEMENTIZERS)),
-            copulas=tuple(sections.get("be", COPULAS)),
-        )
+# The default inventory, built once: a ``_middles`` cache hit on the same
+# instance matches it by identity instead of comparing its word lists.
+DEFAULT_INVENTORY = ParaphraseInventory()
 
 
 def _copula_agrees(copula: str, head: str, lex: MorphLexicon) -> bool:

@@ -29,8 +29,9 @@ def wilson_interval(correct: int, total: int, level: float = 0.95) -> tuple[floa
     denom = 1 + z * z / total
     center = (p + z * z / (2 * total)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / total + z * z / (4 * total * total))
-    # Clamp floating-point spill: the interval lies in [0, 1] by construction.
-    return (max(0.0, center - half), min(1.0, center + half))
+    # Clamp floating-point spill: by construction the interval lies in
+    # [0, 1] and holds p (at p = 0 the lower bound can come out 1e-18).
+    return (max(0.0, min(center - half, p)), min(1.0, max(center + half, p)))
 
 
 def chi2_sf1(x: float) -> float:

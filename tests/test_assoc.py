@@ -112,20 +112,21 @@ def test_zero_marginal_errors(tmp_path, small_lex):
         assoc_score("pmi", provider, small_lex, "missing", "stem")
 
 
-def _freq(model, left, right, margin=0.0):
+def _freq(model, left, right):
     """Bracket alpha beta gamma by frequency from the two pairs' counts."""
     second = "beta gamma|gammas" if model == "adjacency" else "alpha gamma|gammas"
     provider = MappingProvider({"alpha beta|betas": left, second: right}, total_tokens=100)
     triple = NounTriple("alpha", "beta", "gamma")
-    return assoc_bracketing("freq", model, provider, MorphLexicon(), triple, margin)
+    return assoc_bracketing("freq", model, provider, MorphLexicon(), triple)
 
 
 def test_assoc_bracketing_labels_and_margin():
     assert _freq("adjacency", 5, 3).label == LEFT
     assert _freq("adjacency", 3, 5).label == RIGHT
     assert _freq("dependency", 4, 4).label == ABSTAIN
-    assert _freq("adjacency", 5, 3, margin=2).label == ABSTAIN
-    assert _freq("adjacency", 6, 3, margin=2).label == LEFT
+    # No margin: a difference of one count decides.
+    assert _freq("adjacency", 4, 3).label == LEFT
+    assert _freq("dependency", 3, 4).label == RIGHT
     with pytest.raises(ValueError, match="unknown model"):
         _freq("sideways", 1, 0)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npstruct import datasets
+from npstruct import datasets, paraphrase
 from npstruct.assoc import NounTriple
 from npstruct.bracketer import (
     DEFAULT_VOTERS,
@@ -39,12 +39,18 @@ def test_config_rejects_duplicate_voters():
         VoteConfig(voters=("genitive", "genitive", "reorder"))
 
 
-def test_config_rejects_negative_margin():
-    with pytest.raises(ValueError, match="margin must be nonnegative"):
-        VoteConfig(margin=-1)
-    # Checked when built, whichever voters run.
-    with pytest.raises(ValueError, match="margin must be nonnegative"):
-        VoteConfig(voters=("surface",), margin=-0.5)
+def test_paraphrases_without_an_inventory_use_the_shared_default(tmp_path, small_lex, monkeypatch):
+    provider = make_provider(tmp_path, ["cells from the brain stem"])
+    config = VoteConfig(voters=("paraphrases",), default=None)
+    expected = bracket(TRIPLE, provider, small_lex, config, datasets.default_inventory())
+
+    def build(self):
+        raise AssertionError("built a new inventory")
+
+    monkeypatch.setattr(paraphrase.ParaphraseInventory, "__post_init__", build)
+    assert datasets.default_inventory() is paraphrase.DEFAULT_INVENTORY
+    assert bracket(TRIPLE, provider, small_lex, config) == expected
+    assert expected.final.label == LEFT
 
 
 def test_run_voter_turns_zero_marginal_into_abstention(small_lex):
@@ -161,15 +167,6 @@ def test_bracket_falls_to_default_on_silence(small_lex):
         TRIPLE, provider, small_lex, VoteConfig(voters=voters, default=None)
     )
     assert no_default.final.label == ABSTAIN
-
-
-def test_margin_applies_to_association_voters(tmp_path, small_lex):
-    lines = ["brain stem"] * 4 + ["stem cells"] * 2
-    provider = make_provider(tmp_path, lines)
-    config = VoteConfig(voters=("freq-adjacency",), default=None, margin=5)
-    assert bracket(TRIPLE, provider, small_lex, config).final.label == ABSTAIN
-    config = VoteConfig(voters=("freq-adjacency",), default=None, margin=0)
-    assert bracket(TRIPLE, provider, small_lex, config).final.label == LEFT
 
 
 LABELS = st.sampled_from([LEFT, RIGHT, ABSTAIN])

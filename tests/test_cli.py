@@ -5,7 +5,11 @@ from pathlib import Path
 import pytest
 
 from npstruct.cli import run
-from npstruct.corpus import _HEADER, _SECTIONS
+from npstruct.corpus import _HEADER, _SECTIONS, CorpusIndex, IndexProvider
+from npstruct.datasets import default_lexicon
+from npstruct.decisions import NOUN
+from npstruct.ppattach import pp_bootstrap
+from perfbench import inputs
 
 
 @pytest.fixture
@@ -97,7 +101,6 @@ class TestExitCodes:
             ["bracket", "--dataset", "{dataset}", "--index"],
             ["bracket", "--index", "{index}", "--dataset"],
             ["bracket", "--index", "{index}", "--dataset", "{dataset}", "--lexicon"],
-            ["bracket", "--index", "{index}", "--dataset", "{dataset}", "--inventory"],
             ["relsim", "--index", "{index}", "--out", "{tmp}/f.tsv", "--pairs"],
             ["semeval", "--test", "{examples}", "--train"],
             ["semeval", "--train", "{examples}", "--test"],
@@ -142,14 +145,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, row, message",
         [
-            (["coord", "--voters", "h1", "--threshold", "0"],
-             "buses\tand\ttrains\tstation\tnoun", "threshold must be >= 1"),
-            (["bracket", "--voters", "surface", "--margin", "-1"],
-             "brain\tstem\tcells\tleft", "margin must be nonnegative"),
             (["bracket", "--voters", "genitive,genitive,reorder"],
              "brain\tstem\tcells\tleft", "duplicate voters: ['genitive']"),
         ],
-        ids=["threshold", "margin", "duplicate-voters"],
+        ids=["duplicate-voters"],
     )
     def test_setting_is_checked_before_the_index(self, tmp_path, capsys, argv, row, message):
         dataset = tmp_path / "rows.tsv"
@@ -157,6 +156,27 @@ class TestExitCodes:
         index = str(tmp_path / "missing.idx")
         assert run([*argv, "--index", index, "--dataset", str(dataset)]) == 2
         assert capsys.readouterr() == ("", f"{message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bracket", "--margin", "1"],
+            ["coord", "--threshold", "2"],
+            ["bracket", "--inventory", "x"],
+            ["ppattach", "--threshold", "2"],
+            ["coord", "--bootstrap"],
+        ],
+        ids=["bracket-margin", "coord-threshold", "bracket-inventory", "ppattach-threshold",
+             "coord-bootstrap"],
+    )
+    def test_no_voting_option_beyond_bootstrap(self, index_file, bracketing_dataset, capsys, argv):
+        """No voting subcommand takes a tie margin, a match threshold or an
+        inventory file, and only ``ppattach`` takes ``--bootstrap``."""
+        code = run([*argv, "--index", str(index_file), "--dataset", str(bracketing_dataset)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -304,6 +324,33 @@ class TestPPAttach:
         assert code == 0
         capsys.readouterr()
         assert report.read_text().strip().endswith("\tnoun")
+
+    def test_bootstrap_reports_the_second_vote(self, tmp_path, capsys):
+        # On this seeded corpus the second vote changes some labels.
+        generated = inputs.generate("attach", 1, 300)
+        corpus = tmp_path / "attach.txt"
+        generated.write_corpus(corpus)
+        idx = tmp_path / "attach.idx"
+        assert run(["index", "--corpus", str(corpus), "--out", str(idx)]) == 0
+        items = [item for item in generated.items if item.kind == "pp"]
+        quads = [item.args[0] for item in items]
+        tags = ["N" if item.gold == NOUN else "V" for item in items]
+        dataset = tmp_path / "quads.tsv"
+        dataset.write_text(
+            "".join(f"{q.v}\t{q.n1}\t{q.p}\t{q.n2}\t{tag}\n" for q, tag in zip(quads, tags)),
+            encoding="utf-8",
+        )
+        finals = {}
+        for flags in ([], ["--bootstrap"]):
+            report = tmp_path / "report.tsv"
+            argv = ["ppattach", "--index", str(idx), "--dataset", str(dataset), "--report", str(report)]
+            assert run([*argv, *flags]) == 0
+            finals[tuple(flags)] = [line.split("\t")[-1] for line in report.read_text().splitlines()]
+        capsys.readouterr()
+        provider = IndexProvider(CorpusIndex.load(idx))
+        results, _model = pp_bootstrap(quads, provider, default_lexicon())
+        assert finals[("--bootstrap",)] == [r.final.label for r in results]
+        assert finals[()] != finals[("--bootstrap",)]
 
 
 class TestCoord:
@@ -464,6 +511,20 @@ class TestEvalAndCompare:
         assert "2\t1\t1" in out
         assert "66.67" in out
         assert "75.00" in out
+
+    def test_eval_and_compare_score_a_report_like_its_summary(
+        self, index_file, bracketing_dataset, tmp_path, capsys
+    ):
+        report = tmp_path / "report.tsv"
+        argv = ["bracket", "--index", str(index_file), "--dataset", str(bracketing_dataset)]
+        assert run([*argv, "--report", str(report)]) == 0
+        summary = capsys.readouterr().out
+        assert run(["eval", "--gold", str(bracketing_dataset), "--pred", str(report)]) == 0
+        assert capsys.readouterr().out == "correct\twrong\tn/a\taccuracy\tcoverage\n" + summary
+        argv = ["compare", "--gold", str(bracketing_dataset), "--pred", f"bracket={report}"]
+        assert run(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "bracket\t" + summary.rstrip("\n")
 
     def test_eval_length_mismatch_is_data_error(self, tmp_path, capsys):
         gold = self._labels(tmp_path, "gold.tsv", ["left"])

@@ -29,8 +29,8 @@ def _key(*positions) -> str:
     return CountQuery.of(*positions).canonical()
 
 
-def _vote(name, provider, lex, threshold=1):
-    return run_coord_voter(name, QUAD, provider, lex, CoordVoteConfig(threshold=threshold))
+def _vote(name, provider, lex):
+    return run_coord_voter(name, QUAD, provider, lex, CoordVoteConfig())
 
 
 def test_quad_validation():
@@ -61,6 +61,7 @@ class TestNgramModels:
 
 class TestParaphrases:
     def test_patterns_confirm_with_enough_hits(self, small_lex):
+        # One match is enough.
         ih = inflections(small_lex, "graph")
         cases = {
             1: (_key("pie", "and", "bar", ih), NOUN_COORD),
@@ -69,7 +70,7 @@ class TestParaphrases:
             4: (_key("pie", ih, "and", "bar", ih), NOUN_COORD),
         }
         for pattern, (key, label) in cases.items():
-            provider = MappingProvider({key: 2})
+            provider = MappingProvider({key: 1})
             d = _vote(f"coord-paraphrase-{pattern}", provider, small_lex)
             assert d.label == label, pattern
 
@@ -78,18 +79,6 @@ class TestParaphrases:
         assert d.label == NP_COORD and d.note == "below threshold"
         d = _vote("coord-paraphrase-2", MappingProvider({}), small_lex)
         assert d.label == NOUN_COORD
-
-    def test_threshold_raises_the_bar(self, small_lex):
-        ih = inflections(small_lex, "graph")
-        provider = MappingProvider({_key("pie", "and", "bar", ih): 2})
-        low = _vote("coord-paraphrase-1", provider, small_lex, threshold=2)
-        assert low.label == NOUN_COORD
-        high = _vote("coord-paraphrase-1", provider, small_lex, threshold=3)
-        assert high.label == NP_COORD
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="threshold must be >= 1"):
-            CoordVoteConfig(threshold=0)
 
 
 class TestHeuristics:
@@ -210,11 +199,6 @@ class TestPipeline:
     def test_duplicate_voter(self):
         with pytest.raises(ValueError, match=r"duplicate voters: \['h1'\]"):
             CoordVoteConfig(voters=("h1", "ngram-i", "h1"))
-
-    def test_threshold_below_one_rejected_when_built(self):
-        # Checked whichever voters run, not only the paraphrase voters.
-        with pytest.raises(ValueError, match="threshold must be >= 1"):
-            CoordVoteConfig(voters=("h1",), threshold=0)
 
 
 COUNT_VOTERS = (

@@ -36,16 +36,6 @@ def test_inventory_sizes():
     assert len(COPULAS) == 4
 
 
-def test_inventory_rejects_orphan_items(tmp_path):
-    path = tmp_path / "inv.txt"
-    path.write_text("# prepositions\n\nof\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="outside any section on line 3"):
-        ParaphraseInventory.load(path)
-    path.write_text("[prep]\nof\n[preps]\nfrom\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"unknown inventory section \[preps\] on line 3"):
-        ParaphraseInventory.load(path)
-
-
 def test_left_queries_keep_first_pair_together(small_lex):
     left, _right = generate_bracketing_queries(TRIPLE, ParaphraseInventory(), small_lex)
     assert ("cells", "from", "the", "bone", "marrow") in left

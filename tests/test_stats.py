@@ -34,6 +34,11 @@ class TestIntervals:
         assert low >= 0.0
         _, high = wilson_interval(50, 50)
         assert high <= 1.0
+        # Unclamped, these spill past p: a lower bound of 8.7e-19 above 0
+        # and an upper bound just below 1.
+        assert wilson_interval(0, 429)[0] == 0.0
+        assert wilson_interval(13, 13)[1] == 1.0
+        assert EvalReport(0, 10, 0).summary() == "0\t10\t0\t0.00±0.00\t100.00"
 
     def test_z_quantile(self):
         from npstruct.stats import _z
@@ -56,6 +61,7 @@ def test_wilson_stays_inside_unit_interval(total, data):
     level = data.draw(st.sampled_from([0.5, 0.9, 0.95, 0.99, 0.999]))
     low, high = wilson_interval(correct, total, level)
     assert 0.0 <= low <= high <= 1.0
+    assert low <= correct / total <= high
 
 
 class TestChi2:
