@@ -7,7 +7,7 @@ runs against a local corpus index with true occurrence frequencies.
 """
 
 from .assoc import NounTriple, assoc_score
-from .bracketer import VoteConfig, bracket
+from .bracketer import bracket
 from .coordination import CoordQuad, coord_pipeline
 from .corpus import (
     CorpusIndex,
@@ -16,7 +16,7 @@ from .corpus import (
     MappingProvider,
     build_index,
 )
-from .decisions import Decision, majority_vote
+from .decisions import Decision, VoteConfig, majority_vote
 from .morphology import MorphLexicon, inflections, lemma
 from .paraphrase import ParaphraseInventory, paraphrase_decision
 from .ppattach import PPQuad, pp_pipeline
@@ -25,7 +25,6 @@ from .stats import EvalReport, evaluate, pearson_chi2, wilson_interval
 __all__ = [
     "NounTriple",
     "assoc_score",
-    "VoteConfig",
     "bracket",
     "CoordQuad",
     "coord_pipeline",
@@ -35,6 +34,7 @@ __all__ = [
     "MappingProvider",
     "build_index",
     "Decision",
+    "VoteConfig",
     "majority_vote",
     "MorphLexicon",
     "inflections",

@@ -109,9 +109,9 @@ def assoc_score(
 def assoc_bracketing(
     kind: str,
     model: str,
+    triple: NounTriple,
     provider: CountProvider,
     lex: MorphLexicon,
-    triple: NounTriple,
 ) -> Decision:
     """Bracket a triple by one association score under one comparison model.
 

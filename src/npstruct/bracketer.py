@@ -3,20 +3,21 @@
 The direct-count voters (concatenation, wildcard, genitive, abbreviation,
 reordering, inflection variability and swap) are the ``DIRECT_COUNTS``
 table here, and the surface cues the ``BRACKET_CUES`` table; the other
-voters come from ``assoc`` and ``paraphrase``.
+voters come from ``assoc`` and ``paraphrase``.  ``DEFAULTS`` is the
+task's ``VoteConfig``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import replace
 from functools import partial
 from typing import Callable
 
 from . import assoc, paraphrase, surface
 from .assoc import NounTriple
 from .corpus import CountProvider, CountQuery
-from .decisions import LEFT, RIGHT, Decision, VoteResult, check_voters, compare_counts, vote
+from .decisions import LEFT, RIGHT, Decision, VoteConfig, VoteResult, compare_counts, vote
 from .morphology import MorphLexicon, inflections
 from .surface import Capitals, CueTable
 
@@ -31,17 +32,6 @@ DEFAULT_VOTERS = (
     "paraphrases",
     "surface",
 )
-
-
-@dataclass(frozen=True)
-class VoteConfig:
-    """Which voters run and how their votes combine."""
-
-    voters: tuple[str, ...] = DEFAULT_VOTERS
-    default: str | None = LEFT
-
-    def __post_init__(self) -> None:
-        check_voters(self.voters, VOTERS)
 
 
 ROMAN_NUMERAL = re.compile(r"^[ivxlcdm]+$", re.IGNORECASE)
@@ -144,26 +134,16 @@ BRACKET_CUES = CueTable(
 )
 
 
-# Each voter takes its variant arguments, if any, then
-# (triple, provider, lexicon, config, inventory).
+# Each voter takes its variant arguments, if any, then (triple, provider, lexicon).
 
 
-def _assoc(kind, model, triple, provider, lex, config, inventory) -> Decision:
-    return assoc.assoc_bracketing(kind, model, provider, lex, triple)
-
-
-def _direct(name, triple, provider, lex, config, inventory) -> Decision:
+def _direct(name, triple, provider, lex) -> Decision:
     words = triple.words()
     sides = DIRECT_COUNTS[name](*words, *(inflections(lex, w) for w in words), lex)
     return compare_counts(provider, sides, LEFT, RIGHT)
 
 
-def _paraphrases(triple, provider, lex, config, inventory) -> Decision:
-    inv = inventory or paraphrase.DEFAULT_INVENTORY
-    return paraphrase.paraphrase_decision(provider, triple, inv, lex)
-
-
-def _surface(triple, provider, lex, config, inventory) -> Decision:
+def _surface(triple, provider, lex) -> Decision:
     """Cues in the sentences holding the compound, genitive spellings included."""
     i1, i2, i3 = (inflections(lex, w) for w in triple.words())
     queries = [_of(i1, i2, i3), _of(i1, "s", i2, i3), _of(i1, i2, "s", i3)]
@@ -171,17 +151,19 @@ def _surface(triple, provider, lex, config, inventory) -> Decision:
     return surface.cue_vote(texts, {"w1": i1, "w2": i2, "w3": i3}, BRACKET_CUES)[0]
 
 
-# Voter name -> voter: the one list of names a config accepts.
+# Voter name -> voter: the registry of ``DEFAULTS``.
 VOTERS: dict[str, Callable[..., Decision]] = {
     **{
-        f"{kind}-{model}": partial(_assoc, kind, model)
+        f"{kind}-{model}": partial(assoc.assoc_bracketing, kind, model)
         for kind in assoc.ASSOC_KINDS
         for model in ("adjacency", "dependency")
     },
     **{name: partial(_direct, name) for name in DIRECT_COUNTS},
-    "paraphrases": _paraphrases,
+    "paraphrases": partial(paraphrase.paraphrase_decision, paraphrase.DEFAULT_INVENTORY),
     "surface": _surface,
 }
+
+DEFAULTS = VoteConfig(VOTERS, DEFAULT_VOTERS, LEFT)
 
 
 def run_voter(
@@ -189,25 +171,25 @@ def run_voter(
     triple: NounTriple,
     provider: CountProvider,
     lex: MorphLexicon,
-    config: VoteConfig,
-    inventory: paraphrase.ParaphraseInventory | None = None,
+    config: VoteConfig = DEFAULTS,
 ) -> Decision:
-    """Run one named voter."""
-    check_voters((name,), VOTERS)
-    return VOTERS[name](triple, provider, lex, config, inventory)
+    """Run one named voter of ``config``'s registry."""
+    return config.run(name, triple, provider, lex)
 
 
 def bracket(
     triple: NounTriple,
     provider: CountProvider,
     lex: MorphLexicon,
-    config: VoteConfig = VoteConfig(),
+    config: VoteConfig = DEFAULTS,
     inventory: paraphrase.ParaphraseInventory | None = None,
 ) -> VoteResult:
-    """Run every enabled voter on a triple and combine by majority vote."""
-    return vote(
-        triple,
-        config.voters,
-        lambda name: run_voter(name, triple, provider, lex, config, inventory),
-        config.default,
-    )
+    """Run every enabled voter on a triple and combine by majority vote.
+
+    An ``inventory`` replaces the word lists of the ``paraphrases``
+    voter for this call.
+    """
+    if inventory is not None:
+        registry = {**config.registry, "paraphrases": partial(paraphrase.paraphrase_decision, inventory)}
+        config = replace(config, registry=registry)
+    return vote(triple, config, lambda name: run_voter(name, triple, provider, lex, config))

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import Callable
 
 from . import bracketer, coordination, datasets, ppattach, relsim, stats
 from .corpus import CorpusIndex, IndexProvider, IngestConfig, build_index
-from .decisions import VoteResult
+from .decisions import VoteConfig, VoteResult
 from .morphology import MorphLexicon
 
 USAGE_ERROR = 1
@@ -21,7 +21,7 @@ DATA_ERROR = 2
 class Task:
     """A voting subcommand: its dataset rows, config, pipeline and report.
 
-    The config class's defaults are the defaults of ``--voters`` and
+    The config's voters and label are the defaults of ``--voters`` and
     ``--default``, and the row format's labels are the choices of
     ``--default``.  ``pipeline(item, provider, lexicon, config)`` votes
     one item.  A report line holds the item's dataset columns, the
@@ -30,7 +30,7 @@ class Task:
 
     help: str
     rows: datasets.RowFormat
-    config: type
+    config: VoteConfig
     pipeline: Callable[..., VoteResult]
     show_votes: bool = False
 
@@ -39,20 +39,20 @@ TASKS = {
     "bracket": Task(
         "bracket three-word compounds",
         datasets.BRACKETING,
-        bracketer.VoteConfig,
+        bracketer.DEFAULTS,
         bracketer.bracket,
         show_votes=True,
     ),
     "ppattach": Task(
         "resolve PP attachment",
         datasets.PP_ATTACHMENT,
-        ppattach.PPVoteConfig,
+        ppattach.DEFAULTS,
         ppattach.pp_pipeline,
     ),
     "coord": Task(
         "resolve coordination scope",
         datasets.COORDINATION,
-        coordination.CoordVoteConfig,
+        coordination.DEFAULTS,
         coordination.coord_pipeline,
     ),
 }
@@ -67,7 +67,7 @@ def decider(args, voters: tuple[str, ...], default: str | None) -> Callable:
     run votes each item with the task's pipeline.
     """
     task = TASKS[args.command]
-    config = task.config(voters=voters, default=default)
+    config = replace(task.config, voters=voters, default=default)
     if args.bootstrap:
         return lambda items, provider, lex: ppattach.pp_bootstrap(
             items, provider, lex, config
@@ -100,7 +100,6 @@ def build_parser() -> _Parser:
     p.add_argument("--index", required=True)
 
     for command, task in TASKS.items():
-        defaults = task.config()
         p = sub.add_parser(command, help=task.help)
         p.add_argument("--index", required=True)
         p.add_argument("--dataset", required=True)
@@ -109,9 +108,9 @@ def build_parser() -> _Parser:
         p.add_argument(
             "--default",
             choices=(*task.rows.labels.values(), "none"),
-            default=defaults.default,
+            default=task.config.default,
         )
-        p.add_argument("--voters", default=",".join(defaults.voters))
+        p.add_argument("--voters", default=",".join(task.config.voters))
         if command == "ppattach":
             p.add_argument("--bootstrap", action="store_true")
         else:
@@ -140,13 +139,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="score predictions against gold labels")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--level", type=float, default=0.95)
 
     p = sub.add_parser("compare", help="compare prediction files pairwise")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", action="append", required=True,
                    help="repeatable; name=path or bare path")
-    p.add_argument("--level", type=float, default=0.95)
     return parser
 
 
@@ -314,7 +311,7 @@ def _cmd_eval(args) -> int:
     pred = _read_labels(args.pred)
     if len(gold) != len(pred):
         raise ValueError("gold and prediction files differ in length")
-    report = stats.evaluate(pred, gold, args.level)
+    report = stats.evaluate(pred, gold)
     print("correct\twrong\tn/a\taccuracy\tcoverage")
     print(report.summary())
     return 0
@@ -330,7 +327,7 @@ def _cmd_compare(args) -> int:
         pred = _read_labels(path)
         if len(pred) != len(gold):
             raise ValueError(f"{path} differs in length from gold")
-        reports[name] = stats.evaluate(pred, gold, args.level)
+        reports[name] = stats.evaluate(pred, gold)
     print(stats.comparison_table(reports))
     return 0
 

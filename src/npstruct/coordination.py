@@ -9,6 +9,7 @@ and scan raw snippets for separating punctuation.  The collocation
 voters are the ``COUNTS`` table of query pairs, scored by
 ``decisions.compare_counts``; the rewrites are the ``PARAPHRASES``
 table, each a label and one query that any match confirms.
+``DEFAULTS`` is the task's ``VoteConfig``.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from .decisions import (
     NOUN_COORD,
     NP_COORD,
     Decision,
+    VoteConfig,
     VoteResult,
     abstain,
-    check_voters,
     compare_counts,
     vote,
 )
@@ -151,27 +152,15 @@ DEFAULT_COORD_VOTERS = (
 )
 
 
-@dataclass(frozen=True)
-class CoordVoteConfig:
-    """Voter set and defaulting for the coordination vote."""
-
-    voters: tuple[str, ...] = DEFAULT_COORD_VOTERS
-    default: str | None = NP_COORD
-
-    def __post_init__(self) -> None:
-        check_voters(self.voters, VOTERS)
+# Each voter takes its variant argument, if any, then (quad, provider, lexicon).
 
 
-# Each voter takes its variant argument, if any, then
-# (quad, provider, lexicon, config).
-
-
-def _ngram(name, quad, provider, lex, config) -> Decision:
+def _ngram(name, quad, provider, lex) -> Decision:
     i2, ih = inflections(lex, quad.n2), inflections(lex, quad.h)
     return compare_counts(provider, COUNTS[name](quad.n1, quad.n2, i2, ih), NOUN_COORD, NP_COORD)
 
 
-def _paraphrase(name, quad, provider, lex, config) -> Decision:
+def _paraphrase(name, quad, provider, lex) -> Decision:
     """A match confirms the paraphrase's label; none gives the opposite one."""
     label, query = PARAPHRASES[name]
     count = provider.count(query(quad.n1, quad.c, quad.n2, inflections(lex, quad.h)))
@@ -180,21 +169,21 @@ def _paraphrase(name, quad, provider, lex, config) -> Decision:
     return Decision(_opposite(label), 0, count, note="below threshold")
 
 
-def _heuristic(kind, quad, provider, lex, config) -> Decision:
+def _heuristic(kind, quad, provider, lex) -> Decision:
     return coord_heuristic(quad, kind)
 
 
-def _number_agreement(quad, provider, lex, config) -> Decision:
+def _number_agreement(quad, provider, lex) -> Decision:
     return number_agreement_decision(quad, lex)
 
 
-def _surface(quad, provider, lex, config) -> Decision:
+def _surface(quad, provider, lex) -> Decision:
     i1, i2, ih = (inflections(lex, w) for w in (quad.n1, quad.n2, quad.h))
     texts = snippets(provider, [_of(quad.n1, quad.c, quad.n2, ih)])
     return cue_vote(texts, {"n1": i1, "c": {quad.c}, "n2": i2, "h": ih}, COORD_CUES)[0]
 
 
-# Voter name -> voter: the one list of names a config accepts.
+# Voter name -> voter: the registry of ``DEFAULTS``.
 VOTERS: dict[str, Callable[..., Decision]] = {
     **{name: partial(_ngram, name) for name in COUNTS},
     **{name: partial(_paraphrase, name) for name in PARAPHRASES},
@@ -203,29 +192,25 @@ VOTERS: dict[str, Callable[..., Decision]] = {
     "surface": _surface,
 }
 
+DEFAULTS = VoteConfig(VOTERS, DEFAULT_COORD_VOTERS, NP_COORD)
+
 
 def run_coord_voter(
     name: str,
     quad: CoordQuad,
     provider: CountProvider,
     lex: MorphLexicon,
-    config: CoordVoteConfig,
+    config: VoteConfig = DEFAULTS,
 ) -> Decision:
-    """Run one named voter."""
-    check_voters((name,), VOTERS)
-    return VOTERS[name](quad, provider, lex, config)
+    """Run one named voter of ``config``'s registry."""
+    return config.run(name, quad, provider, lex)
 
 
 def coord_pipeline(
     quad: CoordQuad,
     provider: CountProvider,
     lex: MorphLexicon,
-    config: CoordVoteConfig = CoordVoteConfig(),
+    config: VoteConfig = DEFAULTS,
 ) -> VoteResult:
     """Vote the enabled voters and combine by majority."""
-    return vote(
-        quad,
-        config.voters,
-        lambda name: run_coord_voter(name, quad, provider, lex, config),
-        config.default,
-    )
+    return vote(quad, config, lambda name: run_coord_voter(name, quad, provider, lex, config))

@@ -568,7 +568,8 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
     pieces: list[int] = []
     trails, tags = array("I"), array("I")
     starts = [0]
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Only \n (or \r\n or \r, which ``read_text`` reads as \n) ends a line.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue

@@ -20,11 +20,12 @@ T = TypeVar("T")
 def read_rows(path: str | Path, parse: Callable[[list[str]], T], what: str) -> list[T]:
     """``parse`` of each nonblank line's tab-separated columns, in file order.
 
-    A ``ValueError`` from ``parse`` becomes ``bad {what} on line N``.
+    Only a newline ends a line.  A ``ValueError`` from ``parse`` becomes
+    ``bad {what} on line N``.
     """
     rows = []
     for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
+        Path(path).read_text(encoding="utf-8").split("\n"), start=1
     ):
         if line.strip():
             try:

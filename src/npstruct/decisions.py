@@ -4,14 +4,15 @@ Each voter compares a left-hand and a right-hand evidence score; the
 winning side's task label is emitted, and ties abstain.  A count
 voter's two sides are lists of queries, scored by ``count_sides`` and
 compared by ``compare_counts``.  ``vote`` runs a task's voters on one
-item and combines their decisions by majority.  A voter is named only
-by its key in its task's ``VOTERS`` registry.
+item and combines their decisions by majority, as a task's
+``VoteConfig`` says.  A voter is named only by its key in that config's
+registry, and is called as ``voter(item, provider, lexicon)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import KW_ONLY, dataclass
-from typing import Callable, Collection, Iterable
+from typing import Callable, Collection, Iterable, Mapping
 
 ABSTAIN = "abstain"
 
@@ -118,12 +119,26 @@ def check_voters(voters: Iterable[str], known: Collection[str]) -> None:
         raise ValueError(f"duplicate voters: {duplicates}")
 
 
-def vote(
-    item: object,
-    voters: Iterable[str],
-    run: Callable[[str], Decision],
-    default: str | None,
-) -> VoteResult:
-    """Collect ``run(name)`` for each voter in order and take the majority."""
-    votes = {name: run(name) for name in voters}
-    return VoteResult(item, votes, majority_vote(list(votes.values()), default))
+@dataclass(frozen=True)
+class VoteConfig:
+    """One task's vote: its name -> voter ``registry``, the ``voters`` that
+    run, in order, and the ``default`` label ties fall to.  A voter's own
+    setting is bound by a copy of the config with that entry replaced."""
+
+    registry: Mapping[str, Callable[..., Decision]]
+    voters: tuple[str, ...]
+    default: str | None
+
+    def __post_init__(self) -> None:
+        check_voters(self.voters, self.registry)
+
+    def run(self, name: str, item: object, provider, lex) -> Decision:
+        """The decision of the registry's voter ``name`` on ``item``."""
+        check_voters((name,), self.registry)
+        return self.registry[name](item, provider, lex)
+
+
+def vote(item: object, config: VoteConfig, run: Callable[[str], Decision]) -> VoteResult:
+    """Collect ``run(name)`` for each of ``config``'s voters in order and take the majority."""
+    votes = {name: run(name) for name in config.voters}
+    return VoteResult(item, votes, majority_vote(list(votes.values()), config.default))

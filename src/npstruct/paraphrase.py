@@ -138,9 +138,9 @@ def _families(
 
 
 def paraphrase_decision(
-    provider: CountProvider,
-    triple: NounTriple,
     inv: ParaphraseInventory,
+    triple: NounTriple,
+    provider: CountProvider,
     lex: MorphLexicon,
 ) -> Decision:
     """Compare total corpus hits of left- vs right-predicting paraphrases.

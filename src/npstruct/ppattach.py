@@ -8,7 +8,8 @@ raw snippets for orthographic cues, and finally combine everything in
 a majority vote backed by a count-table classifier trained on the
 vote's own output.  The count voters (n-gram models and paraphrases)
 are the ``COUNTS`` table of noun- and verb-predicting queries, scored
-by ``decisions.compare_counts``.
+by ``decisions.compare_counts``.  ``DEFAULTS`` is the task's
+``VoteConfig``.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from .decisions import (
     NOUN,
     VERB,
     Decision,
+    VoteConfig,
     VoteResult,
     abstain,
-    check_voters,
     compare,
     compare_counts,
     count_sides,
@@ -228,31 +229,14 @@ DEFAULT_PP_VOTERS = (
 )
 
 
-@dataclass(frozen=True)
-class PPVoteConfig:
-    """Voter set and defaulting for the attachment vote.
-
-    ``backoff`` is the trained model the ``backoff`` voter consults;
-    without one that voter abstains.
-    """
-
-    voters: tuple[str, ...] = DEFAULT_PP_VOTERS
-    default: str | None = VERB
-    backoff: BackoffModel | None = None
-
-    def __post_init__(self) -> None:
-        check_voters(self.voters, VOTERS)
-
-
-# Each voter takes its variant argument, if any, then
-# (quad, provider, lexicon, config).
+# Each voter takes its variant argument, if any, then (quad, provider, lexicon).
 
 
 def _inflections(quad: PPQuad, lex: MorphLexicon) -> tuple[frozenset[str], ...]:
     return tuple(inflections(lex, w) for w in (quad.v, quad.n1, quad.n2))
 
 
-def _ngram(name, rate, quad, provider, lex, config) -> Decision:
+def _ngram(name, rate, quad, provider, lex) -> Decision:
     """``name``'s counts, as rates of #(n1) and #(v) with ``rate``;
     disabled when either noun is a pronoun."""
     if quad.n1.lower() in PRONOUNS or quad.n2.lower() in PRONOUNS:
@@ -268,7 +252,7 @@ def _ngram(name, rate, quad, provider, lex, config) -> Decision:
     return compare(noun / noun_marginal, verb / verb_marginal, NOUN, VERB)
 
 
-def _paraphrase(name, quad, provider, lex, config) -> Decision:
+def _paraphrase(name, quad, provider, lex) -> Decision:
     """One corpus match decides; ``paraphrase-1`` is off for ``to`` and closed-class nouns."""
     if name == "paraphrase-1" and (quad.p == "to" or _word_class(quad.n1) or _word_class(quad.n2)):
         return abstain("guard")
@@ -276,23 +260,24 @@ def _paraphrase(name, quad, provider, lex, config) -> Decision:
     return compare_counts(provider, COUNTS[name](iv, i1, quad.p, i2), NOUN, VERB)
 
 
-def _heuristic(kind, quad, provider, lex, config) -> Decision:
+def _heuristic(kind, quad, provider, lex) -> Decision:
     return pp_heuristic(quad, kind)
 
 
-def _surface(quad, provider, lex, config) -> Decision:
+def _surface(quad, provider, lex) -> Decision:
     iv, i1, i2 = _inflections(quad, lex)
     texts = snippets(provider, [_of(iv, i1, quad.p, i2)])
     return cue_vote(texts, {"v": iv, "n1": i1, "p": {quad.p}, "n2": i2}, PP_CUES)[0]
 
 
-def _backoff(quad, provider, lex, config) -> Decision:
-    if config.backoff is None:
+def _backoff(model, quad, provider, lex) -> Decision:
+    """``model``'s prediction; ``pp_bootstrap`` binds the model it trains."""
+    if model is None:
         return abstain("no trained model")
-    return backoff_predict(config.backoff, quad, lex)
+    return backoff_predict(model, quad, lex)
 
 
-# Voter name -> voter: the one list of names a config accepts.
+# Voter name -> voter: the registry of ``DEFAULTS``.
 VOTERS: dict[str, Callable[..., Decision]] = {
     "ngram-1": partial(_ngram, "ngram-1", False),
     "ngram-2": partial(_ngram, "ngram-1", True),
@@ -301,8 +286,10 @@ VOTERS: dict[str, Callable[..., Decision]] = {
     **{name: partial(_paraphrase, name) for name in COUNTS if name.startswith("paraphrase-")},
     **{kind: partial(_heuristic, kind) for kind in ("pronoun-n1", "verb-be", "of-rule")},
     "surface": _surface,
-    "backoff": _backoff,
+    "backoff": partial(_backoff, None),
 }
+
+DEFAULTS = VoteConfig(VOTERS, DEFAULT_PP_VOTERS, VERB)
 
 
 def run_pp_voter(
@@ -310,38 +297,33 @@ def run_pp_voter(
     quad: PPQuad,
     provider: CountProvider,
     lex: MorphLexicon,
-    config: PPVoteConfig,
+    config: VoteConfig = DEFAULTS,
 ) -> Decision:
-    """Run one named voter."""
-    check_voters((name,), VOTERS)
-    return VOTERS[name](quad, provider, lex, config)
+    """Run one named voter of ``config``'s registry."""
+    return config.run(name, quad, provider, lex)
 
 
 def pp_pipeline(
     quad: PPQuad,
     provider: CountProvider,
     lex: MorphLexicon,
-    config: PPVoteConfig = PPVoteConfig(),
+    config: VoteConfig = DEFAULTS,
 ) -> VoteResult:
     """Vote the enabled voters; the of-rule fires first and short-circuits."""
     of_rule = pp_heuristic(quad, "of-rule")
     if not of_rule.abstained:
         return VoteResult(quad, {"of-rule": of_rule}, of_rule)
-    return vote(
-        quad,
-        config.voters,
-        lambda name: run_pp_voter(name, quad, provider, lex, config),
-        config.default,
-    )
+    return vote(quad, config, lambda name: run_pp_voter(name, quad, provider, lex, config))
 
 
 def pp_bootstrap(
     quads: list[PPQuad],
     provider: CountProvider,
     lex: MorphLexicon,
-    config: PPVoteConfig = PPVoteConfig(),
+    config: VoteConfig = DEFAULTS,
 ) -> tuple[list[VoteResult], BackoffModel]:
-    """Two-stage run: vote, train the backoff on the vote's own labels, revote."""
+    """Two-stage run: vote, train the backoff on the vote's own labels,
+    revote with the ``backoff`` voter bound to that model."""
     first = [pp_pipeline(q, provider, lex, config) for q in quads]
     training = [
         (r.item, r.final.label) for r in first if r.final.label in (NOUN, VERB)
@@ -350,6 +332,7 @@ def pp_bootstrap(
         return first, BackoffModel()
     model = backoff_train(training, lex)
     voters = config.voters if "backoff" in config.voters else config.voters + ("backoff",)
-    second_config = replace(config, voters=voters, backoff=model)
+    registry = {**config.registry, "backoff": partial(_backoff, model)}
+    second_config = replace(config, registry=registry, voters=voters)
     second = [pp_pipeline(q, provider, lex, second_config) for q in quads]
     return second, model

@@ -7,15 +7,12 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 
-def _z(level: float) -> float:
-    """Two-sided standard-normal quantile for a confidence level."""
-    if not 0 < level < 1:
-        raise ValueError("level must be in (0, 1)")
-    return NormalDist().inv_cdf((1 + level) / 2)
+# Two-sided standard-normal quantile of the 95% confidence level.
+_Z = NormalDist().inv_cdf(0.975)
 
 
-def wilson_interval(correct: int, total: int, level: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(correct: int, total: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion.
 
     Unlike the Wald interval it stays inside [0, 1] and behaves well
     near 0 and 1 and for small samples.
@@ -24,11 +21,10 @@ def wilson_interval(correct: int, total: int, level: float = 0.95) -> tuple[floa
         raise ValueError("total must be >= 1")
     if not 0 <= correct <= total:
         raise ValueError("correct must be in [0, total]")
-    z = _z(level)
     p = correct / total
-    denom = 1 + z * z / total
-    center = (p + z * z / (2 * total)) / denom
-    half = (z / denom) * math.sqrt(p * (1 - p) / total + z * z / (4 * total * total))
+    denom = 1 + _Z * _Z / total
+    center = (p + _Z * _Z / (2 * total)) / denom
+    half = (_Z / denom) * math.sqrt(p * (1 - p) / total + _Z * _Z / (4 * total * total))
     # Clamp floating-point spill: by construction the interval lies in
     # [0, 1] and holds p (at p = 0 the lower bound can come out 1e-18).
     return (max(0.0, min(center - half, p)), min(1.0, max(center + half, p)))
@@ -67,7 +63,6 @@ class EvalReport:
     correct: int
     wrong: int
     abstained: int
-    level: float = 0.95
 
     @property
     def predicted(self) -> int:
@@ -94,7 +89,7 @@ class EvalReport:
     def interval(self) -> tuple[float, float] | None:
         if self.predicted == 0:
             return None
-        return wilson_interval(self.correct, self.predicted, self.level)
+        return wilson_interval(self.correct, self.predicted)
 
     @property
     def margin(self) -> float | None:
@@ -124,7 +119,7 @@ class EvalReport:
 ABSTAIN_MARKS = {"abstain", "n/a", "na", "-", ""}
 
 
-def evaluate(predictions: list[str], gold: list[str], level: float = 0.95) -> EvalReport:
+def evaluate(predictions: list[str], gold: list[str]) -> EvalReport:
     """Score predictions against gold labels; abstentions are uncovered."""
     if len(predictions) != len(gold):
         raise ValueError("predictions and gold must align")
@@ -136,7 +131,7 @@ def evaluate(predictions: list[str], gold: list[str], level: float = 0.95) -> Ev
             correct += 1
         else:
             wrong += 1
-    return EvalReport(correct, wrong, abstained, level)
+    return EvalReport(correct, wrong, abstained)
 
 
 def compare_reports(

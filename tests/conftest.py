@@ -17,6 +17,10 @@ from npstruct.relsim import DIR_12, DIR_21, PairFeature, _classify_connector, _s
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 
+# The characters besides \n and \r at which ``str.splitlines`` breaks.
+# Inside a line of a corpus or a row file they are text, not line ends.
+NOT_NEWLINES = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
 
 def normalize_line(line: str) -> list[str]:
     """Reference normalization: alphanumeric runs, lowercased."""

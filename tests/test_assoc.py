@@ -75,7 +75,7 @@ def test_contingency_of_words_sharing_forms_is_degenerate(tmp_path, small_lex):
 @pytest.mark.parametrize("model", ["adjacency", "dependency"])
 def test_chi2_voters_abstain_on_a_negative_cell(tmp_path, small_lex, model):
     provider = make_provider(tmp_path, ["stem stem"])
-    d = assoc_bracketing("chi2", model, provider, small_lex, NounTriple("stem", "stem", "cells"))
+    d = assoc_bracketing("chi2", model, NounTriple("stem", "stem", "cells"), provider, small_lex)
     assert (d.label, d.note) == (ABSTAIN, "negative cell")
 
 
@@ -117,7 +117,7 @@ def _freq(model, left, right):
     second = "beta gamma|gammas" if model == "adjacency" else "alpha gamma|gammas"
     provider = MappingProvider({"alpha beta|betas": left, second: right}, total_tokens=100)
     triple = NounTriple("alpha", "beta", "gamma")
-    return assoc_bracketing("freq", model, provider, MorphLexicon(), triple)
+    return assoc_bracketing("freq", model, triple, provider, MorphLexicon())
 
 
 def test_assoc_bracketing_labels_and_margin():
@@ -134,11 +134,11 @@ def test_assoc_bracketing_labels_and_margin():
 def test_assoc_bracketing_abstains_on_degenerate_counts(small_lex):
     triple = NounTriple("brain", "stem", "cells")
     provider = MappingProvider({}, total_tokens=100)
-    d = assoc_bracketing("prob", "adjacency", provider, small_lex, triple)
+    d = assoc_bracketing("prob", "adjacency", triple, provider, small_lex)
     assert d.label == ABSTAIN and d.note == "zero marginal"
     # A table whose cells sum to zero has no chi-squared score.
     empty = MappingProvider({}, total_tokens=0)
-    d = assoc_bracketing("chi2", "dependency", empty, small_lex, triple)
+    d = assoc_bracketing("chi2", "dependency", triple, empty, small_lex)
     assert d.label == ABSTAIN and d.note == "degenerate table"
 
 
@@ -146,8 +146,8 @@ def test_assoc_bracketing_models(tmp_path, small_lex):
     lines = ["brain stem"] * 5 + ["stem cells"] * 2 + ["brain cells"]
     provider = make_provider(tmp_path, lines)
     triple = NounTriple("brain", "stem", "cells")
-    adj = assoc_bracketing("freq", "adjacency", provider, small_lex, triple)
-    dep = assoc_bracketing("freq", "dependency", provider, small_lex, triple)
+    adj = assoc_bracketing("freq", "adjacency", triple, provider, small_lex)
+    dep = assoc_bracketing("freq", "dependency", triple, provider, small_lex)
     assert adj.label == LEFT and adj.left_score == 5 and adj.right_score == 2
     assert dep.label == LEFT and dep.right_score == 1
 
@@ -172,8 +172,8 @@ def test_pmi_and_prob_agree_under_dependency_model():
     triple = NounTriple("alpha", "beta", "gamma")
     for _ in range(1000):
         provider, lex = _profile_provider(rng)
-        via_prob = assoc_bracketing("prob", "dependency", provider, lex, triple)
-        via_pmi = assoc_bracketing("pmi", "dependency", provider, lex, triple)
+        via_prob = assoc_bracketing("prob", "dependency", triple, provider, lex)
+        via_pmi = assoc_bracketing("pmi", "dependency", triple, provider, lex)
         assert via_prob.label == via_pmi.label
 
 

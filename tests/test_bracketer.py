@@ -1,6 +1,7 @@
 """Voter dispatch and majority combination for bracketing."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,9 @@ from npstruct import datasets, paraphrase
 from npstruct.assoc import NounTriple
 from npstruct.bracketer import (
     DEFAULT_VOTERS,
+    DEFAULTS,
     DIRECT_COUNTS,
     VOTERS,
-    VoteConfig,
     bracket,
     run_voter,
 )
@@ -31,17 +32,17 @@ def test_default_voters_are_known():
 
 def test_config_rejects_unknown_voters():
     with pytest.raises(ValueError, match="unknown voters"):
-        VoteConfig(voters=("chi2-adjacency", "astrology"))
+        replace(DEFAULTS, voters=("chi2-adjacency", "astrology"))
 
 
 def test_config_rejects_duplicate_voters():
     with pytest.raises(ValueError, match=r"duplicate voters: \['genitive'\]"):
-        VoteConfig(voters=("genitive", "genitive", "reorder"))
+        replace(DEFAULTS, voters=("genitive", "genitive", "reorder"))
 
 
 def test_paraphrases_without_an_inventory_use_the_shared_default(tmp_path, small_lex, monkeypatch):
     provider = make_provider(tmp_path, ["cells from the brain stem"])
-    config = VoteConfig(voters=("paraphrases",), default=None)
+    config = replace(DEFAULTS, voters=("paraphrases",), default=None)
     expected = bracket(TRIPLE, provider, small_lex, config, datasets.default_inventory())
 
     def build(self):
@@ -53,18 +54,30 @@ def test_paraphrases_without_an_inventory_use_the_shared_default(tmp_path, small
     assert expected.final.label == LEFT
 
 
+def test_an_inventory_changes_only_the_paraphrases_vote_of_that_call(tmp_path, small_lex):
+    provider = make_provider(tmp_path, ["cells from the brain stem", "brain stem cells"])
+    registry = dict(DEFAULTS.registry)
+    shared = bracket(TRIPLE, provider, small_lex)
+    other = bracket(TRIPLE, provider, small_lex, inventory=paraphrase.ParaphraseInventory(("in",)))
+    assert shared.votes["paraphrases"].label == LEFT
+    assert other.votes["paraphrases"].label == ABSTAIN
+    assert {**other.votes, "paraphrases": shared.votes["paraphrases"]} == shared.votes
+    assert dict(DEFAULTS.registry) == registry
+    assert bracket(TRIPLE, provider, small_lex) == shared
+
+
 def test_run_voter_turns_zero_marginal_into_abstention(small_lex):
     provider = MappingProvider({}, total_tokens=100)
-    d = run_voter("prob-adjacency", TRIPLE, provider, small_lex, VoteConfig())
+    d = run_voter("prob-adjacency", TRIPLE, provider, small_lex)
     assert d.label == ABSTAIN
     assert d.note == "zero marginal"
-    d = run_voter("chi2-adjacency", TRIPLE, provider, small_lex, VoteConfig())
+    d = run_voter("chi2-adjacency", TRIPLE, provider, small_lex)
     assert d.label == ABSTAIN
 
 
 def test_run_voter_unknown_name(small_lex):
     with pytest.raises(ValueError, match="unknown voter"):
-        run_voter("astrology", TRIPLE, MappingProvider({}), small_lex, VoteConfig())
+        run_voter("astrology", TRIPLE, MappingProvider({}), small_lex)
 
 
 DIRECT_COUNT_VOTERS = (
@@ -112,7 +125,7 @@ def test_direct_count_voters_match_their_recorded_digest(seed, tmp_path):
     for name in DIRECT_COUNT_VOTERS:
         for triple in triples:
             recorder.counts.clear()
-            d = run_voter(name, triple, recorder, lex, VoteConfig())
+            d = run_voter(name, triple, recorder, lex)
             scores = (float(d.left_score), float(d.right_score))
             record = (name, triple.words(), d.label, scores, d.note, recorder.keys)
             digest.update(repr(record).encode())
@@ -122,7 +135,7 @@ def test_direct_count_voters_match_their_recorded_digest(seed, tmp_path):
 def test_triple_snippets_cover_genitive_spellings(tmp_path, small_lex):
     lines = ["the brain stem cells", "the brain's stem cells", "brain stem's cells", "noise"]
     recorder = SnippetRecorder(make_provider(tmp_path, lines))
-    d = run_voter("surface", TRIPLE, recorder, small_lex, VoteConfig())
+    d = run_voter("surface", TRIPLE, recorder, small_lex)
     assert set(recorder.texts) == set(lines[:3])
     # One genitive cue for each side.
     assert (d.label, d.left_score, d.right_score) == (ABSTAIN, 1, 1)
@@ -152,7 +165,7 @@ def test_bracket_rigged_left(tmp_path, small_lex):
         + ["brain stem bs cells"]
     )
     provider = make_provider(tmp_path, lines)
-    result = bracket(TRIPLE, provider, small_lex, VoteConfig())
+    result = bracket(TRIPLE, provider, small_lex)
     assert result.final.label == LEFT
     assert set(result.votes) == set(DEFAULT_VOTERS)
 
@@ -160,11 +173,11 @@ def test_bracket_rigged_left(tmp_path, small_lex):
 def test_bracket_falls_to_default_on_silence(small_lex):
     provider = MappingProvider({}, total_tokens=100)
     voters = ("freq-adjacency", "genitive", "paraphrases")
-    left_default = bracket(TRIPLE, provider, small_lex, VoteConfig(voters=voters))
+    left_default = bracket(TRIPLE, provider, small_lex, replace(DEFAULTS, voters=voters))
     assert left_default.final.label == LEFT
     assert left_default.final.note == "default"
     no_default = bracket(
-        TRIPLE, provider, small_lex, VoteConfig(voters=voters, default=None)
+        TRIPLE, provider, small_lex, replace(DEFAULTS, voters=voters, default=None)
     )
     assert no_default.final.label == ABSTAIN
 

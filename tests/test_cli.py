@@ -147,8 +147,15 @@ class TestExitCodes:
         [
             (["bracket", "--voters", "genitive,genitive,reorder"],
              "brain\tstem\tcells\tleft", "duplicate voters: ['genitive']"),
+            (["bracket", "--voters", "genitive,astrology"],
+             "brain\tstem\tcells\tleft", "unknown voters: ['astrology']"),
+            (["ppattach", "--voters", "ngram-2,astrology"],
+             "meet\tdemands\tfrom\tcustomers\tN", "unknown voters: ['astrology']"),
+            (["coord", "--voters", "h1,astrology"],
+             "buses\tand\ttrains\tstation\tnoun", "unknown voters: ['astrology']"),
         ],
-        ids=["duplicate-voters"],
+        ids=["duplicate-voters", "bracket-unknown-voters", "ppattach-unknown-voters",
+             "coord-unknown-voters"],
     )
     def test_setting_is_checked_before_the_index(self, tmp_path, capsys, argv, row, message):
         dataset = tmp_path / "rows.tsv"
@@ -543,3 +550,13 @@ class TestEvalAndCompare:
         out = capsys.readouterr().out
         assert "first" in out and "b" in out
         assert "first vs b" in out
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_no_confidence_level_option(self, tmp_path, capsys, command):
+        """Intervals are 95% Wilson intervals; no command takes ``--level``."""
+        gold = self._labels(tmp_path, "gold.tsv", ["left"])
+        argv = [command, "--gold", str(gold), "--pred", str(gold), "--level", "0.9"]
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --level 0.9" in err

@@ -1,16 +1,17 @@
 """Coordination-scope voters and pipeline."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from npstruct import datasets
 from npstruct.coordination import (
+    DEFAULTS,
     NO,
     VOTERS,
     YES,
     CoordQuad,
-    CoordVoteConfig,
     coord_heuristic,
     coord_pipeline,
     number_agreement_decision,
@@ -30,7 +31,7 @@ def _key(*positions) -> str:
 
 
 def _vote(name, provider, lex):
-    return run_coord_voter(name, QUAD, provider, lex, CoordVoteConfig())
+    return run_coord_voter(name, QUAD, provider, lex)
 
 
 def test_quad_validation():
@@ -120,7 +121,7 @@ class TestNumberAgreement:
 
 def _surface(snippets, lex, quad=QUAD):
     """The ``surface`` vote of ``quad`` on a corpus answering every query with ``snippets``."""
-    return run_coord_voter("surface", quad, FixedSnippets(snippets), lex, CoordVoteConfig())
+    return run_coord_voter("surface", quad, FixedSnippets(snippets), lex)
 
 
 class TestSurface:
@@ -169,7 +170,7 @@ class TestPipeline:
             CoordQuad("bar", "and", "pie", "graph"),
             MappingProvider({}),
             small_lex,
-            CoordVoteConfig(voters=voters),
+            replace(DEFAULTS, voters=voters),
         )
         assert result.final.label == NP_COORD
 
@@ -190,15 +191,15 @@ class TestPipeline:
 
     def test_unknown_voter(self):
         with pytest.raises(ValueError, match="unknown voters"):
-            CoordVoteConfig(voters=("ngram-i", "astrology"))
+            replace(DEFAULTS, voters=("ngram-i", "astrology"))
 
     def test_run_coord_voter_unknown_name(self, small_lex):
         with pytest.raises(ValueError, match=r"unknown voters: \['coord-paraphrase-9'\]"):
-            run_coord_voter("coord-paraphrase-9", QUAD, MappingProvider({}), small_lex, CoordVoteConfig())
+            run_coord_voter("coord-paraphrase-9", QUAD, MappingProvider({}), small_lex)
 
     def test_duplicate_voter(self):
         with pytest.raises(ValueError, match=r"duplicate voters: \['h1'\]"):
-            CoordVoteConfig(voters=("h1", "ngram-i", "h1"))
+            replace(DEFAULTS, voters=("h1", "ngram-i", "h1"))
 
 
 COUNT_VOTERS = (
@@ -233,7 +234,7 @@ def test_count_voters_match_their_recorded_digest(seed, attach_corpus):
     for name in COUNT_VOTERS:
         for item in quads:
             recorder.counts.clear()
-            d = run_coord_voter(name, item.args[0], recorder, lex, CoordVoteConfig())
+            d = run_coord_voter(name, item.args[0], recorder, lex)
             scores = (float(d.left_score), float(d.right_score))
             record = (name, item.key, d.label, scores, d.note, sorted(recorder.keys))
             digest.update(repr(record).encode())

@@ -19,7 +19,7 @@ from npstruct.corpus import (
     MappingProvider,
     build_index,
 )
-from tests.conftest import make_index, naive_count, normalize_line
+from tests.conftest import NOT_NEWLINES, make_index, naive_count, normalize_line
 
 
 class TestCountQuery:
@@ -106,6 +106,22 @@ class TestIngestion:
         path = tmp_path / "bad.txt"
         path.write_text("a_N b_N\nbroken token_N\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="line 2"):
+            build_index(path, IngestConfig(tagged=True))
+
+    @pytest.mark.parametrize("char", NOT_NEWLINES, ids=ascii)
+    def test_only_a_newline_ends_a_line(self, tmp_path, char):
+        lines = [f"brain{char}stem cells grew.", f"the brain{char}stem"]
+        index = make_index(tmp_path, lines)
+        assert [index.text(sid) for sid in range(2)] == lines
+        with pytest.raises(IndexError):
+            index.text(2)
+        assert IndexProvider(index).count(CountQuery.of("brain", "stem")) == 2
+
+    @pytest.mark.parametrize("char", NOT_NEWLINES, ids=ascii)
+    def test_malformed_tagged_token_names_its_line_past_such_a_character(self, tmp_path, char):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"a_N{char}b_N\nbroken token_N\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match="on line 2$"):
             build_index(path, IngestConfig(tagged=True))
 
     def test_provenance_is_deterministic(self, tmp_path):
@@ -488,12 +504,12 @@ def test_tagged_index_tokens_match_plain_index(tmp_path_factory, tagged_words, r
     assert tags == [t for w, t in tagged_words for _ in normalize_line(w)] + ["N"]
 
 
-# Word characters, runs of punctuation, tabs and no-break spaces, and
-# non-ASCII letters, which the tokenizer treats as separators.  No
-# character that ``str.splitlines`` breaks on.
-RAW_CHARS = "aZ3 \t\xa0.,;-()'\"_éßΩ漢"
+# Word characters, runs of punctuation, tabs, no-break spaces, the line
+# breaks of ``str.splitlines`` other than \n and \r, and non-ASCII
+# letters, which the tokenizer treats as separators.
+RAW_CHARS = "aZ3 \t\xa0.,;-()'\"_éßΩ漢" + NOT_NEWLINES
 RAW_LINES = st.lists(st.text(RAW_CHARS, max_size=14), min_size=1, max_size=6)
-RAW_WORDS = st.lists(st.text(RAW_CHARS.replace(" ", "").replace("\t", "").replace("\xa0", ""),
+RAW_WORDS = st.lists(st.text("".join(c for c in RAW_CHARS if not c.isspace()),
                              min_size=1, max_size=6), min_size=1, max_size=5)
 
 

@@ -10,6 +10,7 @@ from npstruct.datasets import (
     treebank_coordination,
 )
 from npstruct.decisions import LEFT, NOUN_COORD, RIGHT
+from tests.conftest import NOT_NEWLINES
 
 
 def test_biomedical_composition():
@@ -59,3 +60,14 @@ def test_bracketing_loader_accepts_optional_frequency(tmp_path):
     bad.write_text("a\tb\tc\tleft\t12\t3\n")
     with pytest.raises(ValueError, match="line 1"):
         BRACKETING.load(bad)
+
+
+@pytest.mark.parametrize("char", NOT_NEWLINES, ids=ascii)
+def test_only_a_newline_ends_a_row(tmp_path, char):
+    path = tmp_path / "b.tsv"
+    rows = f"a\tb\tc\tleft\t1{char}2\nd\te\tf\tright\t12{char}\n"
+    path.write_text(rows, encoding="utf-8")
+    assert [label for _, label in BRACKETING.load(path)] == [LEFT, RIGHT]
+    path.write_text(rows + "x\ty\tz\tsideways\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^bad dataset row on line 3$"):
+        BRACKETING.load(path)

@@ -14,15 +14,22 @@ On these corpora the snippet limit never binds, so a surface voter sees
 every matching sentence whatever the line order.  Every task's snippets
 are deduplicated by text, so a doubled corpus gives each ``surface``
 voter the same snippets, and its scores stay the same.
+
+The ``sat`` and ``semeval`` solvers run on a seeded tagged ``relsim``
+corpus, doubled and shuffled: doubling doubles each SAT pair's joining
+features, and neither rewrite changes a feature set or an answer.
+Upper-casing would change the tags, so it is left out there.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from npstruct import bracketer, coordination, datasets, ppattach
+from npstruct import bracketer, coordination, datasets, ppattach, relsim
+from npstruct.corpus import IngestConfig, build_index
 from perfbench import inputs
 from tests.conftest import CountRecorder, make_provider
 
@@ -30,6 +37,7 @@ SEED = 1001
 # Corpus size of each workload, and how many of its items are decided.
 SENTENCES = {"bracket": 1_000, "attach": 4_000}
 ITEMS = {"bracket": 60, "attach": 120}
+RELSIM_SENTENCES = 1_000
 
 REWRITES = {
     "doubled": lambda lines: [line for line in lines for _ in range(2)],
@@ -39,24 +47,9 @@ REWRITES = {
 
 # Item kind -> (voter names, run one voter).
 TASKS = {
-    "bracket": (
-        bracketer.VOTERS,
-        lambda name, item, provider, lex: bracketer.run_voter(
-            name, item, provider, lex, bracketer.VoteConfig()
-        ),
-    ),
-    "pp": (
-        ppattach.VOTERS,
-        lambda name, item, provider, lex: ppattach.run_pp_voter(
-            name, item, provider, lex, ppattach.PPVoteConfig()
-        ),
-    ),
-    "coord": (
-        coordination.VOTERS,
-        lambda name, item, provider, lex: coordination.run_coord_voter(
-            name, item, provider, lex, coordination.CoordVoteConfig()
-        ),
-    ),
+    "bracket": (bracketer.VOTERS, bracketer.run_voter),
+    "pp": (ppattach.VOTERS, ppattach.run_pp_voter),
+    "coord": (coordination.VOTERS, coordination.run_coord_voter),
 }
 
 
@@ -139,3 +132,48 @@ def test_upper_cased_lines_keep_every_count_and_all_but_surface_labels(workload,
     base, upper = decide(workload), decide(workload, "upper")
     assert _counts(upper) == _counts(base)
     assert _labels(upper, skip={"surface"}) == _labels(base, skip={"surface"})
+
+
+@pytest.fixture(scope="module")
+def relate(tmp_path_factory):
+    """rewrite -> ({SAT pair: its joining features}, SAT answers, SemEval answers)
+    on the seeded ``relsim`` corpus so rewritten."""
+    lex = datasets.default_lexicon()
+    generated = inputs.generate("relsim", SEED, RELSIM_SENTENCES)
+    sat = [item.args for item in generated.items if item.kind == "sat"]
+    semeval = [item.args[0] for item in generated.items if item.kind == "semeval"]
+    done = {}
+
+    def get(rewrite: str | None = None):
+        if rewrite not in done:
+            lines = REWRITES[rewrite](generated.lines) if rewrite else generated.lines
+            path = tmp_path_factory.mktemp(f"relsim-{rewrite}") / "corpus.txt"
+            replace(generated, lines=lines).write_corpus(path)
+            index = build_index(path, IngestConfig(tagged=True))
+            model = relsim.SemevalModel.fit(generated.semeval_train, lex, index)
+            done[rewrite] = (
+                {pair: relsim.extract_pair_features(index, *pair, lex)
+                 for stem, candidates in sat for pair in (stem, *candidates)},
+                [relsim.solve_sat(stem, candidates, index, lex) for stem, candidates in sat],
+                [model.classify(example) for example in semeval],
+            )
+        return done[rewrite]
+
+    return get
+
+
+def test_the_relsim_reference_run_finds_features_and_answers(relate):
+    features, sat, semeval = relate()
+    assert sum(map(bool, features.values())) > len(features) * 0.9
+    assert any(answer is not None for answer in sat)
+    assert len(set(semeval)) == 2
+
+
+def test_doubled_lines_double_every_pair_feature_and_keep_every_answer(relate):
+    (features, *answers), (doubled, *doubled_answers) = relate(), relate("doubled")
+    assert doubled == {pair: {f: 2 * n for f, n in c.items()} for pair, c in features.items()}
+    assert doubled_answers == answers
+
+
+def test_shuffled_lines_keep_every_pair_feature_and_answer(relate):
+    assert relate("shuffled") == relate()

@@ -76,27 +76,27 @@ def test_decision_prefers_attested_family(tmp_path, small_lex):
         tmp_path,
         ["cells from the bone marrow"] * 3 + ["marrow cells of the bone"],
     )
-    d = paraphrase_decision(provider, TRIPLE, ParaphraseInventory(), small_lex)
+    d = paraphrase_decision(ParaphraseInventory(), TRIPLE, provider, small_lex)
     assert d.label == LEFT
     assert d.left_score == 3 and d.right_score == 1
 
 
 def test_decision_right(tmp_path, small_lex):
     provider = make_provider(tmp_path, ["marrow cells of the bone"] * 2 + ["filler words"])
-    d = paraphrase_decision(provider, TRIPLE, ParaphraseInventory(), small_lex)
+    d = paraphrase_decision(ParaphraseInventory(), TRIPLE, provider, small_lex)
     assert d.label == RIGHT
 
 
 def test_decision_abstains_without_evidence(tmp_path, small_lex):
     provider = make_provider(tmp_path, ["completely unrelated text"])
-    d = paraphrase_decision(provider, TRIPLE, ParaphraseInventory(), small_lex)
+    d = paraphrase_decision(ParaphraseInventory(), TRIPLE, provider, small_lex)
     assert d.label == ABSTAIN
 
 
 def test_every_left_family_is_counted_before_the_right_ones(tmp_path, small_lex):
     inv = ParaphraseInventory()
     recorder = CountRecorder(make_provider(tmp_path, ["cells from the bone marrow"]))
-    d = paraphrase_decision(recorder, TRIPLE, inv, small_lex)
+    d = paraphrase_decision(inv, TRIPLE, recorder, small_lex)
     left, right = _families(TRIPLE, inv, small_lex)
     assert [query for query, _n in recorder.counts] == left + right
     # One family per inflection of the head, in sorted order.
@@ -125,7 +125,7 @@ def _oracle_scores(lines, triple, inv, lex):
 
 def _checked_decision(provider, lines, triple, inv, lex):
     """The decision on the corpus ``lines``, after checking its scores against the oracle."""
-    decision = paraphrase_decision(provider, triple, inv, lex)
+    decision = paraphrase_decision(inv, triple, provider, lex)
     assert [decision.left_score, decision.right_score] == _oracle_scores(lines, triple, inv, lex)
     return decision
 
@@ -191,7 +191,7 @@ def test_count_only_provider_gets_one_query_per_family(tmp_path):
     provider = make_provider(tmp_path, lines)
     for triple in triples:
         counter = CallCounter(provider)
-        decision = paraphrase_decision(counter, triple, inv, lex)
+        decision = paraphrase_decision(inv, triple, counter, lex)
         assert counter.calls == 2 * len(inflections(lex, triple.w3))
         scores = [decision.left_score, decision.right_score]
         assert scores == _oracle_scores(lines, triple, inv, lex)
@@ -210,7 +210,7 @@ def test_decision_sums_naive_counts_of_every_spelled_out_phrase(tmp_path, small_
         "bone marrow cells",
     ]
     sentences = [normalize_line(line) for line in lines]
-    decision = paraphrase_decision(make_provider(tmp_path, lines), TRIPLE, inv, small_lex)
+    decision = paraphrase_decision(inv, TRIPLE, make_provider(tmp_path, lines), small_lex)
     left, right = generate_bracketing_queries(TRIPLE, inv, small_lex)
     expected = [
         sum(naive_count(sentences, CountQuery.of(*phrase)) for phrase in family)
@@ -265,7 +265,7 @@ def test_cached_middles_follow_inventory_and_copula_agreement(tmp_path, small_le
 def test_no_middles_count_zero(tmp_path, small_lex):
     provider = CallCounter(make_provider(tmp_path, ["cells from the bone marrow"]))
     empty = ParaphraseInventory(prepositions=(), complementizers=())
-    d = paraphrase_decision(provider, TRIPLE, empty, small_lex)
+    d = paraphrase_decision(empty, TRIPLE, provider, small_lex)
     assert (d.label, d.left_score, d.right_score) == (ABSTAIN, 0, 0)
     assert provider.calls == 2 * len(inflections(small_lex, "cells"))
 
@@ -275,8 +275,8 @@ def test_middles_longer_than_the_widest_gap_are_refused(tmp_path, small_lex):
     inv = ParaphraseInventory(prepositions=(long_prep,), determiners=(), complementizers=())
     provider = make_provider(tmp_path, ["cells from the bone marrow"])
     with pytest.raises(ValueError, match=f"'{long_prep}' is longer than {MAX_GAP} tokens"):
-        paraphrase_decision(provider, TRIPLE, inv, small_lex)
+        paraphrase_decision(inv, TRIPLE, provider, small_lex)
     fits = ParaphraseInventory(
         prepositions=(long_prep.partition(" ")[2],), determiners=(), complementizers=()
     )
-    assert paraphrase_decision(provider, TRIPLE, fits, small_lex).label == ABSTAIN
+    assert paraphrase_decision(fits, TRIPLE, provider, small_lex).label == ABSTAIN

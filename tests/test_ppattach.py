@@ -1,6 +1,7 @@
 """Attachment voters, backoff classifier, and the attachment pipeline."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -10,10 +11,10 @@ from npstruct.datasets import PP_ATTACHMENT
 from npstruct.decisions import ABSTAIN, NOUN, VERB
 from npstruct.morphology import inflections
 from npstruct.ppattach import (
+    DEFAULTS,
     DETERMINERS,
     VOTERS,
     PPQuad,
-    PPVoteConfig,
     backoff_predict,
     backoff_train,
     normalize_quad,
@@ -32,7 +33,7 @@ def _key(*positions) -> str:
 
 
 def _vote(name, provider, lex, quad=QUAD):
-    return run_pp_voter(name, quad, provider, lex, PPVoteConfig())
+    return run_pp_voter(name, quad, provider, lex)
 
 
 class TestHeuristics:
@@ -309,7 +310,7 @@ class TestPipeline:
 
     def test_bootstrap_backoff_votes_with_the_trained_model(self, tmp_path, small_lex):
         provider = make_provider(tmp_path, ["they meet the customer demands daily"] * 3)
-        untrained = run_pp_voter("backoff", QUAD, provider, small_lex, PPVoteConfig())
+        untrained = run_pp_voter("backoff", QUAD, provider, small_lex)
         assert untrained.abstained and untrained.note == "no trained model"
         quads = [QUAD] * 3 + [PPQuad("meet", "demands", "from", "buyers")]
         results, _model = pp_bootstrap(quads, provider, small_lex)
@@ -317,18 +318,29 @@ class TestPipeline:
         assert all(d.note != "no trained model" for d in backoff_votes)
         assert not any(d.abstained for d in backoff_votes)
 
+    def test_bootstrap_leaves_the_default_backoff_untrained(self, tmp_path, small_lex):
+        provider = make_provider(tmp_path, ["they meet the customer demands daily"] * 3)
+        registry = dict(DEFAULTS.registry)
+        quads = [QUAD] * 3 + [PPQuad("meet", "demands", "from", "buyers")]
+        _results, model = pp_bootstrap(quads, provider, small_lex)
+        assert model.tables
+        assert dict(DEFAULTS.registry) == registry
+        after = DEFAULTS.registry["backoff"](QUAD, provider, small_lex)
+        assert after.abstained and after.note == "no trained model"
+        assert run_pp_voter("backoff", QUAD, provider, small_lex) == after
+
     def test_unknown_voter(self):
         with pytest.raises(ValueError, match="unknown voters"):
-            PPVoteConfig(voters=("ngram-2", "astrology"))
+            replace(DEFAULTS, voters=("ngram-2", "astrology"))
 
     def test_duplicate_voter(self):
         with pytest.raises(ValueError, match=r"duplicate voters: \['ngram-2'\]"):
-            PPVoteConfig(voters=("ngram-2", "verb-be", "ngram-2"))
+            replace(DEFAULTS, voters=("ngram-2", "verb-be", "ngram-2"))
 
     def test_bootstrap_keeps_a_named_backoff_voter_once(self, tmp_path, small_lex):
         provider = make_provider(tmp_path, ["they meet the customer demands daily"] * 3)
         quads = [QUAD] * 3 + [PPQuad("meet", "demands", "from", "buyers")]
-        config = PPVoteConfig(voters=("paraphrase-1", "backoff"))
+        config = replace(DEFAULTS, voters=("paraphrase-1", "backoff"))
         results, model = pp_bootstrap(quads, provider, small_lex, config)
         assert model.tables
         assert all(list(r.votes) == ["paraphrase-1", "backoff"] for r in results)
@@ -367,7 +379,7 @@ def test_count_voters_match_their_recorded_digest(seed, attach_corpus):
     for name in COUNT_VOTERS:
         for item in quads:
             recorder.counts.clear()
-            d = run_pp_voter(name, item.args[0], recorder, lex, PPVoteConfig())
+            d = run_pp_voter(name, item.args[0], recorder, lex)
             scores = (float(d.left_score), float(d.right_score))
             record = (name, item.key, d.label, scores, d.note, sorted(recorder.keys))
             digest.update(repr(record).encode())

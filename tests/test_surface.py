@@ -3,12 +3,13 @@ the direct-count bracketing voters run by name through
 ``bracketer.run_voter``."""
 
 import hashlib
+from functools import partial
 
 import pytest
 
 from npstruct import coordination, datasets, ppattach, surface
 from npstruct.assoc import NounTriple
-from npstruct.bracketer import BRACKET_CUES, VoteConfig, capitalization_excluded, run_voter
+from npstruct.bracketer import BRACKET_CUES, capitalization_excluded, run_voter
 from npstruct.corpus import CountQuery, IndexProvider, MappingProvider, build_index
 from npstruct.decisions import ABSTAIN, LEFT, RIGHT
 from npstruct.morphology import MorphLexicon, inflections
@@ -132,13 +133,9 @@ SURFACE_DIGESTS = {
 }
 
 RUN_SURFACE = {
-    "bracket": lambda item, provider, lex: run_voter("surface", item, provider, lex, VoteConfig()),
-    "pp": lambda item, provider, lex: ppattach.run_pp_voter(
-        "surface", item, provider, lex, ppattach.PPVoteConfig()
-    ),
-    "coord": lambda item, provider, lex: coordination.run_coord_voter(
-        "surface", item, provider, lex, coordination.CoordVoteConfig()
-    ),
+    "bracket": partial(run_voter, "surface"),
+    "pp": partial(ppattach.run_pp_voter, "surface"),
+    "coord": partial(coordination.run_coord_voter, "surface"),
 }
 
 
@@ -164,7 +161,7 @@ def test_surface_voters_match_their_recorded_digest(task, seed, tmp_path, attach
 
 
 def _run(name, provider, lex, triple=TRIPLE):
-    return run_voter(name, triple, provider, lex, VoteConfig())
+    return run_voter(name, triple, provider, lex)
 
 
 def _key(*positions) -> str:
