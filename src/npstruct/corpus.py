@@ -22,15 +22,18 @@ from the file.
 from __future__ import annotations
 
 import hashlib
+import os
 import re
 import sys
 import zlib
 from array import array
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate, chain, compress, islice, pairwise, repeat
-from operator import add, le, lt, sub
+from operator import add, le, lt
 from pathlib import Path
 from struct import Struct
 from typing import Iterable, Protocol
@@ -57,6 +60,7 @@ _HEADER = Struct("<4sBI" + "cQ" * len(_SECTIONS))
 _CHECKED_FROM = Struct("<4sBI").size
 _CODES = "BHIQ"  # unsigned, narrowest first
 _LITTLE_ENDIAN = sys.byteorder == "little"
+_CHUNK = 1 << 20  # characters of a corpus file read at a time
 
 MAX_GAP = 8
 
@@ -333,8 +337,8 @@ class CorpusIndex:
         sids = sorted(set(self._matched_sentences(query, sets)))
         return [self.text(sid) for sid in sids[:limit]]
 
-    def _sections(self) -> list[tuple[str, bytes]]:
-        """Each section's type code and bytes, in file order."""
+    def _sections(self) -> list[tuple[str, bytes | memoryview]]:
+        """Each section's type code and bytes, in file order; a column's are its own buffer."""
         return [_encoded(getattr(self, f"_{name}")) for name in _SECTIONS]
 
     def info(self) -> dict[str, object]:
@@ -352,70 +356,89 @@ class CorpusIndex:
         }
 
     def save(self, path: str | Path) -> None:
-        """Write the columns as one format-4 file (layout in the module docstring)."""
+        """Write the columns as one format-4 file (layout in the module docstring).
+
+        The checksum is taken over the columns' own buffers, and the header
+        and the sections are written in turn: no copy of the file is made.
+        """
         sections = self._sections()
         table = [f for code, blob in sections for f in (code.encode("ascii"), len(blob))]
-        rest = _HEADER.pack(_MAGIC, _FORMAT_VERSION, 0, *table)[_CHECKED_FROM:]
-        body = b"".join(blob for _code, blob in sections)
-        crc = zlib.crc32(body, zlib.crc32(rest))
-        Path(path).write_bytes(_HEADER.pack(_MAGIC, _FORMAT_VERSION, crc, *table) + body)
+        crc = zlib.crc32(_HEADER.pack(_MAGIC, _FORMAT_VERSION, 0, *table)[_CHECKED_FROM:])
+        for _code, blob in sections:
+            crc = zlib.crc32(blob, crc)
+        with Path(path).open("wb") as f:
+            f.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, crc, *table))
+            for _code, blob in sections:
+                f.write(blob)
 
     @classmethod
     def load(cls, path: str | Path) -> "CorpusIndex":
-        """Read a format-4 file whole, and check it before anything is used.
+        """Read a format-4 file a section at a time, and check it before anything is used.
 
-        A file that is not a complete, intact format-4 index raises
-        ``CorpusError``.  Nothing in the file is ever run.
+        Each column is read straight into its array, and the checksum is
+        taken as the sections are read; the file is never held whole.  A
+        file that is not a complete, intact format-4 index raises
+        ``CorpusError``, a checksum mismatch before any section is used.
+        Nothing in the file is ever run.
         """
-        data = Path(path).read_bytes()
-        if data[: len(_MAGIC)] != _MAGIC:
-            raise CorpusError("not an index file")
-        if len(data) == len(_MAGIC):
-            raise CorpusError("truncated index file")
-        version = data[len(_MAGIC)]
-        if version != _FORMAT_VERSION:
-            raise CorpusError(
-                "index must be rebuilt with `npstruct index`: "
-                f"unsupported index format version {version}"
-            )
-        if len(data) < _HEADER.size:
-            raise CorpusError("truncated index file")
-        _magic, _version, crc, *table = _HEADER.unpack_from(data)
-        sizes = table[1::2]
-        if _HEADER.size + sum(sizes) > len(data):
-            raise CorpusError("truncated index file")
-        if _HEADER.size + sum(sizes) < len(data):
-            raise CorpusError("index file is corrupt: trailing bytes")
-        view = memoryview(data)
-        if zlib.crc32(view[_CHECKED_FROM:]) != crc:
-            raise CorpusError("index file is corrupt: checksum mismatch")
-        sections = {}
-        at = _HEADER.size
-        for name, code, size in zip(_SECTIONS, table[0::2], sizes):
-            chunk, at = view[at : at + size], at + size
-            code = code.decode("latin-1")
-            if code not in _CODES or size % array(code).itemsize or name in _TEXTS and code != "B":
+        with Path(path).open("rb") as f:
+            head = f.read(_HEADER.size)
+            if head[: len(_MAGIC)] != _MAGIC:
+                raise CorpusError("not an index file")
+            if len(head) == len(_MAGIC):
+                raise CorpusError("truncated index file")
+            version = head[len(_MAGIC)]
+            if version != _FORMAT_VERSION:
                 raise CorpusError(
-                    f"index file is corrupt: section {name} has type {code!r}, {size} bytes"
+                    "index must be rebuilt with `npstruct index`: "
+                    f"unsupported index format version {version}"
                 )
-            if name in _TEXTS:
-                sections[name] = bytes(chunk)
-                continue
-            column = array(code)
-            column.frombytes(chunk)
-            if not _LITTLE_ENDIAN:
-                column.byteswap()
-            sections[name] = column
+            if len(head) < _HEADER.size:
+                raise CorpusError("truncated index file")
+            _magic, _version, crc, *table = _HEADER.unpack(head)
+            codes, sizes = [code.decode("latin-1") for code in table[0::2]], table[1::2]
+            end, file_end = _HEADER.size + sum(sizes), os.fstat(f.fileno()).st_size
+            if end > file_end:
+                raise CorpusError("truncated index file")
+            if end < file_end:
+                raise CorpusError("index file is corrupt: trailing bytes")
+            for name, code, size in zip(_SECTIONS, codes, sizes):
+                if code not in _CODES or size % array(code).itemsize or name in _TEXTS and code != "B":
+                    raise CorpusError(
+                        f"index file is corrupt: section {name} has type {code!r}, {size} bytes"
+                    )
+            crc_read = zlib.crc32(head[_CHECKED_FROM:])
+            sections: dict[str, bytes | array] = {}
+            for name, code, size in zip(_SECTIONS, codes, sizes):
+                if name in _TEXTS:
+                    section = f.read(size)
+                else:
+                    section = array(code)
+                    with suppress(EOFError):
+                        section.fromfile(f, size // section.itemsize)
+                if memoryview(section).nbytes < size:  # the file shrank since its size was read
+                    raise CorpusError("truncated index file")
+                crc_read = zlib.crc32(section, crc_read)
+                sections[name] = section
+        if crc_read != crc:
+            raise CorpusError("index file is corrupt: checksum mismatch")
+        if not _LITTLE_ENDIAN:
+            for section in sections.values():
+                if isinstance(section, array):
+                    section.byteswap()
         return cls(**_checked(sections))
 
 
-def _encoded(value: array | tuple[str, ...] | str | bytes) -> tuple[str, bytes]:
-    """A section's type code and bytes: arrays little-endian, texts UTF-8."""
+def _encoded(value: array | tuple[str, ...] | str | bytes) -> tuple[str, bytes | memoryview]:
+    """A section's type code and bytes: arrays little-endian, texts UTF-8.
+
+    A little-endian machine's array is given as a view of its own buffer.
+    """
     if isinstance(value, array):
         if not _LITTLE_ENDIAN:
             value = array(value.typecode, value)
             value.byteswap()
-        return value.typecode, value.tobytes()
+        return value.typecode, memoryview(value).cast("B")
     if isinstance(value, tuple):  # a word list
         value = "".join(f"{word}\n" for word in value)
     if isinstance(value, str):
@@ -430,11 +453,50 @@ class IngestConfig:
     tagged: bool = False
 
 
+def _code(largest: int) -> str:
+    """The type code of the narrowest unsigned array holding ``largest``."""
+    return next(c for c in _CODES if largest < 1 << 8 * array(c).itemsize)
+
+
+def _collector(largest: int) -> Callable[..., bytearray | array]:
+    """The sequence type that takes values up to ``largest`` fastest, called like ``bytearray``.
+
+    That is a bytearray for byte values, else an I (or Q) array: B and H
+    arrays take a Python int several times more slowly.
+    """
+    return bytearray if largest < 1 << 8 else partial(array, _code(max(largest, 1 << 16)))
+
+
 def _column(values: Iterable[int], largest: int) -> array:
-    """The values as an array of the narrowest unsigned type holding ``largest``."""
-    code = next(c for c in _CODES if largest < 1 << 8 * array(c).itemsize)
-    # Bytes or a list fill an array faster than an iterator does.
-    return array(code, bytes(values) if code == "B" else list(values))
+    """The values as an array of the narrowest unsigned type holding ``largest``.
+
+    Values are gathered by their ``_collector`` first, unless they are in
+    a bytearray or an array at least as wide as the column already.  A
+    wider array is narrowed a byte plane at a time.
+    """
+    code = _code(largest)
+    if not isinstance(values, (array, bytearray)):
+        values = _collector(largest)(values)
+    if isinstance(values, bytearray):
+        return array(code, values)
+    if values.typecode == code:
+        return values
+    column = array(code, [0]) * len(values)
+    width, wide_width = column.itemsize, values.itemsize
+    low = 0 if _LITTLE_ENDIAN else wide_width - width  # where a value's low-order bytes start
+    into, source = memoryview(column).cast("B"), memoryview(values).cast("B")
+    for k in range(width):
+        into[k::width] = source[low + k :: wide_width]
+    return column
+
+
+def _joined(columns: list) -> array | bytearray:
+    """The columns back to back, emptying ``columns``: each is let go once copied."""
+    columns.reverse()
+    out = columns.pop()
+    while columns:
+        out += columns.pop()
+    return out
 
 
 def _ascending(values: Sequence, strict: bool = False) -> bool:
@@ -449,28 +511,31 @@ def _offsets_ok(offsets: array, end: int) -> bool:
 def _below(column: array, bound: int) -> bool:
     """Whether every value of ``column`` is less than ``bound``.
 
-    The values are compared one byte plane at a time, most significant
-    first, and none becomes a Python int: a value is out of play once
-    its byte is below the bound's, and fails if its byte is above it.
+    The values are compared a block at a time, one byte plane at a time,
+    most significant first, and none becomes a Python int: a value is out
+    of play once its byte is below the bound's, and fails if its byte is
+    above it.  Only one block is ever copied out of the column.
     """
     if bound >= 1 << 8 * column.itemsize:
         return True
     if bound <= 0:
         return not column
-    data, width = column.tobytes(), column.itemsize
-    in_play = -1  # all bits set on the bytes of the values still in play
-    for k in reversed(range(width)):
-        plane = data[k if _LITTLE_ENDIAN else width - 1 - k :: width]
-        if in_play != -1:  # bytes of values out of play read 0
-            plane = (int.from_bytes(plane, "little") & in_play).to_bytes(len(plane), "little")
-        digit = (bound - 1) >> 8 * k & 0xFF
-        if plane.translate(None, bytes(range(digit + 1))):
-            return False
-        equal = bytearray(256)
-        equal[digit] = 0xFF
-        in_play &= int.from_bytes(plane.translate(equal), "little")
-        if not in_play:
-            break
+    data, width = memoryview(column).cast("B"), column.itemsize
+    for at in range(0, len(data), width << 16):
+        block = data[at : at + (width << 16)].tobytes()
+        in_play = -1  # all bits set on the bytes of the values still in play
+        for k in reversed(range(width)):
+            plane = block[k if _LITTLE_ENDIAN else width - 1 - k :: width]
+            if in_play != -1:  # bytes of values out of play read 0
+                plane = (int.from_bytes(plane, "little") & in_play).to_bytes(len(plane), "little")
+            digit = (bound - 1) >> 8 * k & 0xFF
+            if plane.translate(None, bytes(range(digit + 1))):
+                return False
+            equal = bytearray(256)
+            equal[digit] = 0xFF
+            in_play &= int.from_bytes(plane.translate(equal), "little")
+            if not in_play:
+                break
     return True
 
 
@@ -547,6 +612,26 @@ def _ranks(ids: _Ids) -> tuple[list[str], list[int]]:
     return words, rank
 
 
+def _lines(path: Path, update: Callable[[bytes], object]) -> Iterator[str]:
+    """The lines of a UTF-8 text file, read ``_CHUNK`` characters at a time.
+
+    Only ``\\n`` ends a line; text mode reads ``\\r\\n`` and ``\\r`` as
+    ``\\n``, also when one read ends between them.  Each chunk, as UTF-8,
+    is also passed to ``update``.  The last line comes last, even when
+    empty, as ``str.split`` gives it.
+    """
+    with path.open(encoding="utf-8") as f:
+        carry = ""
+        while chunk := f.read(_CHUNK):
+            update(chunk.encode("utf-8"))
+            lines = chunk.split("\n")
+            del chunk  # its lines hold its text
+            lines[0] = carry + lines[0]
+            carry = lines.pop()
+            yield from lines
+    yield carry
+
+
 def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) -> CorpusIndex:
     """Index a UTF-8, one-sentence-per-line corpus file.
 
@@ -555,21 +640,17 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
     the sentence's raw text is its words joined by spaces.
     The provenance is a digest of the content and the config alone, so
     the same corpus gives the same index wherever its file lies.
+    The file is read a chunk at a time and every per-token column grows
+    as an array, so the memory needed is about the index's own.
     """
-    path = Path(corpus_file)
-    text = path.read_text(encoding="utf-8")
-    digest = hashlib.sha256(
-        text.encode("utf-8") + repr(config).encode("utf-8")
-    ).hexdigest()[:16]
+    digest = hashlib.sha256()
     # A piece is a token with the separator run before it.  Ids are in
     # order of first appearance; each distinct piece is split only once,
     # and each distinct spelling lowercased only once.
     piece_ids, run_ids, tag_ids = _Ids(), _Ids(), _Ids()
-    pieces: list[int] = []
-    trails, tags = array("I"), array("I")
-    starts = [0]
-    # Only \n (or \r\n or \r, which ``read_text`` reads as \n) ends a line.
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    pieces, trails, tags = array("I"), array("I"), array("I")
+    starts = array("Q", [0])
+    for lineno, line in enumerate(_lines(Path(corpus_file), digest.update), start=1):
         line = line.strip()
         if not line:
             continue
@@ -591,6 +672,7 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
     n = len(pieces)
     if not n:
         raise CorpusError("empty corpus")
+    digest.update(repr(config).encode("utf-8"))
     # Flat lists and dicts of ints, not tuples: thousands of small tuples
     # set off the cyclic garbage collector, which then walks ``pieces``.
     joined = "\n".join(piece_ids)
@@ -612,15 +694,19 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
     stream = _column(map(piece_token.__getitem__, pieces), len(vocab) - 1)
     cases = _column(map(piece_case.__getitem__, pieces), max(case_of.values()))
     seps = _column(map(piece_sep.__getitem__, pieces), len(separators) - 1)
-    del text, pieces  # not needed past here; let them go before the postings grow
-    sids_of: list[list[int]] = [[] for _ in vocab]
-    offsets_of: list[list[int]] = [[] for _ in vocab]
+    del pieces  # not needed past here; let it go before the postings grow
+    # Each token's postings grow as arrays; none is a list of Python ints.
+    longest = max(b - a for a, b in pairwise(starts))
+    new_sids, new_offsets = _collector(len(starts) - 2), _collector(longest - 1)
+    sids_of = [new_sids() for _ in vocab]
+    offsets_of = [new_offsets() for _ in vocab]
     for sid, (a, b) in enumerate(pairwise(starts)):
         for offset, i in enumerate(stream[a:b]):
             sids_of[i].append(sid)
             offsets_of[i].append(offset)
+    post_starts = _column(accumulate(map(len, sids_of), initial=0), n)
     return CorpusIndex(
-        provenance=f"sha256:{digest}",
+        provenance=f"sha256:{digest.hexdigest()[:16]}",
         vocab=vocab,
         tag_vocab=tag_vocab,
         spellings=[" ".join(groups[word]) for word in vocab],
@@ -631,11 +717,9 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
         cases=cases,
         seps=seps,
         trails=_column(map(run_rank.__getitem__, trails), len(separators) - 1),
-        post_starts=_column(accumulate(map(len, sids_of), initial=0), n),
-        post_sids=_column(chain.from_iterable(sids_of), len(starts) - 2),
-        post_offsets=_column(
-            chain.from_iterable(offsets_of), max(map(sub, starts[1:], starts)) - 1
-        ),
+        post_starts=post_starts,
+        post_sids=_column(_joined(sids_of), len(starts) - 2),
+        post_offsets=_column(_joined(offsets_of), longest - 1),
     )
 
 

@@ -61,10 +61,10 @@ class MorphLexicon:
 
     @classmethod
     def load(cls, path: str | Path) -> "MorphLexicon":
-        """Read a lexicon TSV file."""
+        """Read a lexicon TSV file; only a newline ends a line."""
         lex = cls()
         text = Path(path).read_text(encoding="utf-8")
-        for line in text.splitlines():
+        for line in text.split("\n"):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

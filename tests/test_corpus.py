@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import tracemalloc
 from array import array
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from npstruct.corpus import (
     MappingProvider,
     build_index,
 )
-from tests.conftest import NOT_NEWLINES, make_index, naive_count, normalize_line
+from tests.conftest import ATTACH_SENTENCES, NOT_NEWLINES, make_index, naive_count, normalize_line
 
 
 class TestCountQuery:
@@ -267,6 +268,84 @@ class TestSerialization:
         path.write_bytes(bytes(data))
         with pytest.raises(CorpusError, match=f"unsupported index format version {version}$"):
             CorpusIndex.load(path)
+
+
+# Multi-byte words, a blank line, a line of spaces and a token-less line;
+# the corpus is written without a final newline.
+CHUNKED_LINES = ["Zwölf Äpfel, fünf Öfen", "", "   ", "—!? «»", "漢字 and kanji (字)", "café ΩZ é", "end"]
+LINE_ENDS = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}
+
+
+def _saved(path: Path, out: Path) -> bytes:
+    build_index(path).save(out)
+    return out.read_bytes()
+
+
+class TestChunkedReading:
+    """A corpus is read a chunk at a time; where the chunks end changes no byte of the index."""
+
+    @pytest.mark.parametrize("end", LINE_ENDS)
+    def test_every_chunk_size_saves_the_lf_corpus_file(self, tmp_path, monkeypatch, end):
+        lf, path = tmp_path / "lf.txt", tmp_path / f"{end}.txt"
+        lf.write_bytes("\n".join(CHUNKED_LINES).encode("utf-8"))
+        path.write_bytes(LINE_ENDS[end].join(CHUNKED_LINES).encode("utf-8"))
+        expected = _saved(lf, tmp_path / "lf.idx")
+        assert _saved(path, tmp_path / "default.idx") == expected
+        for size in range(1, 18):
+            monkeypatch.setattr(corpus, "_CHUNK", size)
+            assert _saved(path, tmp_path / f"{size}.idx") == expected, size
+        index = CorpusIndex.load(tmp_path / "lf.idx")
+        assert [index.text(sid) for sid in range(4)] == [
+            "Zwölf Äpfel, fünf Öfen", "漢字 and kanji (字)", "café ΩZ é", "end"
+        ]
+
+    @pytest.mark.parametrize("size", [1, 7, None])
+    def test_a_read_may_end_inside_a_line_end_or_a_character(self, tmp_path, monkeypatch, size):
+        # Text mode reads a file 8 KiB (``io.DEFAULT_BUFFER_SIZE``) at a time:
+        # here the first such read ends between \r and \n, and the second
+        # inside the three bytes of "漢".
+        first = ("ab " * 3000)[:8191]
+        lines = [first, ("cd " * 3000)[: 2 * 8192 - 1 - len(first) - 2] + "漢字 x", "end"]
+        crlf = "\r\n".join(lines).encode("utf-8")
+        assert crlf[8191:8193] == b"\r\n" and crlf[16383:16386] == "漢".encode("utf-8")
+        (tmp_path / "crlf.txt").write_bytes(crlf)
+        (tmp_path / "lf.txt").write_bytes("\n".join(lines).encode("utf-8"))
+        if size is not None:
+            monkeypatch.setattr(corpus, "_CHUNK", size)
+        assert _saved(tmp_path / "crlf.txt", tmp_path / "crlf.idx") == _saved(
+            tmp_path / "lf.txt", tmp_path / "lf.idx"
+        )
+
+    def test_memory_grows_with_the_index_not_the_corpus(self, tmp_path, monkeypatch):
+        """Building, saving and loading each hold about the index's own memory.
+
+        Bounds are the index file's bytes times a factor plus a constant.
+        The chunk read at a time is set small, so that what it holds (a
+        constant, whatever the corpus) does not hide what grows with it.
+        """
+        from perfbench import inputs  # the benchmark's seeded corpora
+
+        path = tmp_path / "corpus.txt"
+        inputs.generate("attach", 3, ATTACH_SENTENCES).write_corpus(path)
+        monkeypatch.setattr(corpus, "_CHUNK", 1 << 16, raising=False)
+
+        def peak(step):
+            tracemalloc.start()
+            try:
+                result = step()
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        index, build = peak(lambda: build_index(path))
+        _none, save = peak(lambda: index.save(tmp_path / "corpus.idx"))
+        del index
+        _index, load = peak(lambda: CorpusIndex.load(tmp_path / "corpus.idx"))
+        size, mb = (tmp_path / "corpus.idx").stat().st_size, 1 << 20
+        assert size > mb  # so that the constants below do not dominate
+        assert build < 3 * size + 3 * mb // 2
+        assert save < size // 2 + mb // 2
+        assert load < 3 * size // 2 + mb
 
 
 TINY_TAGGED = ["The_D brain_N grows_V", "cells_N grow_V", "the_D end_N"]

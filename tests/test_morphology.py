@@ -1,5 +1,6 @@
 """Inflection expansion and lemmatization."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from npstruct.morphology import (
     is_plural,
     lemma,
 )
+from tests.conftest import NOT_NEWLINES
 
 WORDS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=12)
 
@@ -20,6 +22,16 @@ def test_lexicon_roundtrip(tmp_path):
     assert lemma(lex, "criteria") == "criterion"
     assert lemma(lex, "MEN") == "man"
     assert inflections(lex, "man") == frozenset({"man", "men"})
+
+
+@pytest.mark.parametrize("char", NOT_NEWLINES, ids=ascii)
+def test_only_a_newline_ends_a_lexicon_line(tmp_path, char):
+    path = tmp_path / "lex.tsv"
+    path.write_text(f"cell\tcells{char}cellular\nman\tmen\n", encoding="utf-8")
+    lex = MorphLexicon.load(path)
+    assert sorted(lex.forms_by_lemma) == ["cell", "man"]
+    assert inflections(lex, "cell") == frozenset({"cell", f"cells{char}cellular"})
+    assert lemma(lex, "men") == "man"
 
 
 def test_lexicon_lookup_beats_rules(small_lex):
