@@ -11,12 +11,13 @@ sentence is its tokens' spellings with the runs of text between them
 (separators), rebuilt on demand.  Queries never cross sentence
 boundaries.
 
-An index file (format 4) is a header (``_HEADER``) followed by the
+An index file (format 5) is a header (``_HEADER``) followed by the
 sections in ``_SECTIONS`` order; ``CorpusIndex`` says what each holds.
 Integer columns are unsigned, little-endian, and as narrow as their
-largest value allows.  Text sections are UTF-8, and a word list ends
-each entry with a newline.  Nothing is pickled, so loading runs no code
-from the file.
+largest value allows.  A posting is a stream position within its block
+of ``_BLOCK`` tokens, so it takes 2 bytes however long the corpus.
+Text sections are UTF-8, and a word list ends each entry with a
+newline.  Nothing is pickled, so loading runs no code from the file.
 """
 
 from __future__ import annotations
@@ -31,15 +32,15 @@ from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import accumulate, chain, compress, islice, pairwise, repeat
-from operator import add, le, lt
+from operator import add, le, lt, sub
 from pathlib import Path
 from struct import Struct
 from typing import Iterable, Protocol
 
 _MAGIC = b"NPSX"
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 # A token is a run of the characters in this regex class; every other
 # character separates tokens.  The three patterns below are built from it.
 _WORD_CLASS = "A-Za-z0-9"
@@ -51,7 +52,7 @@ _RUN_RE = re.compile(f"([^{_WORD_CLASS}\\n]*)[{_WORD_CLASS}]+")
 # File order of the sections; each is a CorpusIndex constructor argument.
 _SECTIONS = (
     "provenance", "vocab", "tag_vocab", "spellings", "separators", "stream", "starts",
-    "tags", "cases", "seps", "trails", "post_starts", "post_sids", "post_offsets",
+    "tags", "cases", "seps", "trails", "post_starts", "post_positions",
 )
 _WORD_LISTS = ("vocab", "tag_vocab", "spellings", "separators")
 _TEXTS = frozenset({"provenance", *_WORD_LISTS})
@@ -61,6 +62,7 @@ _CHECKED_FROM = Struct("<4sBI").size
 _CODES = "BHIQ"  # unsigned, narrowest first
 _LITTLE_ENDIAN = sys.byteorder == "little"
 _CHUNK = 1 << 20  # characters of a corpus file read at a time
+_BLOCK = 1 << 16  # stream positions per postings block
 
 MAX_GAP = 8
 
@@ -152,9 +154,13 @@ class CorpusIndex:
 
     ``stream`` holds every sentence's token ids back to back; ids index
     the sorted ``vocab``, and sentence ``s`` spans positions
-    ``starts[s]:starts[s + 1]``.  The occurrences of id ``i`` are entries
-    ``post_starts[i]:post_starts[i + 1]`` of ``post_sids`` (the sentence)
-    and ``post_offsets`` (the position in it), in corpus order.  A tagged
+    ``starts[s]:starts[s + 1]``.  The stream is cut into blocks of
+    ``_BLOCK`` positions, the last one possibly shorter, and
+    ``post_positions`` holds each occurrence's position within its
+    block.  Each id's postings are contiguous, block by block, and in
+    corpus order: those of id ``i`` in block ``b`` are entries
+    ``post_starts[k]:post_starts[k + 1]``, where ``k = i * blocks + b``,
+    so ``post_starts`` has ``blocks * len(vocab) + 1`` entries.  A tagged
     index also holds one id into the sorted ``tag_vocab`` per position in
     ``tags``; an untagged one has both empty.
 
@@ -183,8 +189,7 @@ class CorpusIndex:
         seps: array,
         trails: array,
         post_starts: array,
-        post_sids: array,
-        post_offsets: array,
+        post_positions: array,
     ):
         self._provenance = provenance
         self._vocab = tuple(vocab)
@@ -200,8 +205,8 @@ class CorpusIndex:
         self._seps = seps
         self._trails = trails
         self._post_starts = post_starts
-        self._post_sids = post_sids
-        self._post_offsets = post_offsets
+        self._post_positions = post_positions
+        self._blocks = _block_count(len(stream))
 
     @property
     def tagged(self) -> bool:
@@ -252,24 +257,59 @@ class CorpusIndex:
             raise CorpusError(f"index file is corrupt: bad case in sentence {sid}") from exc
         return "".join(pieces) + separators[self._trails[sid]]
 
+    @cached_property
+    def _start_list(self) -> list[int]:
+        """``starts`` as a list, made on first use: it bisects faster than the array."""
+        return self._starts.tolist()
+
     def _size(self, ids: Iterable[int]) -> int:
-        ps = self._post_starts
-        return sum(ps[i + 1] - ps[i] for i in ids)
+        ps, blocks = self._post_starts, self._blocks
+        return sum(ps[(i + 1) * blocks] - ps[i * blocks] for i in ids)
+
+    def _positions(self, ids: Iterable[int]) -> list[int]:
+        """The stream position of every occurrence of ``ids``: id by id, each in corpus order."""
+        ps, posts, blocks = self._post_starts, self._post_positions, self._blocks
+        bases = range(0, blocks * _BLOCK, _BLOCK)
+        out: list[int] = []
+        for i in ids:
+            for base, (a, b) in zip(bases, pairwise(ps[i * blocks : (i + 1) * blocks + 1])):
+                out += map(add, posts[a:b], repeat(base)) if base else posts[a:b]
+        return out
 
     def _id_sets(self, positions: Iterable[Iterable[str]]) -> list[frozenset[int]] | None:
         """The token ids of each position, or None when some position has none."""
         sets = [self.encode(alts) for alts in positions]
         return sets if all(sets) else None
 
-    def occurrences(self, words: Iterable[str]) -> list[tuple[int, int]]:
-        """The (sentence id, offset) of every occurrence of ``words``, in corpus order.
+    def occurrences(
+        self, words: Iterable[str], within: Iterable[str]
+    ) -> list[tuple[array, array, int]]:
+        """Each occurrence of ``words`` in a sentence holding ``within``, in corpus order.
 
-        ``words`` are normalized tokens; one the index lacks has none.
+        Both are normalized tokens, and a sentence holds ``within`` when
+        it holds one of them; a token the index lacks occurs nowhere.
+        With ``within`` equal to ``words``, every occurrence is given.
+        An occurrence is its sentence's token ids and tag ids (as
+        ``sentence_codes`` gives them, one pair per sentence) and its
+        offset there.  Each sentence is found by bisecting the sentence
+        starts; the occurrences of ``within`` need no sentence.
         """
-        ps, sids, offsets = self._post_starts, self._post_sids, self._post_offsets
-        return sorted(chain.from_iterable(
-            zip(sids[ps[i] : ps[i + 1]], offsets[ps[i] : ps[i + 1]]) for i in self.encode(words)
-        ))
+        starts, stream, tag_ids, out = self._start_list, self._stream, self._tags, []
+        others = sorted(self._positions(self.encode(within)))
+        others.append(len(stream))  # past every sentence
+        sid, k, end = -1, 0, 0
+        for g in sorted(self._positions(self.encode(words))):
+            if g >= end:  # the first occurrence in its sentence
+                sid = bisect_right(starts, g, sid + 1) - 1
+                begin, end = starts[sid], starts[sid + 1]
+                while others[k] < begin:
+                    k += 1
+                held = others[k] < end
+                if held:
+                    toks, tags = stream[begin:end], tag_ids[begin:end]
+            if held:
+                out.append((toks, tags, g - begin))
+        return out
 
     def _matched_sentences(self, query: CountQuery, sets: list[frozenset[int]]) -> list[int]:
         """The sentence id of each match of ``query``, one entry per match.
@@ -288,12 +328,8 @@ class CorpusIndex:
         else:
             split, widths = query.split, range(query.gap[0], query.gap[1] + 1)
         rare, *rest = sorted(range(n), key=lambda i: self._size(sets[i]))
-        ps, starts, stream, fill = self._post_starts, self._starts, self._stream, query.fill
-        anchors: list[int] = []
-        for i in sets[rare]:
-            a, b = ps[i], ps[i + 1]
-            sentence_starts = map(starts.__getitem__, self._post_sids[a:b])
-            anchors += map(add, sentence_starts, self._post_offsets[a:b])
+        starts, stream, fill = self._starts, self._stream, query.fill
+        anchors = self._positions(sets[rare])
         first, last = min(anchors, default=0), max(anchors, default=0)
         sids = []
         for width in widths:
@@ -342,7 +378,13 @@ class CorpusIndex:
         return [_encoded(getattr(self, f"_{name}")) for name in _SECTIONS]
 
     def info(self) -> dict[str, object]:
-        """The format, provenance and sizes of the index, and each section's bytes."""
+        """The format, provenance and sizes of the index, and each section's bytes.
+
+        ``postings.*`` are the nearest-rank percentiles of the number of
+        postings per token.
+        """
+        ps, blocks = self._post_starts, self._blocks
+        lengths = sorted(map(sub, ps[blocks::blocks], ps[:-1:blocks]))
         return {
             "format": _FORMAT_VERSION,
             "provenance": self._provenance,
@@ -352,11 +394,13 @@ class CorpusIndex:
             "tags": len(self._tag_vocab),
             "separators": len(self._separators),
             "most_spellings": _most_spellings(self._spellings),
+            "blocks": blocks,
+            **{f"postings.{name}": _nearest_rank(lengths, q) for name, q in _PERCENTILES},
             **{f"bytes.{name}": len(blob) for name, (_code, blob) in zip(_SECTIONS, self._sections())},
         }
 
     def save(self, path: str | Path) -> None:
-        """Write the columns as one format-4 file (layout in the module docstring).
+        """Write the columns as one format-5 file (layout in the module docstring).
 
         The checksum is taken over the columns' own buffers, and the header
         and the sections are written in turn: no copy of the file is made.
@@ -373,11 +417,11 @@ class CorpusIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "CorpusIndex":
-        """Read a format-4 file a section at a time, and check it before anything is used.
+        """Read a format-5 file a section at a time, and check it before anything is used.
 
         Each column is read straight into its array, and the checksum is
         taken as the sections are read; the file is never held whole.  A
-        file that is not a complete, intact format-4 index raises
+        file that is not a complete, intact format-5 index raises
         ``CorpusError``, a checksum mismatch before any section is used.
         Nothing in the file is ever run.
         """
@@ -490,12 +534,19 @@ def _column(values: Iterable[int], largest: int) -> array:
     return column
 
 
-def _joined(columns: list) -> array | bytearray:
-    """The columns back to back, emptying ``columns``: each is let go once copied."""
+def _joined(columns: list, largest: int) -> array:
+    """The columns back to back as one ``_column`` for ``largest``, emptying ``columns``.
+
+    Each column is let go once copied, and the values are narrowed
+    about ``_BLOCK`` at a time, so no wide copy of the whole is held.
+    """
+    out = array(_code(largest))
     columns.reverse()
-    out = columns.pop()
     while columns:
-        out += columns.pop()
+        chunk = columns.pop()
+        while columns and len(chunk) < _BLOCK:
+            chunk += columns.pop()
+        out += _column(chunk, largest)
     return out
 
 
@@ -539,6 +590,29 @@ def _below(column: array, bound: int) -> bool:
     return True
 
 
+def _block_count(n: int) -> int:
+    """The postings blocks of a stream of ``n`` positions: one at least."""
+    return max(1, -(-n // _BLOCK))
+
+
+def _last_block(positions: array, post_starts: array, blocks: int) -> array:
+    """Each token's postings in the last block, gathered into one column."""
+    if blocks == 1:
+        return positions
+    view, tail = memoryview(positions), array(positions.typecode)
+    spans = map(slice, post_starts[blocks - 1 :: blocks], post_starts[blocks::blocks])
+    tail.frombytes(b"".join(map(view.__getitem__, spans)))
+    return tail
+
+
+_PERCENTILES = (("p50", 50), ("p90", 90), ("p99", 99), ("max", 100))
+
+
+def _nearest_rank(ranked: Sequence[int], q: int) -> int:
+    """The ``q``-th percentile of the sorted ``ranked`` by nearest rank; 0 for none."""
+    return ranked[max(0, -(-q * len(ranked) // 100) - 1)] if ranked else 0
+
+
 def _most_spellings(spellings: Sequence[str]) -> int:
     """The most spellings an entry of a spelling table holds; 0 for no entries."""
     return max(map(str.count, spellings, repeat(" ")), default=-1) + 1
@@ -555,9 +629,13 @@ def _word_list(blob: bytes) -> list[str]:
 def _checked(sections: dict) -> dict:
     """Constructor arguments from a file's sections, each checked against the others.
 
-    Posting offsets are not checked one by one: a wrong offset can only
-    miscount, since every match is bounded by its sentence's end.  Nor
-    are spellings and separators: a wrong one can only misspell the text.
+    Postings are checked only against the stream's end, so that every
+    posting names a position of the stream: a column of at most 2-byte
+    values is below ``_BLOCK`` already, and only the last block, which
+    may be shorter, needs a scan.  A posting at the wrong position can
+    only miscount, since every match is bounded by its sentence's end.
+    Nor are spellings and separators checked: a wrong one can only
+    misspell the text.
     A case is checked against the most spellings any token has, and
     ``text`` refuses one past its own token's spellings.
     """
@@ -569,20 +647,24 @@ def _checked(sections: dict) -> dict:
         )
     except UnicodeDecodeError as exc:
         raise CorpusError("index file is corrupt: a word list is not UTF-8") from exc
-    vocab, tag_vocab, separators, stream, tags, starts, post_sids = (
+    vocab, tag_vocab, separators, stream, tags, starts, post_starts, positions = (
         args[k]
-        for k in ("vocab", "tag_vocab", "separators", "stream", "tags", "starts", "post_sids")
+        for k in (
+            "vocab", "tag_vocab", "separators", "stream", "tags", "starts", "post_starts",
+            "post_positions",
+        )
     )
     spellings, n = args["spellings"], len(stream)
+    blocks = _block_count(n)
     for what, ok in (
         ("vocabulary", _ascending(vocab, strict=True)),
         ("tag vocabulary", _ascending(tag_vocab, strict=True)),
         ("spellings", len(spellings) == len(vocab)),
         ("sentence starts", _offsets_ok(starts, n)),
-        ("posting starts", len(args["post_starts"]) == len(vocab) + 1
-         and _offsets_ok(args["post_starts"], n)),
-        ("postings", len(post_sids) == len(args["post_offsets"]) == n
-         and _below(post_sids, len(starts) - 1)),
+        ("posting starts", len(post_starts) == blocks * len(vocab) + 1
+         and _offsets_ok(post_starts, n)),
+        ("postings", len(positions) == n and _below(positions, _BLOCK)
+         and _below(_last_block(positions, post_starts, blocks), n - (blocks - 1) * _BLOCK)),
         ("token ids", _below(stream, len(vocab))),
         ("tags", len(tags) == (n if tag_vocab else 0) and _below(tags, len(tag_vocab))),
         ("cases", len(args["cases"]) == n and _below(args["cases"], _most_spellings(spellings))),
@@ -695,16 +777,21 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
     cases = _column(map(piece_case.__getitem__, pieces), max(case_of.values()))
     seps = _column(map(piece_sep.__getitem__, pieces), len(separators) - 1)
     del pieces  # not needed past here; let it go before the postings grow
-    # Each token's postings grow as arrays; none is a list of Python ints.
-    longest = max(b - a for a, b in pairwise(starts))
-    new_sids, new_offsets = _collector(len(starts) - 2), _collector(longest - 1)
-    sids_of = [new_sids() for _ in vocab]
-    offsets_of = [new_offsets() for _ in vocab]
-    for sid, (a, b) in enumerate(pairwise(starts)):
-        for offset, i in enumerate(stream[a:b]):
-            sids_of[i].append(sid)
-            offsets_of[i].append(offset)
-    post_starts = _column(accumulate(map(len, sids_of), initial=0), n)
+    # Each token's postings grow as arrays, a block at a time; none is a
+    # list of Python ints.  ``before`` holds, per block, how many postings
+    # each token has in the blocks before it; the starts run token by
+    # token, and block by block within a token.
+    largest = min(n, _BLOCK) - 1
+    new_positions, new_counts = _collector(largest), _collector(n)
+    positions_of = [new_positions() for _ in vocab]
+    before = []
+    for base in range(0, n, _BLOCK):
+        before.append(new_counts(map(len, positions_of)))
+        for offset, i in enumerate(stream[base : base + _BLOCK]):
+            positions_of[i].append(offset)
+    firsts = accumulate(map(len, positions_of), initial=0)
+    table = (first + k for first, ks in zip(firsts, zip(*before)) for k in ks)
+    post_starts = _column(chain(table, [n]), n)
     return CorpusIndex(
         provenance=f"sha256:{digest.hexdigest()[:16]}",
         vocab=vocab,
@@ -718,8 +805,7 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
         seps=seps,
         trails=_column(map(run_rank.__getitem__, trails), len(separators) - 1),
         post_starts=post_starts,
-        post_sids=_column(_joined(sids_of), len(starts) - 2),
-        post_offsets=_column(_joined(offsets_of), longest - 1),
+        post_positions=_joined(positions_of, largest),
     )
 
 
@@ -777,7 +863,7 @@ class MappingProvider:
         counts: dict[str, int] = {}
         p = Path(path)
         if p.exists():
-            for line in p.read_text(encoding="utf-8").splitlines():
+            for line in p.read_text(encoding="utf-8").split("\n"):
                 if not line:
                     continue
                 key, _, val = line.rpartition("\t")

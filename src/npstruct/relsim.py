@@ -16,12 +16,11 @@ import weakref
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from . import porter
-from .corpus import CorpusIndex
+from .corpus import CorpusIndex, CountQuery
 from .morphology import (
     BE_FORMS,
     DO_FORMS,
@@ -136,16 +135,15 @@ def extract_pair_features(
     noun = _noun_tag(index)
     i1, i2 = inflections(lex, noun1), inflections(lex, noun2)
     ids1, ids2 = index.encode(i1), index.encode(i2)
-    occ1, occ2 = index.occurrences(i1), index.occurrences(i2)
-    rare, occ, other = (ids1, occ1, occ2) if len(occ1) <= len(occ2) else (ids2, occ2, occ1)
-    with_other = set(map(itemgetter(0), other))
+    if index.count(CountQuery.of(i1)) <= index.count(CountQuery.of(i2)):
+        rare, occurrences = ids1, index.occurrences(i1, within=i2)
+    else:
+        rare, occurrences = ids2, index.occurrences(i2, within=i1)
     # Each distinct gap, keyed by its token and tag ids, is classified once.
     connectors: dict[tuple[bytes, bytes], tuple[str, str] | None] = {}
     # (gap key, direction) -> matches, in corpus order, so each feature's first gap comes first.
     found: Counter = Counter()
-    for toks, tags, head_a, start, stop, head_b in _adjacent_runs(
-        index, noun, rare, (o for o in occ if o[0] in with_other)
-    ):
+    for toks, tags, head_a, start, stop, head_b in _adjacent_runs(noun, rare, occurrences):
         if head_a in ids1 and head_b in ids2:
             direction = DIR_12
         elif head_a in ids2 and head_b in ids1:
@@ -166,24 +164,20 @@ def extract_pair_features(
 
 
 def _adjacent_runs(
-    index: CorpusIndex,
     noun: int | None,
     rare: frozenset[int],
-    occurrences: Iterable[tuple[int, int]],
+    occurrences: Iterable[tuple[array, array, int]],
 ) -> Iterator[tuple[array, array, int, int, int, int]]:
     """Each pair of adjacent noun runs 1 to 8 tokens apart that has a head in ``rare``.
 
-    ``occurrences`` are the (sentence, offset) of tokens in ``rare``, in
-    corpus order; ``noun`` is the noun tag's id, and without one no token
-    heads a run.  Yields the sentence's token and tag ids, the first run's
-    head, the bounds of the gap after it, and the second run's head, in
-    corpus order and once per pair.
+    ``occurrences`` are those of tokens in ``rare``, in corpus order, as
+    ``CorpusIndex.occurrences`` gives them; ``noun`` is the noun tag's
+    id, and without one no token heads a run.  Yields the sentence's
+    token and tag ids, the first run's head, the bounds of the gap after
+    it, and the second run's head, in corpus order and once per pair.
     """
-    sid = None
-    for at, o in occurrences:
-        if at != sid:
-            toks, tags = index.sentence_codes(at)
-            sid, n = at, len(tags)
+    for toks, tags, o in occurrences:
+        n = len(tags)
         if tags[o] != noun or (o + 1 < n and tags[o + 1] == noun):
             continue  # not a run's head
         start = o

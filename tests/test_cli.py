@@ -219,13 +219,17 @@ class TestInfo:
         lines = capsys.readouterr().out.splitlines()
         info = dict(line.split(" ") for line in lines)
         assert len(info) == len(lines)
-        assert info["format"] == "4"
+        assert info["format"] == "5"
         assert info["provenance"].startswith("sha256:")
         assert (info["sentences"], info["tokens"], info["vocabulary"], info["tags"]) == (
             "13", "46", "7", "0"
         )
         # "" (before a first word and after a last one), " ", "-" and "'"
         assert (info["separators"], info["most_spellings"]) == ("4", "1")
+        # Postings per token, sorted: s 1, grew 3, of 3, the 6, cells 7, brain 13, stem 13.
+        assert info["blocks"] == "1"
+        percentiles = [info[f"postings.{name}"] for name in ("p50", "p90", "p99", "max")]
+        assert percentiles == ["6", "13", "13", "13"]
         sizes = {name[len("bytes."):]: int(v) for name, v in info.items() if name.startswith("bytes.")}
         assert list(sizes) == list(_SECTIONS)
         assert _HEADER.size + sum(sizes.values()) == index_file.stat().st_size

@@ -4,7 +4,9 @@ import pickle
 import random
 import tracemalloc
 from array import array
+from bisect import bisect_right
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -258,7 +260,7 @@ class TestSerialization:
         assert index.info()["separators"] == 1
         assert [index.text(0), index.text(1)] == ["abc", "xyz"]
 
-    @pytest.mark.parametrize("version", [1, 3, 99])
+    @pytest.mark.parametrize("version", [1, 3, 4, 99])
     def test_bad_version_rejected(self, tmp_path, version):
         index = make_index(tmp_path, ["a"])
         path = tmp_path / "x.idx"
@@ -352,7 +354,7 @@ TINY_TAGGED = ["The_D brain_N grows_V", "cells_N grow_V", "the_D end_N"]
 
 
 def _section_spans(data: bytes) -> dict[str, tuple[int, int]]:
-    """Byte span of each section of a format-4 file, read from its table."""
+    """Byte span of each section of a format-5 file, read from its table."""
     sizes = corpus._HEADER.unpack_from(data)[4::2]
     at = corpus._HEADER.size
     spans = {}
@@ -406,10 +408,12 @@ CORRUPTIONS = {
     ),
     "case column too short": lambda c: dict(cases=c["cases"][:-1]),
     "token id out of range": lambda c: dict(stream=_last_set(c["stream"], len(c["vocab"]))),
-    "posting sentence out of range": lambda c: dict(
-        post_sids=_last_set(c["post_sids"], len(c["starts"]) - 1)
+    "posting position past the stream end": lambda c: dict(
+        post_positions=_last_set(c["post_positions"], len(c["stream"]))
     ),
-    "posting columns differ in length": lambda c: dict(post_offsets=c["post_offsets"][:-1]),
+    "posting starts of the wrong length": lambda c: dict(
+        post_starts=array("Q", [0, *c["post_starts"]])
+    ),
     "tag id out of range": lambda c: dict(tags=_last_set(c["tags"], len(c["tag_vocab"]))),
     "tag column too short": lambda c: dict(tags=c["tags"][:-1]),
     "a sentence too many": lambda c: dict(starts=array("Q", [*c["starts"], len(c["stream"])])),
@@ -531,6 +535,16 @@ class TestProvidersAndCache:
         assert again.counts == cache.counts
         assert again.count(CountQuery.of("a", "b")) == 3
         assert MappingProvider.load(tmp_path / "missing.tsv").counts == {}
+
+    def test_cache_keys_may_hold_any_line_break_but_lf(self, tmp_path):
+        """Only \\n ends a saved line, as in every other file the package reads."""
+        queries = [CountQuery.of("a\x85b"), CountQuery.of("c", "d\u2028e")]
+        queries += [CountQuery.gapped([f"x{c}y"], ["z"], 1, 2) for c in NOT_NEWLINES]
+        cache = MappingProvider({q.canonical(): n for n, q in enumerate(queries, start=1)})
+        cache.save(tmp_path / "cache.tsv")
+        again = MappingProvider.load(tmp_path / "cache.tsv")
+        assert again.counts == cache.counts
+        assert [again.count(q) for q in queries] == list(range(1, len(queries) + 1))
 
 
 TOKENS = st.sampled_from(["a", "b", "c", "d", "e"])
@@ -699,24 +713,33 @@ PHRASE_TOKENS = st.sampled_from(["a", "b", "c", "d", "e", "z"])  # "z" is never 
 ALT_SETS = st.frozensets(PHRASE_TOKENS, min_size=1, max_size=3)
 
 
-@settings(max_examples=80, deadline=None)
-@given(SENTENCES, ALT_SETS, st.booleans())
-@example([["a", "b"], ["b", "c"]], frozenset({"z"}), False)  # absent
-@example([["a", "b"], ["c"]], frozenset({"a", "c", "z"}), True)  # several words, one absent
-@example([["a", "b", "a"], ["b"]], frozenset({"a"}), True)  # repeat
-def test_occurrences_match_naive_scan(tmp_path_factory, sentences, words, reload):
-    tmp = tmp_path_factory.mktemp("occ")
-    index = make_index(tmp, [" ".join(s) for s in sentences], reload=reload)
-    # Every written sentence holds a token, so its line number is its id.
-    expected = [
-        (sid, offset)
+def _naive_occurrences(index: CorpusIndex, sentences: list[list[str]], words, within=None) -> list:
+    """Each token in ``words`` in a sentence holding one of ``within``, as ``occurrences`` gives it.
+
+    No ``within`` admits every sentence.  Every sentence must hold a
+    token, so that its line number is its id.
+    """
+    return [
+        (*index.sentence_codes(sid), offset)
         for sid, sent in enumerate(sentences)
+        if within is None or not within.isdisjoint(sent)
         for offset, token in enumerate(sent)
         if token in words
     ]
-    got = index.occurrences(words)
-    assert got == expected
-    assert all(a < b for a, b in zip(got, got[1:]))  # corpus order
+
+
+@settings(max_examples=80, deadline=None)
+@given(SENTENCES, ALT_SETS, st.none() | ALT_SETS, st.booleans())
+@example([["a", "b"], ["b", "c"]], frozenset({"z"}), None, False)  # absent
+@example([["a", "b"], ["c"]], frozenset({"a", "c", "z"}), None, True)  # several words, one absent
+@example([["a", "b", "a"], ["b"]], frozenset({"a"}), None, True)  # repeat
+@example([["a", "b", "a"], ["a"], ["c", "a", "b"]], frozenset({"a"}), frozenset({"b"}), True)
+@example([["a", "b"], ["c"]], frozenset({"a", "c"}), frozenset({"z"}), False)  # within absent
+def test_occurrences_match_naive_scan(tmp_path_factory, sentences, words, within, reload):
+    tmp = tmp_path_factory.mktemp("occ")
+    index = make_index(tmp, [" ".join(s) for s in sentences], reload=reload)
+    got = index.occurrences(words, words if within is None else within)
+    assert got == _naive_occurrences(index, sentences, words, within)
 
 
 SHORT_RUNS = st.lists(PHRASE_TOKENS, max_size=3).map(tuple)
@@ -760,3 +783,74 @@ def test_filled_gap_matches_naive_scanner(
         line for line, sent in zip(lines, sentences) if any(naive_count([sent], p) for p in phrases)
     ]
     assert index.snippets(query, len(lines)) == expected
+
+
+def _check_against_naive_scans(index: CorpusIndex, sentences, queries, filled, phrases) -> None:
+    """Counts, snippets and occurrences of ``index`` equal those of a scan of ``sentences``.
+
+    ``filled`` is a filled gapped query and ``phrases`` the phrases it spells out.
+    """
+    lines = [" ".join(s) for s in sentences]
+    for q in [*queries, filled]:
+        spelled = phrases if q is filled else [q]
+        per_line = [sum(naive_count([s], p) for p in spelled) for s in sentences]
+        assert index.count(q) == sum(per_line), q.canonical()
+        expected = [line for line, n in zip(lines, per_line) if n]
+        assert index.snippets(q, len(lines)) == expected, q.canonical()
+    for words in ({"a"}, {"b", "e"}, {"c", "d", "z"}, {"z"}):
+        assert index.occurrences(words, words) == _naive_occurrences(index, sentences, words)
+        within = {"e", "z"}
+        expected = _naive_occurrences(index, sentences, words, within)
+        assert index.occurrences(words, within) == expected
+
+
+BLOCK_SIZES = st.sampled_from([1, 2, 3, 5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(SENTENCES, QUERIES, BLOCK_SIZES, st.lists(SHORT_RUNS, max_size=4), GAPS)
+# A phrase across every boundary of 2-token blocks, and one-token blocks.
+@example([["a", "b", "c"], ["d", "a", "b", "c", "e"]], _random_queries(1), 2, [("b",)], (0, 2))
+@example([["a", "b", "a"], ["b", "c"]], [CountQuery.of("a", "b")], 1, [(), ("a",)], (0, 1))
+def test_queries_across_postings_blocks_match_naive_scans(
+    tmp_path_factory, sentences, queries, block, fill, gap
+):
+    """With blocks of a few tokens, postings and matches cross block boundaries."""
+    filled = CountQuery.gapped([AB], [{"c", "d"}], *gap, frozenset(fill))
+    phrases = [CountQuery.of(AB, *run, {"c", "d"}) for run in set(fill) if gap[0] <= len(run) <= gap[1]]
+    with patch.object(corpus, "_BLOCK", block):
+        for index in _built_and_reloaded(tmp_path_factory, sentences):
+            blocks = -(-index.total_tokens() // block)
+            assert index.info()["blocks"] == blocks
+            assert len(index._post_starts) == blocks * len(index.vocab) + 1
+            _check_against_naive_scans(index, sentences, queries, filled, phrases)
+
+
+def test_a_posting_past_its_block_is_a_data_error(tmp_path):
+    """A position of a block before the last must be below the block size."""
+    with patch.object(corpus, "_BLOCK", 2):
+        index = make_index(tmp_path, ["a b a", "b a"])
+        columns = _columns(index)
+        positions = array("Q", columns["post_positions"])
+        assert positions[0] == 0  # "a" at 0, in the first block
+        positions[0] = 2  # still inside the stream, but past the first block
+        CorpusIndex(**dict(columns, post_positions=positions)).save(tmp_path / "bad.idx")
+        with pytest.raises(CorpusError, match="index file is corrupt: bad postings"):
+            CorpusIndex.load(tmp_path / "bad.idx")
+
+
+def test_a_corpus_of_more_than_one_block(tmp_path_factory):
+    """At the real block size, a corpus past 65,536 tokens has two blocks of 2-byte postings."""
+    rng = random.Random(7)
+    sentences = [[rng.choice("abcde") for _ in range(rng.randint(1, 13))] for _ in range(10_100)]
+    for index in _built_and_reloaded(tmp_path_factory, sentences):
+        info = index.info()
+        assert info["tokens"] > corpus._BLOCK == 1 << 16
+        assert info["blocks"] == 2
+        assert info["bytes.post_positions"] == 2 * info["tokens"]
+        # A sentence holds the boundary: some matches run across it.
+        at = bisect_right(index._starts, corpus._BLOCK) - 1
+        assert index._starts[at] < corpus._BLOCK < index._starts[at + 1]
+        filled = CountQuery.gapped(["a"], ["b", "c"], 0, 2, frozenset({(), ("d",), ("e", "a")}))
+        phrases = [CountQuery.of("a", *run, "b", "c") for run in [(), ("d",), ("e", "a")]]
+        _check_against_naive_scans(index, sentences, _random_queries(3), filled, phrases)
