@@ -55,6 +55,43 @@ class PairFeature:
             raise ValueError("bad direction")
 
 
+class _Kept:
+    """One value kept for the objects it was made for, without keeping them alive.
+
+    The objects are matched by identity through weak references, so an
+    object that reuses a freed one's id never matches, and the value is
+    dropped as soon as any of them is freed.  Keeping a new value drops
+    the old one.
+    """
+
+    def __init__(self) -> None:
+        self._refs: tuple[weakref.ref, ...] = ()
+        self._value = None
+
+    def get(self, *objects):
+        """The value kept for exactly ``objects``, or None."""
+        refs = self._refs
+        if len(refs) == len(objects) and all(r() is o for r, o in zip(refs, objects)):
+            return self._value
+        return None
+
+    def keep(self, value, *objects):
+        """Keep ``value`` for ``objects`` in place of any earlier value; returns it."""
+        self._refs = tuple(weakref.ref(o, self._drop) for o in objects)
+        self._value = value
+        return value
+
+    def _drop(self, _ref: weakref.ref) -> None:
+        self._refs, self._value = (), None
+
+
+# The connector table of the last (index, lexicon) pair features were
+# extracted with: each gap's (token-id bytes, tag-id bytes) mapped to its
+# two PairFeatures, 1->2 then 2->1, or to None if it joins by nothing.
+# The keys are that index's ids, so the table serves no other index.
+_connectors = _Kept()
+
+
 def _noun_tag(index: CorpusIndex) -> int | None:
     """The id of the noun tag ``N`` in a tagged index, or None if no token has it."""
     if not index.tagged:
@@ -129,8 +166,10 @@ def extract_pair_features(
     heads are found from the postings: each occurrence of the rarer noun
     that ends a run, in a sentence that also holds the other noun, is
     walked out to the runs on either side.  The features come in corpus
-    order, as a scan of every sentence finds them, and each distinct
-    connector is classified once per call.
+    order, as a scan of every sentence finds them.  Each distinct
+    connector is classified once per index and lexicon: the table of
+    classified gaps lasts until a call with another index or lexicon,
+    or until either is freed.
     """
     noun = _noun_tag(index)
     i1, i2 = inflections(lex, noun1), inflections(lex, noun2)
@@ -139,27 +178,26 @@ def extract_pair_features(
         rare, occurrences = ids1, index.occurrences(i1, within=i2)
     else:
         rare, occurrences = ids2, index.occurrences(i2, within=i1)
-    # Each distinct gap, keyed by its token and tag ids, is classified once.
-    connectors: dict[tuple[bytes, bytes], tuple[str, str] | None] = {}
-    # (gap key, direction) -> matches, in corpus order, so each feature's first gap comes first.
-    found: Counter = Counter()
+    table = _connectors.get(index, lex)
+    if table is None:
+        table = _connectors.keep({}, index, lex)
+    features: Counter[PairFeature] = Counter()
     for toks, tags, head_a, start, stop, head_b in _adjacent_runs(noun, rare, occurrences):
         if head_a in ids1 and head_b in ids2:
-            direction = DIR_12
+            side = 0
         elif head_a in ids2 and head_b in ids1:
-            direction = DIR_21
+            side = 1
         else:
             continue
         key = (toks[start:stop].tobytes(), tags[start:stop].tobytes())
-        if key not in connectors:
-            between = _segment(index, toks, tags, start, stop)
-            connectors[key] = _classify_connector(between, lex)
-        found[key, direction] += 1
-    features: Counter[PairFeature] = Counter()
-    for (key, direction), n in found.items():
-        feat = connectors[key]
-        if feat is not None:
-            features[PairFeature(*feat, direction)] += n
+        if key not in table:
+            feat = _classify_connector(_segment(index, toks, tags, start, stop), lex)
+            table[key] = None if feat is None else (
+                PairFeature(*feat, DIR_12), PairFeature(*feat, DIR_21)
+            )
+        pair = table[key]
+        if pair is not None:
+            features[pair[side]] += 1
     return features
 
 
@@ -416,9 +454,9 @@ class SemevalModel:
         return (knn_classify(self.neighbours, self.vector(example)) or self.majority) == "true"
 
 
-# The last model ``semeval_classify`` fitted with an index: weak references
-# to its lexicon and index, its training set, and its fitted parts.
-_last_fit: tuple | None = None
+# The last fit ``semeval_classify`` made with an index, kept for its
+# lexicon and index: its training set and its fitted parts.
+_fits = _Kept()
 
 
 def semeval_classify(
@@ -435,16 +473,14 @@ def semeval_classify(
     both are immutable once built.  Only weak references to them are
     kept, so a dropped index is freed and never matches again.
     """
-    global _last_fit
     key = tuple(train)
-    if index is not None and _last_fit is not None:
-        lex_ref, index_ref, last_key, parts = _last_fit
-        if lex_ref() is lex and index_ref() is index and last_key == key:
-            return SemevalModel(lex, index, *parts).classify(example)
+    if index is not None:
+        fit = _fits.get(lex, index)
+        if fit is not None and fit[0] == key:
+            return SemevalModel(lex, index, *fit[1]).classify(example)
     model = SemevalModel.fit(train, lex, index)
     if index is not None:
-        parts = (model.weights, model.neighbours, model.majority)
-        _last_fit = (weakref.ref(lex), weakref.ref(index), key, parts)
+        _fits.keep((key, (model.weights, model.neighbours, model.majority)), lex, index)
     return model.classify(example)
 
 

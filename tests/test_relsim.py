@@ -1,13 +1,16 @@
 """Joining-feature extraction, similarity, and the three classifiers."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from npstruct import porter
+from npstruct import porter, relsim
 from npstruct.corpus import IngestConfig, build_index
+from npstruct.morphology import MorphLexicon
 from npstruct.relsim import (
     DIR_12,
     DIR_21,
@@ -205,11 +208,13 @@ def test_walk_matches_a_scan_of_every_sentence(tmp_path_factory, small_lex, sent
     assert list(got.items()) == list(scan_pair_features(index, noun1, noun2, small_lex).items())
 
 
-def test_connector_reuse_keeps_no_state(tmp_path, small_lex):
-    """One call's classified connectors never leak into another call or index.
+def test_connector_table_is_kept_per_index_and_lexicon(tmp_path, small_lex):
+    """Classified connectors are reused only with the index and lexicon they came from.
 
     The second corpus gives the same token and tag ids to other words and
-    tags, so a connector table that outlived a call would misread it.
+    tags, so a table that served another index would misread it; and the
+    lemma a gap's verb gets depends on the lexicon, so a table that served
+    another lexicon would misname it.
     """
     first = make_index(tmp_path, [
         "committee_N includes_V members_N",
@@ -234,6 +239,56 @@ def test_connector_reuse_keeps_no_state(tmp_path, small_lex):
     backward = [list(extract_pair_features(first, *p, small_lex).items()) for p in block[::-1]]
     assert forward == backward[::-1]
     assert forward[0] == [(PairFeature("include", "V", DIR_12), 1)]
+
+    held = make_index(tmp_path, ["committee_N held_V members_N"], tagged=True, name="held.txt")
+    bare = MorphLexicon()  # no entry for "held", so it is its own lemma
+    lemmas = [
+        list(extract_pair_features(held, "committee", "member", lex).items())
+        for lex in (small_lex, bare, small_lex)
+    ]
+    assert lemmas == [
+        [(PairFeature("hold", "V", DIR_12), 1)],
+        [(PairFeature("held", "V", DIR_12), 1)],
+        [(PairFeature("hold", "V", DIR_12), 1)],
+    ]
+
+
+NOUN_PAIRS = st.tuples(st.sampled_from(NOUNS), st.sampled_from(NOUNS))
+
+
+def test_calls_on_a_warm_table_match_a_scan_of_every_sentence(tmp_path, small_lex):
+    """Any sequence of calls on one index gives what each call alone would."""
+    index = tagged_index(tmp_path, _random_sentences(random.Random(7), 300), small_lex)
+    found_features = 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(NOUN_PAIRS, min_size=1, max_size=12))
+    @example([("committee", "member"), ("member", "committee"), ("committee", "member")])
+    @example([("team", "team"), ("player", "team"), ("team", "player")])
+    def calls_match(pairs):
+        nonlocal found_features
+        for noun1, noun2 in pairs:
+            features = scan_pair_features(index, noun1, noun2, small_lex)
+            got = extract_pair_features(index, noun1, noun2, small_lex)
+            assert list(got.items()) == list(features.items())
+            found_features += len(features)
+
+    calls_match()
+    assert found_features  # the corpus exercises the extractor
+    assert relsim._connectors.get(index, small_lex)  # and the calls shared one table
+
+
+def test_a_dropped_index_frees_its_connector_table(tmp_path):
+    index, lex = make_index(tmp_path, ["committee_N includes_V members_N"], tagged=True), MorphLexicon()
+    assert extract_pair_features(index, "committee", "member", lex)
+    assert relsim._connectors.get(index, lex)
+    refs = weakref.ref(index), weakref.ref(lex)
+    del index
+    gc.collect()
+    assert relsim._connectors._value is None  # freed, though the lexicon lives on
+    del lex
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 class TestSimilarity:
