@@ -13,7 +13,6 @@ from .corpus import (
     CorpusIndex,
     CountQuery,
     IndexProvider,
-    MappingProvider,
     build_index,
 )
 from .decisions import Decision, VoteConfig, majority_vote
@@ -31,7 +30,6 @@ __all__ = [
     "CorpusIndex",
     "CountQuery",
     "IndexProvider",
-    "MappingProvider",
     "build_index",
     "Decision",
     "VoteConfig",

@@ -4,8 +4,8 @@
 shared head graph (noun coordination, with the first head elided);
 ``president and chief executive`` coordinates two full NPs.  The
 voters compare head collocations, look for disambiguating rewrites,
-apply determiner and same-word heuristics, check number agreement,
-and scan raw snippets for separating punctuation.  The collocation
+apply the same-word heuristic, check number agreement, and scan raw
+snippets for separating punctuation.  The collocation
 voters are the ``COUNTS`` table of query pairs, scored by
 ``decisions.compare_counts``; the rewrites are the ``PARAPHRASES``
 table, each a label and one query that any match confirms.
@@ -34,21 +34,15 @@ from .surface import CueTable, cue_vote, snippets
 
 CONJUNCTIONS = ("and", "or")
 
-YES = "yes"
-NO = "no"
-UNKNOWN = "unknown"
-
 
 @dataclass(frozen=True)
 class CoordQuad:
-    """A coordination instance with optional determiner context flags."""
+    """A coordination instance ``n1 c n2 h``; ``c`` is ``and`` or ``or``."""
 
     n1: str
     c: str
     n2: str
     h: str
-    n1_determined: str = UNKNOWN
-    n2_determined: str = UNKNOWN
 
     def __post_init__(self) -> None:
         if self.c.lower() not in CONJUNCTIONS:
@@ -82,26 +76,6 @@ PARAPHRASES: dict[str, tuple[str, Callable[..., CountQuery]]] = {
     "coord-paraphrase-3": (NOUN_COORD, lambda n1, c, n2, ih: _of(n1, ih, c, n2, ih)),
     "coord-paraphrase-4": (NOUN_COORD, lambda n1, c, n2, ih: _of(n2, ih, c, n1, ih)),
 }
-
-
-def coord_heuristic(quad: CoordQuad, kind: str) -> Decision:
-    """Same-word and determiner-context heuristics."""
-    if kind == "h1":
-        if quad.n1.lower() == quad.n2.lower():
-            return Decision(NP_COORD)
-        return abstain()
-    if kind not in ("h4", "h5", "h6"):
-        raise ValueError(f"unknown heuristic {kind!r}")
-    d1, d2 = quad.n1_determined, quad.n2_determined
-    if UNKNOWN in (d1, d2):
-        return abstain("determiner context unknown")
-    if kind == "h4" and d1 == YES and d2 == YES:
-        return Decision(NP_COORD)
-    if kind == "h5" and quad.c == "or" and d1 == YES and d2 == NO:
-        return Decision(NOUN_COORD)
-    if kind == "h6" and d1 == NO and d2 == YES:
-        return Decision(NP_COORD)
-    return abstain()
 
 
 def number_agreement_decision(quad: CoordQuad, lex: MorphLexicon) -> Decision:
@@ -146,7 +120,6 @@ DEFAULT_COORD_VOTERS = (
     "coord-paraphrase-1", "coord-paraphrase-2",
     "coord-paraphrase-3", "coord-paraphrase-4",
     "h1",
-    "h6",
     "number-agreement",
     "surface",
 )
@@ -169,8 +142,11 @@ def _paraphrase(name, quad, provider, lex) -> Decision:
     return Decision(_opposite(label), 0, count, note="below threshold")
 
 
-def _heuristic(kind, quad, provider, lex) -> Decision:
-    return coord_heuristic(quad, kind)
+def _same_word(quad, provider, lex) -> Decision:
+    """``h1``: the same noun on both sides of the conjunction coordinates two NPs."""
+    if quad.n1.lower() == quad.n2.lower():
+        return Decision(NP_COORD)
+    return abstain()
 
 
 def _number_agreement(quad, provider, lex) -> Decision:
@@ -187,7 +163,7 @@ def _surface(quad, provider, lex) -> Decision:
 VOTERS: dict[str, Callable[..., Decision]] = {
     **{name: partial(_ngram, name) for name in COUNTS},
     **{name: partial(_paraphrase, name) for name in PARAPHRASES},
-    **{kind: partial(_heuristic, kind) for kind in ("h1", "h4", "h5", "h6")},
+    "h1": _same_word,
     "number-agreement": _number_agreement,
     "surface": _surface,
 }

@@ -31,7 +31,7 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, chain, compress, islice, pairwise, repeat
 from operator import add, le, lt, sub
@@ -211,10 +211,6 @@ class CorpusIndex:
     @property
     def tagged(self) -> bool:
         return bool(self._tag_vocab)
-
-    @property
-    def provenance(self) -> str:
-        return self._provenance
 
     @property
     def vocab(self) -> tuple[str, ...]:
@@ -833,44 +829,3 @@ class IndexProvider:
 
     def snippets(self, query: CountQuery, limit: int) -> list[str]:
         return self.index.snippets(query, limit)
-
-
-@dataclass
-class MappingProvider:
-    """CountProvider backed by a canonical-key -> count table.
-
-    Feeds decision models externally reported counts.  Unknown queries
-    count 0; snippet lookups return a fixed list.  ``save`` and ``load``
-    keep the counts as ``key<TAB>count`` lines sorted by key.
-    """
-
-    counts: dict[str, int] = field(default_factory=dict)
-    total_tokens: int = 1
-    snippet_table: dict[str, list[str]] = field(default_factory=dict)
-
-    def count(self, query: CountQuery) -> int:
-        return self.counts.get(query.canonical(), 0)
-
-    def total(self) -> int:
-        return self.total_tokens
-
-    def snippets(self, query: CountQuery, limit: int) -> list[str]:
-        return self.snippet_table.get(query.canonical(), [])[:limit]
-
-    @classmethod
-    def load(cls, path: str | Path) -> "MappingProvider":
-        """Read a saved count table; a missing file is an empty table."""
-        counts: dict[str, int] = {}
-        p = Path(path)
-        if p.exists():
-            for line in p.read_text(encoding="utf-8").split("\n"):
-                if not line:
-                    continue
-                key, _, val = line.rpartition("\t")
-                counts[key] = int(val)
-        return cls(counts)
-
-    def save(self, path: str | Path) -> None:
-        lines = [f"{key}\t{count}" for key, count in sorted(self.counts.items())]
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-

@@ -51,9 +51,9 @@ class MorphLexicon:
     """Maps lemmas to their inflected forms and back.
 
     Loaded from a TSV file of lines ``lemma<TAB>form1,form2,...``.
-    Lookup is case-insensitive.  Every lemma maps to itself.  Only the
-    two constructors, ``load`` and ``from_entries``, call ``add``, so a
-    built lexicon does not change and its identity can key a cache.
+    Lookup is case-insensitive.  Every lemma maps to itself.  ``add``
+    fills a lexicon while it is built, as ``load`` does, and a built
+    lexicon does not change, so its identity can key a cache.
     """
 
     forms_by_lemma: dict[str, frozenset[str]] = field(default_factory=dict)
@@ -71,14 +71,6 @@ class MorphLexicon:
             lemma, _, rest = line.partition("\t")
             forms = [f.strip().lower() for f in rest.split(",") if f.strip()]
             lex.add(lemma.strip().lower(), forms)
-        return lex
-
-    @classmethod
-    def from_entries(cls, entries: dict[str, list[str]]) -> "MorphLexicon":
-        """Build a lexicon from an in-memory mapping lemma -> forms."""
-        lex = cls()
-        for lemma, forms in entries.items():
-            lex.add(lemma.lower(), [f.lower() for f in forms])
         return lex
 
     def add(self, lemma: str, forms: list[str]) -> None:

@@ -172,6 +172,43 @@ def make_provider(tmp_path: Path, lines: list[str], tagged: bool = False):
     return IndexProvider(make_index(tmp_path, lines, tagged))
 
 
+# Not a dataclass: the benchmark loads this file by path as an unregistered
+# module, where ``@dataclass`` fails (``test_conftest_loads_on_its_own``).
+class MappingProvider:
+    """A provider answering from a canonical-key -> count table.
+
+    Unknown queries count 0; a snippet query returns its entry of
+    ``snippet_table``, cut to the limit, or nothing.
+    """
+
+    def __init__(
+        self,
+        counts: dict[str, int] | None = None,
+        total_tokens: int = 1,
+        snippet_table: dict[str, list[str]] | None = None,
+    ):
+        self.counts = {} if counts is None else counts
+        self.total_tokens = total_tokens
+        self.snippet_table = {} if snippet_table is None else snippet_table
+
+    def count(self, query: CountQuery) -> int:
+        return self.counts.get(query.canonical(), 0)
+
+    def total(self) -> int:
+        return self.total_tokens
+
+    def snippets(self, query: CountQuery, limit: int) -> list[str]:
+        return self.snippet_table.get(query.canonical(), [])[:limit]
+
+
+def lexicon(entries: dict[str, list[str]]) -> MorphLexicon:
+    """A lexicon of ``lemma -> forms`` entries, filled by ``add`` as ``load`` fills one."""
+    lex = MorphLexicon()
+    for lemma, forms in entries.items():
+        lex.add(lemma, forms)
+    return lex
+
+
 class CountRecorder:
     """Count through ``provider``, keeping each query and its count in order."""
 
@@ -238,7 +275,7 @@ def attach_corpus(tmp_path_factory):
 @pytest.fixture
 def small_lex() -> MorphLexicon:
     """A compact in-memory lexicon covering the words the tests use."""
-    return MorphLexicon.from_entries(
+    return lexicon(
         {
             "cell": ["cells"],
             "bone": ["bones"],

@@ -19,14 +19,13 @@ from npstruct.assoc import NounTriple, assoc_bracketing
 from npstruct.bracketer import DEFAULT_VOTERS, bracket, run_voter
 from npstruct.coordination import (
     CoordQuad,
-    coord_heuristic,
     number_agreement_decision,
+    run_coord_voter,
 )
 from npstruct.corpus import (
     CountQuery,
     IndexProvider,
     IngestConfig,
-    MappingProvider,
     build_index,
 )
 from npstruct.datasets import biomedical_bracketing, treebank_coordination
@@ -49,11 +48,12 @@ from npstruct.stats import (
     wilson_interval,
 )
 from npstruct.tagging import TinyTagger, write_tagged_corpus
+from tests.conftest import MappingProvider, lexicon
 
 # ---------------------------------------------------------------------------
 # Shared lexicon covering every word the acceptance fixtures use.
 
-LEX = MorphLexicon.from_entries(
+LEX = lexicon(
     {
         # bracketing fixture vocabulary
         "brain": ["brains"], "stem": ["stems"], "cell": ["cells"],
@@ -428,7 +428,7 @@ def test_end_to_end_pipelines(tmp_path):
     split = CoordQuad("president", "and", "members", "board")
     assert number_agreement_decision(split, LEX).label == NP_COORD
     repeated = CoordQuad("milk", "and", "milk", "products")
-    assert coord_heuristic(repeated, "h1").label == NP_COORD
+    assert run_coord_voter("h1", repeated, MappingProvider({}), LEX).label == NP_COORD
 
     # Analogy: the rigged block is solved; a tie between equally bad
     # candidates abstains.

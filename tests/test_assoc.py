@@ -17,11 +17,10 @@ from npstruct.assoc import (
     unigram_count,
 )
 from npstruct.cli import run
-from npstruct.corpus import MappingProvider
 from npstruct.decisions import ABSTAIN, LEFT, RIGHT
 from npstruct.morphology import MorphLexicon
 from npstruct.stats import pearson_chi2
-from tests.conftest import make_provider
+from tests.conftest import MappingProvider, make_provider
 
 
 def test_noun_triple_lowercases():

@@ -17,10 +17,10 @@ from npstruct.bracketer import (
     bracket,
     run_voter,
 )
-from npstruct.corpus import IndexProvider, MappingProvider, build_index
+from npstruct.corpus import IndexProvider, build_index
 from npstruct.decisions import ABSTAIN, LEFT, RIGHT, Decision, majority_vote
 from perfbench import inputs
-from tests.conftest import CountRecorder, make_provider
+from tests.conftest import CountRecorder, MappingProvider, make_provider
 
 TRIPLE = NounTriple("brain", "stem", "cells")
 

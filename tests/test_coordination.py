@@ -8,20 +8,23 @@ import pytest
 from npstruct import datasets
 from npstruct.coordination import (
     DEFAULTS,
-    NO,
     VOTERS,
-    YES,
     CoordQuad,
-    coord_heuristic,
     coord_pipeline,
     number_agreement_decision,
     run_coord_voter,
 )
-from npstruct.corpus import CountQuery, IndexProvider, MappingProvider
+from npstruct.corpus import CountQuery, IndexProvider
 from npstruct.datasets import COORDINATION
 from npstruct.decisions import ABSTAIN, NOUN_COORD, NP_COORD
 from npstruct.morphology import inflections
-from tests.conftest import CountRecorder, FixedSnippets, make_index, make_provider
+from tests.conftest import (
+    CountRecorder,
+    FixedSnippets,
+    MappingProvider,
+    make_index,
+    make_provider,
+)
 
 QUAD = CoordQuad("bar", "and", "pie", "graph")
 
@@ -83,26 +86,10 @@ class TestParaphrases:
 
 
 class TestHeuristics:
-    def test_h1_same_word(self):
+    def test_h1_same_word(self, small_lex):
         quad = CoordQuad("milk", "and", "milk", "products")
-        assert coord_heuristic(quad, "h1").label == NP_COORD
-        assert coord_heuristic(QUAD, "h1").label == ABSTAIN
-
-    def test_determiner_context(self):
-        both = CoordQuad("a", "and", "b", "c", n1_determined=YES, n2_determined=YES)
-        assert coord_heuristic(both, "h4").label == NP_COORD
-        or_first = CoordQuad("a", "or", "b", "c", n1_determined=YES, n2_determined=NO)
-        assert coord_heuristic(or_first, "h5").label == NOUN_COORD
-        second_only = CoordQuad("a", "and", "b", "c", n1_determined=NO, n2_determined=YES)
-        assert coord_heuristic(second_only, "h6").label == NP_COORD
-
-    def test_unknown_context_abstains(self):
-        d = coord_heuristic(QUAD, "h4")
-        assert d.label == ABSTAIN and "unknown" in d.note
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            coord_heuristic(QUAD, "h9")
+        assert run_coord_voter("h1", quad, MappingProvider({}), small_lex).label == NP_COORD
+        assert _vote("h1", MappingProvider({}), small_lex).label == ABSTAIN
 
 
 class TestNumberAgreement:

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from npstruct import datasets
-from npstruct.corpus import CountQuery, IndexProvider, MappingProvider
+from npstruct.corpus import CountQuery, IndexProvider
 from npstruct.datasets import PP_ATTACHMENT
 from npstruct.decisions import ABSTAIN, NOUN, VERB
 from npstruct.morphology import inflections
@@ -23,7 +23,13 @@ from npstruct.ppattach import (
     pp_pipeline,
     run_pp_voter,
 )
-from tests.conftest import CountRecorder, FixedSnippets, make_index, make_provider
+from tests.conftest import (
+    CountRecorder,
+    FixedSnippets,
+    MappingProvider,
+    make_index,
+    make_provider,
+)
 
 QUAD = PPQuad("meet", "demands", "from", "customers")
 

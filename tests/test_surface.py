@@ -10,11 +10,11 @@ import pytest
 from npstruct import coordination, datasets, ppattach, surface
 from npstruct.assoc import NounTriple
 from npstruct.bracketer import BRACKET_CUES, capitalization_excluded, run_voter
-from npstruct.corpus import CountQuery, IndexProvider, MappingProvider, build_index
+from npstruct.corpus import CountQuery, IndexProvider, build_index
 from npstruct.decisions import ABSTAIN, LEFT, RIGHT
-from npstruct.morphology import MorphLexicon, inflections
+from npstruct.morphology import inflections
 from perfbench import inputs
-from tests.conftest import make_provider
+from tests.conftest import MappingProvider, lexicon, make_provider
 
 TRIPLE = NounTriple("brain", "stem", "cells")
 
@@ -310,7 +310,7 @@ class TestMiscVoters:
         assert _run("inflection-variability", provider, lex).label == LEFT
 
     def test_inflection_variability_without_variants_abstains(self):
-        lex = MorphLexicon.from_entries({"sheep": [], "deer": [], "fish": []})
+        lex = lexicon({"sheep": [], "deer": [], "fish": []})
         triple = NounTriple("sheep", "deer", "fish")
         assert (
             _run("inflection-variability", MappingProvider({}), lex, triple).label
