@@ -22,7 +22,7 @@ from __future__ import annotations
 import sys
 
 from npstruct import cli, datasets, stats
-from npstruct.corpus import CorpusIndex, IndexProvider
+from npstruct.corpus import CorpusIndex
 
 BUNDLED = {"bracket": "bracketing_biomedical.tsv", "coord": "coordination_treebank.tsv"}
 
@@ -38,11 +38,11 @@ def ablate(argv: list[str]) -> int:
     runs["ensemble"] = cli.decider(args, voters, cli.default_label(args))
     lex = cli.load_lexicon(args.lexicon)
     rows = task.rows.load(args.dataset)
-    provider = IndexProvider(CorpusIndex.load(args.index))
+    index = CorpusIndex.load(args.index)
     items = [item for item, _ in rows]
     gold = [label for _, label in rows]
     reports = {
-        name: stats.evaluate([r.final.label for r in decide(items, provider, lex)], gold)
+        name: stats.evaluate([r.final.label for r in decide(items, index, lex)], gold)
         for name, decide in runs.items()
     }
     print(stats.comparison_table(reports))

@@ -9,12 +9,7 @@ runs against a local corpus index with true occurrence frequencies.
 from .assoc import NounTriple, assoc_score
 from .bracketer import bracket
 from .coordination import CoordQuad, coord_pipeline
-from .corpus import (
-    CorpusIndex,
-    CountQuery,
-    IndexProvider,
-    build_index,
-)
+from .corpus import CorpusIndex, CountQuery, build_index
 from .decisions import Decision, VoteConfig, majority_vote
 from .morphology import MorphLexicon, inflections, lemma
 from .paraphrase import ParaphraseInventory, paraphrase_decision
@@ -29,7 +24,6 @@ __all__ = [
     "coord_pipeline",
     "CorpusIndex",
     "CountQuery",
-    "IndexProvider",
     "build_index",
     "Decision",
     "VoteConfig",

@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import bracketer, coordination, datasets, ppattach, relsim, stats
-from .corpus import CorpusIndex, IndexProvider, IngestConfig, build_index
+from .corpus import CorpusIndex, IngestConfig, build_index
 from .decisions import VoteConfig, VoteResult
 from .morphology import MorphLexicon
 
@@ -143,7 +143,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("compare", help="compare prediction files pairwise")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", action="append", required=True,
-                   help="repeatable; name=path or bare path")
+                   help="repeatable; name=path, split at the first '=', or a bare"
+                   " path without '=', named by its stem")
     return parser
 
 
@@ -175,7 +176,7 @@ def _write_report(path: str | None, lines: list[str]) -> None:
 def _cmd_index(args) -> int:
     index = build_index(args.corpus, IngestConfig(tagged=args.tagged))
     index.save(args.out)
-    print(f"indexed {index.total_tokens()} tokens")
+    print(f"indexed {index.total()} tokens")
     return 0
 
 
@@ -201,8 +202,7 @@ def _cmd_vote(args) -> int:
     decide = decider(args, voter_names(args), default_label(args))
     rows = task.rows.load(args.dataset)
     _create_output(args.report)
-    provider = IndexProvider(CorpusIndex.load(args.index))
-    results = decide([item for item, _ in rows], provider, lex)
+    results = decide([item for item, _ in rows], CorpusIndex.load(args.index), lex)
     lines = []
     for r in results:
         columns = astuple(r.item)[: task.rows.width]
@@ -321,9 +321,8 @@ def _cmd_compare(args) -> int:
     gold = _read_labels(args.gold)
     reports = {}
     for item in args.pred:
-        name, _, path = item.rpartition("=")
-        if not name:
-            name, path = Path(path).stem, path
+        name, _, path = item.partition("=") if "=" in item else ("", "", item)
+        name = name or Path(path).stem
         pred = _read_labels(path)
         if len(pred) != len(gold):
             raise ValueError(f"{path} differs in length from gold")

@@ -78,23 +78,6 @@ PARAPHRASES: dict[str, tuple[str, Callable[..., CountQuery]]] = {
 }
 
 
-def number_agreement_decision(quad: CoordQuad, lex: MorphLexicon) -> Decision:
-    """Agreement in grammatical number between n1, n2, and the head.
-
-    If n1 and n2 agree but differ from the head, the head cannot be
-    shared directly with n1's number, so the modifiers coordinate; if
-    n1 disagrees with n2 but matches the head, two NPs coordinate.
-    """
-    p1 = is_plural(lex, quad.n1)
-    p2 = is_plural(lex, quad.n2)
-    ph = is_plural(lex, quad.h)
-    if p1 == p2 and p1 != ph:
-        return Decision(NOUN_COORD)
-    if p1 != p2 and p1 == ph:
-        return Decision(NP_COORD)
-    return abstain()
-
-
 # Noun- and NP-coordination cues over n1 c n2 h.  Most separators
 # between n2 and the head, and a dash suspending n1, indicate noun
 # coordination; separators isolating n1 indicate NP coordination.
@@ -150,7 +133,20 @@ def _same_word(quad, provider, lex) -> Decision:
 
 
 def _number_agreement(quad, provider, lex) -> Decision:
-    return number_agreement_decision(quad, lex)
+    """``number-agreement``: agreement in grammatical number between n1, n2, and the head.
+
+    If n1 and n2 agree but differ from the head, the head cannot be
+    shared directly with n1's number, so the modifiers coordinate; if
+    n1 disagrees with n2 but matches the head, two NPs coordinate.
+    """
+    p1 = is_plural(lex, quad.n1)
+    p2 = is_plural(lex, quad.n2)
+    ph = is_plural(lex, quad.h)
+    if p1 == p2 and p1 != ph:
+        return Decision(NOUN_COORD)
+    if p1 != p2 and p1 == ph:
+        return Decision(NP_COORD)
+    return abstain()
 
 
 def _surface(quad, provider, lex) -> Decision:

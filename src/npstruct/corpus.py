@@ -152,6 +152,8 @@ def _normalize_positions(
 class CorpusIndex:
     """Immutable token index over a one-sentence-per-line corpus, held as columns.
 
+    The index is itself a ``CountProvider`` (``count``, ``total``, ``snippets``).
+
     ``stream`` holds every sentence's token ids back to back; ids index
     the sorted ``vocab``, and sentence ``s`` spans positions
     ``starts[s]:starts[s + 1]``.  The stream is cut into blocks of
@@ -239,7 +241,8 @@ class CorpusIndex:
         a, b = self._bounds(self._starts, sid)
         return self._stream[a:b], self._tags[a:b]
 
-    def total_tokens(self) -> int:
+    def total(self) -> int:
+        """The number of tokens in the index."""
         return len(self._stream)
 
     def text(self, sid: int) -> str:
@@ -817,7 +820,7 @@ class CountProvider(Protocol):
 
 @dataclass
 class IndexProvider:
-    """CountProvider view over a CorpusIndex."""
+    """A CountProvider that forwards to ``index``, itself a CountProvider."""
 
     index: CorpusIndex
 
@@ -825,7 +828,7 @@ class IndexProvider:
         return self.index.count(query)
 
     def total(self) -> int:
-        return self.index.total_tokens()
+        return self.index.total()
 
     def snippets(self, query: CountQuery, limit: int) -> list[str]:
         return self.index.snippets(query, limit)

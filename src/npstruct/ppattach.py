@@ -8,8 +8,8 @@ raw snippets for orthographic cues, and finally combine everything in
 a majority vote backed by a count-table classifier trained on the
 vote's own output.  The count voters (n-gram models and paraphrases)
 are the ``COUNTS`` table of noun- and verb-predicting queries, scored
-by ``decisions.compare_counts``.  ``DEFAULTS`` is the task's
-``VoteConfig``.
+by ``decisions.compare_counts``, and the heuristics are the
+``HEURISTICS`` table.  ``DEFAULTS`` is the task's ``VoteConfig``.
 """
 
 from __future__ import annotations
@@ -107,21 +107,16 @@ COUNTS: dict[str, Callable[..., tuple[list[CountQuery], list[CountQuery]]]] = {
 }
 
 
-def pp_heuristic(quad: PPQuad, kind: str) -> Decision:
-    """Closed-class shortcuts: pronoun n1, copular verb, the of-rule."""
-    if kind == "pronoun-n1":
-        if quad.n1.lower() in PRONOUNS:
-            return Decision(VERB)
-        return abstain()
-    if kind == "verb-be":
-        if quad.v.lower() in BE_FORMS:
-            return Decision(NOUN)
-        return abstain()
-    if kind == "of-rule":
-        if quad.p == "of":
-            return Decision(NOUN)
-        return abstain()
-    raise ValueError(f"unknown heuristic {kind!r}")
+# Closed-class shortcut -> (its label, the test on the quad that fires it);
+# a quad that fails the test abstains.  A pronoun n1 sends the PP to the
+# verb; a copular verb, or the preposition ``of`` (the of-rule), sends it
+# to the noun.  ``pp_pipeline`` runs the of-rule first, and a firing
+# of-rule decides alone.
+HEURISTICS: dict[str, tuple[str, Callable[[PPQuad], bool]]] = {
+    "pronoun-n1": (VERB, lambda quad: quad.n1.lower() in PRONOUNS),
+    "verb-be": (NOUN, lambda quad: quad.v.lower() in BE_FORMS),
+    "of-rule": (NOUN, lambda quad: quad.p == "of"),
+}
 
 
 def normalize_quad(quad: PPQuad, lex: MorphLexicon) -> PPQuad:
@@ -152,10 +147,6 @@ class BackoffModel:
         cell[0] += int(is_noun)
         cell[1] += 1
 
-    def _lookup(self, key: tuple) -> tuple[int, int]:
-        noun, total = self.tables.get(key, (0, 0))
-        return noun, total
-
 
 def backoff_train(
     examples: list[tuple[PPQuad, str]], lex: MorphLexicon
@@ -180,14 +171,13 @@ def backoff_predict(model: BackoffModel, quad: PPQuad, lex: MorphLexicon) -> Dec
     """Predict from R1 when supported, else R2; exact 0.5 abstains."""
     q = normalize_quad(quad, lex)
     keys = [("vp", q.v, q.p), ("n1p", q.n1, q.p), ("pn2", q.p, q.n2)]
-    noun = sum(model._lookup(k)[0] for k in keys)
-    total = sum(model._lookup(k)[1] for k in keys)
+    noun, total = map(sum, zip(*(model.tables.get(k, (0, 0)) for k in keys)))
     if total > 3:
         r1 = noun / total
         if r1 != 0.5:
             label = NOUN if r1 > 0.5 else VERB
             return Decision(label, r1, 1 - r1)
-    p_noun, p_total = model._lookup(("p", q.p))
+    p_noun, p_total = model.tables.get(("p", q.p), (0, 0))
     if p_total == 0:
         return abstain("unseen preposition")
     r2 = p_noun / p_total
@@ -260,8 +250,10 @@ def _paraphrase(name, quad, provider, lex) -> Decision:
     return compare_counts(provider, COUNTS[name](iv, i1, quad.p, i2), NOUN, VERB)
 
 
-def _heuristic(kind, quad, provider, lex) -> Decision:
-    return pp_heuristic(quad, kind)
+def _heuristic(name, quad, provider, lex) -> Decision:
+    """``name``'s label if its test fires on the quad, else an abstention."""
+    label, fires = HEURISTICS[name]
+    return Decision(label) if fires(quad) else abstain()
 
 
 def _surface(quad, provider, lex) -> Decision:
@@ -284,7 +276,7 @@ VOTERS: dict[str, Callable[..., Decision]] = {
     "ngram-3": partial(_ngram, "ngram-3", False),
     "ngram-4": partial(_ngram, "ngram-3", True),
     **{name: partial(_paraphrase, name) for name in COUNTS if name.startswith("paraphrase-")},
-    **{kind: partial(_heuristic, kind) for kind in ("pronoun-n1", "verb-be", "of-rule")},
+    **{name: partial(_heuristic, name) for name in HEURISTICS},
     "surface": _surface,
     "backoff": partial(_backoff, None),
 }
@@ -310,7 +302,7 @@ def pp_pipeline(
     config: VoteConfig = DEFAULTS,
 ) -> VoteResult:
     """Vote the enabled voters; the of-rule fires first and short-circuits."""
-    of_rule = pp_heuristic(quad, "of-rule")
+    of_rule = _heuristic("of-rule", quad, provider, lex)
     if not of_rule.abstained:
         return VoteResult(quad, {"of-rule": of_rule}, of_rule)
     return vote(quad, config, lambda name: run_pp_voter(name, quad, provider, lex, config))

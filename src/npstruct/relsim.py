@@ -17,7 +17,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import porter
 from .corpus import CorpusIndex, CountQuery
@@ -40,19 +40,12 @@ ADVERBS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class PairFeature:
-    """One joining lexeme with its part of speech and direction."""
+class PairFeature(NamedTuple):
+    """One joining lexeme, its kind (``V``, ``P`` or ``C``) and its direction."""
 
     lexeme: str
     kind: str
     direction: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("V", "P", "C"):
-            raise ValueError("kind must be V, P, or C")
-        if self.direction not in (DIR_12, DIR_21):
-            raise ValueError("bad direction")
 
 
 class _Kept:
@@ -287,19 +280,12 @@ class TfidfWeights:
 
 
 def dice(a: dict, b: dict) -> float:
-    """Generalized Dice: 2 Σ min(a_i, b_i) / (Σ a_i + Σ b_i)."""
+    """Generalized Dice: 2 Σ min(a_i, b_i) / (Σ a_i + Σ b_i), and 0.0 when both sums are 0."""
     total = sum(a.values()) + sum(b.values())
     if total == 0:
-        raise ValueError("undefined similarity")
+        return 0.0
     shared = sum(min(a[k], b[k]) for k in a.keys() & b.keys())
     return 2 * shared / total
-
-
-def _safe_dice(a: dict, b: dict) -> float:
-    try:
-        return dice(a, b)
-    except ValueError:
-        return 0.0
 
 
 def knn_classify(train: list[tuple[dict, str]], query: dict) -> str | None:
@@ -311,7 +297,7 @@ def knn_classify(train: list[tuple[dict, str]], query: dict) -> str | None:
     """
     if not train:
         raise ValueError("train must be nonempty")
-    sims = [(_safe_dice(vec, query), label) for vec, label in train]
+    sims = [(dice(vec, query), label) for vec, label in train]
     best = max(s for s, _ in sims)
     tied = [label for s, label in sims if s == best]
     if len(tied) == 1:
@@ -339,7 +325,7 @@ def solve_sat(
     weights = TfidfWeights.fit(vectors)
     weighted = [weights.weight(v) for v in vectors]
     stem_vec, cand_vecs = weighted[0], weighted[1:]
-    scores = [_safe_dice(stem_vec, v) for v in cand_vecs]
+    scores = [dice(stem_vec, v) for v in cand_vecs]
     best = max(scores)
     winners = [i for i, s in enumerate(scores) if s == best]
     if len(winners) == 1:

@@ -17,11 +17,7 @@ import pytest
 
 from npstruct.assoc import NounTriple, assoc_bracketing
 from npstruct.bracketer import DEFAULT_VOTERS, bracket, run_voter
-from npstruct.coordination import (
-    CoordQuad,
-    number_agreement_decision,
-    run_coord_voter,
-)
+from npstruct.coordination import CoordQuad, run_coord_voter
 from npstruct.corpus import (
     CountQuery,
     IndexProvider,
@@ -423,10 +419,11 @@ def test_end_to_end_pipelines(tmp_path):
         assert d.label == label
 
     # Coordination: number agreement and the repeated-word heuristic.
+    empty = MappingProvider({})
     agree = CoordQuad("buses", "and", "trains", "station")
-    assert number_agreement_decision(agree, LEX).label == NOUN_COORD
+    assert run_coord_voter("number-agreement", agree, empty, LEX).label == NOUN_COORD
     split = CoordQuad("president", "and", "members", "board")
-    assert number_agreement_decision(split, LEX).label == NP_COORD
+    assert run_coord_voter("number-agreement", split, empty, LEX).label == NP_COORD
     repeated = CoordQuad("milk", "and", "milk", "products")
     assert run_coord_voter("h1", repeated, MappingProvider({}), LEX).label == NP_COORD
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from npstruct.cli import run
-from npstruct.corpus import _HEADER, _SECTIONS, CorpusIndex, IndexProvider
+from npstruct.corpus import _HEADER, _SECTIONS, CorpusIndex
 from npstruct.datasets import default_lexicon
 from npstruct.decisions import NOUN
 from npstruct.ppattach import pp_bootstrap
@@ -358,8 +358,7 @@ class TestPPAttach:
             assert run([*argv, *flags]) == 0
             finals[tuple(flags)] = [line.split("\t")[-1] for line in report.read_text().splitlines()]
         capsys.readouterr()
-        provider = IndexProvider(CorpusIndex.load(idx))
-        results, _model = pp_bootstrap(quads, provider, default_lexicon())
+        results, _model = pp_bootstrap(quads, CorpusIndex.load(idx), default_lexicon())
         assert finals[("--bootstrap",)] == [r.final.label for r in results]
         assert finals[()] != finals[("--bootstrap",)]
 
@@ -554,6 +553,18 @@ class TestEvalAndCompare:
         out = capsys.readouterr().out
         assert "first" in out and "b" in out
         assert "first vs b" in out
+
+    def test_compare_splits_a_named_pred_at_its_first_equals_sign(self, tmp_path, capsys):
+        """In ``NAME=PATH``, the path may hold ``=``; the name may not."""
+        gold = self._labels(tmp_path, "gold.tsv", ["left"] * 4)
+        (tmp_path / "lr=0.1").mkdir()
+        pred = self._labels(tmp_path / "lr=0.1", "r.tsv", ["left"] * 3 + ["right"])
+        argv = ["compare", "--gold", str(gold), "--pred", f"base={pred}"]
+        assert str(pred).count("=") == 1
+        assert run(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[1].startswith("base\t3\t1\t0\t")
 
     @pytest.mark.parametrize("command", ["eval", "compare"])
     def test_no_confidence_level_option(self, tmp_path, capsys, command):

@@ -11,7 +11,6 @@ from npstruct.coordination import (
     VOTERS,
     CoordQuad,
     coord_pipeline,
-    number_agreement_decision,
     run_coord_voter,
 )
 from npstruct.corpus import CountQuery, IndexProvider
@@ -95,15 +94,18 @@ class TestHeuristics:
 class TestNumberAgreement:
     def test_modifiers_agree_head_differs(self, small_lex):
         quad = CoordQuad("buses", "and", "trains", "station")
-        assert number_agreement_decision(quad, small_lex).label == NOUN_COORD
+        d = run_coord_voter("number-agreement", quad, MappingProvider({}), small_lex)
+        assert d.label == NOUN_COORD
 
     def test_first_noun_matches_head_not_second(self, small_lex):
         quad = CoordQuad("president", "and", "members", "board")
-        assert number_agreement_decision(quad, small_lex).label == NP_COORD
+        d = run_coord_voter("number-agreement", quad, MappingProvider({}), small_lex)
+        assert d.label == NP_COORD
 
     def test_otherwise_abstains(self, small_lex):
         quad = CoordQuad("bus", "and", "train", "line")
-        assert number_agreement_decision(quad, small_lex).label == ABSTAIN
+        d = run_coord_voter("number-agreement", quad, MappingProvider({}), small_lex)
+        assert d.label == ABSTAIN
 
 
 def _surface(snippets, lex, quad=QUAD):

@@ -79,7 +79,7 @@ class TestIngestion:
         assert [index.vocab[t] for t in toks] == ["the", "brain", "s", "stem", "cells", "too"]
         assert not tags
         assert index.text(0) == "The brain's stem-cells, too!"
-        assert index.total_tokens() == 6
+        assert index.total() == 6
 
     def test_blank_and_punctuation_only_lines_skipped(self, tmp_path):
         index = make_index(tmp_path, ["a b", "", "...", "c"])
@@ -184,7 +184,7 @@ class TestCounting:
         assert index.count(CountQuery.of("a", "b")) == 1
         assert index.count(CountQuery.gapped(["a"], ["b"], 1, 2)) == 1
         assert index.count(CountQuery.gapped(["a"], ["b"], 0, 2)) == 2
-        assert index.total_tokens() == 5
+        assert index.total() == 5
 
     def test_matches_naive_scanner_on_fixed_corpus(self, tmp_path):
         lines = ["the cat sat on the mat", "the cat and the dog sat", "cat cat cat"]
@@ -232,7 +232,7 @@ class TestSerialization:
         q = CountQuery.of("a", "b")
         assert loaded.count(q) == index.count(q)
         assert loaded.info()["provenance"] == index.info()["provenance"]
-        assert loaded.total_tokens() == index.total_tokens()
+        assert loaded.total() == index.total()
 
     def test_save_is_deterministic(self, tmp_path):
         index = make_index(tmp_path, ["a b c"])
@@ -808,7 +808,7 @@ def test_queries_across_postings_blocks_match_naive_scans(
     phrases = [CountQuery.of(AB, *run, {"c", "d"}) for run in set(fill) if gap[0] <= len(run) <= gap[1]]
     with patch.object(corpus, "_BLOCK", block):
         for index in _built_and_reloaded(tmp_path_factory, sentences):
-            blocks = -(-index.total_tokens() // block)
+            blocks = -(-index.total() // block)
             assert index.info()["blocks"] == blocks
             assert len(index._post_starts) == blocks * len(index.vocab) + 1
             _check_against_naive_scans(index, sentences, queries, filled, phrases)

@@ -14,7 +14,7 @@ import pytest
 
 from npstruct import bracketer, coordination, datasets, ppattach, relsim
 from npstruct.cli import _example, run
-from npstruct.corpus import CorpusIndex, IndexProvider
+from npstruct.corpus import CorpusIndex
 from npstruct.morphology import lemma
 
 SENTENCES = [
@@ -125,7 +125,7 @@ def test_report_and_summary_are_pinned(task, files, tmp_path, capsys):
 
 @pytest.mark.parametrize("task", sorted(FIRING))
 def test_corpus_makes_each_kind_of_voter_fire(task, files):
-    provider = IndexProvider(CorpusIndex.load(files["index"]))
+    provider = CorpusIndex.load(files["index"])
     lex = datasets.default_lexicon()
     if task == "bracket":
         inv = datasets.default_inventory()

@@ -19,7 +19,6 @@ from npstruct.ppattach import (
     backoff_train,
     normalize_quad,
     pp_bootstrap,
-    pp_heuristic,
     pp_pipeline,
     run_pp_voter,
 )
@@ -43,21 +42,20 @@ def _vote(name, provider, lex, quad=QUAD):
 
 
 class TestHeuristics:
-    def test_of_rule(self):
-        assert pp_heuristic(PPQuad("eat", "slice", "of", "cake"), "of-rule").label == NOUN
-        assert pp_heuristic(QUAD, "of-rule").label == ABSTAIN
+    def test_of_rule(self, small_lex):
+        quad = PPQuad("eat", "slice", "of", "cake")
+        assert _vote("of-rule", MappingProvider({}), small_lex, quad).label == NOUN
+        assert _vote("of-rule", MappingProvider({}), small_lex).label == ABSTAIN
 
-    def test_pronoun_n1(self):
-        assert pp_heuristic(PPQuad("saw", "him", "with", "scope"), "pronoun-n1").label == VERB
-        assert pp_heuristic(QUAD, "pronoun-n1").label == ABSTAIN
+    def test_pronoun_n1(self, small_lex):
+        quad = PPQuad("saw", "him", "with", "scope")
+        assert _vote("pronoun-n1", MappingProvider({}), small_lex, quad).label == VERB
+        assert _vote("pronoun-n1", MappingProvider({}), small_lex).label == ABSTAIN
 
-    def test_verb_be(self):
-        assert pp_heuristic(PPQuad("is", "report", "on", "trade"), "verb-be").label == NOUN
-        assert pp_heuristic(QUAD, "verb-be").label == ABSTAIN
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            pp_heuristic(QUAD, "bogus")
+    def test_verb_be(self, small_lex):
+        quad = PPQuad("is", "report", "on", "trade")
+        assert _vote("verb-be", MappingProvider({}), small_lex, quad).label == NOUN
+        assert _vote("verb-be", MappingProvider({}), small_lex).label == ABSTAIN
 
 
 class TestNgramModels:

@@ -299,9 +299,8 @@ class TestSimilarity:
         v = {"a": 2.0, "b": 3.0}
         assert dice(v, v) == pytest.approx(1.0)
 
-    def test_dice_undefined_on_empty(self):
-        with pytest.raises(ValueError, match="undefined similarity"):
-            dice({}, {})
+    def test_dice_of_two_empty_vectors_is_zero(self):
+        assert dice({}, {}) == 0.0
 
     def test_tfidf_shared_feature_weighs_nothing(self):
         vectors = [{"shared": 4, "rare": 1}, {"shared": 2}]
