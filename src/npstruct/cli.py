@@ -144,7 +144,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", action="append", required=True,
                    help="repeatable; name=path, split at the first '=', or a bare"
-                   " path without '=', named by its stem")
+                   " path without '=', named by its stem; no name twice")
     return parser
 
 
@@ -323,6 +323,8 @@ def _cmd_compare(args) -> int:
     for item in args.pred:
         name, _, path = item.partition("=") if "=" in item else ("", "", item)
         name = name or Path(path).stem
+        if name in reports:
+            raise ValueError(f"report name given twice: {name}")
         pred = _read_labels(path)
         if len(pred) != len(gold):
             raise ValueError(f"{path} differs in length from gold")

@@ -241,6 +241,16 @@ class CorpusIndex:
         a, b = self._bounds(self._starts, sid)
         return self._stream[a:b], self._tags[a:b]
 
+    @property
+    def stream(self) -> array:
+        """Every sentence's token ids back to back; read it, never change it."""
+        return self._stream
+
+    @property
+    def tags(self) -> array:
+        """The tag id of each ``stream`` position, empty untagged; read it, never change it."""
+        return self._tags
+
     def total(self) -> int:
         """The number of tokens in the index."""
         return len(self._stream)
@@ -261,7 +271,8 @@ class CorpusIndex:
         """``starts`` as a list, made on first use: it bisects faster than the array."""
         return self._starts.tolist()
 
-    def _size(self, ids: Iterable[int]) -> int:
+    def size(self, ids: Iterable[int]) -> int:
+        """The number of occurrences of the token ids ``ids``, read off the postings."""
         ps, blocks = self._post_starts, self._blocks
         return sum(ps[(i + 1) * blocks] - ps[i * blocks] for i in ids)
 
@@ -282,20 +293,20 @@ class CorpusIndex:
 
     def occurrences(
         self, words: Iterable[str], within: Iterable[str]
-    ) -> list[tuple[array, array, int]]:
+    ) -> list[tuple[int, int, int]]:
         """Each occurrence of ``words`` in a sentence holding ``within``, in corpus order.
 
         Both are normalized tokens, and a sentence holds ``within`` when
         it holds one of them; a token the index lacks occurs nowhere.
         With ``within`` equal to ``words``, every occurrence is given.
-        An occurrence is its sentence's token ids and tag ids (as
-        ``sentence_codes`` gives them, one pair per sentence) and its
-        offset there.  Each sentence is found by bisecting the sentence
+        An occurrence is its position in ``stream`` and its sentence's
+        bounds there, ``starts[s]`` and ``starts[s + 1]``, so it is read
+        in place.  Each sentence is found by bisecting the sentence
         starts; the occurrences of ``within`` need no sentence.
         """
-        starts, stream, tag_ids, out = self._start_list, self._stream, self._tags, []
+        starts, out = self._start_list, []
         others = sorted(self._positions(self.encode(within)))
-        others.append(len(stream))  # past every sentence
+        others.append(len(self._stream))  # past every sentence
         sid, k, end = -1, 0, 0
         for g in sorted(self._positions(self.encode(words))):
             if g >= end:  # the first occurrence in its sentence
@@ -304,10 +315,8 @@ class CorpusIndex:
                 while others[k] < begin:
                     k += 1
                 held = others[k] < end
-                if held:
-                    toks, tags = stream[begin:end], tag_ids[begin:end]
             if held:
-                out.append((toks, tags, g - begin))
+                out.append((g, begin, end))
         return out
 
     def _matched_sentences(self, query: CountQuery, sets: list[frozenset[int]]) -> list[int]:
@@ -326,7 +335,7 @@ class CorpusIndex:
             split, widths = n, range(1)
         else:
             split, widths = query.split, range(query.gap[0], query.gap[1] + 1)
-        rare, *rest = sorted(range(n), key=lambda i: self._size(sets[i]))
+        rare, *rest = sorted(range(n), key=lambda i: self.size(sets[i]))
         starts, stream, fill = self._starts, self._stream, query.fill
         anchors = self._positions(sets[rare])
         first, last = min(anchors, default=0), max(anchors, default=0)
@@ -359,7 +368,7 @@ class CorpusIndex:
         if sets is None:
             return 0
         if query.gap is None and len(sets) == 1:
-            return self._size(sets[0])
+            return self.size(sets[0])
         return len(self._matched_sentences(query, sets))
 
     def snippets(self, query: CountQuery, limit: int) -> list[str]:

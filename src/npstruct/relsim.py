@@ -17,10 +17,10 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import porter
-from .corpus import CorpusIndex, CountQuery
+from .corpus import CorpusIndex
 from .morphology import (
     BE_FORMS,
     DO_FORMS,
@@ -83,19 +83,25 @@ class _Kept:
 # two PairFeatures, 1->2 then 2->1, or to None if it joins by nothing.
 # The keys are that index's ids, so the table serves no other index.
 _connectors = _Kept()
+# The noun mask (``_noun_mask``) of the last index pair features were extracted from.
+_masks = _Kept()
 
 
-def _noun_tag(index: CorpusIndex) -> int | None:
-    """The id of the noun tag ``N`` in a tagged index, or None if no token has it."""
+def _noun_mask(index: CorpusIndex) -> bytes:
+    """One byte per stream position of a tagged index: 1 where the tag is ``N``, else 0."""
     if not index.tagged:
         raise ValueError("tags required")
-    return index.tag_vocab.index("N") if "N" in index.tag_vocab else None
+    tags, tag_vocab = index.tags, index.tag_vocab
+    noun = tag_vocab.index("N") if "N" in tag_vocab else -1  # -1 is no tag's id
+    if tags.itemsize == 1:
+        return tags.tobytes().translate(bytes(i == noun for i in range(256)))
+    return bytes(map(noun.__eq__, tags))
 
 
 def _segment(
     index: CorpusIndex, toks: Sequence[int], tags: Sequence[int], start: int, stop: int
 ) -> list[tuple[str, str]]:
-    """Positions ``start:stop`` of a sentence read back as (word, tag) strings."""
+    """Positions ``start:stop`` of token and tag ids read back as (word, tag) strings."""
     words, tag_names = index.vocab, index.tag_vocab
     return [(words[toks[i]], tag_names[tags[i]]) for i in range(start, stop)]
 
@@ -158,76 +164,83 @@ def extract_pair_features(
     preposition), a bare preposition, or a coordinating conjunction.  The
     heads are found from the postings: each occurrence of the rarer noun
     that ends a run, in a sentence that also holds the other noun, is
-    walked out to the runs on either side.  The features come in corpus
-    order, as a scan of every sentence finds them.  Each distinct
-    connector is classified once per index and lexicon: the table of
-    classified gaps lasts until a call with another index or lexicon,
-    or until either is freed.
+    walked out to the runs on either side, in place in the index's
+    columns.  The features come in corpus order, as a scan of every
+    sentence finds them.  Each distinct connector is classified once per
+    index and lexicon: the table of classified gaps lasts until a call
+    with another index or lexicon, or until either is freed.  The noun
+    mask is kept per index in the same way.
     """
-    noun = _noun_tag(index)
+    mask = _masks.get(index)
+    if mask is None:
+        mask = _masks.keep(_noun_mask(index), index)
     i1, i2 = inflections(lex, noun1), inflections(lex, noun2)
     ids1, ids2 = index.encode(i1), index.encode(i2)
-    if index.count(CountQuery.of(i1)) <= index.count(CountQuery.of(i2)):
+    if index.size(ids1) <= index.size(ids2):
         rare, occurrences = ids1, index.occurrences(i1, within=i2)
     else:
         rare, occurrences = ids2, index.occurrences(i2, within=i1)
     table = _connectors.get(index, lex)
     if table is None:
         table = _connectors.keep({}, index, lex)
-    features: Counter[PairFeature] = Counter()
-    for toks, tags, head_a, start, stop, head_b in _adjacent_runs(noun, rare, occurrences):
+    stream, tags = index.stream, index.tags
+    counts: dict[PairFeature, int] = {}
+    for head_a, start, stop, head_b in _joins(stream, mask, rare, occurrences):
         if head_a in ids1 and head_b in ids2:
             side = 0
         elif head_a in ids2 and head_b in ids1:
             side = 1
         else:
             continue
-        key = (toks[start:stop].tobytes(), tags[start:stop].tobytes())
+        key = (stream[start:stop].tobytes(), tags[start:stop].tobytes())
         if key not in table:
-            feat = _classify_connector(_segment(index, toks, tags, start, stop), lex)
+            feat = _classify_connector(_segment(index, stream, tags, start, stop), lex)
             table[key] = None if feat is None else (
                 PairFeature(*feat, DIR_12), PairFeature(*feat, DIR_21)
             )
         pair = table[key]
         if pair is not None:
-            features[pair[side]] += 1
-    return features
+            feat = pair[side]
+            counts[feat] = counts.get(feat, 0) + 1
+    return Counter(counts)
 
 
-def _adjacent_runs(
-    noun: int | None,
+def _joins(
+    stream: array,
+    mask: bytes,
     rare: frozenset[int],
-    occurrences: Iterable[tuple[array, array, int]],
-) -> Iterator[tuple[array, array, int, int, int, int]]:
+    occurrences: Iterable[tuple[int, int, int]],
+) -> list[tuple[int, int, int, int]]:
     """Each pair of adjacent noun runs 1 to 8 tokens apart that has a head in ``rare``.
 
     ``occurrences`` are those of tokens in ``rare``, in corpus order, as
-    ``CorpusIndex.occurrences`` gives them; ``noun`` is the noun tag's
-    id, and without one no token heads a run.  Yields the sentence's
-    token and tag ids, the first run's head, the bounds of the gap after
-    it, and the second run's head, in corpus order and once per pair.
+    ``CorpusIndex.occurrences`` gives them, and ``mask`` is the index's
+    ``_noun_mask``.  Gives the first run's head, the stream bounds of the
+    gap after it, and the second run's head, in corpus order and once
+    per pair.
     """
-    for toks, tags, o in occurrences:
-        n = len(tags)
-        if tags[o] != noun or (o + 1 < n and tags[o + 1] == noun):
+    joins = []
+    for o, begin, end in occurrences:
+        if not mask[o] or (o + 1 < end and mask[o + 1]):
             continue  # not a run's head
         start = o
-        while start and tags[start - 1] == noun:
+        while start > begin and mask[start - 1]:
             start -= 1
-        j, stop = start - 1, max(start - 10, -1)
-        while j > stop and tags[j] != noun:
+        j, stop = start - 1, start - 10 if start - 10 >= begin else begin - 1
+        while j > stop and not mask[j]:
             j -= 1
-        # A previous head in ``rare`` yields this pair from its own occurrence.
-        if j > stop and toks[j] not in rare:
-            yield toks, tags, toks[j], j + 1, start, toks[o]
-        k, stop = o + 1, min(o + 10, n)
-        while k < stop and tags[k] != noun:
+        # A previous head in ``rare`` gives this pair from its own occurrence.
+        if j > stop and stream[j] not in rare:
+            joins.append((stream[j], j + 1, start, stream[o]))
+        k, stop = o + 1, o + 10 if o + 10 < end else end
+        while k < stop and not mask[k]:
             k += 1
         if k < stop:
-            end = k
-            while end + 1 < n and tags[end + 1] == noun:
-                end += 1
-            yield toks, tags, toks[o], o + 1, k, toks[end]
+            last = k
+            while last + 1 < end and mask[last + 1]:
+                last += 1
+            joins.append((stream[o], o + 1, k, stream[last]))
+    return joins
 
 
 def _classify_connector(

@@ -566,6 +566,21 @@ class TestEvalAndCompare:
         assert err == ""
         assert out.splitlines()[1].startswith("base\t3\t1\t0\t")
 
+    @pytest.mark.parametrize("named", [False, True])
+    def test_compare_refuses_a_name_given_twice(self, tmp_path, capsys, named):
+        """Two reports of one name, by stem or given, exit 2 and name it; none is dropped."""
+        gold = self._labels(tmp_path, "gold.tsv", ["left"] * 2)
+        (tmp_path / "x").mkdir()
+        (tmp_path / "y").mkdir()
+        first = self._labels(tmp_path / "x", "a.tsv", ["left", "right"])
+        second = self._labels(tmp_path / "y", "a.tsv", ["left", "left"])
+        preds = [f"a={first}", f"a={second}"] if named else [str(first), str(second)]
+        argv = ["compare", "--gold", str(gold), "--pred", preds[0], "--pred", preds[1]]
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "report name given twice: a\n"
+
     @pytest.mark.parametrize("command", ["eval", "compare"])
     def test_no_confidence_level_option(self, tmp_path, capsys, command):
         """Intervals are 95% Wilson intervals; no command takes ``--level``."""

@@ -701,19 +701,20 @@ PHRASE_TOKENS = st.sampled_from(["a", "b", "c", "d", "e", "z"])  # "z" is never 
 ALT_SETS = st.frozensets(PHRASE_TOKENS, min_size=1, max_size=3)
 
 
-def _naive_occurrences(index: CorpusIndex, sentences: list[list[str]], words, within=None) -> list:
+def _naive_occurrences(sentences: list[list[str]], words, within=None) -> list:
     """Each token in ``words`` in a sentence holding one of ``within``, as ``occurrences`` gives it.
 
-    No ``within`` admits every sentence.  Every sentence must hold a
-    token, so that its line number is its id.
+    No ``within`` admits every sentence.  A position counts the tokens
+    of ``sentences`` before it, and a sentence's bounds are its first
+    position and the one after its last.
     """
-    return [
-        (*index.sentence_codes(sid), offset)
-        for sid, sent in enumerate(sentences)
-        if within is None or not within.isdisjoint(sent)
-        for offset, token in enumerate(sent)
-        if token in words
-    ]
+    found, begin = [], 0
+    for sent in sentences:
+        end = begin + len(sent)
+        if within is None or not within.isdisjoint(sent):
+            found += [(begin + o, begin, end) for o, token in enumerate(sent) if token in words]
+        begin = end
+    return found
 
 
 @settings(max_examples=80, deadline=None)
@@ -727,7 +728,7 @@ def test_occurrences_match_naive_scan(tmp_path_factory, sentences, words, within
     tmp = tmp_path_factory.mktemp("occ")
     index = make_index(tmp, [" ".join(s) for s in sentences], reload=reload)
     got = index.occurrences(words, words if within is None else within)
-    assert got == _naive_occurrences(index, sentences, words, within)
+    assert got == _naive_occurrences(sentences, words, within)
 
 
 SHORT_RUNS = st.lists(PHRASE_TOKENS, max_size=3).map(tuple)
@@ -786,9 +787,9 @@ def _check_against_naive_scans(index: CorpusIndex, sentences, queries, filled, p
         expected = [line for line, n in zip(lines, per_line) if n]
         assert index.snippets(q, len(lines)) == expected, q.canonical()
     for words in ({"a"}, {"b", "e"}, {"c", "d", "z"}, {"z"}):
-        assert index.occurrences(words, words) == _naive_occurrences(index, sentences, words)
+        assert index.occurrences(words, words) == _naive_occurrences(sentences, words)
         within = {"e", "z"}
-        expected = _naive_occurrences(index, sentences, words, within)
+        expected = _naive_occurrences(sentences, words, within)
         assert index.occurrences(words, within) == expected
 
 

@@ -3,12 +3,13 @@
 import gc
 import random
 import weakref
+from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from npstruct import porter, relsim
+from npstruct import corpus, porter, relsim
 from npstruct.corpus import IngestConfig, build_index
 from npstruct.morphology import MorphLexicon
 from npstruct.relsim import (
@@ -168,6 +169,10 @@ def _tagged(line):
     return [tuple(token.split("_")) for token in line.split()]
 
 
+def _lines(sentences) -> list[str]:
+    return [" ".join(f"{word}_{tag}" for word, tag in sentence) for sentence in sentences]
+
+
 GAPS = [
     _tagged("committee_N of_P members_N"),
     _tagged("committee_N of_P" + " the_D" * 7 + " members_N"),
@@ -202,10 +207,59 @@ GAPS = [
     [_tagged("member_N of_P x_N"), _tagged("member_N of_P committee_N")], "member", "committee"
 )
 def test_walk_matches_a_scan_of_every_sentence(tmp_path_factory, small_lex, sentences, noun1, noun2):
-    lines = [" ".join(f"{word}_{tag}" for word, tag in sentence) for sentence in sentences]
-    index = make_index(tmp_path_factory.mktemp("walk"), lines, tagged=True)
+    index = make_index(tmp_path_factory.mktemp("walk"), _lines(sentences), tagged=True)
     got = extract_pair_features(index, noun1, noun2, small_lex)
     assert list(got.items()) == list(scan_pair_features(index, noun1, noun2, small_lex).items())
+
+
+def _built_and_reloaded(tmp_path_factory, lines: list[str]) -> list:
+    tmp = tmp_path_factory.mktemp("tagged")
+    return [
+        make_index(tmp, lines, tagged=True),
+        make_index(tmp, lines, tagged=True, name="reloaded.txt", reload=True),
+    ]
+
+
+# "committee" is the rarer noun.  A walk that ran past its sentence would
+# join the first one forward to "of the members", and the last one back to
+# "members with the".  The last run crosses a boundary of 2- and 3-token
+# blocks, and the first gap one of 2-token blocks.
+ACROSS_SENTENCES = [
+    _tagged("members_N of_P the_D committee_N"),
+    _tagged("of_P the_D members_N with_P the_D"),
+    _tagged("committee_N of_P bone_N members_N"),
+]
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(TAGGED_SENTENCES, PAIR_NOUNS, PAIR_NOUNS, st.sampled_from([1, 2, 3, 5]))
+@example(ACROSS_SENTENCES, "member", "committee", 2)
+@example(ACROSS_SENTENCES, "committee", "member", 3)
+@example(GAPS, "member", "committee", 5)
+def test_walk_across_postings_blocks_matches_a_scan(
+    tmp_path_factory, small_lex, sentences, noun1, noun2, block
+):
+    """With blocks of a few tokens, runs and gaps cross block boundaries, built or reloaded."""
+    with patch.object(corpus, "_BLOCK", block):
+        for index in _built_and_reloaded(tmp_path_factory, _lines(sentences)):
+            assert index.info()["blocks"] == -(-index.total() // block)
+            got = extract_pair_features(index, noun1, noun2, small_lex)
+            assert list(got.items()) == list(scan_pair_features(index, noun1, noun2, small_lex).items())
+
+
+def test_a_tag_column_wider_than_a_byte(tmp_path_factory, small_lex):
+    """With more than 256 tags, each tag id takes 2 bytes, and the noun tag's id is past 255."""
+    filler = [[(f"w{i}", f"A{i:03}") for i in range(300)]]
+    lines = _lines([*ACROSS_SENTENCES, *filler, _tagged("committee_N includes_V all_D members_N")])
+    for index in _built_and_reloaded(tmp_path_factory, lines):
+        assert index.tags.itemsize == 2
+        assert index.tag_vocab.index("N") > 255
+        for pair in [("member", "committee"), ("committee", "member")]:
+            got = extract_pair_features(index, *pair, small_lex)
+            assert got
+            assert list(got.items()) == list(scan_pair_features(index, *pair, small_lex).items())
 
 
 def test_connector_table_is_kept_per_index_and_lexicon(tmp_path, small_lex):
