@@ -229,18 +229,6 @@ class CorpusIndex:
         ids = self._ids
         return frozenset(ids[word] for word in words if word in ids)
 
-    @staticmethod
-    def _bounds(starts: array, sid: int) -> tuple[int, int]:
-        """``starts[sid]`` and ``starts[sid + 1]``; IndexError unless sentence ``sid`` exists."""
-        if not 0 <= sid < len(starts) - 1:
-            raise IndexError(f"sentence {sid} is outside the index")
-        return starts[sid], starts[sid + 1]
-
-    def sentence_codes(self, sid: int) -> tuple[array, array]:
-        """Token ids and tag ids of sentence ``sid``; the tag ids are empty untagged."""
-        a, b = self._bounds(self._starts, sid)
-        return self._stream[a:b], self._tags[a:b]
-
     @property
     def stream(self) -> array:
         """Every sentence's token ids back to back; read it, never change it."""
@@ -257,7 +245,9 @@ class CorpusIndex:
 
     def text(self, sid: int) -> str:
         """The raw text of sentence ``sid``, as ingested: separators and spellings in turn."""
-        a, b = self._bounds(self._starts, sid)
+        if not 0 <= sid < len(self._starts) - 1:
+            raise IndexError(f"sentence {sid} is outside the index")
+        a, b = self._starts[sid], self._starts[sid + 1]
         separators, spelled = self._separators, self._spelled
         columns = zip(self._seps[a:b], self._stream[a:b], self._cases[a:b])
         try:
@@ -292,23 +282,23 @@ class CorpusIndex:
         return sets if all(sets) else None
 
     def occurrences(
-        self, words: Iterable[str], within: Iterable[str]
+        self, ids: Iterable[int], within: Iterable[int]
     ) -> list[tuple[int, int, int]]:
-        """Each occurrence of ``words`` in a sentence holding ``within``, in corpus order.
+        """Each occurrence of ``ids`` in a sentence holding ``within``, in corpus order.
 
-        Both are normalized tokens, and a sentence holds ``within`` when
-        it holds one of them; a token the index lacks occurs nowhere.
-        With ``within`` equal to ``words``, every occurrence is given.
-        An occurrence is its position in ``stream`` and its sentence's
+        Both are token ids, as ``encode`` gives them, and a sentence
+        holds ``within`` when it holds one of them.  With ``within``
+        equal to ``ids``, every occurrence is given.  An
+        occurrence is its position in ``stream`` and its sentence's
         bounds there, ``starts[s]`` and ``starts[s + 1]``, so it is read
         in place.  Each sentence is found by bisecting the sentence
         starts; the occurrences of ``within`` need no sentence.
         """
         starts, out = self._start_list, []
-        others = sorted(self._positions(self.encode(within)))
+        others = sorted(self._positions(within))
         others.append(len(self._stream))  # past every sentence
         sid, k, end = -1, 0, 0
-        for g in sorted(self._positions(self.encode(words))):
+        for g in sorted(self._positions(ids)):
             if g >= end:  # the first occurrence in its sentence
                 sid = bisect_right(starts, g, sid + 1) - 1
                 begin, end = starts[sid], starts[sid + 1]

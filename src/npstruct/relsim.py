@@ -15,7 +15,7 @@ import math
 import weakref
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -78,13 +78,12 @@ class _Kept:
         self._refs, self._value = (), None
 
 
-# The connector table of the last (index, lexicon) pair features were
-# extracted with: each gap's (token-id bytes, tag-id bytes) mapped to its
-# two PairFeatures, 1->2 then 2->1, or to None if it joins by nothing.
-# The keys are that index's ids, so the table serves no other index.
+# The noun mask (``_noun_mask``) and connector table of the last (index,
+# lexicon) pair features were extracted with.  The table maps each gap's
+# (token-id bytes, tag-id bytes) to its two PairFeatures, 1->2 then 2->1,
+# or to None if it joins by nothing.  Its keys are that index's ids, so
+# it serves no other index.
 _connectors = _Kept()
-# The noun mask (``_noun_mask``) of the last index pair features were extracted from.
-_masks = _Kept()
 
 
 def _noun_mask(index: CorpusIndex) -> bytes:
@@ -98,56 +97,10 @@ def _noun_mask(index: CorpusIndex) -> bytes:
     return bytes(map(noun.__eq__, tags))
 
 
-def _segment(
-    index: CorpusIndex, toks: Sequence[int], tags: Sequence[int], start: int, stop: int
-) -> list[tuple[str, str]]:
-    """Positions ``start:stop`` of token and tag ids read back as (word, tag) strings."""
-    words, tag_names = index.vocab, index.tag_vocab
+def _segment(index: CorpusIndex, start: int, stop: int) -> list[tuple[str, str]]:
+    """Stream positions ``start:stop`` read back as (word, tag) strings."""
+    words, tag_names, toks, tags = index.vocab, index.tag_vocab, index.stream, index.tags
     return [(words[toks[i]], tag_names[tags[i]]) for i in range(start, stop)]
-
-
-def _verb_group(
-    segment: list[tuple[str, str]], lex: MorphLexicon
-) -> tuple[str, str | None] | None:
-    """Reduce a connector segment to (verb lexeme, optional preposition).
-
-    The segment must be one verb phrase: optional complementizer,
-    modals and auxiliaries, one main verb, an optional preposition,
-    then only determiners or adjectives before the object.  Modals and
-    auxiliaries are dropped, the passive ``be`` is retained with its
-    unlemmatized participle, and the main verb is lemmatized.
-    """
-    toks = list(segment)
-    if toks and toks[0][1] == "W":
-        toks = toks[1:]
-    while toks and toks[-1][1] in ("D", "J"):
-        toks.pop()
-    toks = [t for t in toks if t[1] != "R" and t[0] not in ADVERBS]
-    if not toks:
-        return None
-    prep: str | None = None
-    if toks[-1][1] == "P":
-        prep = toks[-1][0]
-        toks = toks[:-1]
-    if not toks or any(t[1] not in ("M", "A", "V") for t in toks):
-        return None
-    words = [t[0] for t in toks if t[1] != "M" and t[0] not in MODALS]
-    if not words:
-        return None
-    if words[0] in HAVE_FORMS and len(words) > 1:
-        words = words[1:]
-    if words[0] in DO_FORMS and len(words) > 1:
-        words = words[1:]
-    if words[0] in BE_FORMS:
-        if len(words) == 1:
-            return ("be", prep)
-        main = words[-1]
-        if main.endswith("ing"):
-            return (lemma(lex, main), prep)
-        return ("be " + main, prep)
-    if len(words) != 1:
-        return None
-    return (lemma(lex, words[0]), prep)
 
 
 def extract_pair_features(
@@ -168,21 +121,18 @@ def extract_pair_features(
     columns.  The features come in corpus order, as a scan of every
     sentence finds them.  Each distinct connector is classified once per
     index and lexicon: the table of classified gaps lasts until a call
-    with another index or lexicon, or until either is freed.  The noun
-    mask is kept per index in the same way.
+    with another index or lexicon, or until either is freed, and the
+    noun mask is kept with it.
     """
-    mask = _masks.get(index)
-    if mask is None:
-        mask = _masks.keep(_noun_mask(index), index)
-    i1, i2 = inflections(lex, noun1), inflections(lex, noun2)
-    ids1, ids2 = index.encode(i1), index.encode(i2)
+    kept = _connectors.get(index, lex)
+    if kept is None:
+        kept = _connectors.keep((_noun_mask(index), {}), index, lex)
+    mask, table = kept
+    ids1, ids2 = index.encode(inflections(lex, noun1)), index.encode(inflections(lex, noun2))
     if index.size(ids1) <= index.size(ids2):
-        rare, occurrences = ids1, index.occurrences(i1, within=i2)
+        rare, occurrences = ids1, index.occurrences(ids1, within=ids2)
     else:
-        rare, occurrences = ids2, index.occurrences(i2, within=i1)
-    table = _connectors.get(index, lex)
-    if table is None:
-        table = _connectors.keep({}, index, lex)
+        rare, occurrences = ids2, index.occurrences(ids2, within=ids1)
     stream, tags = index.stream, index.tags
     counts: dict[PairFeature, int] = {}
     for head_a, start, stop, head_b in _joins(stream, mask, rare, occurrences):
@@ -194,7 +144,7 @@ def extract_pair_features(
             continue
         key = (stream[start:stop].tobytes(), tags[start:stop].tobytes())
         if key not in table:
-            feat = _classify_connector(_segment(index, stream, tags, start, stop), lex)
+            feat = _classify_connector(_segment(index, start, stop), lex)
             table[key] = None if feat is None else (
                 PairFeature(*feat, DIR_12), PairFeature(*feat, DIR_21)
             )
@@ -246,32 +196,57 @@ def _joins(
 def _classify_connector(
     between: list[tuple[str, str]], lex: MorphLexicon
 ) -> tuple[str, str] | None:
-    """The (lexeme, kind) a gap's (word, tag) pairs join by, or None if none or any is tagged S."""
+    """The (lexeme, kind) a gap's (word, tag) pairs join by, or None.
+
+    A gap with a word tagged ``S`` joins by nothing.  A lone preposition
+    or conjunction, before only determiners, adjectives and adverbs,
+    joins by itself.  Otherwise the gap must be one verb phrase:
+    optional complementizer, modals and auxiliaries, one main verb, an
+    optional preposition, then only determiners or adjectives before
+    the object.  Adverbs are skipped once those trailing words are cut.
+    Modals and auxiliaries are dropped, the passive ``be`` is retained
+    with its unlemmatized participle, and the main verb is lemmatized.
+    """
     if any(tag == "S" for _w, tag in between):
         return None
     end = len(between)
     while end and between[end - 1][1] in ("D", "J", "R"):
         end -= 1
-    core = between[:end]
-    if len(core) == 1 and core[0][1] == "P":
-        return (core[0][0], "P")
-    if len(core) == 1 and core[0][1] == "C":
-        return (core[0][0], "C")
-    if any(tag in ("M", "A", "V") for _w, tag in core):
-        group = _verb_group(between, lex)
-        if group is not None:
-            verb, prep = group
-            lexeme = f"{verb} {prep}" if prep else verb
-            return (lexeme, "V")
-    return None
+    if end == 1 and between[0][1] in ("P", "C"):
+        return between[0]
+    toks = between[1:] if between and between[0][1] == "W" else between
+    end = len(toks)
+    while end and toks[end - 1][1] in ("D", "J"):
+        end -= 1
+    toks = [(w, tag) for w, tag in toks[:end] if tag != "R" and w not in ADVERBS]
+    prep = toks.pop()[0] if toks and toks[-1][1] == "P" else None
+    if not toks or any(tag not in ("M", "A", "V") for _w, tag in toks):
+        return None
+    words = [w for w, tag in toks if tag != "M" and w not in MODALS]
+    if not words:
+        return None
+    if words[0] in HAVE_FORMS and len(words) > 1:
+        words = words[1:]
+    if words[0] in DO_FORMS and len(words) > 1:
+        words = words[1:]
+    main = words[-1]
+    if words[0] in BE_FORMS and len(words) > 1:
+        verb = lemma(lex, main) if main.endswith("ing") else "be " + main
+    elif words[0] in BE_FORMS:
+        verb = "be"
+    elif len(words) == 1:
+        verb = lemma(lex, main)
+    else:
+        return None
+    return (f"{verb} {prep}" if prep else verb, "V")
 
 
 @dataclass
 class TfidfWeights:
     """Document frequencies over a training collection of pairs."""
 
-    df: dict = field(default_factory=dict)
-    n: int = 1
+    df: dict
+    n: int
 
     @classmethod
     def fit(cls, vectors: list[dict]) -> "TfidfWeights":
@@ -373,12 +348,12 @@ class SemevalExample:
 
 
 def semeval_vector(
-    example: SemevalExample,
-    lex: MorphLexicon,
-    *,
-    pair_features: dict | None = None,
+    example: SemevalExample, lex: MorphLexicon, index: CorpusIndex | None = None
 ) -> dict:
-    """Feature vector: stemmed context words, entity lemmas, query words."""
+    """Feature vector: stemmed context words, entity lemmas, query words.
+
+    With an ``index``, the entity heads' pair features join it too.
+    """
     vec: Counter = Counter()
     spans = set(range(*example.e1)) | {example.e1[1]}
     spans |= set(range(*example.e2)) | {example.e2[1]}
@@ -390,22 +365,11 @@ def semeval_vector(
             vec[("ctx", porter.stem(w))] += 1
     for w in example.query.lower().split():
         vec[("query", w)] += 1
-    if pair_features:
-        for feat, tf in pair_features.items():
+    if index is not None:
+        heads = example.entity_head(1), example.entity_head(2)
+        for feat, tf in extract_pair_features(index, *heads, lex).items():
             vec[("pair", feat)] += tf
     return dict(vec)
-
-
-def _semeval_features(
-    example: SemevalExample, lex: MorphLexicon, index: CorpusIndex | None
-) -> dict:
-    """``semeval_vector`` of ``example``, with its heads' pair features if ``index``."""
-    pair = None
-    if index is not None:
-        pair = dict(
-            extract_pair_features(index, example.entity_head(1), example.entity_head(2), lex)
-        )
-    return semeval_vector(example, lex, pair_features=pair)
 
 
 @dataclass(frozen=True)
@@ -434,7 +398,7 @@ class SemevalModel:
     ) -> "SemevalModel":
         if not train:
             raise ValueError("train must be nonempty")
-        vectors = [_semeval_features(ex, lex, index) for ex, _ in train]
+        vectors = [semeval_vector(ex, lex, index) for ex, _ in train]
         weights = TfidfWeights.fit(vectors)
         labels = ["true" if label else "false" for _, label in train]
         trues = labels.count("true")
@@ -444,7 +408,7 @@ class SemevalModel:
 
     def vector(self, example: SemevalExample) -> dict:
         """The weighted vector ``example`` is compared by."""
-        return self.weights.weight(_semeval_features(example, self.lex, self.index))
+        return self.weights.weight(semeval_vector(example, self.lex, self.index))
 
     def classify(self, example: SemevalExample) -> bool:
         """Whether ``example``'s entities hold the relation."""

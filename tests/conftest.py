@@ -56,32 +56,34 @@ def naive_count(sentences: list[list[str]], query: CountQuery) -> int:
     return total
 
 
-def noun_runs(tags, noun) -> list[tuple[int, int]]:
-    """Maximal [start, end] spans of tokens tagged ``noun``."""
+def noun_runs(tags, noun, start: int, stop: int) -> list[tuple[int, int]]:
+    """Maximal [first, last] spans of positions ``start:stop`` whose tag is ``noun``."""
     runs = []
-    start = None
-    for i, tag in enumerate(tags):
-        if tag == noun:
-            if start is None:
-                start = i
-        elif start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(tags) - 1))
+    first = None
+    for i in range(start, stop):
+        if tags[i] == noun:
+            if first is None:
+                first = i
+        elif first is not None:
+            runs.append((first, i - 1))
+            first = None
+    if first is not None:
+        runs.append((first, stop - 1))
     return runs
 
 
-def sentence_pair_features(index: CorpusIndex, noun, sid: int, i1, i2, lex: MorphLexicon):
+def sentence_pair_features(
+    index: CorpusIndex, noun, start: int, stop: int, i1, i2, lex: MorphLexicon
+):
     """The joining features of one tagged sentence, in sentence order.
 
+    The sentence is stream positions ``start:stop``, read in place.
     ``noun`` is the noun tag's id, and ``i1`` and ``i2`` are the token
     ids of the two nouns' inflections.  Every pair of adjacent noun runs
     in the sentence is tested, with no use of the postings.
     """
-    toks, tags = index.sentence_codes(sid)
-    runs = noun_runs(tags, noun)
-    heads = [toks[end] for _start, end in runs]
+    runs = noun_runs(index.tags, noun, start, stop)
+    heads = [index.stream[last] for _first, last in runs]
     for (run_a, head_a), (run_b, head_b) in zip(
         zip(runs, heads), zip(runs[1:], heads[1:])
     ):
@@ -93,7 +95,7 @@ def sentence_pair_features(index: CorpusIndex, noun, sid: int, i1, i2, lex: Morp
             continue
         if not 0 < run_b[0] - run_a[1] - 1 <= 8:
             continue
-        between = _segment(index, toks, tags, run_a[1] + 1, run_b[0])
+        between = _segment(index, run_a[1] + 1, run_b[0])
         if any(tag == "S" for _w, tag in between):
             continue
         feat = _classify_connector(between, lex)
@@ -103,16 +105,22 @@ def sentence_pair_features(index: CorpusIndex, noun, sid: int, i1, i2, lex: Morp
 
 
 def scan_pair_features(index: CorpusIndex, noun1: str, noun2: str, lex: MorphLexicon) -> Counter:
-    """``extract_pair_features`` by a scan of every sentence of a tagged index."""
+    """``extract_pair_features`` by a scan of every sentence of a tagged index.
+
+    A sentence's bounds in the stream come from the number of tokens in
+    its text, which the reference normalization counts.
+    """
     noun = index.tag_vocab.index("N") if "N" in index.tag_vocab else None
     i1, i2 = (index.encode(inflections(lex, w)) for w in (noun1, noun2))
     features: Counter = Counter()
+    start = 0
     for sid in count():
         try:
-            index.sentence_codes(sid)
+            stop = start + len(normalize_line(index.text(sid)))
         except IndexError:  # past the last sentence
             return features
-        features.update(sentence_pair_features(index, noun, sid, i1, i2, lex))
+        features.update(sentence_pair_features(index, noun, start, stop, i1, i2, lex))
+        start = stop
 
 
 def generate_bracketing_queries(

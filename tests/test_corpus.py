@@ -75,9 +75,8 @@ class TestCountQuery:
 class TestIngestion:
     def test_normalization(self, tmp_path):
         index = make_index(tmp_path, ["The brain's stem-cells, too!"])
-        toks, tags = index.sentence_codes(0)
-        assert [index.vocab[t] for t in toks] == ["the", "brain", "s", "stem", "cells", "too"]
-        assert not tags
+        assert [index.vocab[t] for t in index.stream] == ["the", "brain", "s", "stem", "cells", "too"]
+        assert not index.tags
         assert index.text(0) == "The brain's stem-cells, too!"
         assert index.total() == 6
 
@@ -92,8 +91,6 @@ class TestIngestion:
         index = make_index(tmp_path, ["a b", "c"])
         with pytest.raises(IndexError):
             index.text(sid)
-        with pytest.raises(IndexError):
-            index.sentence_codes(sid)
 
     def test_empty_corpus_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -104,12 +101,12 @@ class TestIngestion:
     def test_tagged_corpus(self, tmp_path):
         index = make_index(tmp_path, ["The_D U.S._N stem-cell_N committee_N met_V ._O"], tagged=True)
         assert index.tagged
-        toks, tags = index.sentence_codes(0)
         assert index.text(0) == "The U.S. stem-cell committee met ."
-        assert [index.vocab[t] for t in toks] == ["the", "u", "s", "stem", "cell", "committee", "met"]
-        assert [index.tag_vocab[t] for t in tags] == ["D", "N", "N", "N", "N", "N", "V"]
+        words = [index.vocab[t] for t in index.stream]
+        assert words == ["the", "u", "s", "stem", "cell", "committee", "met"]
+        assert [index.tag_vocab[t] for t in index.tags] == ["D", "N", "N", "N", "N", "N", "V"]
         with pytest.raises(IndexError):
-            index.sentence_codes(1)
+            index.text(1)
 
     def test_malformed_tagged_token_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -510,7 +507,6 @@ class TestMalformedFiles:
         assert _columns(loaded) == _columns(index)
         for sid in range(len(TINY_TAGGED)):
             assert loaded.text(sid) == index.text(sid)
-            assert loaded.sentence_codes(sid) == index.sentence_codes(sid)
 
     def test_a_format_2_pickle_is_refused_unread(self, tmp_path):
         proof, marker = tmp_path / "proof", tmp_path / "marker"
@@ -579,9 +575,8 @@ def test_tagged_index_tokens_match_plain_index(tmp_path_factory, tagged_words, r
             index.text(len(sids))
     assert [tagged.text(sid) for sid in sids] == [plain.text(sid) for sid in sids]
     assert tagged.vocab == plain.vocab
-    codes = [tagged.sentence_codes(sid) for sid in sids]
-    assert [toks for toks, _tags in codes] == [plain.sentence_codes(sid)[0] for sid in sids]
-    tags = [tagged.tag_vocab[t] for _toks, sentence_tags in codes for t in sentence_tags]
+    assert tagged.stream == plain.stream
+    tags = [tagged.tag_vocab[t] for t in tagged.tags]
     assert tags == [t for w, t in tagged_words for _ in normalize_line(w)] + ["N"]
 
 
@@ -727,7 +722,8 @@ def _naive_occurrences(sentences: list[list[str]], words, within=None) -> list:
 def test_occurrences_match_naive_scan(tmp_path_factory, sentences, words, within, reload):
     tmp = tmp_path_factory.mktemp("occ")
     index = make_index(tmp, [" ".join(s) for s in sentences], reload=reload)
-    got = index.occurrences(words, words if within is None else within)
+    ids = index.encode(words)
+    got = index.occurrences(ids, ids if within is None else index.encode(within))
     assert got == _naive_occurrences(sentences, words, within)
 
 
@@ -787,10 +783,11 @@ def _check_against_naive_scans(index: CorpusIndex, sentences, queries, filled, p
         expected = [line for line, n in zip(lines, per_line) if n]
         assert index.snippets(q, len(lines)) == expected, q.canonical()
     for words in ({"a"}, {"b", "e"}, {"c", "d", "z"}, {"z"}):
-        assert index.occurrences(words, words) == _naive_occurrences(sentences, words)
+        ids = index.encode(words)
+        assert index.occurrences(ids, ids) == _naive_occurrences(sentences, words)
         within = {"e", "z"}
         expected = _naive_occurrences(sentences, words, within)
-        assert index.occurrences(words, within) == expected
+        assert index.occurrences(ids, index.encode(within)) == expected
 
 
 BLOCK_SIZES = st.sampled_from([1, 2, 3, 5])

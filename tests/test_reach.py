@@ -44,10 +44,6 @@ INDEX_PROVIDER = (
 
 # Qualified name (module, then class and function nesting) -> why no entry point enters it.
 ALLOWED = {
-    "corpus.CorpusIndex.sentence_codes": (
-        "the pair-feature oracle tests/conftest.py::scan_pair_features reads each"
-        " sentence through it, without the postings"
-    ),
     "corpus.CountProvider.count": "a Protocol stub",
     "corpus.CountProvider.total": "a Protocol stub",
     "corpus.CountProvider.snippets": "a Protocol stub",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from npstruct import corpus, porter, relsim
+from npstruct import corpus, datasets, porter, relsim
 from npstruct.corpus import IngestConfig, build_index
 from npstruct.morphology import MorphLexicon
 from npstruct.relsim import (
@@ -107,6 +107,28 @@ class TestPairFeatures:
             PairFeature(f.lexeme, f.kind, flip[f.direction]): n for f, n in rev.items()
         }
         assert dict(fwd) == flipped
+
+
+@pytest.mark.parametrize(
+    "gap, expected",
+    [
+        ("has_A been_A chosen_V by_P", ("be chosen by", "V")),  # passive be keeps the participle
+        ("does_A not_R include_V", ("include", "V")),  # auxiliary and adverb dropped
+        ("which_W includes_V", ("include", "V")),  # complementizer dropped
+        ("held_V not_S", None),  # a subordinator, even one that is an adverb, joins by nothing
+        ("of_P the_D big_J", ("of", "P")),
+        ("held_V the_D quickly_R", None),  # the last adverb keeps the determiner in the phrase
+        ("held_V quickly_R the_D", ("hold", "V")),
+        ("is_A running_V", ("run", "V")),  # progressive be is dropped
+        ("can_M", None),  # a modal alone is no verb
+        ("is_A", ("be", "V")),
+        ("and_C the_D", ("and", "C")),
+        ("must_M have_A held_V in_P the_D", ("hold in", "V")),
+    ],
+)
+def test_classify_connector(gap, expected):
+    between = [tuple(token.rsplit("_", 1)) for token in gap.split()]
+    assert relsim._classify_connector(between, datasets.default_lexicon()) == expected
 
 
 class TestUntagged:
@@ -329,7 +351,7 @@ def test_calls_on_a_warm_table_match_a_scan_of_every_sentence(tmp_path, small_le
 
     calls_match()
     assert found_features  # the corpus exercises the extractor
-    assert relsim._connectors.get(index, small_lex)  # and the calls shared one table
+    assert relsim._connectors.get(index, small_lex)[1]  # and the calls shared one table
 
 
 def test_a_dropped_index_frees_its_connector_table(tmp_path):

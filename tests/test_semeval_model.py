@@ -23,17 +23,12 @@ SEED, SENTENCES = 2, 1_000  # two of the twelve training examples are positive
 
 def refit_reference(example, train, lex, index):
     """Classify ``example`` by fitting on ``train`` anew, as each call once did."""
-
-    def features(ex):
-        pair = dict(extract_pair_features(index, ex.entity_head(1), ex.entity_head(2), lex))
-        return semeval_vector(ex, lex, pair_features=pair)
-
-    train_vecs = [(features(ex), label) for ex, label in train]
+    train_vecs = [(semeval_vector(ex, lex, index), label) for ex, label in train]
     weights = TfidfWeights.fit([v for v, _ in train_vecs])
     weighted_train = [
         (weights.weight(v), "true" if label else "false") for v, label in train_vecs
     ]
-    label = knn_classify(weighted_train, weights.weight(features(example)))
+    label = knn_classify(weighted_train, weights.weight(semeval_vector(example, lex, index)))
     if label is None:
         trues = sum(1 for _, lab in train if lab)
         label = "true" if trues >= len(train) - trues else "false"

@@ -47,5 +47,4 @@ def test_written_corpus_is_indexable(tmp_path, small_lex):
     write_tagged_corpus(["The committee includes members ."], tagger, path)
     index = build_index(path, IngestConfig(tagged=True))
     assert index.tagged
-    _toks, tags = index.sentence_codes(0)
-    assert [index.tag_vocab[t] for t in tags] == ["D", "N", "V", "N"]
+    assert [index.tag_vocab[t] for t in index.tags] == ["D", "N", "V", "N"]
