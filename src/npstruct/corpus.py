@@ -11,13 +11,16 @@ sentence is its tokens' spellings with the runs of text between them
 (separators), rebuilt on demand.  Queries never cross sentence
 boundaries.
 
-An index file (format 5) is a header (``_HEADER``) followed by the
+An index file (format 6) is a header (``_HEADER``) followed by the
 sections in ``_SECTIONS`` order; ``CorpusIndex`` says what each holds.
 Integer columns are unsigned, little-endian, and as narrow as their
-largest value allows.  A posting is a stream position within its block
-of ``_BLOCK`` tokens, so it takes 2 bytes however long the corpus.
-Text sections are UTF-8, and a word list ends each entry with a
-newline.  Nothing is pickled, so loading runs no code from the file.
+largest value allows.  The offset columns (``_LENGTHS``) are stored as
+the lengths between consecutive offsets, which are narrower, and
+rebuilt as running sums on load.  A posting is a stream position
+within its block of ``_BLOCK`` tokens, so it takes 2 bytes however long
+the corpus.  Text sections are UTF-8, and a word list ends each entry
+with a newline.  Nothing is pickled, so loading runs no code from the
+file.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from struct import Struct
 from typing import Iterable, Protocol
 
 _MAGIC = b"NPSX"
-_FORMAT_VERSION = 5
+_FORMAT_VERSION = 6
 # A token is a run of the characters in this regex class; every other
 # character separates tokens.  The three patterns below are built from it.
 _WORD_CLASS = "A-Za-z0-9"
@@ -52,8 +55,10 @@ _RUN_RE = re.compile(f"([^{_WORD_CLASS}\\n]*)[{_WORD_CLASS}]+")
 # File order of the sections; each is a CorpusIndex constructor argument.
 _SECTIONS = (
     "provenance", "vocab", "tag_vocab", "spellings", "separators", "stream", "starts",
-    "tags", "cases", "seps", "trails", "post_starts", "post_positions",
+    "tags", "marks", "trails", "post_starts", "post_positions",
 )
+# Offset columns, stored as the lengths between consecutive offsets.
+_LENGTHS = frozenset({"starts", "post_starts"})
 _WORD_LISTS = ("vocab", "tag_vocab", "spellings", "separators")
 _TEXTS = frozenset({"provenance", *_WORD_LISTS})
 # Magic, version, CRC-32 of the rest of the file, then (type code, byte length) per section.
@@ -168,12 +173,14 @@ class CorpusIndex:
 
     The raw text is held as columns too.  ``separators`` is the sorted
     list of the distinct runs of text before a token or after a
-    sentence's last one.  Per position, ``seps`` holds the id of the run
-    before the token, and ``cases`` the token's place in its spelling
-    group: entry ``i`` of ``spellings`` holds, space-separated, the
-    spellings that lowercase to ``vocab[i]``, sorted from last to first
-    (so the lowercase one, where the corpus has it, is case 0).  Per
-    sentence, ``trails`` holds the id of the run after its last token.
+    sentence's last one.  Entry ``i`` of ``spellings`` holds,
+    space-separated, the spellings that lowercase to ``vocab[i]``,
+    sorted from last to first (so the lowercase one, where the corpus
+    has it, is case 0); a token's case is its spelling's place there.
+    Per position, ``marks`` holds ``sep * S + case``, where ``sep`` is
+    the id of the run before the token and ``S`` is the most spellings
+    any entry holds.  Per sentence, ``trails`` holds the id of the run
+    after its last token.
     """
 
     def __init__(
@@ -187,8 +194,7 @@ class CorpusIndex:
         stream: array,
         starts: array,
         tags: array,
-        cases: array,
-        seps: array,
+        marks: array,
         trails: array,
         post_starts: array,
         post_positions: array,
@@ -203,8 +209,7 @@ class CorpusIndex:
         self._stream = stream
         self._starts = starts
         self._tags = tags
-        self._cases = cases
-        self._seps = seps
+        self._marks = marks
         self._trails = trails
         self._post_starts = post_starts
         self._post_positions = post_positions
@@ -248,13 +253,20 @@ class CorpusIndex:
         if not 0 <= sid < len(self._starts) - 1:
             raise IndexError(f"sentence {sid} is outside the index")
         a, b = self._starts[sid], self._starts[sid + 1]
-        separators, spelled = self._separators, self._spelled
-        columns = zip(self._seps[a:b], self._stream[a:b], self._cases[a:b])
+        separators, spelled, most = self._separators, self._spelled, self._per_separator
+        columns = zip(self._marks[a:b], self._stream[a:b])
         try:
-            pieces = [separators[sep] + spelled[token][case] for sep, token, case in columns]
+            pieces = [
+                separators[mark // most] + spelled[token][mark % most] for mark, token in columns
+            ]
         except IndexError as exc:  # a case past its token's spellings
             raise CorpusError(f"index file is corrupt: bad case in sentence {sid}") from exc
         return "".join(pieces) + separators[self._trails[sid]]
+
+    @cached_property
+    def _per_separator(self) -> int:
+        """The marks per separator id: the most spellings any token has."""
+        return _most_spellings(self._spellings)
 
     @cached_property
     def _start_list(self) -> list[int]:
@@ -372,8 +384,9 @@ class CorpusIndex:
         return [self.text(sid) for sid in sids[:limit]]
 
     def _sections(self) -> list[tuple[str, bytes | memoryview]]:
-        """Each section's type code and bytes, in file order; a column's are its own buffer."""
-        return [_encoded(getattr(self, f"_{name}")) for name in _SECTIONS]
+        """Each section's type code and bytes, in file order; offset columns give their lengths."""
+        columns = ((name, getattr(self, f"_{name}")) for name in _SECTIONS)
+        return [_encoded(_lengths(c) if name in _LENGTHS else c) for name, c in columns]
 
     def info(self) -> dict[str, object]:
         """The format, provenance and sizes of the index, and each section's bytes.
@@ -391,14 +404,14 @@ class CorpusIndex:
             "vocabulary": len(self._vocab),
             "tags": len(self._tag_vocab),
             "separators": len(self._separators),
-            "most_spellings": _most_spellings(self._spellings),
+            "most_spellings": self._per_separator,
             "blocks": blocks,
             **{f"postings.{name}": _nearest_rank(lengths, q) for name, q in _PERCENTILES},
             **{f"bytes.{name}": len(blob) for name, (_code, blob) in zip(_SECTIONS, self._sections())},
         }
 
     def save(self, path: str | Path) -> None:
-        """Write the columns as one format-5 file (layout in the module docstring).
+        """Write the columns as one format-6 file (layout in the module docstring).
 
         The checksum is taken over the columns' own buffers, and the header
         and the sections are written in turn: no copy of the file is made.
@@ -415,11 +428,11 @@ class CorpusIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "CorpusIndex":
-        """Read a format-5 file a section at a time, and check it before anything is used.
+        """Read a format-6 file a section at a time, and check it before anything is used.
 
         Each column is read straight into its array, and the checksum is
         taken as the sections are read; the file is never held whole.  A
-        file that is not a complete, intact format-5 index raises
+        file that is not a complete, intact format-6 index raises
         ``CorpusError``, a checksum mismatch before any section is used.
         Nothing in the file is ever run.
         """
@@ -552,9 +565,22 @@ def _ascending(values: Sequence, strict: bool = False) -> bool:
     return all(map(lt if strict else le, values, islice(values, 1, None)))
 
 
-def _offsets_ok(offsets: array, end: int) -> bool:
-    """Whether ``offsets`` runs from 0 to ``end`` and never decreases."""
-    return len(offsets) > 0 and offsets[0] == 0 and offsets[-1] == end and _ascending(offsets)
+def _lengths(offsets: array) -> array:
+    """The steps between consecutive ``offsets``, as narrow as the largest allows."""
+    steps = array(offsets.typecode, map(sub, islice(offsets, 1, None), offsets))
+    return _column(steps, max(steps, default=0))
+
+
+def _offsets(lengths: array, end: int) -> array | None:
+    """The running sums of ``lengths`` from 0, or None unless the last is ``end``.
+
+    They are as narrow as ``end`` allows; a sum past that is past ``end``.
+    """
+    try:
+        offsets = array(_code(end), accumulate(lengths, initial=0))
+    except OverflowError:
+        return None
+    return offsets if offsets[-1] == end else None
 
 
 def _below(column: array, bound: int) -> bool:
@@ -627,6 +653,8 @@ def _word_list(blob: bytes) -> list[str]:
 def _checked(sections: dict) -> dict:
     """Constructor arguments from a file's sections, each checked against the others.
 
+    The offset columns are rebuilt from their lengths, which cannot
+    decrease, so only each total is checked against the stream's length.
     Postings are checked only against the stream's end, so that every
     posting names a position of the stream: a column of at most 2-byte
     values is below ``_BLOCK`` already, and only the last block, which
@@ -634,8 +662,9 @@ def _checked(sections: dict) -> dict:
     only miscount, since every match is bounded by its sentence's end.
     Nor are spellings and separators checked: a wrong one can only
     misspell the text.
-    A case is checked against the most spellings any token has, and
-    ``text`` refuses one past its own token's spellings.
+    A mark is checked against the separators times the most spellings
+    any token has, and ``text`` refuses a case past its own token's
+    spellings.
     """
     try:
         args = dict(
@@ -645,30 +674,30 @@ def _checked(sections: dict) -> dict:
         )
     except UnicodeDecodeError as exc:
         raise CorpusError("index file is corrupt: a word list is not UTF-8") from exc
-    vocab, tag_vocab, separators, stream, tags, starts, post_starts, positions = (
-        args[k]
-        for k in (
-            "vocab", "tag_vocab", "separators", "stream", "tags", "starts", "post_starts",
-            "post_positions",
-        )
+    vocab, tag_vocab, spellings, separators = (args[name] for name in _WORD_LISTS)
+    stream, tags, marks, trails, positions = (
+        args[name] for name in ("stream", "tags", "marks", "trails", "post_positions")
     )
-    spellings, n = args["spellings"], len(stream)
+    sentences, runs, n = args["starts"], args["post_starts"], len(stream)
     blocks = _block_count(n)
+    args["starts"] = starts = _offsets(sentences, n)
+    args["post_starts"] = post_starts = (
+        _offsets(runs, n) if len(runs) == blocks * len(vocab) else None
+    )
     for what, ok in (
         ("vocabulary", _ascending(vocab, strict=True)),
         ("tag vocabulary", _ascending(tag_vocab, strict=True)),
         ("spellings", len(spellings) == len(vocab)),
-        ("sentence starts", _offsets_ok(starts, n)),
-        ("posting starts", len(post_starts) == blocks * len(vocab) + 1
-         and _offsets_ok(post_starts, n)),
-        ("postings", len(positions) == n and _below(positions, _BLOCK)
+        ("sentence lengths", starts is not None),
+        ("posting lengths", post_starts is not None),
+        ("postings", post_starts is not None and len(positions) == n
+         and _below(positions, _BLOCK)
          and _below(_last_block(positions, post_starts, blocks), n - (blocks - 1) * _BLOCK)),
         ("token ids", _below(stream, len(vocab))),
         ("tags", len(tags) == (n if tag_vocab else 0) and _below(tags, len(tag_vocab))),
-        ("cases", len(args["cases"]) == n and _below(args["cases"], _most_spellings(spellings))),
-        ("separator ids", len(args["seps"]) == n and _below(args["seps"], len(separators))),
-        ("trailing runs", len(args["trails"]) == len(starts) - 1
-         and _below(args["trails"], len(separators))),
+        ("marks", len(marks) == n
+         and _below(marks, len(separators) * _most_spellings(spellings))),
+        ("trailing runs", len(trails) == len(sentences) and _below(trails, len(separators))),
     ):
         if not ok:
             raise CorpusError(f"index file is corrupt: bad {what}")
@@ -761,6 +790,8 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
     for spelling in sorted(set(spelled), reverse=True):
         groups.setdefault(spelling.lower(), []).append(spelling)
     vocab = sorted(groups)
+    spellings = [" ".join(groups[word]) for word in vocab]
+    most = _most_spellings(spellings)
     token_of, case_of = {}, {}
     for i, word in enumerate(vocab):
         for case, spelling in enumerate(groups[word]):
@@ -769,11 +800,9 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
     separators, run_rank = _ranks(run_ids)
     tag_vocab, tag_rank = _ranks(tag_ids)
     piece_token = list(map(token_of.__getitem__, spelled))
-    piece_case = list(map(case_of.__getitem__, spelled))
-    piece_sep = list(map(run_rank.__getitem__, piece_run))
+    piece_mark = [run_rank[run] * most + case_of[word] for run, word in zip(piece_run, spelled)]
     stream = _column(map(piece_token.__getitem__, pieces), len(vocab) - 1)
-    cases = _column(map(piece_case.__getitem__, pieces), max(case_of.values()))
-    seps = _column(map(piece_sep.__getitem__, pieces), len(separators) - 1)
+    marks = _column(map(piece_mark.__getitem__, pieces), len(separators) * most - 1)
     del pieces  # not needed past here; let it go before the postings grow
     # Each token's postings grow as arrays, a block at a time; none is a
     # list of Python ints.  ``before`` holds, per block, how many postings
@@ -794,13 +823,12 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
         provenance=f"sha256:{digest.hexdigest()[:16]}",
         vocab=vocab,
         tag_vocab=tag_vocab,
-        spellings=[" ".join(groups[word]) for word in vocab],
+        spellings=spellings,
         separators=separators,
         stream=stream,
         starts=_column(starts, n),
         tags=_column(map(tag_rank.__getitem__, tags), len(tag_vocab) - 1),
-        cases=cases,
-        seps=seps,
+        marks=marks,
         trails=_column(map(run_rank.__getitem__, trails), len(separators) - 1),
         post_starts=post_starts,
         post_positions=_joined(positions_of, largest),

@@ -219,7 +219,7 @@ class TestInfo:
         lines = capsys.readouterr().out.splitlines()
         info = dict(line.split(" ") for line in lines)
         assert len(info) == len(lines)
-        assert info["format"] == "5"
+        assert info["format"] == "6"
         assert info["provenance"].startswith("sha256:")
         assert (info["sentences"], info["tokens"], info["vocabulary"], info["tags"]) == (
             "13", "46", "7", "0"
@@ -232,6 +232,7 @@ class TestInfo:
         assert percentiles == ["6", "13", "13", "13"]
         sizes = {name[len("bytes."):]: int(v) for name, v in info.items() if name.startswith("bytes.")}
         assert list(sizes) == list(_SECTIONS)
+        assert (sizes["starts"], sizes["marks"]) == (13, 46)  # a byte per sentence, per token
         assert _HEADER.size + sum(sizes.values()) == index_file.stat().st_size
 
     def test_missing_and_bad_files_are_data_errors(self, index_file, tmp_path, capsys):

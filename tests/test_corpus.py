@@ -3,9 +3,11 @@
 import pickle
 import random
 import tracemalloc
+import zlib
 from array import array
 from bisect import bisect_right
 from pathlib import Path
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -22,7 +24,6 @@ from npstruct.corpus import (
     build_index,
 )
 from tests.conftest import (
-    ATTACH_SENTENCES,
     NOT_NEWLINES,
     MappingProvider,
     make_index,
@@ -264,7 +265,7 @@ class TestSerialization:
         assert index.info()["separators"] == 1
         assert [index.text(0), index.text(1)] == ["abc", "xyz"]
 
-    @pytest.mark.parametrize("version", [1, 3, 4, 99])
+    @pytest.mark.parametrize("version", [1, 3, 4, 5, 99])
     def test_bad_version_rejected(self, tmp_path, version):
         index = make_index(tmp_path, ["a"])
         path = tmp_path / "x.idx"
@@ -327,12 +328,13 @@ class TestChunkedReading:
 
         Bounds are the index file's bytes times a factor plus a constant.
         The chunk read at a time is set small, so that what it holds (a
-        constant, whatever the corpus) does not hide what grows with it.
+        constant, whatever the corpus) does not hide what grows with it,
+        and the corpus large enough that its index passes 1 MB.
         """
         from perfbench import inputs  # the benchmark's seeded corpora
 
         path = tmp_path / "corpus.txt"
-        inputs.generate("attach", 3, ATTACH_SENTENCES).write_corpus(path)
+        inputs.generate("attach", 3, 25_000).write_corpus(path)
         monkeypatch.setattr(corpus, "_CHUNK", 1 << 16, raising=False)
 
         def peak(step):
@@ -358,7 +360,7 @@ TINY_TAGGED = ["The_D brain_N grows_V", "cells_N grow_V", "the_D end_N"]
 
 
 def _section_spans(data: bytes) -> dict[str, tuple[int, int]]:
-    """Byte span of each section of a format-5 file, read from its table."""
+    """Byte span of each section of a format-6 file, read from its table."""
     sizes = corpus._HEADER.unpack_from(data)[4::2]
     at = corpus._HEADER.size
     spans = {}
@@ -372,16 +374,16 @@ def _columns(index: CorpusIndex) -> dict:
     return {name: getattr(index, f"_{name}") for name in corpus._SECTIONS}
 
 
-def _swapped(column: array, i: int) -> array:
-    out = array(column.typecode, column)
-    out[i], out[i + 1] = out[i + 1], out[i]
-    return out
-
-
 def _last_set(column: array, value: int) -> array:
     out = array("Q", column)
     out[-1] = value
     return out
+
+
+def _checksummed(data: bytearray) -> bytes:
+    """``data`` with its checksum taken again, so that only the structural checks can fail."""
+    data[5:9] = zlib.crc32(data[corpus._CHECKED_FROM :]).to_bytes(4, "little")
+    return bytes(data)
 
 
 class _TouchOnUnpickle:
@@ -398,19 +400,29 @@ class _TouchOnUnpickle:
 CORRUPTIONS = {
     "unsorted vocabulary": lambda c: dict(vocab=c["vocab"][::-1]),
     "unsorted tag vocabulary": lambda c: dict(tag_vocab=c["tag_vocab"][::-1]),
-    "sentence starts decrease": lambda c: dict(starts=_swapped(c["starts"], 1)),
-    "posting starts decrease": lambda c: dict(post_starts=_swapped(c["post_starts"], 1)),
+    "sentence lengths past the stream": lambda c: dict(
+        starts=_last_set(c["starts"], len(c["stream"]) + 1)
+    ),
+    "sentence lengths short of the stream": lambda c: dict(
+        starts=_last_set(c["starts"], len(c["stream"]) - 1)
+    ),
+    # A running sum that overflows the one-byte starts a 7-token stream needs.
+    "a start past the widest the stream needs": lambda c: dict(starts=_last_set(c["starts"], 300)),
+    "run lengths past the stream": lambda c: dict(
+        post_starts=_last_set(c["post_starts"], len(c["stream"]) + 1)
+    ),
+    "run lengths short of the stream": lambda c: dict(
+        post_starts=_last_set(c["post_starts"], len(c["stream"]) - 1)
+    ),
     "a spelling entry too few": lambda c: dict(spellings=c["spellings"][1:]),
-    "separator id out of range": lambda c: dict(seps=_last_set(c["seps"], len(c["separators"]))),
-    "separator column too short": lambda c: dict(seps=c["seps"][:-1]),
+    "mark out of range": lambda c: dict(
+        marks=_last_set(c["marks"], len(c["separators"]) * corpus._most_spellings(c["spellings"]))
+    ),
+    "mark column too short": lambda c: dict(marks=c["marks"][:-1]),
     "trailing-run id out of range": lambda c: dict(
         trails=_last_set(c["trails"], len(c["separators"]))
     ),
     "a trailing run too few": lambda c: dict(trails=c["trails"][:-1]),
-    "case out of range": lambda c: dict(
-        cases=_last_set(c["cases"], corpus._most_spellings(c["spellings"]))
-    ),
-    "case column too short": lambda c: dict(cases=c["cases"][:-1]),
     "token id out of range": lambda c: dict(stream=_last_set(c["stream"], len(c["vocab"]))),
     "posting position past the stream end": lambda c: dict(
         post_positions=_last_set(c["post_positions"], len(c["stream"]))
@@ -439,27 +451,25 @@ class TestMalformedFiles:
         _index, data = tiny
         spans = _section_spans(data)
         start, end = spans["starts"]
-        assert data[start:end] == bytes([0, 3, 5, 7])  # one byte per entry
+        assert data[start:end] == bytes([3, 2, 2])  # a sentence's length, one byte each
         start, end = spans["vocab"]
         assert data[start:end] == b"brain\ncells\nend\ngrow\ngrows\nthe\n"
         start, end = spans["spellings"]
         assert data[start:end] == b"brain\ncells\nend\ngrow\ngrows\nthe The\n"
         start, end = spans["separators"]
         assert data[start:end] == b"\n \n"  # "" and " "
-        for name, column in [
-            ("seps", [0, 1, 1, 0, 1, 0, 1]),
-            ("cases", [1, 0, 0, 0, 0, 0, 0]),  # "The" is the second spelling of "the"
-            ("trails", [0, 0, 0]),
-        ]:
+        # A mark is a separator id times 2, the most spellings, plus a case:
+        # "The" is the second spelling of "the", after "" (0); the rest follow " " (1).
+        for name, column in [("marks", [1, 2, 2, 0, 2, 0, 2]), ("trails", [0, 0, 0])]:
             start, end = spans[name]
             assert data[start:end] == bytes(column)
 
     def test_a_case_past_its_tokens_spellings_is_refused_when_rebuilt(self, tiny, tmp_path):
         index, _data = tiny
         columns = _columns(index)
-        cases = array("B", columns["cases"])
-        cases[1] = 1  # "brain" has one spelling, though "the" has two
-        CorpusIndex(**dict(columns, cases=cases)).save(tmp_path / "bad.idx")
+        marks = array("B", columns["marks"])
+        marks[1] = 1 * 2 + 1  # after " ", case 1: "brain" has one spelling, though "the" has two
+        CorpusIndex(**dict(columns, marks=marks)).save(tmp_path / "bad.idx")
         loaded = CorpusIndex.load(tmp_path / "bad.idx")
         assert loaded.text(1) == "cells grow"
         with pytest.raises(CorpusError, match="index file is corrupt: bad case in sentence 0"):
@@ -500,6 +510,26 @@ class TestMalformedFiles:
         (tmp_path / "long.idx").write_bytes(data + b"\0")
         with pytest.raises(CorpusError, match="trailing bytes"):
             CorpusIndex.load(tmp_path / "long.idx")
+
+    def test_a_word_list_that_is_not_utf8_is_a_data_error(self, tiny, tmp_path):
+        _index, data = tiny
+        start, _end = _section_spans(data)["vocab"]
+        data = bytearray(data)
+        data[start] = 0xFF  # a byte no UTF-8 text holds
+        (tmp_path / "latin.idx").write_bytes(_checksummed(data))
+        with pytest.raises(CorpusError, match="index file is corrupt: a word list is not UTF-8"):
+            CorpusIndex.load(tmp_path / "latin.idx")
+
+    @pytest.mark.parametrize("section", ["vocab", "stream"])  # read as text, and as a column
+    def test_a_file_that_shrinks_once_its_size_is_read_is_truncated(
+        self, tiny, tmp_path, monkeypatch, section
+    ):
+        _index, data = tiny
+        _start, end = _section_spans(data)[section]
+        (tmp_path / "cut.idx").write_bytes(data[: end - 1])
+        monkeypatch.setattr(corpus.os, "fstat", lambda fd: SimpleNamespace(st_size=len(data)))
+        with pytest.raises(CorpusError, match="^truncated index file$"):
+            CorpusIndex.load(tmp_path / "cut.idx")
 
     def test_loaded_columns_equal_the_built_ones(self, tiny, tmp_path):
         index, _data = tiny
@@ -840,3 +870,66 @@ def test_a_corpus_of_more_than_one_block(tmp_path_factory):
         filled = CountQuery.gapped(["a"], ["b", "c"], 0, 2, frozenset({(), ("d",), ("e", "a")}))
         phrases = [CountQuery.of("a", *run, "b", "c") for run in [(), ("d",), ("e", "a")]]
         _check_against_naive_scans(index, sentences, _random_queries(3), filled, phrases)
+
+
+def test_a_big_endian_round_trip_gives_the_same_columns(tmp_path, monkeypatch):
+    """Saved and loaded as on a big-endian machine, 2-byte columns are swapped twice.
+
+    With 256-token blocks and 512 tokens, the sentence and run lengths
+    take 2 bytes, as do the offsets they are rebuilt into, and every other
+    column 1: so no column is narrowed or range-checked a byte plane at a
+    time, which reads the machine's own byte order.
+    """
+    monkeypatch.setattr(corpus, "_BLOCK", 256)
+    lines = [" ".join(["a"] * 280 + ["b", "c"] * 10), " ".join(["d", "e"] * 106)]
+    built = make_index(tmp_path, lines)
+    monkeypatch.setattr(corpus, "_LITTLE_ENDIAN", False)
+    built.save(tmp_path / "big.idx")
+    data = (tmp_path / "big.idx").read_bytes()
+    start, end = _section_spans(data)["starts"]
+    assert data[start:end] == b"\x01\x2c\x00\xd4"  # 300 and 212, most significant byte first
+    loaded = CorpusIndex.load(tmp_path / "big.idx")
+    assert _columns(loaded) == _columns(built)
+    assert [loaded.text(0), loaded.text(1)] == lines
+
+
+def _widths(tmp_path_factory, lines: list[str]) -> dict:
+    """``info`` of the reloaded index of ``lines``, once it and the built one pass the checks.
+
+    Each counts as a scan of the normalized lines does and gives back
+    every line, and the two hold equal columns.
+    """
+    sentences = [normalize_line(line) for line in lines]
+    tmp = tmp_path_factory.mktemp("widths")
+    built, loaded = make_index(tmp, lines), make_index(tmp, lines, name="reloaded.txt", reload=True)
+    for index in (built, loaded):
+        assert [index.text(sid) for sid in range(len(lines))] == lines
+        for q in _random_queries(5) + _random_queries(6):
+            assert index.count(q) == naive_count(sentences, q), q.canonical()
+    assert _columns(loaded) == _columns(built)
+    return loaded.info()
+
+
+class TestColumnWidths:
+    """A length or mark column takes 2 bytes once one value needs them."""
+
+    def test_a_sentence_of_300_tokens(self, tmp_path_factory):
+        rng = random.Random(11)
+        lines = [" ".join(rng.choice("abcde") for _ in range(300)), "a b", "c d e"]
+        info = _widths(tmp_path_factory, lines)
+        assert info["bytes.starts"] == 2 * info["sentences"]
+
+    def test_a_token_that_fills_a_block(self, tmp_path_factory):
+        lines = [" ".join(["a"] * 10)] * 25 + [" ".join(["a"] * 6), "b c a", "d e"]
+        with patch.object(corpus, "_BLOCK", 256):  # "a" is all of the first block
+            info = _widths(tmp_path_factory, lines)
+        assert info["blocks"] == 2
+        assert info["bytes.post_starts"] == 2 * info["blocks"] * info["vocabulary"]
+        assert info["bytes.post_positions"] == info["tokens"]
+
+    def test_more_than_255_marks(self, tmp_path_factory):
+        # 129 runs between "a" and "A", two spellings of one token.
+        lines = [f"a {'-' * k} A" for k in range(1, 130)] + ["b c"]
+        info = _widths(tmp_path_factory, lines)
+        assert info["separators"] * info["most_spellings"] > 256
+        assert info["bytes.marks"] == 2 * info["tokens"]
