@@ -14,9 +14,10 @@ boundaries.
 An index file (format 6) is a header (``_HEADER``) followed by the
 sections in ``_SECTIONS`` order; ``CorpusIndex`` says what each holds.
 Integer columns are unsigned, little-endian, and as narrow as their
-largest value allows.  The offset columns (``_LENGTHS``) are stored as
-the lengths between consecutive offsets, which are narrower, and
-rebuilt as running sums on load.  A posting is a stream position
+largest value allows.  The offset columns ``starts`` and ``post_starts``
+are stored as the lengths between consecutive offsets, which are
+narrower; an index holds its sections as stored, and rebuilds the
+offsets as running sums when it is made.  A posting is a stream position
 within its block of ``_BLOCK`` tokens, so it takes 2 bytes however long
 the corpus.  Text sections are UTF-8, and a word list ends each entry
 with a newline.  Nothing is pickled, so loading runs no code from the
@@ -52,13 +53,11 @@ _WORD_RE = re.compile(f"[{_WORD_CLASS}]+")
 _PIECE_RE = re.compile(f"[^{_WORD_CLASS}]*[{_WORD_CLASS}]+|[^{_WORD_CLASS}]+")
 # The separator run of each piece, in pieces joined by newlines.
 _RUN_RE = re.compile(f"([^{_WORD_CLASS}\\n]*)[{_WORD_CLASS}]+")
-# File order of the sections; each is a CorpusIndex constructor argument.
+# File order of the sections; each is a key of a CorpusIndex's sections.
 _SECTIONS = (
     "provenance", "vocab", "tag_vocab", "spellings", "separators", "stream", "starts",
     "tags", "marks", "trails", "post_starts", "post_positions",
 )
-# Offset columns, stored as the lengths between consecutive offsets.
-_LENGTHS = frozenset({"starts", "post_starts"})
 _WORD_LISTS = ("vocab", "tag_vocab", "spellings", "separators")
 _TEXTS = frozenset({"provenance", *_WORD_LISTS})
 # Magic, version, CRC-32 of the rest of the file, then (type code, byte length) per section.
@@ -159,6 +158,16 @@ class CorpusIndex:
 
     The index is itself a ``CountProvider`` (``count``, ``total``, ``snippets``).
 
+    It is made from its file's sections, as ``build_index`` gives them
+    or ``load`` reads them: a dict from each name of ``_SECTIONS`` to
+    ``provenance`` as text, the four word lists (``vocab``,
+    ``tag_vocab``, ``spellings``, ``separators``) as tuples, and every
+    other section as an array.  There ``starts`` holds each sentence's
+    length, and ``post_starts`` each (token, block) run's length; the
+    index rebuilds both as offsets, the running sums from 0, and keeps
+    the sections for ``save`` and ``info``.  The rest of this docstring
+    reads ``starts`` and ``post_starts`` as those offsets.
+
     ``stream`` holds every sentence's token ids back to back; ids index
     the sorted ``vocab``, and sentence ``s`` spans positions
     ``starts[s]:starts[s + 1]``.  The stream is cut into blocks of
@@ -167,9 +176,10 @@ class CorpusIndex:
     block.  Each id's postings are contiguous, block by block, and in
     corpus order: those of id ``i`` in block ``b`` are entries
     ``post_starts[k]:post_starts[k + 1]``, where ``k = i * blocks + b``,
-    so ``post_starts`` has ``blocks * len(vocab) + 1`` entries.  A tagged
-    index also holds one id into the sorted ``tag_vocab`` per position in
-    ``tags``; an untagged one has both empty.
+    so ``post_starts`` has ``blocks * len(vocab)`` lengths as a section
+    and one more entry as offsets.  A tagged index also holds one id
+    into the sorted ``tag_vocab`` per position in ``tags``; an untagged
+    one has both empty.
 
     The raw text is held as columns too.  ``separators`` is the sorted
     list of the distinct runs of text before a token or after a
@@ -183,37 +193,61 @@ class CorpusIndex:
     after its last token.
     """
 
-    def __init__(
-        self,
-        *,
-        provenance: str,
-        vocab: Sequence[str],
-        tag_vocab: Sequence[str],
-        spellings: Sequence[str],
-        separators: Sequence[str],
-        stream: array,
-        starts: array,
-        tags: array,
-        marks: array,
-        trails: array,
-        post_starts: array,
-        post_positions: array,
-    ):
-        self._provenance = provenance
-        self._vocab = tuple(vocab)
+    def __init__(self, sections: dict[str, str | tuple[str, ...] | array]):
+        """Check ``sections`` against each other, then rebuild the offsets from their lengths.
+
+        Lengths cannot decrease, so only each total is checked against
+        the stream's length.  Postings are checked only against the
+        stream's end, so that every posting names a position of the
+        stream: a column of at most 2-byte values is below ``_BLOCK``
+        already, and only the last block, which may be shorter, needs a
+        scan.  A posting at the wrong position can only miscount, since
+        every match is bounded by its sentence's end.  Nor are spellings
+        and separators checked: a wrong one can only misspell the text.
+        A mark is checked against the separators times the most
+        spellings any token has, and ``text`` refuses a case past its
+        own token's spellings.  Sections that fail a check raise
+        ``CorpusError``.
+        """
+        vocab, tag_vocab, spellings, separators = (sections[name] for name in _WORD_LISTS)
+        stream, tags, marks, trails, positions = (
+            sections[name] for name in ("stream", "tags", "marks", "trails", "post_positions")
+        )
+        sentences, runs, n = sections["starts"], sections["post_starts"], len(stream)
+        blocks, most = _block_count(n), _most_spellings(spellings)
+        starts = _offsets(sentences, n)
+        post_starts = _offsets(runs, n) if len(runs) == blocks * len(vocab) else None
+        for what, ok in (
+            ("vocabulary", _ascending(vocab, strict=True)),
+            ("tag vocabulary", _ascending(tag_vocab, strict=True)),
+            ("spellings", len(spellings) == len(vocab)),
+            ("sentence lengths", starts is not None),
+            ("posting lengths", post_starts is not None),
+            ("postings", post_starts is not None and len(positions) == n
+             and _below(positions, _BLOCK)
+             and _below(_last_block(positions, post_starts, blocks), n - (blocks - 1) * _BLOCK)),
+            ("token ids", _below(stream, len(vocab))),
+            ("tags", len(tags) == (n if tag_vocab else 0) and _below(tags, len(tag_vocab))),
+            ("marks", len(marks) == n and _below(marks, len(separators) * most)),
+            ("trailing runs", len(trails) == len(sentences) and _below(trails, len(separators))),
+        ):
+            if not ok:
+                raise CorpusError(f"index file is corrupt: bad {what}")
+        self._sections = sections
+        self._vocab = vocab
         self._ids = {tok: i for i, tok in enumerate(vocab)}
-        self._tag_vocab = tuple(tag_vocab)
-        self._spellings = tuple(spellings)
+        self._tag_vocab = tag_vocab
         self._spelled = [entry.split(" ") for entry in spellings]
-        self._separators = tuple(separators)
+        self._separators = separators
         self._stream = stream
         self._starts = starts
         self._tags = tags
         self._marks = marks
         self._trails = trails
         self._post_starts = post_starts
-        self._post_positions = post_positions
-        self._blocks = _block_count(len(stream))
+        self._post_positions = positions
+        self._blocks = blocks
+        self._per_separator = most  # the marks per separator id
 
     @property
     def tagged(self) -> bool:
@@ -262,11 +296,6 @@ class CorpusIndex:
         except IndexError as exc:  # a case past its token's spellings
             raise CorpusError(f"index file is corrupt: bad case in sentence {sid}") from exc
         return "".join(pieces) + separators[self._trails[sid]]
-
-    @cached_property
-    def _per_separator(self) -> int:
-        """The marks per separator id: the most spellings any token has."""
-        return _most_spellings(self._spellings)
 
     @cached_property
     def _start_list(self) -> list[int]:
@@ -383,11 +412,6 @@ class CorpusIndex:
         sids = sorted(set(self._matched_sentences(query, sets)))
         return [self.text(sid) for sid in sids[:limit]]
 
-    def _sections(self) -> list[tuple[str, bytes | memoryview]]:
-        """Each section's type code and bytes, in file order; offset columns give their lengths."""
-        columns = ((name, getattr(self, f"_{name}")) for name in _SECTIONS)
-        return [_encoded(_lengths(c) if name in _LENGTHS else c) for name, c in columns]
-
     def info(self) -> dict[str, object]:
         """The format, provenance and sizes of the index, and each section's bytes.
 
@@ -398,7 +422,7 @@ class CorpusIndex:
         lengths = sorted(map(sub, ps[blocks::blocks], ps[:-1:blocks]))
         return {
             "format": _FORMAT_VERSION,
-            "provenance": self._provenance,
+            "provenance": self._sections["provenance"],
             "sentences": len(self._starts) - 1,
             "tokens": len(self._stream),
             "vocabulary": len(self._vocab),
@@ -407,24 +431,12 @@ class CorpusIndex:
             "most_spellings": self._per_separator,
             "blocks": blocks,
             **{f"postings.{name}": _nearest_rank(lengths, q) for name, q in _PERCENTILES},
-            **{f"bytes.{name}": len(blob) for name, (_code, blob) in zip(_SECTIONS, self._sections())},
+            **{f"bytes.{name}": len(_encoded(self._sections[name])[1]) for name in _SECTIONS},
         }
 
     def save(self, path: str | Path) -> None:
-        """Write the columns as one format-6 file (layout in the module docstring).
-
-        The checksum is taken over the columns' own buffers, and the header
-        and the sections are written in turn: no copy of the file is made.
-        """
-        sections = self._sections()
-        table = [f for code, blob in sections for f in (code.encode("ascii"), len(blob))]
-        crc = zlib.crc32(_HEADER.pack(_MAGIC, _FORMAT_VERSION, 0, *table)[_CHECKED_FROM:])
-        for _code, blob in sections:
-            crc = zlib.crc32(blob, crc)
-        with Path(path).open("wb") as f:
-            f.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, crc, *table))
-            for _code, blob in sections:
-                f.write(blob)
+        """Write the index's sections as one format-6 file (layout in the module docstring)."""
+        _write(path, self._sections)
 
     @classmethod
     def load(cls, path: str | Path) -> "CorpusIndex":
@@ -433,8 +445,9 @@ class CorpusIndex:
         Each column is read straight into its array, and the checksum is
         taken as the sections are read; the file is never held whole.  A
         file that is not a complete, intact format-6 index raises
-        ``CorpusError``, a checksum mismatch before any section is used.
-        Nothing in the file is ever run.
+        ``CorpusError``, a checksum mismatch before any section is used;
+        the constructor checks the decoded sections.  Nothing in the file
+        is ever run.
         """
         with Path(path).open("rb") as f:
             head = f.read(_HEADER.size)
@@ -463,7 +476,7 @@ class CorpusIndex:
                         f"index file is corrupt: section {name} has type {code!r}, {size} bytes"
                     )
             crc_read = zlib.crc32(head[_CHECKED_FROM:])
-            sections: dict[str, bytes | array] = {}
+            sections: dict = {}
             for name, code, size in zip(_SECTIONS, codes, sizes):
                 if name in _TEXTS:
                     section = f.read(size)
@@ -481,7 +494,30 @@ class CorpusIndex:
             for section in sections.values():
                 if isinstance(section, array):
                     section.byteswap()
-        return cls(**_checked(sections))
+        try:
+            sections["provenance"] = sections["provenance"].decode("utf-8")
+            for name in _WORD_LISTS:
+                sections[name] = tuple(_word_list(sections[name]))
+        except UnicodeDecodeError as exc:
+            raise CorpusError("index file is corrupt: a word list is not UTF-8") from exc
+        return cls(sections)
+
+
+def _write(path: str | Path, sections: dict) -> None:
+    """Write ``sections``, as a ``CorpusIndex`` holds them, as one format-6 file.
+
+    The checksum is taken over the columns' own buffers, and the header
+    and the sections are written in turn: no copy of the file is made.
+    """
+    encoded = [_encoded(sections[name]) for name in _SECTIONS]
+    table = [f for code, blob in encoded for f in (code.encode("ascii"), len(blob))]
+    crc = zlib.crc32(_HEADER.pack(_MAGIC, _FORMAT_VERSION, 0, *table)[_CHECKED_FROM:])
+    for _code, blob in encoded:
+        crc = zlib.crc32(blob, crc)
+    with Path(path).open("wb") as f:
+        f.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, crc, *table))
+        for _code, blob in encoded:
+            f.write(blob)
 
 
 def _encoded(value: array | tuple[str, ...] | str | bytes) -> tuple[str, bytes | memoryview]:
@@ -565,12 +601,6 @@ def _ascending(values: Sequence, strict: bool = False) -> bool:
     return all(map(lt if strict else le, values, islice(values, 1, None)))
 
 
-def _lengths(offsets: array) -> array:
-    """The steps between consecutive ``offsets``, as narrow as the largest allows."""
-    steps = array(offsets.typecode, map(sub, islice(offsets, 1, None), offsets))
-    return _column(steps, max(steps, default=0))
-
-
 def _offsets(lengths: array, end: int) -> array | None:
     """The running sums of ``lengths`` from 0, or None unless the last is ``end``.
 
@@ -650,60 +680,6 @@ def _word_list(blob: bytes) -> list[str]:
     return words
 
 
-def _checked(sections: dict) -> dict:
-    """Constructor arguments from a file's sections, each checked against the others.
-
-    The offset columns are rebuilt from their lengths, which cannot
-    decrease, so only each total is checked against the stream's length.
-    Postings are checked only against the stream's end, so that every
-    posting names a position of the stream: a column of at most 2-byte
-    values is below ``_BLOCK`` already, and only the last block, which
-    may be shorter, needs a scan.  A posting at the wrong position can
-    only miscount, since every match is bounded by its sentence's end.
-    Nor are spellings and separators checked: a wrong one can only
-    misspell the text.
-    A mark is checked against the separators times the most spellings
-    any token has, and ``text`` refuses a case past its own token's
-    spellings.
-    """
-    try:
-        args = dict(
-            sections,
-            provenance=sections["provenance"].decode("utf-8"),
-            **{name: _word_list(sections[name]) for name in _WORD_LISTS},
-        )
-    except UnicodeDecodeError as exc:
-        raise CorpusError("index file is corrupt: a word list is not UTF-8") from exc
-    vocab, tag_vocab, spellings, separators = (args[name] for name in _WORD_LISTS)
-    stream, tags, marks, trails, positions = (
-        args[name] for name in ("stream", "tags", "marks", "trails", "post_positions")
-    )
-    sentences, runs, n = args["starts"], args["post_starts"], len(stream)
-    blocks = _block_count(n)
-    args["starts"] = starts = _offsets(sentences, n)
-    args["post_starts"] = post_starts = (
-        _offsets(runs, n) if len(runs) == blocks * len(vocab) else None
-    )
-    for what, ok in (
-        ("vocabulary", _ascending(vocab, strict=True)),
-        ("tag vocabulary", _ascending(tag_vocab, strict=True)),
-        ("spellings", len(spellings) == len(vocab)),
-        ("sentence lengths", starts is not None),
-        ("posting lengths", post_starts is not None),
-        ("postings", post_starts is not None and len(positions) == n
-         and _below(positions, _BLOCK)
-         and _below(_last_block(positions, post_starts, blocks), n - (blocks - 1) * _BLOCK)),
-        ("token ids", _below(stream, len(vocab))),
-        ("tags", len(tags) == (n if tag_vocab else 0) and _below(tags, len(tag_vocab))),
-        ("marks", len(marks) == n
-         and _below(marks, len(separators) * _most_spellings(spellings))),
-        ("trailing runs", len(trails) == len(sentences) and _below(trails, len(separators))),
-    ):
-        if not ok:
-            raise CorpusError(f"index file is corrupt: bad {what}")
-    return args
-
-
 class _Ids(dict):
     """Word -> id, each new word taking the next id."""
 
@@ -757,8 +733,7 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
     # order of first appearance; each distinct piece is split only once,
     # and each distinct spelling lowercased only once.
     piece_ids, run_ids, tag_ids = _Ids(), _Ids(), _Ids()
-    pieces, trails, tags = array("I"), array("I"), array("I")
-    starts = array("Q", [0])
+    pieces, lengths, trails, tags = array("I"), array("I"), array("I"), array("I")
     for lineno, line in enumerate(_lines(Path(corpus_file), digest.update), start=1):
         line = line.strip()
         if not line:
@@ -774,10 +749,10 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
             line = " ".join(words)
         found = _PIECE_RE.findall(line)
         trail = "" if _WORD_RE.match(line, len(line) - 1) else found.pop()
-        pieces.extend(map(piece_ids.__getitem__, found))
-        if len(pieces) > starts[-1]:
+        if found:
+            pieces.extend(map(piece_ids.__getitem__, found))
+            lengths.append(len(found))
             trails.append(run_ids[trail])
-            starts.append(len(pieces))
     n = len(pieces)
     if not n:
         raise CorpusError("empty corpus")
@@ -805,34 +780,34 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
     marks = _column(map(piece_mark.__getitem__, pieces), len(separators) * most - 1)
     del pieces  # not needed past here; let it go before the postings grow
     # Each token's postings grow as arrays, a block at a time; none is a
-    # list of Python ints.  ``before`` holds, per block, how many postings
-    # each token has in the blocks before it; the starts run token by
+    # list of Python ints.  ``runs`` holds, per block, how many postings
+    # each token has in it; the section lists those run lengths token by
     # token, and block by block within a token.
     largest = min(n, _BLOCK) - 1
-    new_positions, new_counts = _collector(largest), _collector(n)
+    new_positions, new_runs = _collector(largest), _collector(largest + 1)
     positions_of = [new_positions() for _ in vocab]
-    before = []
+    runs = []
     for base in range(0, n, _BLOCK):
-        before.append(new_counts(map(len, positions_of)))
+        before = list(map(len, positions_of))
         for offset, i in enumerate(stream[base : base + _BLOCK]):
             positions_of[i].append(offset)
-    firsts = accumulate(map(len, positions_of), initial=0)
-    table = (first + k for first, ks in zip(firsts, zip(*before)) for k in ks)
-    post_starts = _column(chain(table, [n]), n)
-    return CorpusIndex(
-        provenance=f"sha256:{digest.hexdigest()[:16]}",
-        vocab=vocab,
-        tag_vocab=tag_vocab,
-        spellings=spellings,
-        separators=separators,
-        stream=stream,
-        starts=_column(starts, n),
-        tags=_column(map(tag_rank.__getitem__, tags), len(tag_vocab) - 1),
-        marks=marks,
-        trails=_column(map(run_rank.__getitem__, trails), len(separators) - 1),
-        post_starts=post_starts,
-        post_positions=_joined(positions_of, largest),
-    )
+        runs.append(new_runs(map(sub, map(len, positions_of), before)))
+    sections = {
+        "provenance": f"sha256:{digest.hexdigest()[:16]}",
+        "vocab": tuple(vocab),
+        "tag_vocab": tuple(tag_vocab),
+        "spellings": tuple(spellings),
+        "separators": tuple(separators),
+        "stream": stream,
+        "starts": _column(lengths, max(lengths)),
+        "tags": _column(map(tag_rank.__getitem__, tags), len(tag_vocab) - 1),
+        "marks": marks,
+        "trails": _column(map(run_rank.__getitem__, trails), len(separators) - 1),
+        "post_starts": _column(chain.from_iterable(zip(*runs)), max(map(max, runs))),
+        "post_positions": _joined(positions_of, largest),
+    }
+    del runs  # the run lengths are in the section now; let them go before the offsets grow
+    return CorpusIndex(sections)
 
 
 class CountProvider(Protocol):

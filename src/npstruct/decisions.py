@@ -134,7 +134,8 @@ class VoteConfig:
 
     def run(self, name: str, item: object, provider, lex) -> Decision:
         """The decision of the registry's voter ``name`` on ``item``."""
-        check_voters((name,), self.registry)
+        if name not in self.registry:
+            check_voters((name,), self.registry)  # raises: unknown voters
         return self.registry[name](item, provider, lex)
 
 

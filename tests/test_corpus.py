@@ -232,6 +232,17 @@ class TestSerialization:
         assert loaded.info()["provenance"] == index.info()["provenance"]
         assert loaded.total() == index.total()
 
+    @pytest.mark.parametrize("tagged", [False, True])
+    def test_info_gives_each_sections_size_in_the_file(self, tmp_path, tagged):
+        """``bytes.<name>`` is the size that the saved file's table gives section ``name``."""
+        built = make_index(tmp_path, TINY_TAGGED if tagged else CHUNKED_LINES, tagged=tagged)
+        built.save(tmp_path / "x.idx")
+        spans = _section_spans((tmp_path / "x.idx").read_bytes())
+        sizes = {f"bytes.{name}": end - start for name, (start, end) in spans.items()}
+        for index in (built, CorpusIndex.load(tmp_path / "x.idx")):
+            info = index.info()
+            assert {key: info[key] for key in sizes} == sizes
+
     def test_save_is_deterministic(self, tmp_path):
         index = make_index(tmp_path, ["a b c"])
         p1, p2 = tmp_path / "1.idx", tmp_path / "2.idx"
@@ -371,7 +382,8 @@ def _section_spans(data: bytes) -> dict[str, tuple[int, int]]:
 
 
 def _columns(index: CorpusIndex) -> dict:
-    return {name: getattr(index, f"_{name}") for name in corpus._SECTIONS}
+    """The index's sections, with the offsets it rebuilt from their lengths."""
+    return dict(index._sections, starts=index._starts, post_starts=index._post_starts)
 
 
 def _last_set(column: array, value: int) -> array:
@@ -396,43 +408,53 @@ class _TouchOnUnpickle:
         return (Path.touch, (self.marker,))
 
 
-# Each corruption keeps the checksum valid, so only the structural checks catch it.
+# Each corruption of an index's sections, as stored (``starts`` and
+# ``post_starts`` as lengths), with the check that refuses it.  A file
+# written from them has a valid checksum, so only that check catches it.
 CORRUPTIONS = {
-    "unsorted vocabulary": lambda c: dict(vocab=c["vocab"][::-1]),
-    "unsorted tag vocabulary": lambda c: dict(tag_vocab=c["tag_vocab"][::-1]),
-    "sentence lengths past the stream": lambda c: dict(
-        starts=_last_set(c["starts"], len(c["stream"]) + 1)
+    "unsorted vocabulary": ("vocabulary", lambda c: dict(vocab=c["vocab"][::-1])),
+    "unsorted tag vocabulary": ("tag vocabulary", lambda c: dict(tag_vocab=c["tag_vocab"][::-1])),
+    "sentence lengths past the stream": (
+        "sentence lengths", lambda c: dict(starts=_last_set(c["starts"], c["starts"][-1] + 1))
     ),
-    "sentence lengths short of the stream": lambda c: dict(
-        starts=_last_set(c["starts"], len(c["stream"]) - 1)
+    "sentence lengths short of the stream": (
+        "sentence lengths", lambda c: dict(starts=_last_set(c["starts"], c["starts"][-1] - 1))
     ),
-    # A running sum that overflows the one-byte starts a 7-token stream needs.
-    "a start past the widest the stream needs": lambda c: dict(starts=_last_set(c["starts"], 300)),
-    "run lengths past the stream": lambda c: dict(
-        post_starts=_last_set(c["post_starts"], len(c["stream"]) + 1)
+    # Lengths whose running sum overflows the one-byte starts a 7-token stream needs.
+    "a start past the widest the stream needs": (
+        "sentence lengths", lambda c: dict(starts=_last_set(c["starts"], 256))
     ),
-    "run lengths short of the stream": lambda c: dict(
-        post_starts=_last_set(c["post_starts"], len(c["stream"]) - 1)
+    "run lengths past the stream": (
+        "posting lengths",
+        lambda c: dict(post_starts=_last_set(c["post_starts"], c["post_starts"][-1] + 1)),
     ),
-    "a spelling entry too few": lambda c: dict(spellings=c["spellings"][1:]),
-    "mark out of range": lambda c: dict(
+    "run lengths short of the stream": (
+        "posting lengths",
+        lambda c: dict(post_starts=_last_set(c["post_starts"], c["post_starts"][-1] - 1)),
+    ),
+    "a spelling entry too few": ("spellings", lambda c: dict(spellings=c["spellings"][1:])),
+    "mark out of range": ("marks", lambda c: dict(
         marks=_last_set(c["marks"], len(c["separators"]) * corpus._most_spellings(c["spellings"]))
+    )),
+    "mark column too short": ("marks", lambda c: dict(marks=c["marks"][:-1])),
+    "trailing-run id out of range": (
+        "trailing runs", lambda c: dict(trails=_last_set(c["trails"], len(c["separators"])))
     ),
-    "mark column too short": lambda c: dict(marks=c["marks"][:-1]),
-    "trailing-run id out of range": lambda c: dict(
-        trails=_last_set(c["trails"], len(c["separators"]))
+    "a trailing run too few": ("trailing runs", lambda c: dict(trails=c["trails"][:-1])),
+    "token id out of range": (
+        "token ids", lambda c: dict(stream=_last_set(c["stream"], len(c["vocab"])))
     ),
-    "a trailing run too few": lambda c: dict(trails=c["trails"][:-1]),
-    "token id out of range": lambda c: dict(stream=_last_set(c["stream"], len(c["vocab"]))),
-    "posting position past the stream end": lambda c: dict(
+    "posting position past the stream end": ("postings", lambda c: dict(
         post_positions=_last_set(c["post_positions"], len(c["stream"]))
+    )),
+    # A zero-length run first: the lengths still add up, but one too many.
+    "posting starts of the wrong length": (
+        "posting lengths", lambda c: dict(post_starts=array("Q", [0, *c["post_starts"]]))
     ),
-    "posting starts of the wrong length": lambda c: dict(
-        post_starts=array("Q", [0, *c["post_starts"]])
-    ),
-    "tag id out of range": lambda c: dict(tags=_last_set(c["tags"], len(c["tag_vocab"]))),
-    "tag column too short": lambda c: dict(tags=c["tags"][:-1]),
-    "a sentence too many": lambda c: dict(starts=array("Q", [*c["starts"], len(c["stream"])])),
+    "tag id out of range": ("tags", lambda c: dict(tags=_last_set(c["tags"], len(c["tag_vocab"])))),
+    "tag column too short": ("tags", lambda c: dict(tags=c["tags"][:-1])),
+    # An empty sentence last: the lengths still add up, but the trailing runs are one short.
+    "a sentence too many": ("trailing runs", lambda c: dict(starts=array("Q", [*c["starts"], 0]))),
 }
 
 
@@ -466,14 +488,14 @@ class TestMalformedFiles:
 
     def test_a_case_past_its_tokens_spellings_is_refused_when_rebuilt(self, tiny, tmp_path):
         index, _data = tiny
-        columns = _columns(index)
-        marks = array("B", columns["marks"])
+        marks = array("B", index._sections["marks"])
         marks[1] = 1 * 2 + 1  # after " ", case 1: "brain" has one spelling, though "the" has two
-        CorpusIndex(**dict(columns, marks=marks)).save(tmp_path / "bad.idx")
-        loaded = CorpusIndex.load(tmp_path / "bad.idx")
-        assert loaded.text(1) == "cells grow"
-        with pytest.raises(CorpusError, match="index file is corrupt: bad case in sentence 0"):
-            loaded.text(0)
+        sections = dict(index._sections, marks=marks)
+        corpus._write(tmp_path / "bad.idx", sections)
+        for bad in (CorpusIndex.load(tmp_path / "bad.idx"), CorpusIndex(sections)):
+            assert bad.text(1) == "cells grow"
+            with pytest.raises(CorpusError, match="index file is corrupt: bad case in sentence 0"):
+                bad.text(0)
 
     def test_every_prefix_is_a_data_error(self, tiny, tmp_path):
         _index, data = tiny
@@ -499,11 +521,17 @@ class TestMalformedFiles:
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     def test_inconsistent_columns_are_a_data_error(self, tiny, tmp_path, corruption):
         index, _data = tiny
-        columns = _columns(index)
-        bad = CorpusIndex(**dict(columns, **CORRUPTIONS[corruption](columns)))
-        bad.save(tmp_path / "bad.idx")
-        with pytest.raises(CorpusError, match="index file is corrupt"):
+        what, corrupted = CORRUPTIONS[corruption]
+        corpus._write(tmp_path / "bad.idx", dict(index._sections, **corrupted(index._sections)))
+        with pytest.raises(CorpusError, match=f"^index file is corrupt: bad {what}$"):
             CorpusIndex.load(tmp_path / "bad.idx")
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_inconsistent_sections_are_refused_unsaved(self, tiny, corruption):
+        index, _data = tiny
+        what, corrupted = CORRUPTIONS[corruption]
+        with pytest.raises(CorpusError, match=f"^index file is corrupt: bad {what}$"):
+            CorpusIndex(dict(index._sections, **corrupted(index._sections)))
 
     def test_trailing_bytes_are_a_data_error(self, tiny, tmp_path):
         _index, data = tiny
@@ -846,13 +874,15 @@ def test_a_posting_past_its_block_is_a_data_error(tmp_path):
     """A position of a block before the last must be below the block size."""
     with patch.object(corpus, "_BLOCK", 2):
         index = make_index(tmp_path, ["a b a", "b a"])
-        columns = _columns(index)
-        positions = array("Q", columns["post_positions"])
+        positions = array("Q", index._sections["post_positions"])
         assert positions[0] == 0  # "a" at 0, in the first block
         positions[0] = 2  # still inside the stream, but past the first block
-        CorpusIndex(**dict(columns, post_positions=positions)).save(tmp_path / "bad.idx")
+        sections = dict(index._sections, post_positions=positions)
+        corpus._write(tmp_path / "bad.idx", sections)
         with pytest.raises(CorpusError, match="index file is corrupt: bad postings"):
             CorpusIndex.load(tmp_path / "bad.idx")
+        with pytest.raises(CorpusError, match="index file is corrupt: bad postings"):
+            CorpusIndex(sections)
 
 
 def test_a_corpus_of_more_than_one_block(tmp_path_factory):
