@@ -65,7 +65,7 @@ _HEADER = Struct("<4sBI" + "cQ" * len(_SECTIONS))
 _CHECKED_FROM = Struct("<4sBI").size
 _CODES = "BHIQ"  # unsigned, narrowest first
 _LITTLE_ENDIAN = sys.byteorder == "little"
-_CHUNK = 1 << 20  # characters of a corpus file read at a time
+_CHUNK = 1 << 16  # characters of a corpus file read at a time
 _BLOCK = 1 << 16  # stream positions per postings block
 
 MAX_GAP = 8
@@ -553,7 +553,11 @@ def _collector(largest: int) -> Callable[..., bytearray | array]:
     """The sequence type that takes values up to ``largest`` fastest, called like ``bytearray``.
 
     That is a bytearray for byte values, else an I (or Q) array: B and H
-    arrays take a Python int several times more slowly.
+    arrays take a Python int more slowly (on Python 3.11, an append took
+    about 30 ns more than an I array's or a bytearray's).  ``_column``
+    gathers through it a block at a time.  Only the postings, which
+    grow a value at a time in one array per token, take the slower
+    append instead, to hold half the bytes.
     """
     return bytearray if largest < 1 << 8 else partial(array, _code(max(largest, 1 << 16)))
 
@@ -561,40 +565,30 @@ def _collector(largest: int) -> Callable[..., bytearray | array]:
 def _column(values: Iterable[int], largest: int) -> array:
     """The values as an array of the narrowest unsigned type holding ``largest``.
 
-    Values are gathered by their ``_collector`` first, unless they are in
-    a bytearray or an array at least as wide as the column already.  A
-    wider array is narrowed a byte plane at a time.
+    An array of another type is recoded a byte plane at a time.  Other
+    values are gathered a ``_BLOCK`` at a time by their ``_collector``,
+    and each block is recoded before the next is gathered, so no wide
+    copy of the whole is held.
     """
     code = _code(largest)
-    if not isinstance(values, (array, bytearray)):
-        values = _collector(largest)(values)
-    if isinstance(values, bytearray):
-        return array(code, values)
-    if values.typecode == code:
-        return values
-    column = array(code, [0]) * len(values)
-    width, wide_width = column.itemsize, values.itemsize
-    low = 0 if _LITTLE_ENDIAN else wide_width - width  # where a value's low-order bytes start
-    into, source = memoryview(column).cast("B"), memoryview(values).cast("B")
-    for k in range(width):
-        into[k::width] = source[low + k :: wide_width]
+    if isinstance(values, array):
+        if values.typecode == code:
+            return values
+        column = array(code, [0]) * len(values)
+        width, source_width = column.itemsize, values.itemsize
+        # Byte k of a value here is its byte k + shift in ``values``; a byte past those stays 0.
+        shift = 0 if _LITTLE_ENDIAN else source_width - width
+        into, source = memoryview(column).cast("B"), memoryview(values).cast("B")
+        for k in range(max(0, -shift), min(width, source_width - shift)):
+            into[k::width] = source[k + shift :: source_width]
+        return column
+    column, gather, values = array(code), _collector(largest), iter(values)
+    while block := gather(islice(values, _BLOCK)):
+        if isinstance(block, bytearray):
+            column.frombytes(block)
+        else:
+            column += _column(block, largest)
     return column
-
-
-def _joined(columns: list, largest: int) -> array:
-    """The columns back to back as one ``_column`` for ``largest``, emptying ``columns``.
-
-    Each column is let go once copied, and the values are narrowed
-    about ``_BLOCK`` at a time, so no wide copy of the whole is held.
-    """
-    out = array(_code(largest))
-    columns.reverse()
-    while columns:
-        chunk = columns.pop()
-        while columns and len(chunk) < _BLOCK:
-            chunk += columns.pop()
-        out += _column(chunk, largest)
-    return out
 
 
 def _ascending(values: Sequence, strict: bool = False) -> bool:
@@ -725,16 +719,39 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
     the sentence's raw text is its words joined by spaces.
     The provenance is a digest of the content and the config alone, so
     the same corpus gives the same index wherever its file lies.
-    The file is read a chunk at a time and every per-token column grows
-    as an array, so the memory needed is about the index's own.
+
+    The file is read ``_CHUNK`` characters at a time, and each stage
+    below frees its intermediates as it returns.  Reading keeps one piece
+    id per token, 2 bytes wide until a 65,537th distinct piece; the token
+    and mark columns are gathered from those ids a block at a time; then
+    the postings grow per token at 2 bytes.  No whole column is held at
+    4 bytes beside its narrow copy.  So at its peak the build holds the
+    piece ids beside the token and mark columns made from them, or those
+    columns beside the postings: about the index's own memory.
     """
     digest = hashlib.sha256()
-    # A piece is a token with the separator run before it.  Ids are in
-    # order of first appearance; each distinct piece is split only once,
-    # and each distinct spelling lowercased only once.
+    sections = _text_sections(*_read(Path(corpus_file), config, digest.update))
+    digest.update(repr(config).encode("utf-8"))
+    sections["provenance"] = f"sha256:{digest.hexdigest()[:16]}"
+    sections["post_starts"], sections["post_positions"] = _postings(
+        sections["stream"], len(sections["vocab"])
+    )
+    return CorpusIndex(sections)
+
+
+def _read(path: Path, config: IngestConfig, update: Callable[[bytes], object]) -> tuple:
+    """The corpus's tokens as piece ids, and its sentences; ``update`` takes its bytes.
+
+    A piece is a token with the separator run before it.  Given back are
+    the piece ids, a ``_BLOCK`` of tokens an array, each as narrow as the
+    ids so far allow; the distinct pieces joined by newlines; the run
+    ids; each sentence's length and trailing run id; and each token's tag
+    id with the tag ids.  Ids are in order of first appearance.
+    """
     piece_ids, run_ids, tag_ids = _Ids(), _Ids(), _Ids()
-    pieces, lengths, trails, tags = array("I"), array("I"), array("I"), array("I")
-    for lineno, line in enumerate(_lines(Path(corpus_file), digest.update), start=1):
+    pieces, block = [], array("I")
+    lengths, trails, tags = array("I"), array("I"), array("I")
+    for lineno, line in enumerate(_lines(path, update), start=1):
         line = line.strip()
         if not line:
             continue
@@ -750,16 +767,50 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
         found = _PIECE_RE.findall(line)
         trail = "" if _WORD_RE.match(line, len(line) - 1) else found.pop()
         if found:
-            pieces.extend(map(piece_ids.__getitem__, found))
+            block.extend(map(piece_ids.__getitem__, found))
             lengths.append(len(found))
             trails.append(run_ids[trail])
-    n = len(pieces)
-    if not n:
+            if len(block) >= _BLOCK:
+                pieces.append(_column(block, len(piece_ids) - 1))
+                block = array("I")
+    if not lengths:
         raise CorpusError("empty corpus")
-    digest.update(repr(config).encode("utf-8"))
-    # Flat lists and dicts of ints, not tuples: thousands of small tuples
-    # set off the cyclic garbage collector, which then walks ``pieces``.
-    joined = "\n".join(piece_ids)
+    pieces.append(_column(block, len(piece_ids) - 1))
+    return pieces, "\n".join(piece_ids), run_ids, lengths, trails, tags, tag_ids
+
+
+def _text_sections(
+    pieces: list[array], joined: str, run_ids: _Ids,
+    lengths: array, trails: array, tags: array, tag_ids: _Ids,
+) -> dict:
+    """Every section but the provenance and the postings, from what ``_read`` gives."""
+    vocab, spellings, separators, run_rank, piece_token, piece_mark = _piece_table(joined, run_ids)
+    tag_vocab, tag_rank = _ranks(tag_ids)
+    marks = len(separators) * _most_spellings(spellings)
+    each_piece = partial(chain.from_iterable, pieces)
+    return {
+        "vocab": tuple(vocab),
+        "tag_vocab": tuple(tag_vocab),
+        "spellings": tuple(spellings),
+        "separators": tuple(separators),
+        "stream": _column(map(piece_token.__getitem__, each_piece()), len(vocab) - 1),
+        "starts": _column(lengths, max(lengths)),
+        "tags": _column(map(tag_rank.__getitem__, tags), len(tag_vocab) - 1),
+        "marks": _column(map(piece_mark.__getitem__, each_piece()), marks - 1),
+        "trails": _column(map(run_rank.__getitem__, trails), len(separators) - 1),
+    }
+
+
+def _piece_table(joined: str, run_ids: _Ids) -> tuple:
+    """The words of the distinct pieces ``joined`` by newlines, and each piece's token id and mark.
+
+    Given back are the sorted vocabulary, its spellings, the sorted
+    separators, each run id's place among them, and per piece id its
+    token id and its mark.  Each distinct piece is split only once, and
+    each distinct spelling lowercased only once.  Flat lists and dicts of
+    ints, not tuples: thousands of small tuples set off the cyclic
+    garbage collector.
+    """
     runs, spelled = _RUN_RE.findall(joined), _WORD_RE.findall(joined)
     groups: dict[str, list[str]] = {}
     for spelling in sorted(set(spelled), reverse=True):
@@ -773,41 +824,39 @@ def build_index(corpus_file: str | Path, config: IngestConfig = IngestConfig()) 
             token_of[spelling], case_of[spelling] = i, case
     piece_run = list(map(run_ids.__getitem__, runs))
     separators, run_rank = _ranks(run_ids)
-    tag_vocab, tag_rank = _ranks(tag_ids)
     piece_token = list(map(token_of.__getitem__, spelled))
     piece_mark = [run_rank[run] * most + case_of[word] for run, word in zip(piece_run, spelled)]
-    stream = _column(map(piece_token.__getitem__, pieces), len(vocab) - 1)
-    marks = _column(map(piece_mark.__getitem__, pieces), len(separators) * most - 1)
-    del pieces  # not needed past here; let it go before the postings grow
-    # Each token's postings grow as arrays, a block at a time; none is a
-    # list of Python ints.  ``runs`` holds, per block, how many postings
-    # each token has in it; the section lists those run lengths token by
-    # token, and block by block within a token.
-    largest = min(n, _BLOCK) - 1
-    new_positions, new_runs = _collector(largest), _collector(largest + 1)
-    positions_of = [new_positions() for _ in vocab]
+    return vocab, spellings, separators, run_rank, piece_token, piece_mark
+
+
+def _postings(stream: array, vocabulary: int) -> tuple[array, array]:
+    """The (token, block) run lengths and the postings of ``stream``, as their sections.
+
+    Each token's postings grow in an array as narrow as the section, a
+    block at a time; none is a list of Python ints.  As a block ends, how
+    many postings each token gained in it is narrowed to its largest
+    value.  The postings section is each token's postings in turn, each
+    let go once copied; the run lengths section lists them token by
+    token, and block by block within a token.
+    """
+    code = _code(min(len(stream), _BLOCK) - 1)
+    positions_of = [array(code) for _ in range(vocabulary)]
     runs = []
-    for base in range(0, n, _BLOCK):
+    for base in range(0, len(stream), _BLOCK):
         before = list(map(len, positions_of))
         for offset, i in enumerate(stream[base : base + _BLOCK]):
             positions_of[i].append(offset)
-        runs.append(new_runs(map(sub, map(len, positions_of), before)))
-    sections = {
-        "provenance": f"sha256:{digest.hexdigest()[:16]}",
-        "vocab": tuple(vocab),
-        "tag_vocab": tuple(tag_vocab),
-        "spellings": tuple(spellings),
-        "separators": tuple(separators),
-        "stream": stream,
-        "starts": _column(lengths, max(lengths)),
-        "tags": _column(map(tag_rank.__getitem__, tags), len(tag_vocab) - 1),
-        "marks": marks,
-        "trails": _column(map(run_rank.__getitem__, trails), len(separators) - 1),
-        "post_starts": _column(chain.from_iterable(zip(*runs)), max(map(max, runs))),
-        "post_positions": _joined(positions_of, largest),
-    }
-    del runs  # the run lengths are in the section now; let them go before the offsets grow
-    return CorpusIndex(sections)
+        grown = array("I", map(sub, map(len, positions_of), before))
+        runs.append(_column(grown, max(grown)))
+    post_positions = array(code)
+    positions_of.reverse()
+    while positions_of:
+        post_positions += positions_of.pop()
+    longest = max(map(max, runs))
+    post_starts = array(_code(longest), [0]) * (len(runs) * vocabulary)
+    for b, block_runs in enumerate(runs):
+        post_starts[b :: len(runs)] = _column(block_runs, longest)
+    return post_starts, post_positions
 
 
 class CountProvider(Protocol):

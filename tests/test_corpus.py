@@ -334,19 +334,18 @@ class TestChunkedReading:
             tmp_path / "lf.txt", tmp_path / "lf.idx"
         )
 
-    def test_memory_grows_with_the_index_not_the_corpus(self, tmp_path, monkeypatch):
+    def test_memory_grows_with_the_index_not_the_corpus(self, tmp_path):
         """Building, saving and loading each hold about the index's own memory.
 
         Bounds are the index file's bytes times a factor plus a constant.
-        The chunk read at a time is set small, so that what it holds (a
-        constant, whatever the corpus) does not hide what grows with it,
-        and the corpus large enough that its index passes 1 MB.
+        The chunk read at a time is small (a constant, whatever the
+        corpus), so it does not hide what grows with the corpus, and the
+        corpus is large enough that its index passes 1 MB.
         """
         from perfbench import inputs  # the benchmark's seeded corpora
 
         path = tmp_path / "corpus.txt"
         inputs.generate("attach", 3, 25_000).write_corpus(path)
-        monkeypatch.setattr(corpus, "_CHUNK", 1 << 16, raising=False)
 
         def peak(step):
             tracemalloc.start()
@@ -362,7 +361,7 @@ class TestChunkedReading:
         _index, load = peak(lambda: CorpusIndex.load(tmp_path / "corpus.idx"))
         size, mb = (tmp_path / "corpus.idx").stat().st_size, 1 << 20
         assert size > mb  # so that the constants below do not dominate
-        assert build < 3 * size + 3 * mb // 2
+        assert build < 2 * size + 3 * mb // 2
         assert save < size // 2 + mb // 2
         assert load < 3 * size // 2 + mb
 
@@ -963,3 +962,26 @@ class TestColumnWidths:
         info = _widths(tmp_path_factory, lines)
         assert info["separators"] * info["most_spellings"] > 256
         assert info["bytes.marks"] == 2 * info["tokens"]
+
+    def test_more_than_65536_distinct_pieces(self, tmp_path_factory, monkeypatch):
+        """Past 65,536 distinct pieces a piece id takes 4 bytes, and so does a token id.
+
+        Each of 70,000 numbered words occurs once, among common ones, so
+        the first block of piece ids takes 2 bytes and the second 4.
+        Where the reads end changes no byte of the index.
+        """
+        rng = random.Random(35)
+        lines = []
+        for at in range(0, 70_000, 50):
+            words = [f"{rng.choice('nN')}{i}" for i in range(at, at + 50)] + rng.choices("abcde", k=20)
+            rng.shuffle(words)
+            lines.append(" ".join(words))
+        info = _widths(tmp_path_factory, lines)
+        assert info["vocabulary"] > 1 << 16
+        assert info["blocks"] == 2
+        assert info["bytes.stream"] == 4 * info["tokens"]
+        path = tmp_path_factory.mktemp("chunks") / "corpus.txt"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        expected = _saved(path, path.with_suffix(".idx"))
+        monkeypatch.setattr(corpus, "_CHUNK", 7)
+        assert _saved(path, path.with_suffix(".7.idx")) == expected
